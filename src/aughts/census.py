@@ -5,6 +5,11 @@ DISTINCT ORBITS (deduplicated through the canonical representative), while
 diametral fractions and the disk length average count LATTICE POINTS with
 multiplicity.  Region scans run in row blocks; partial results carry exact
 integers only and merge commutatively, so block size never affects output.
+
+Diametral counts scan no points: a point other than the origin is diametral
+iff it or its negative lies in the double cone x/2 <= y <= 2x, so each row
+contributes the exact interval intersection of its x-range with the cone,
+computed in Python ints.
 """
 
 from __future__ import annotations
@@ -84,6 +89,23 @@ class Region:
             return x0, x1, y0, y1
         raise ValueError(f"unknown region kind {self.kind!r}")
 
+    def row_span(self, y: int) -> tuple[int, int]:
+        """Inclusive x-range (lo, hi) of row y, exact in Python ints.
+
+        The range is empty (lo > hi) for rows outside the region.
+        """
+        xmin, xmax, ymin, ymax = self.bounds()
+        if not ymin <= y <= ymax:
+            return 1, 0
+        if self.kind == "hexagon_H":
+            (m,) = self.params
+            return max(-m, y - m), min(m, y + m)
+        if self.kind == "disk":
+            (r,) = self.params
+            half = math.isqrt(r * r - y * y)
+            return -half, half
+        return xmin, xmax
+
     def mask(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         if self.kind in ("square_0M", "square_sym", "rect"):
             return np.ones(x1.shape, dtype=bool)
@@ -140,12 +162,6 @@ def _perimeter(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     )
 
 
-def _diam_multiplier(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    return np.maximum(
-        np.abs(x1 + x2), np.maximum(np.abs(2 * x1 - x2), np.abs(2 * x2 - x1))
-    )
-
-
 def _node_pairs(x1, x2):
     return (
         (x1, x2),
@@ -183,13 +199,23 @@ def unpack_key(key: int, offset: int, base: int) -> tuple[int, int]:
 
 
 def _diametral_mask(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Vectorized: point attains the maximal pairwise distance in its orbit."""
-    overall = 2 * _diam_multiplier(x1, x2) ** 2
-    from_seed = np.zeros(x1.shape, dtype=np.int64)
-    for a, b in _node_pairs(x1, x2)[1:]:
-        d = (x1 - a) ** 2 + (x2 - b) ** 2
-        np.maximum(from_seed, d, out=from_seed)
-    return (from_seed == overall) & (overall > 0)
+    """Vectorized: point attains the maximal pairwise distance in its orbit.
+
+    That is the double cone x/2 <= y <= 2x and its negative, tested with
+    comparisons only, so no square can wrap.
+    """
+    return ((x1 > 0) & (2 * x2 >= x1) & (x2 <= 2 * x1)) | (
+        (x1 < 0) & (2 * x2 <= x1) & (x2 >= 2 * x1)
+    )
+
+
+def _cone_span(y: int) -> tuple[int, int]:
+    """Inclusive x-range of the diametral points on row y (empty on row 0)."""
+    if y > 0:
+        return -(-y // 2), 2 * y
+    if y < 0:
+        return 2 * y, y // 2
+    return 1, 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +361,37 @@ class PerimeterStats:
 
 
 def cumulative_perimeter_stats(t: int) -> PerimeterStats:
-    """Exact count/sum/average of orbits with length in [4, t]."""
+    """Exact count/sum/average of orbits with length in [4, t].
+
+    Only lengths 4k carry orbits.  Writing k = 3q + r, length 4k carries
+    q + 1, q or q + 1 orbits for r = 0, 1 or 2, so each residue class sums
+    in closed form over its range of q.
+    """
     if t < 4:
         raise ValueError(f"threshold must be >= 4, got {t}")
+    kmax = t // 4
     count = 0
     total = 0
-    for x in range(4, t + 1, 4):
-        n = count_orbits_with_perimeter(x)
-        count += n
-        total += n * x
+    for r, extra in ((0, 1), (1, 0), (2, 1)):
+        # terms k = 3q + r with 1 <= k <= kmax, each carrying q + extra orbits
+        qlo, qhi = (1 if r == 0 else 0), (kmax - r) // 3
+        s0, s1, s2 = _power_sums(qlo, qhi)
+        count += s1 + extra * s0
+        total += 4 * (3 * s2 + (r + 3 * extra) * s1 + r * extra * s0)
     return PerimeterStats(count, total, total / count if count else 0.0)
+
+
+def _power_sums(lo: int, hi: int) -> tuple[int, int, int]:
+    """(sum 1, sum q, sum q^2) over the integers lo <= q <= hi.
+
+    Needs 0 <= lo <= hi + 1; an empty range (hi = lo - 1) sums to zeros.
+    """
+
+    def upto(n: int) -> tuple[int, int, int]:
+        return n + 1, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
+
+    top, below = upto(hi), upto(lo - 1)
+    return tuple(a - b for a, b in zip(top, below))
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +425,31 @@ def modular_census(
     )
 
 
-def diametral_report(
-    region: Region, block_rows: int = DEFAULT_BLOCK_ROWS
-) -> CensusReport:
-    """Count LATTICE POINTS of the region that are diametral in their orbit."""
+def diametral_report(region: Region) -> CensusReport:
+    """Count LATTICE POINTS of the region that are diametral in their orbit.
+
+    Each row adds its whole x-range to the total and its intersection with
+    the diametral cone to the hits; no point is visited.
+    """
     if region.kind != "rect" and region.size < 100:
         raise ValueError("diametral census requires region size >= 100")
+    rows = region
+    if region.kind == "rect":
+        x0, x1, y0, y1 = region.params
+        if y1 - y0 > x1 - x0:
+            # The cone is symmetric under swapping x and y, so a tall rect
+            # counts the same as its transpose, which has fewer rows.
+            rows = Region.rect(y0, y1, x0, x1)
+    _, _, ymin, ymax = rows.bounds()
     total = 0
     hits = 0
-    for x1, x2 in _iter_blocks(region, block_rows):
-        total += int(x1.size)
-        if x1.size:
-            hits += int(_diametral_mask(x1, x2).sum())
+    for y in range(ymin, ymax + 1):
+        lo, hi = rows.row_span(y)
+        if lo > hi:
+            continue
+        total += hi - lo + 1
+        a, b = _cone_span(y)
+        hits += max(0, min(b, hi) - max(a, lo) + 1)
     return CensusReport(
         region=region,
         basis="points",
@@ -404,9 +464,9 @@ def diametral_report(
     )
 
 
-def diametral_census(region: Region, block_rows: int = DEFAULT_BLOCK_ROWS) -> float:
+def diametral_census(region: Region) -> float:
     """Fraction of the region's lattice points that are diametral."""
-    return diametral_report(region, block_rows).diametral_fraction
+    return diametral_report(region).diametral_fraction
 
 
 # ---------------------------------------------------------------------------

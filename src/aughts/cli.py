@@ -217,7 +217,10 @@ def cmd_census(args) -> int:
         if args.mod < 2:
             raise UsageError("--mod must be >= 2")
         m = region.params[0]
-        report = census.modular_census(m, args.mod)
+        try:
+            report = census.modular_census(m, args.mod)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         headline = ", ".join(
             f"{r}: {c} ({c / m**2:.6g} M^2)"
             for r, c in sorted(report.residue_counts.items())

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aughts import census
 from aughts.census import (
+    PerimeterStats,
     Region,
     count_orbits_with_perimeter,
     cumulative_perimeter_stats,
@@ -63,6 +66,22 @@ def test_cumulative_stats_small():
     assert stats.total == sum(length * k for length, k in oracle.items())
     with pytest.raises(ValueError):
         cumulative_perimeter_stats(3)
+
+
+def loop_perimeter_stats(t):
+    """Per-length oracle: sum count_orbits_with_perimeter over x = 4, 8, ..., t."""
+    count = 0
+    total = 0
+    for x in range(4, t + 1, 4):
+        n = count_orbits_with_perimeter(x)
+        count += n
+        total += n * x
+    return PerimeterStats(count, total, total / count if count else 0.0)
+
+
+def test_cumulative_closed_form_matches_loop():
+    for t in list(range(4, 3000)) + [100_003, 1_234_567]:
+        assert cumulative_perimeter_stats(t) == loop_perimeter_stats(t), t
 
 
 def test_cumulative_monotone():
@@ -175,6 +194,91 @@ def test_diametral_census_small_sizes():
     assert abs(report.diametral_fraction - 1 / 3) < 0.02
     assert report.diametral_points <= report.total_points
     assert report.basis == "points"
+
+
+# one region of each kind at sizes 100-130; the rects straddle both axes
+# asymmetrically, and the second is counted through its transpose
+ORACLE_REGIONS = [
+    Region.square(130),
+    Region.sym_square(100),
+    Region.hexagon(100),
+    Region.disk(115),
+    Region.rect(-120, 10, -17, 113),
+    Region.rect(-20, 15, -130, 110),
+]
+
+
+def scalar_diametral_count(region):
+    """(total, hits) by testing every lattice point with is_diametral."""
+    xmin, xmax, ymin, ymax = region.bounds()
+    total = hits = 0
+    for y in range(ymin, ymax + 1):
+        for x in range(xmin, xmax + 1):
+            if region.contains(x, y):
+                total += 1
+                hits += is_diametral((x, y))
+    return total, hits
+
+
+@pytest.mark.parametrize("region", ORACLE_REGIONS, ids=lambda r: f"{r.kind}{list(r.params)}")
+def test_diametral_row_count_matches_scalar_oracle(region):
+    report = diametral_report(region)
+    assert (report.total_points, report.diametral_points) == scalar_diametral_count(region)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x0=st.integers(-(2**31), 2**31 - 12),
+    y0=st.integers(-(2**31), 2**31 - 12),
+    w=st.integers(-3, 11),
+    h=st.integers(-3, 11),
+    near_origin=st.booleans(),
+)
+def test_diametral_rect_count_matches_scalar_oracle(x0, y0, w, h, near_origin):
+    if near_origin:
+        # negative, straddling and on-axis rects around the cone's apex
+        x0, y0 = x0 % 25 - 15, y0 % 25 - 15
+    region = Region.rect(x0, x0 + w, y0, y0 + h)
+    report = diametral_report(region)
+    assert (report.total_points, report.diametral_points) == scalar_diametral_count(region)
+
+
+NEAR_2_31 = Region.rect(2**31 - 300, 2**31 - 299, 2**31 - 300, 2**31 - 100)
+
+
+def test_diametral_count_near_2_31():
+    assert scalar_diametral_count(NEAR_2_31) == (402, 402)
+    report = diametral_report(NEAR_2_31)
+    assert (report.total_points, report.diametral_points) == (402, 402)
+    assert report.diametral_fraction == 1.0
+
+
+def test_projection_histogram_near_2_31():
+    # the rect crosses the cone edge y = 2x, so both colours occur
+    region = Region.rect(2**30 - 12, 2**30 + 3, 2**31 - 40, 2**31)
+    hist = projection_histogram(region, 64)
+    total, hits = scalar_diametral_count(region)
+    assert 0 < hits < total
+    assert (sum(hist.diametral), sum(hist.others)) == (hits, total - hits)
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Region.square(7),
+        Region.sym_square(6),
+        Region.hexagon(6),
+        Region.disk(9),
+        Region.rect(-4, 5, -8, 2),
+        Region.rect(3, -2, 0, 4),
+    ],
+    ids=lambda r: f"{r.kind}{list(r.params)}",
+)
+def test_row_span_agrees_with_contains(region):
+    for y in range(-12, 13):
+        lo, hi = region.row_span(y)
+        for x in range(-12, 13):
+            assert (lo <= x <= hi) == region.contains(x, y), (x, y)
 
 
 def test_diametral_census_size_guard():

@@ -1,7 +1,11 @@
 """CLI surface: subcommands, JSON schemas, exit codes, render determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
+import aughts
 from aughts.cli import main
 from aughts.svg import DEFAULT_PALETTE, used_fill_colors
 
@@ -129,6 +133,29 @@ def test_census_diametral(capsys):
     assert "diametral fraction" in err
     payload = json.loads(out)
     assert 0.18 < payload["diametral_fraction"] < 0.23
+
+
+def test_census_diametral_near_2_31(capsys):
+    code, out, _ = run_cli(
+        capsys, "census", "--rect=2147483348,2147483349,2147483348,2147483548", "--diametral"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["total_points"], payload["diametral_points"]) == (402, 402)
+    assert payload["diametral_fraction"] == 1.0
+
+
+def test_census_mod_beyond_scan_guard_exits_2():
+    src = os.path.dirname(os.path.dirname(aughts.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aughts.cli", "census", "--square", "2000000", "--mod", "8"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_census_usage_errors(capsys):
