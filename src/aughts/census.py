@@ -1,15 +1,18 @@
 """Counting formulas, censuses and averages over lattice regions.
 
 Two counting bases never mix: modular censuses and the orbit averages count
-DISTINCT ORBITS (deduplicated through the canonical representative), while
-diametral fractions and the disk length average count LATTICE POINTS with
-multiplicity.  Region scans run in row blocks; partial results carry exact
-integers only and merge commutatively, so block size never affects output.
+DISTINCT ORBITS, while diametral fractions and the disk length average count
+LATTICE POINTS with multiplicity.
 
-Diametral counts scan no points: a point other than the origin is diametral
-iff it or its negative lies in the double cone x/2 <= y <= 2x, so each row
-contributes the exact interval intersection of its x-range with the cone,
-computed in Python ints.
+Neither the distinct-orbit census of [0,M]^2 nor the diametral counts scan
+points; both are exact Python-int counts.  A point of [0,M]^2 is the
+lexicographically largest node of its orbit inside the square iff it lies in
+the closed cone x/2 <= y <= 2x, where the orbit length is 4(x+y), so the
+census sums the cone's points per anti-diagonal in closed form.  A point
+other than the origin is diametral iff it or its negative lies in that cone,
+so each row contributes the interval intersection of its x-range with the
+cone.  The angular histogram, the disk length statistics and the SVG renders
+scan the region in row blocks of int64 coordinates.
 """
 
 from __future__ import annotations
@@ -20,9 +23,13 @@ from typing import Iterator
 
 import numpy as np
 
-from aughts.orbits import cycle_points
+from aughts.errors import ResourceLimitError
+from aughts.orbits import COORD_LIMIT
 
 DEFAULT_BLOCK_ROWS = 128
+# Rows a diametral count may visit (about 2 us each), so a far-flung rect
+# stops at once instead of running for days.
+ROW_LIMIT = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +125,8 @@ class Region:
         raise ValueError(f"unknown region kind {self.kind!r}")
 
     def contains(self, x1: int, x2: int) -> bool:
-        xmin, xmax, ymin, ymax = self.bounds()
-        if not (xmin <= x1 <= xmax and ymin <= x2 <= ymax):
-            return False
-        return bool(
-            self.mask(np.asarray([x1], dtype=np.int64), np.asarray([x2], dtype=np.int64))[0]
-        )
+        lo, hi = self.row_span(x2)
+        return lo <= x1 <= hi
 
     def describe(self) -> dict:
         return {"kind": self.kind, "params": list(self.params)}
@@ -162,42 +165,6 @@ def _perimeter(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     )
 
 
-def _node_pairs(x1, x2):
-    return (
-        (x1, x2),
-        (x2 - x1, x2),
-        (x2 - x1, -x1),
-        (-x2, -x1),
-        (-x2, x1 - x2),
-        (x1, x1 - x2),
-    )
-
-
-def _pack_keys(x1: np.ndarray, x2: np.ndarray, offset: int, base: int) -> np.ndarray:
-    """Canonical orbit key: packed lexicographic maximum over the six nodes."""
-    best: np.ndarray | None = None
-    for a, b in _node_pairs(x1, x2):
-        key = (a + offset) * base + (b + offset)
-        best = key if best is None else np.maximum(best, key)
-    assert best is not None
-    return best
-
-
-def _key_layout(region: Region) -> tuple[int, int]:
-    xmin, xmax, ymin, ymax = region.bounds()
-    bound = max(abs(xmin), abs(xmax), abs(ymin), abs(ymax), 1)
-    if bound > 2**20:
-        # keeps packed keys and all vectorized arithmetic inside int64
-        raise ValueError(f"region coordinates exceed the 2^20 scan guard: {bound}")
-    offset = 2 * bound + 1
-    return offset, 2 * offset + 1
-
-
-def unpack_key(key: int, offset: int, base: int) -> tuple[int, int]:
-    a, b = divmod(int(key), base)
-    return a - offset, b - offset
-
-
 def _diametral_mask(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Vectorized: point attains the maximal pairwise distance in its orbit.
 
@@ -216,64 +183,6 @@ def _cone_span(y: int) -> tuple[int, int]:
     if y < 0:
         return 2 * y, y // 2
     return 1, 0
-
-
-# ---------------------------------------------------------------------------
-# distinct-orbit table
-
-
-@dataclass(frozen=True)
-class OrbitTable:
-    """Distinct orbits meeting a region, keyed by canonical representative."""
-
-    region: Region
-    total_points: int
-    keys: np.ndarray        # sorted packed representatives
-    perimeters: np.ndarray  # orbit length 2p per key
-    offset: int
-    base: int
-
-    @property
-    def total_orbits(self) -> int:
-        return int(self.keys.size)
-
-    def representatives(self) -> list[tuple[int, int]]:
-        return [unpack_key(k, self.offset, self.base) for k in self.keys]
-
-    @property
-    def box_sides(self) -> np.ndarray:
-        return self.perimeters // 4
-
-    @property
-    def diam_multipliers(self) -> np.ndarray:
-        # The diameter multiplier and the box side are the same three-way
-        # maximum, so both equal a quarter of the orbit length.
-        return self.perimeters // 4
-
-
-def distinct_orbit_table(
-    region: Region, block_rows: int = DEFAULT_BLOCK_ROWS
-) -> OrbitTable:
-    offset, base = _key_layout(region)
-    key_parts: list[np.ndarray] = []
-    perim_parts: list[np.ndarray] = []
-    total_points = 0
-    for x1, x2 in _iter_blocks(region, block_rows):
-        total_points += int(x1.size)
-        if x1.size == 0:
-            continue
-        keys = _pack_keys(x1, x2, offset, base)
-        perims = _perimeter(x1, x2)
-        uniq, idx = np.unique(keys, return_index=True)
-        key_parts.append(uniq)
-        perim_parts.append(perims[idx])
-    if not key_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return OrbitTable(region, total_points, empty, empty.copy(), offset, base)
-    keys = np.concatenate(key_parts)
-    perims = np.concatenate(perim_parts)
-    uniq, idx = np.unique(keys, return_index=True)
-    return OrbitTable(region, total_points, uniq, perims[idx], offset, base)
 
 
 # ---------------------------------------------------------------------------
@@ -398,30 +307,60 @@ def _power_sums(lo: int, hi: int) -> tuple[int, int, int]:
 # region censuses
 
 
-def modular_census(
-    m: int, d: int, block_rows: int = DEFAULT_BLOCK_ROWS
-) -> CensusReport:
-    """Tally DISTINCT orbits seeded from [0,m]^2 by orbit length mod d."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+def square_orbit_sums(m: int, d: int = 1) -> tuple[list[int], int, int]:
+    """(orbits per length residue mod d, orbit count, length sum) over [0,m]^2.
+
+    The orbits meeting [0,m]^2 correspond one to one with the square's points
+    in the cone x/2 <= y <= 2x, the largest node of each orbit inside the
+    square.  The anti-diagonal x + y = s holds n(s) = min(2s//3, m) -
+    max(ceil(s/3), s-m) + 1 of them, each of length 4s: for s <= 3m//2 that
+    is (s - s%3)/3 + 1, less 1 when s%3 == 1, and above it 2m + 1 - s.  On
+    each class s = c + 3d*j, n is linear in j and 4s mod d is fixed, so
+    power sums over j count each class exactly.
+    """
+    if not 1 <= m <= COORD_LIMIT:
+        raise ValueError(f"m must be in 1..2^31, got {m}")
+    if d < 1:
+        raise ValueError(f"modulus must be >= 1, got {d}")
+    period, split = 3 * d, 3 * m // 2
+    residues = [0] * d
+    count = length = 0
+    for c in range(min(period, 2 * m + 1)):
+        r = c % 3
+        # (n at j = 0, n's step per j, first s, last s) of both s-ranges
+        for a, b, lo, hi in (
+            ((c - r) // 3 + (r != 1), d, 0, split),
+            (2 * m + 1 - c, -period, split + 1, 2 * m),
+        ):
+            s0, s1, s2 = _power_sums((lo - c + period - 1) // period, (hi - c) // period)
+            n = a * s0 + b * s1
+            residues[4 * c % d] += n
+            count += n
+            # sum over j of 4(c + period*j)(a + b*j)
+            length += 4 * (c * a * s0 + (c * b + period * a) * s1 + period * b * s2)
+    return residues, count, length
+
+
+def modular_census(m: int, d: int) -> CensusReport:
+    """Tally DISTINCT orbits seeded from [0,m]^2 by orbit length mod d.
+
+    By the box law the diameter multiplier and the box side of an orbit are
+    each a quarter of its length, and so are their sums.
+    """
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
-    table = distinct_orbit_table(Region.square(m), block_rows)
-    residues = {r: 0 for r in range(d)}
-    values, counts = np.unique(table.perimeters % d, return_counts=True)
-    for r, c in zip(values, counts):
-        residues[int(r)] = int(c)
+    residues, count, length = square_orbit_sums(m, d)
     return CensusReport(
-        region=table.region,
+        region=Region.square(m),
         basis="orbits",
         modulus=d,
-        total_points=table.total_points,
-        total_orbits=table.total_orbits,
-        residue_counts=residues,
+        total_points=(m + 1) ** 2,
+        total_orbits=count,
+        residue_counts=dict(enumerate(residues)),
         diametral_points=0,
-        sum_diam_multiplier=int(table.diam_multipliers.sum()),
-        sum_perimeter=int(table.perimeters.sum()),
-        sum_box_side=int(table.box_sides.sum()),
+        sum_diam_multiplier=length // 4,
+        sum_perimeter=length,
+        sum_box_side=length // 4,
     )
 
 
@@ -441,6 +380,10 @@ def diametral_report(region: Region) -> CensusReport:
             # counts the same as its transpose, which has fewer rows.
             rows = Region.rect(y0, y1, x0, x1)
     _, _, ymin, ymax = rows.bounds()
+    if ymax - ymin + 1 > ROW_LIMIT:
+        raise ResourceLimitError(
+            f"diametral census needs {ymax - ymin + 1} rows, limit is {ROW_LIMIT}"
+        )
     total = 0
     hits = 0
     for y in range(ymin, ymax + 1):
@@ -484,25 +427,22 @@ class OrbitAverages:
     perimeter: float
 
 
-def square_orbit_averages(
-    m: int, block_rows: int = DEFAULT_BLOCK_ROWS
-) -> OrbitAverages:
+def square_orbit_averages(m: int) -> OrbitAverages:
     if m < 100:
         raise ValueError(f"m must be >= 100 for the tolerance contract, got {m}")
-    table = distinct_orbit_table(Region.square(m), block_rows)
-    count = table.total_orbits
+    _, count, length = square_orbit_sums(m)
     return OrbitAverages(
         m=m,
         orbit_count=count,
-        diameter=math.sqrt(2) * int(table.diam_multipliers.sum()) / count,
-        box_side=int(table.box_sides.sum()) / count,
-        perimeter=int(table.perimeters.sum()) / count,
+        diameter=math.sqrt(2) * (length // 4) / count,
+        box_side=(length // 4) / count,
+        perimeter=length / count,
     )
 
 
-def average_diameter_square(m: int, block_rows: int = DEFAULT_BLOCK_ROWS) -> float:
+def average_diameter_square(m: int) -> float:
     """Mean Euclidean diameter over distinct orbits seeded in [0,m]^2."""
-    return square_orbit_averages(m, block_rows).diameter
+    return square_orbit_averages(m).diameter
 
 
 @dataclass(frozen=True)
@@ -573,14 +513,3 @@ def projection_histogram(
         dia += np.bincount(idx[mask], minlength=bins)
         oth += np.bincount(idx[~mask], minlength=bins)
     return ProjectionHistogram(bins, tuple(int(v) for v in dia), tuple(int(v) for v in oth))
-
-
-# ---------------------------------------------------------------------------
-# scalar cross-check helper (used by tests to tie the vectorized scans back
-# to the one-point definitions)
-
-
-def scalar_orbit_key(x1: int, x2: int, region: Region) -> int:
-    offset, base = _key_layout(region)
-    rep = max(cycle_points((x1, x2)))
-    return (rep[0] + offset) * base + (rep[1] + offset)

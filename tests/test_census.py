@@ -1,7 +1,8 @@
 """Census formulas and region scans, with brute-force cross-checks."""
 
-import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from aughts.census import (
     projection_histogram,
     square_orbit_averages,
 )
-from aughts.orbits import is_diametral, orbit_rep, semi_perimeter
+from aughts.errors import ResourceLimitError
+from aughts.orbits import is_diametral, orbit2d, orbit_rep, semi_perimeter
 
 
 # -- independent brute-force oracle ----------------------------------------
@@ -100,9 +102,35 @@ def test_census_counts_monotone_in_region_size():
         prev = total
 
 
-def test_scan_coordinate_guard():
+def antidiagonal_census(m, d):
+    """Independent oracle for the census of [0,m]^2: on each anti-diagonal
+    x + y = s, count the cone points x/2 <= y <= 2x one s at a time, each
+    an orbit of length 4s, in Python ints."""
+    residues = [0] * d
+    count = length = 0
+    for s in range(2 * m + 1):
+        n = min(2 * s // 3, m) - max(-(-s // 3), s - m) + 1
+        residues[4 * s % d] += n
+        count += n
+        length += 4 * s * n
+    return residues, count, length
+
+
+def test_census_input_range():
     with pytest.raises(ValueError):
-        census.distinct_orbit_table(Region.rect(0, 2**21, 0, 10))
+        modular_census(2**31 + 1, 8)
+    report = modular_census(2**31, 8)
+    assert report.total_points == (2**31 + 1) ** 2
+
+
+def test_census_at_two_million_has_no_int64_wrap():
+    m = 2_000_000
+    residues, count, length = antidiagonal_census(m, 8)
+    report = modular_census(m, 8)
+    assert report.residue_counts == dict(enumerate(residues))
+    assert report.total_orbits == count
+    assert report.sum_perimeter == length > 2**63
+    assert report.sum_box_side == report.sum_diam_multiplier == length // 4
 
 
 def test_region_membership():
@@ -115,18 +143,33 @@ def test_region_membership():
     with pytest.raises(ValueError):
         Region.square(0)
     empty = Region.rect(1, 0, 1, 0)
-    assert census.distinct_orbit_table(empty).total_points == 0
+    assert diametral_report(empty).total_points == 0
 
 
-def test_scalar_vs_vectorized_orbit_keys():
-    region = Region.sym_square(25)
-    table = census.distinct_orbit_table(region)
-    keys = set(table.keys.tolist())
-    expected = set()
-    for x1 in range(-25, 26):
-        for x2 in range(-25, 26):
-            expected.add(census.scalar_orbit_key(x1, x2, region))
-    assert keys == expected
+def test_disk_contains_without_int64_wrap():
+    # x^2 + y^2 = 1.25e19 exceeds both R^2 = 9e18 and the int64 range
+    disk = Region.disk(3 * 10**9)
+    assert not disk.contains(25 * 10**8, 25 * 10**8)
+    assert disk.row_span(25 * 10**8) == (-1658312395, 1658312395)
+    assert disk.contains(1658312395, 25 * 10**8)
+    assert not disk.contains(1658312396, 25 * 10**8)
+
+
+def test_census_matches_scalar_orbit_reps():
+    for m in range(1, 61):
+        reps = {orbit_rep((x, y)) for x in range(m + 1) for y in range(m + 1)}
+        metrics = [orbit2d(rep) for rep in reps]
+        lengths = [2 * o.semi_perimeter for o in metrics]
+        assert census.square_orbit_sums(m) == ([len(reps)], len(reps), sum(lengths))
+        for d in range(2, 17):
+            report = modular_census(m, d)
+            tally = Counter(length % d for length in lengths)
+            assert report.residue_counts == {r: tally[r] for r in range(d)}, (m, d)
+            assert report.total_points == (m + 1) ** 2
+            assert report.total_orbits == len(reps)
+            assert report.sum_perimeter == sum(lengths)
+            assert report.sum_box_side == sum(o.box_side for o in metrics)
+            assert report.sum_diam_multiplier == sum(o.diam_multiplier for o in metrics)
 
 
 def test_vectorized_diametral_matches_scalar():
@@ -174,15 +217,6 @@ def test_modular_census_validation():
         modular_census(0, 4)
     with pytest.raises(ValueError):
         modular_census(10, 1)
-
-
-def test_census_determinism_across_block_sizes():
-    a = modular_census(150, 6, block_rows=7)
-    b = modular_census(150, 6, block_rows=1024)
-    assert a == b
-    ja = json.dumps(a.to_json_dict(), sort_keys=True)
-    jb = json.dumps(b.to_json_dict(), sort_keys=True)
-    assert ja == jb
 
 
 def test_diametral_census_small_sizes():
@@ -275,15 +309,30 @@ def test_projection_histogram_near_2_31():
     ids=lambda r: f"{r.kind}{list(r.params)}",
 )
 def test_row_span_agrees_with_contains(region):
+    # contains reads row_span; the block scan keeps points by Region.mask
+    scanned = {
+        (x, y)
+        for x1, x2 in census._iter_blocks(region, 5)
+        for x, y in zip(x1.tolist(), x2.tolist())
+    }
     for y in range(-12, 13):
         lo, hi = region.row_span(y)
         for x in range(-12, 13):
-            assert (lo <= x <= hi) == region.contains(x, y), (x, y)
+            inside = lo <= x <= hi
+            assert inside == region.contains(x, y) == ((x, y) in scanned), (x, y)
 
 
 def test_diametral_census_size_guard():
     with pytest.raises(ValueError):
         diametral_census(Region.square(50))
+
+
+def test_diametral_row_limit():
+    # the transpose does not help when both sides are long
+    with pytest.raises(ResourceLimitError):
+        diametral_report(Region.rect(0, 2**40, 0, 2**40))
+    with pytest.raises(ResourceLimitError):
+        diametral_report(Region.disk(census.ROW_LIMIT // 2))
 
 
 def test_orbit_averages_small():
@@ -296,6 +345,11 @@ def test_orbit_averages_small():
     assert abs(av2.diameter / av.diameter - 2) < 0.04
     with pytest.raises(ValueError):
         square_orbit_averages(50)
+
+
+def test_orbit_averages_golden_repr():
+    golden = Path(__file__).parent / "golden" / "square_orbit_averages_2000.txt"
+    assert repr(square_orbit_averages(2000)) + "\n" == golden.read_text()
 
 
 def test_disk_length_stats_small():

@@ -4,10 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
+
+import pytest
 
 import aughts
 from aughts.cli import main
 from aughts.svg import DEFAULT_PALETTE, used_fill_colors
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -145,17 +152,59 @@ def test_census_diametral_near_2_31(capsys):
     assert payload["diametral_fraction"] == 1.0
 
 
-def test_census_mod_beyond_scan_guard_exits_2():
+def run_cli_process(*argv, timeout=60):
     src = os.path.dirname(os.path.dirname(aughts.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "aughts.cli", "census", "--square", "2000000", "--mod", "8"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "aughts.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_census_mod_beyond_scan_guard_exits_2():
+    proc = run_cli_process("census", "--square", "2147483649", "--mod", "8")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_census_mod_two_million_is_exact():
+    # values from the anti-diagonal oracle in test_census; the length sum
+    # exceeds 2^63
+    proc = run_cli_process("census", "--square", "2000000", "--mod", "8")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["total_points"] == 2000001**2
+    assert payload["total_orbits"] == 2000002000001
+    assert payload["residue_counts"] == {
+        "0": 1000001000001, "1": 0, "2": 0, "3": 0,
+        "4": 1000001000000, "5": 0, "6": 0, "7": 0,
+    }
+    assert payload["sums"] == {
+        "diam_multiplier": 4666671666669000000,
+        "perimeter": 18666686666676000000,
+        "box_side": 4666671666669000000,
+    }
+
+
+def test_census_diametral_row_limit_exits_4():
+    start = time.monotonic()
+    proc = run_cli_process(
+        "census", "--rect=0,1099511627776,0,1099511627776", "--diametral", timeout=30
+    )
+    assert proc.returncode == 4
+    assert time.monotonic() - start < 10
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("m, d", [(250, 2), (1000, 16), (2000, 9), (4000, 8)])
+def test_census_mod_golden_bytes(capsys, m, d):
+    code, out, _ = run_cli(capsys, "census", "--square", str(m), "--mod", str(d))
+    assert code == 0
+    assert out == (GOLDEN / f"census_square_{m}_mod_{d}.json").read_text()
 
 
 def test_census_usage_errors(capsys):
