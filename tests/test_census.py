@@ -362,6 +362,29 @@ def test_disk_length_stats_small():
     assert abs(stats2.average / stats.average - 2) < 0.02
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("r", [100, 977, 2000])
+def test_disk_length_stats_golden_repr(r):
+    golden = GOLDEN / f"disk_length_stats_{r}.txt"
+    assert repr(disk_length_stats(r)) + "\n" == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "name, region, bins",
+    [
+        ("disk_500_360", Region.disk(500), 360),
+        ("sym_square_300_64", Region.sym_square(300), 64),
+        ("hexagon_400_64", Region.hexagon(400), 64),
+        ("rect_near_2_31_64", Region.rect(2**30 - 12, 2**30 + 3, 2**31 - 40, 2**31), 64),
+    ],
+)
+def test_projection_histogram_golden_repr(name, region, bins):
+    golden = GOLDEN / f"projection_histogram_{name}.txt"
+    assert repr(projection_histogram(region, bins)) + "\n" == golden.read_text()
+
+
 def _diametral_leakage(hist, arcs):
     """Diametral mass in bins that do not intersect any allowed arc."""
     leak = 0

@@ -234,6 +234,21 @@ def test_render_determinism(tmp_path, capsys):
     assert colors == {DEFAULT_PALETTE[0], DEFAULT_PALETTE[2], DEFAULT_PALETTE[4]}
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("render_mod_6_sym_square_8", ["--mod", "6", "--sym-square", "8"]),
+        ("render_diametral_disk_12", ["--diametral", "--disk", "12"]),
+        ("render_projection_hexagon_10", ["--projection", "--hexagon", "10"]),
+        ("render_mod_5_rect_m7_9_3_20", ["--mod", "5", "--rect=-7,9,3,20"]),
+    ],
+)
+def test_render_golden_bytes(tmp_path, capsys, name, argv):
+    out = tmp_path / "r.svg"
+    assert run_cli(capsys, "render", *argv, "--scale", "1", "--out", str(out))[0] == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
+
+
 def test_render_diametral_and_projection(tmp_path, capsys):
     out = tmp_path / "d.svg"
     assert run_cli(capsys, "render", "--diametral", "--sym-square", "10", "--out", str(out))[0] == 0
