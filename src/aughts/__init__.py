@@ -16,8 +16,6 @@ from aughts.atlas import (
 from aughts.census import (
     CensusReport,
     Region,
-    average_diameter_square,
-    average_length_disk,
     count_orbits_with_perimeter,
     cumulative_perimeter_stats,
     diametral_census,

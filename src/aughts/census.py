@@ -11,8 +11,9 @@ the closed cone x/2 <= y <= 2x, where the orbit length is 4(x+y), so the
 census sums the cone's points per anti-diagonal in closed form.  A point
 other than the origin is diametral iff it or its negative lies in that cone,
 so each row contributes the interval intersection of its x-range with the
-cone.  The angular histogram, the disk length statistics and the SVG renders
-scan the region in row blocks of int64 coordinates.
+cone.  The disk length statistics sum each row's orbit lengths in closed
+form.  Only the angular histogram and the SVG renders scan points, in blocks
+of int64 coordinates built from the same per-row x-ranges.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from typing import Iterator
 import numpy as np
 
 from aughts.errors import ResourceLimitError
-from aughts.orbits import COORD_LIMIT
+from aughts.orbits import COORD_LIMIT, semi_perimeter
 
-DEFAULT_BLOCK_ROWS = 128
-# Rows a diametral count may visit (about 2 us each), so a far-flung rect
-# stops at once instead of running for days.
+_BLOCK_ROWS = 64
+# Rows a per-row count may visit (about 2 us each for a diametral count,
+# 12 us for the disk lengths), so a far-flung region stops at once instead of
+# running for days.
 ROW_LIMIT = 4_000_000
+# Largest modulus of a census: it builds and prints one count per residue.
+MODULUS_LIMIT = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +42,7 @@ ROW_LIMIT = 4_000_000
 
 @dataclass(frozen=True)
 class Region:
-    """Integer lattice region with an exact membership predicate.
+    """Integer lattice region; ``row_span`` is its exact membership rule.
 
     Kinds: ``square_0M`` = [0,M]^2, ``square_sym`` = [-R,R]^2,
     ``hexagon_H`` = [-M,M]^2 with the two corners |x-y| > M cut off,
@@ -113,17 +117,6 @@ class Region:
             return -half, half
         return xmin, xmax
 
-    def mask(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        if self.kind in ("square_0M", "square_sym", "rect"):
-            return np.ones(x1.shape, dtype=bool)
-        if self.kind == "hexagon_H":
-            (m,) = self.params
-            return np.abs(x1 - x2) <= m
-        if self.kind == "disk":
-            (r,) = self.params
-            return x1 * x1 + x2 * x2 <= r * r
-        raise ValueError(f"unknown region kind {self.kind!r}")
-
     def contains(self, x1: int, x2: int) -> bool:
         lo, hi = self.row_span(x2)
         return lo <= x1 <= hi
@@ -137,21 +130,32 @@ def _check_size(value: int) -> None:
         raise ValueError(f"region size must be >= 1, got {value}")
 
 
-def _iter_blocks(
-    region: Region, block_rows: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (x1, x2) coordinate arrays for successive row blocks."""
+def _iter_blocks(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the region's points as (x1, x2) arrays, row by row.
+
+    Rows ascend in y and each row ascends in x over its ``row_span``; a block
+    holds the points of up to _BLOCK_ROWS rows and is never empty.
+    Coordinates are bounded by 2^31 so that the int64 kernels cannot wrap.
+    """
     xmin, xmax, ymin, ymax = region.bounds()
-    if xmin > xmax or ymin > ymax:
+    if max(abs(xmin), abs(xmax), abs(ymin), abs(ymax)) > COORD_LIMIT:
+        raise ValueError(f"region bounds {region.bounds()} exceed the 2^31 guard")
+    if xmin > xmax:
         return
-    xs = np.arange(xmin, xmax + 1, dtype=np.int64)
-    for y0 in range(ymin, ymax + 1, block_rows):
-        y1 = min(y0 + block_rows - 1, ymax)
-        ys = np.arange(y0, y1 + 1, dtype=np.int64)
-        x1 = np.repeat(xs[np.newaxis, :], len(ys), axis=0)
-        x2 = np.repeat(ys[:, np.newaxis], len(xs), axis=1)
-        keep = region.mask(x1, x2)
-        yield x1[keep], x2[keep]
+    for y0 in range(ymin, ymax + 1, _BLOCK_ROWS):
+        ys = range(y0, min(y0 + _BLOCK_ROWS, ymax + 1))
+        spans = [region.row_span(y) for y in ys]
+        counts = np.array([max(hi - lo + 1, 0) for lo, hi in spans], dtype=np.int64)
+        n = int(counts.sum())
+        if n == 0:
+            continue
+        # point i of the block has x = i + (lo of its row - index of the
+        # row's first point)
+        offsets = np.array([lo for lo, _ in spans], dtype=np.int64)
+        offsets -= np.cumsum(counts) - counts
+        x1 = np.arange(n, dtype=np.int64) + np.repeat(offsets, counts)
+        x2 = np.repeat(np.arange(y0, y0 + len(ys), dtype=np.int64), counts)
+        yield x1, x2
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +326,8 @@ def square_orbit_sums(m: int, d: int = 1) -> tuple[list[int], int, int]:
         raise ValueError(f"m must be in 1..2^31, got {m}")
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
+    if d > MODULUS_LIMIT:
+        raise ResourceLimitError(f"modulus {d} exceeds the limit {MODULUS_LIMIT}")
     period, split = 3 * d, 3 * m // 2
     residues = [0] * d
     count = length = 0
@@ -440,11 +446,6 @@ def square_orbit_averages(m: int) -> OrbitAverages:
     )
 
 
-def average_diameter_square(m: int) -> float:
-    """Mean Euclidean diameter over distinct orbits seeded in [0,m]^2."""
-    return square_orbit_averages(m).diameter
-
-
 @dataclass(frozen=True)
 class DiskLengthStats:
     r: int
@@ -453,29 +454,47 @@ class DiskLengthStats:
     maximum: int
 
 
-def disk_length_stats(r: int, block_rows: int = DEFAULT_BLOCK_ROWS) -> DiskLengthStats:
+def disk_length_stats(r: int) -> DiskLengthStats:
     """Point-weighted orbit length statistics over the disk of radius r.
 
     Every lattice point contributes the length of its own orbit, so orbits
-    are counted with multiplicity here, unlike the square averages.
+    are counted with multiplicity here, unlike the square averages.  Each
+    row sums 2(|2x-y| + |x+y| + |2y-x|) over its x-range in closed form; the
+    length is convex along a row, so the row's maximum is at one of its ends.
     """
     if r < 100:
         raise ValueError(f"r must be >= 100 for the tolerance contract, got {r}")
+    region = Region.disk(r)
+    if 2 * r + 1 > ROW_LIMIT:
+        raise ResourceLimitError(
+            f"disk length stats need {2 * r + 1} rows, limit is {ROW_LIMIT}"
+        )
     total = 0
     count = 0
     maximum = 0
-    for x1, x2 in _iter_blocks(Region.disk(r), block_rows):
-        if x1.size == 0:
-            continue
-        perims = _perimeter(x1, x2)
-        total += int(perims.sum())
-        count += int(x1.size)
-        maximum = max(maximum, int(perims.max()))
+    for y in range(-r, r + 1):
+        lo, hi = region.row_span(y)
+        count += hi - lo + 1
+        total += 2 * (
+            _abs_linear_sum(2, -y, lo, hi)
+            + _abs_linear_sum(1, y, lo, hi)
+            + _abs_linear_sum(1, -2 * y, lo, hi)
+        )
+        maximum = max(
+            maximum, 2 * semi_perimeter((lo, y)), 2 * semi_perimeter((hi, y))
+        )
     return DiskLengthStats(r, count, total / count, maximum)
 
 
-def average_length_disk(r: int, block_rows: int = DEFAULT_BLOCK_ROWS) -> float:
-    return disk_length_stats(r, block_rows).average
+def _abs_linear_sum(a: int, b: int, lo: int, hi: int) -> int:
+    """Sum of |a*x + b| over the integers lo <= x <= hi, for a > 0."""
+
+    def linear(p: int, q: int) -> int:
+        # sum of a*x + b over p <= x <= q; (p + q)(q - p + 1) is even
+        return a * (p + q) * (q - p + 1) // 2 + b * (q - p + 1) if p <= q else 0
+
+    k = (-b) // a  # a*x + b <= 0 exactly for x <= k
+    return linear(max(lo, k + 1), hi) - linear(lo, min(hi, k))
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +508,7 @@ class ProjectionHistogram:
     others: tuple[int, ...]
 
 
-def projection_histogram(
-    region: Region, bins: int, block_rows: int = DEFAULT_BLOCK_ROWS
-) -> ProjectionHistogram:
+def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
     """Counts of diametral / non-diametral points per direction-angle bin.
 
     The origin has no direction and is skipped.
@@ -500,13 +517,9 @@ def projection_histogram(
         raise ValueError(f"need at least 8 bins, got {bins}")
     dia = np.zeros(bins, dtype=np.int64)
     oth = np.zeros(bins, dtype=np.int64)
-    for x1, x2 in _iter_blocks(region, block_rows):
-        if x1.size == 0:
-            continue
+    for x1, x2 in _iter_blocks(region):
         nonzero = (x1 != 0) | (x2 != 0)
         x1, x2 = x1[nonzero], x2[nonzero]
-        if x1.size == 0:
-            continue
         theta = np.arctan2(x2.astype(float), x1.astype(float)) % (2 * math.pi)
         idx = np.minimum((theta / (2 * math.pi) * bins).astype(np.int64), bins - 1)
         mask = _diametral_mask(x1, x2)

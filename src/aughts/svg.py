@@ -92,7 +92,7 @@ def _render_cells(spec: RenderSpec, colorizer) -> str:
     width = (xmax - xmin + 1) * s
     height = (ymax - ymin + 1) * s
     lines = [_svg_open(width, height)]
-    for x1, x2 in _iter_blocks(spec.region, block_rows=64):
+    for x1, x2 in _iter_blocks(spec.region):
         colors = colorizer(spec, x1, x2)
         for a, b, color in zip(x1.tolist(), x2.tolist(), colors):
             px = (a - xmin) * s
@@ -115,13 +115,12 @@ def _render_projection(spec: RenderSpec) -> str:
         f'<circle cx="{center}" cy="{center}" r="{radius_px}" fill="none" '
         f'stroke="#cccccc" stroke-width="1"/>',
     ]
-    for x1, x2 in _iter_blocks(spec.region, block_rows=64):
+    for x1, x2 in _iter_blocks(spec.region):
         nonzero = (x1 != 0) | (x2 != 0)
         x1, x2 = x1[nonzero], x2[nonzero]
-        if x1.size == 0:
-            continue
         mask = _diametral_mask(x1, x2)
-        norm = np.sqrt((x1 * x1 + x2 * x2).astype(float))
+        # each square fits int64 (|x| <= 2^31) but their sum needs uint64
+        norm = np.sqrt((x1 * x1).astype(np.uint64) + (x2 * x2).astype(np.uint64))
         cx = center + radius_px * x1 / norm
         cy = center - radius_px * x2 / norm
         for px, py, m in zip(cx.tolist(), cy.tolist(), mask.tolist()):

@@ -309,17 +309,69 @@ def test_projection_histogram_near_2_31():
     ids=lambda r: f"{r.kind}{list(r.params)}",
 )
 def test_row_span_agrees_with_contains(region):
-    # contains reads row_span; the block scan keeps points by Region.mask
-    scanned = {
-        (x, y)
-        for x1, x2 in census._iter_blocks(region, 5)
-        for x, y in zip(x1.tolist(), x2.tolist())
-    }
+    # contains and the block scan both read row_span, so the scanned set is
+    # checked against the independent predicate
+    scanned = set(scanned_points(region))
     for y in range(-12, 13):
         lo, hi = region.row_span(y)
         for x in range(-12, 13):
-            inside = lo <= x <= hi
-            assert inside == region.contains(x, y) == ((x, y) in scanned), (x, y)
+            inside = independent_member(region, x, y)
+            assert inside == (lo <= x <= hi) == region.contains(x, y), (x, y)
+            assert inside == ((x, y) in scanned), (x, y)
+
+
+def independent_member(region, x, y):
+    """Membership from the region's definition: the box, then |x-y| <= M for
+    the hexagon, then x^2 + y^2 <= R^2 for the disk, in Python ints."""
+    if region.kind == "rect":
+        x0, x1, y0, y1 = region.params
+        return x0 <= x <= x1 and y0 <= y <= y1
+    (m,) = region.params
+    low = 0 if region.kind == "square_0M" else -m
+    if not (low <= x <= m and low <= y <= m):
+        return False
+    if region.kind == "hexagon_H":
+        return abs(x - y) <= m
+    if region.kind == "disk":
+        return x * x + y * y <= m * m
+    return True
+
+
+def scanned_points(region):
+    points = []
+    for x1, x2 in census._iter_blocks(region):
+        assert x1.size > 0
+        points.extend(zip(x1.tolist(), x2.tolist()))
+    return points
+
+
+@pytest.mark.parametrize(
+    "region",
+    [Region.disk(200), Region.hexagon(150), Region.square(130), Region.rect(-3, 40, -300, 20)],
+    ids=lambda r: f"{r.kind}{list(r.params)}",
+)
+def test_scan_matches_independent_predicate_across_blocks(region):
+    # several blocks of rows, in row-major order: y ascending, then x
+    points = scanned_points(region)
+    assert points == sorted(points, key=lambda p: (p[1], p[0]))
+    xmin, xmax, ymin, ymax = region.bounds()
+    expected = [
+        (x, y)
+        for y in range(ymin, ymax + 1)
+        for x in range(xmin, xmax + 1)
+        if independent_member(region, x, y)
+    ]
+    assert points == expected
+
+
+def test_scan_rejects_bounds_beyond_2_31():
+    # 2x wraps int64 at 2^62; the scan refuses any bound beyond 2^31
+    with pytest.raises(ValueError):
+        projection_histogram(Region.rect(2**62, 2**62 + 3, 2**62 - 1, 2**62 + 3), 8)
+    with pytest.raises(ValueError):
+        projection_histogram(Region.rect(-(2**31) - 1, -(2**31), 0, 1), 8)
+    corner = Region.rect(2**31 - 1, 2**31, -(2**31), -(2**31) + 1)
+    assert len(scanned_points(corner)) == 4
 
 
 def test_diametral_census_size_guard():
@@ -333,6 +385,17 @@ def test_diametral_row_limit():
         diametral_report(Region.rect(0, 2**40, 0, 2**40))
     with pytest.raises(ResourceLimitError):
         diametral_report(Region.disk(census.ROW_LIMIT // 2))
+
+
+def test_disk_length_stats_row_limit():
+    with pytest.raises(ResourceLimitError):
+        disk_length_stats(census.ROW_LIMIT // 2)
+
+
+def test_modulus_limit():
+    assert modular_census(100, census.MODULUS_LIMIT).total_orbits == modular_census(100, 2).total_orbits
+    with pytest.raises(ResourceLimitError):
+        modular_census(100, census.MODULUS_LIMIT + 1)
 
 
 def test_orbit_averages_small():
@@ -383,6 +446,20 @@ def test_disk_length_stats_golden_repr(r):
 def test_projection_histogram_golden_repr(name, region, bins):
     golden = GOLDEN / f"projection_histogram_{name}.txt"
     assert repr(projection_histogram(region, bins)) + "\n" == golden.read_text()
+
+
+@pytest.mark.parametrize("r", range(100, 116))
+def test_disk_length_stats_matches_point_oracle(r):
+    lengths = [
+        2 * semi_perimeter((x, y))
+        for y in range(-r, r + 1)
+        for x in range(-r, r + 1)
+        if x * x + y * y <= r * r
+    ]
+    stats = disk_length_stats(r)
+    assert stats.point_count == len(lengths)
+    assert stats.maximum == max(lengths)
+    assert stats.average == sum(lengths) / len(lengths)
 
 
 def _diametral_leakage(hist, arcs):

@@ -200,6 +200,48 @@ def test_census_diametral_row_limit_exits_4():
     assert proc.stdout == ""
 
 
+def test_census_mod_beyond_modulus_limit_exits_4():
+    start = time.monotonic()
+    proc = run_cli_process("census", "--square", "100", "--mod", "1000000000000", timeout=30)
+    assert proc.returncode == 4
+    assert time.monotonic() - start < 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2x wraps int64 at 2^62, which once painted every cell non-diametral
+        ["render", "--rect=4611686018427387904,4611686018427387907,"
+         "4611686018427387903,4611686018427387907", "--diametral", "--scale", "1"],
+        ["orbit", "3000000000,1"],
+        # range checks the library makes, not the CLI
+        ["group", "--dim", "99"],
+        ["census", "--square", "100", "--mod", "1"],
+    ],
+    ids=["render-2^62", "orbit-3e9", "group-dim", "census-mod-1"],
+)
+def test_library_value_errors_exit_2(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_render_projection_at_2_31_corner(capsys):
+    # x^2 + y^2 reaches 2^63 here, past the int64 range
+    code, out, _ = run_cli(
+        capsys, "render", "--rect=2147483647,2147483648,2147483647,2147483648", "--projection"
+    )
+    assert code == 0
+    assert "nan" not in out
+    # every point lies on the diagonal, at 45 degrees
+    assert out.count('<circle cx="395.563" cy="84.437" r="2" fill="#d62728"/>') == 4
+
+
 @pytest.mark.parametrize("m, d", [(250, 2), (1000, 16), (2000, 9), (4000, 8)])
 def test_census_mod_golden_bytes(capsys, m, d):
     code, out, _ = run_cli(capsys, "census", "--square", str(m), "--mod", str(d))
