@@ -13,7 +13,9 @@ other than the origin is diametral iff it or its negative lies in that cone,
 so each row contributes the interval intersection of its x-range with the
 cone.  The disk length statistics sum each row's orbit lengths in closed
 form.  Only the angular histogram and the SVG renders scan points, in blocks
-of int64 coordinates built from the same per-row x-ranges.
+of at most 2^15 int64 points built from the same per-row x-ranges, behind a
+bounding-box budget.  The orbit length, the cone test and the cone's row
+form are defined once, in ``aughts.orbits``, for ints and arrays alike.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ from typing import Iterator
 import numpy as np
 
 from aughts.errors import ResourceLimitError
-from aughts.orbits import COORD_LIMIT, semi_perimeter
+from aughts.orbits import COORD_LIMIT, _cone_span, _in_cone, _semi_perimeter
 
-_BLOCK_ROWS = 64
+# Points per scan block, so a block's arrays stay a few MB however wide the rows.
+_BLOCK_POINTS = 2**15
+# Bounding-box cells an angular histogram may scan (about 56 ns each, 6 s).
+POINT_LIMIT = 10**8
 # Rows a per-row count may visit (about 2 us each for a diametral count,
 # 12 us for the disk lengths), so a far-flung region stops at once instead of
 # running for days.
@@ -130,63 +135,51 @@ def _check_size(value: int) -> None:
         raise ValueError(f"region size must be >= 1, got {value}")
 
 
+def _check_cells(region: Region, limit: int, what: str) -> None:
+    """Stop before a scan whose bounding box has more than ``limit`` cells."""
+    xmin, xmax, ymin, ymax = region.bounds()
+    cells = max(xmax - xmin + 1, 0) * max(ymax - ymin + 1, 0)
+    if cells > limit:
+        raise ResourceLimitError(f"{what} needs {cells} cells, budget is {limit}")
+
+
 def _iter_blocks(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the region's points as (x1, x2) arrays, row by row.
+    """Yield the region's points as (x1, x2) arrays in row-major order.
 
     Rows ascend in y and each row ascends in x over its ``row_span``; a block
-    holds the points of up to _BLOCK_ROWS rows and is never empty.
-    Coordinates are bounded by 2^31 so that the int64 kernels cannot wrap.
+    holds up to _BLOCK_POINTS points, a wider row is split across blocks, and
+    no block is empty.  Coordinates are bounded by 2^31 so that the int64
+    kernels cannot wrap.
     """
     xmin, xmax, ymin, ymax = region.bounds()
     if max(abs(xmin), abs(xmax), abs(ymin), abs(ymax)) > COORD_LIMIT:
         raise ValueError(f"region bounds {region.bounds()} exceed the 2^31 guard")
     if xmin > xmax:
         return
-    for y0 in range(ymin, ymax + 1, _BLOCK_ROWS):
-        ys = range(y0, min(y0 + _BLOCK_ROWS, ymax + 1))
-        spans = [region.row_span(y) for y in ys]
-        counts = np.array([max(hi - lo + 1, 0) for lo, hi in spans], dtype=np.int64)
-        n = int(counts.sum())
-        if n == 0:
-            continue
-        # point i of the block has x = i + (lo of its row - index of the
-        # row's first point)
-        offsets = np.array([lo for lo, _ in spans], dtype=np.int64)
-        offsets -= np.cumsum(counts) - counts
-        x1 = np.arange(n, dtype=np.int64) + np.repeat(offsets, counts)
-        x2 = np.repeat(np.arange(y0, y0 + len(ys), dtype=np.int64), counts)
-        yield x1, x2
+    # (first x, y, length) of each row segment in the pending block
+    segments: list[tuple[int, int, int]] = []
+    room = _BLOCK_POINTS
+    for y in range(ymin, ymax + 1):
+        lo, hi = region.row_span(y)
+        while lo <= hi:
+            take = min(hi - lo + 1, room)
+            segments.append((lo, y, take))
+            lo += take
+            room -= take
+            if room == 0:
+                yield _block(segments)
+                segments, room = [], _BLOCK_POINTS
+    if segments:
+        yield _block(segments)
 
 
-# ---------------------------------------------------------------------------
-# vectorized orbit geometry (mirrors the scalar definitions in aughts.orbits)
-
-
-def _perimeter(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Orbit length 2p = 2(|2x1-x2| + |x1+x2| + |2x2-x1|)."""
-    return 2 * (
-        np.abs(2 * x1 - x2) + np.abs(x1 + x2) + np.abs(2 * x2 - x1)
-    )
-
-
-def _diametral_mask(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Vectorized: point attains the maximal pairwise distance in its orbit.
-
-    That is the double cone x/2 <= y <= 2x and its negative, tested with
-    comparisons only, so no square can wrap.
-    """
-    return ((x1 > 0) & (2 * x2 >= x1) & (x2 <= 2 * x1)) | (
-        (x1 < 0) & (2 * x2 <= x1) & (x2 >= 2 * x1)
-    )
-
-
-def _cone_span(y: int) -> tuple[int, int]:
-    """Inclusive x-range of the diametral points on row y (empty on row 0)."""
-    if y > 0:
-        return -(-y // 2), 2 * y
-    if y < 0:
-        return 2 * y, y // 2
-    return 1, 0
+def _block(segments: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    los, ys, counts = (np.array(col, dtype=np.int64) for col in zip(*segments))
+    # point i of the block has x = i + (first x of its segment - index of the
+    # segment's first point)
+    offsets = los - (np.cumsum(counts) - counts)
+    x1 = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(offsets, counts)
+    return x1, np.repeat(ys, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +195,14 @@ class CensusReport:
     total_orbits: int
     residue_counts: dict[int, int]
     diametral_points: int
-    sum_diam_multiplier: int
     sum_perimeter: int
-    sum_box_side: int
+
+    @property
+    def sum_box_side(self) -> int:
+        """By the box law each box side is a quarter of the orbit length."""
+        return self.sum_perimeter // 4
+
+    sum_diam_multiplier = sum_box_side
 
     @property
     def diametral_fraction(self) -> float:
@@ -364,9 +362,7 @@ def modular_census(m: int, d: int) -> CensusReport:
         total_orbits=count,
         residue_counts=dict(enumerate(residues)),
         diametral_points=0,
-        sum_diam_multiplier=length // 4,
         sum_perimeter=length,
-        sum_box_side=length // 4,
     )
 
 
@@ -407,9 +403,7 @@ def diametral_report(region: Region) -> CensusReport:
         total_orbits=0,
         residue_counts={},
         diametral_points=hits,
-        sum_diam_multiplier=0,
         sum_perimeter=0,
-        sum_box_side=0,
     )
 
 
@@ -481,7 +475,7 @@ def disk_length_stats(r: int) -> DiskLengthStats:
             + _abs_linear_sum(1, -2 * y, lo, hi)
         )
         maximum = max(
-            maximum, 2 * semi_perimeter((lo, y)), 2 * semi_perimeter((hi, y))
+            maximum, 2 * _semi_perimeter(lo, y), 2 * _semi_perimeter(hi, y)
         )
     return DiskLengthStats(r, count, total / count, maximum)
 
@@ -515,6 +509,7 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
     """
     if bins < 8:
         raise ValueError(f"need at least 8 bins, got {bins}")
+    _check_cells(region, POINT_LIMIT, "angular histogram")
     dia = np.zeros(bins, dtype=np.int64)
     oth = np.zeros(bins, dtype=np.int64)
     for x1, x2 in _iter_blocks(region):
@@ -522,7 +517,7 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
         x1, x2 = x1[nonzero], x2[nonzero]
         theta = np.arctan2(x2.astype(float), x1.astype(float)) % (2 * math.pi)
         idx = np.minimum((theta / (2 * math.pi) * bins).astype(np.int64), bins - 1)
-        mask = _diametral_mask(x1, x2)
+        mask = _in_cone(x1, x2)
         dia += np.bincount(idx[mask], minlength=bins)
         oth += np.bincount(idx[~mask], minlength=bins)
     return ProjectionHistogram(bins, tuple(int(v) for v in dia), tuple(int(v) for v in oth))

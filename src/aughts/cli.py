@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 from aughts import atlas, census, orbits, svg, verify
 from aughts.errors import ResourceLimitError
@@ -133,9 +135,21 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        return
+    # Write a temp file beside the target and rename it over the target, so
+    # a failed write leaves the previous file whole and no partial file.
+    directory, name = os.path.split(os.path.abspath(out_path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() would have given
             handle.write(text)
+        os.replace(tmp, out_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:

@@ -133,27 +133,56 @@ def cycle_points(x: Sequence[int], first_generator: int = 1) -> tuple[Point, ...
     raise ValueError(f"first_generator must be 1 or 2, got {first_generator}")
 
 
-def semi_perimeter(x: Sequence[int]) -> int:
-    """|2x1-x2| + |x1+x2| + |2x2-x1|; always even, half the orbit length."""
-    x1, x2 = _check_dim2(x)
+def _semi_perimeter(x1, x2):
+    """|2x1-x2| + |x1+x2| + |2x2-x1|: half the orbit length.
+
+    Python ints or int64 arrays alike; for |x| <= 2^31 no term exceeds 2^34.
+    """
     return abs(2 * x1 - x2) + abs(x1 + x2) + abs(2 * x2 - x1)
 
 
-def diam_multiplier(x: Sequence[int]) -> int:
-    """m with Euclidean orbit diameter sqrt(2) * m."""
-    x1, x2 = _check_dim2(x)
-    return max(abs(x1 + x2), abs(2 * x1 - x2), abs(2 * x2 - x1))
+def _in_cone(x1, x2):
+    """Diametral rule: the point or its negative lies in x/2 <= y <= 2x.
+
+    Comparisons, & and | only, so nothing is squared and the same code
+    tests Python ints or int64 arrays; the origin is outside.
+    """
+    return ((x1 > 0) & (2 * x2 >= x1) & (x2 <= 2 * x1)) | (
+        (x1 < 0) & (2 * x2 <= x1) & (x2 >= 2 * x1)
+    )
+
+
+def _cone_span(y: int) -> tuple[int, int]:
+    """Inclusive x-range of the diametral points on row y (empty on row 0)."""
+    if y > 0:
+        return -(-y // 2), 2 * y
+    if y < 0:
+        return 2 * y, y // 2
+    return 1, 0
+
+
+def semi_perimeter(x: Sequence[int]) -> int:
+    """Half the orbit length; always even."""
+    return _semi_perimeter(*_check_dim2(x))
 
 
 @dataclass(frozen=True)
 class Orbit2D:
-    """Closed 2D orbit: deduplicated node cycle plus cached exact metrics."""
+    """Closed 2D orbit: deduplicated node cycle plus its exact semi-perimeter.
+
+    By the box law the side of the square bounding box and the diameter
+    multiplier m (Euclidean diameter sqrt(2) * m) both equal half of it.
+    """
 
     seed: Point
     nodes: tuple[Point, ...]
     semi_perimeter: int
-    box_side: int
-    diam_multiplier: int
+
+    @property
+    def box_side(self) -> int:
+        return self.semi_perimeter // 2
+
+    diam_multiplier = box_side
 
 
 def orbit2d(x: Sequence[int], first_generator: int = 1) -> Orbit2D:
@@ -162,15 +191,9 @@ def orbit2d(x: Sequence[int], first_generator: int = 1) -> Orbit2D:
     for p in cycle_points(seed, first_generator):
         if p not in nodes:
             nodes.append(p)
-    p = semi_perimeter(seed)
+    p = _semi_perimeter(*seed)
     assert p % 2 == 0
-    return Orbit2D(
-        seed=seed,
-        nodes=tuple(nodes),
-        semi_perimeter=p,
-        box_side=p // 2,
-        diam_multiplier=diam_multiplier(seed),
-    )
+    return Orbit2D(seed=seed, nodes=tuple(nodes), semi_perimeter=p)
 
 
 def euclidean_diameter(o: Orbit2D) -> tuple[int, list[tuple[Point, Point]]]:
@@ -187,7 +210,7 @@ def euclidean_diameter(o: Orbit2D) -> tuple[int, list[tuple[Point, Point]]]:
         (abs(2 * x2 - x1), (cycle[1], cycle[4])),
         (abs(2 * x1 - x2), (cycle[2], cycle[5])),
     )
-    m = max(value for value, _ in candidates)
+    m = o.diam_multiplier
     pairs: list[tuple[Point, Point]] = []
     for value, (a, b) in candidates:
         if value == m and a != b:
@@ -197,42 +220,17 @@ def euclidean_diameter(o: Orbit2D) -> tuple[int, list[tuple[Point, Point]]]:
     return m, pairs
 
 
-def _dist_sq(a: Point, b: Point) -> int:
-    return sum((u - v) ** 2 for u, v in zip(a, b))
-
-
-def max_pairwise_dist_sq(nodes: Sequence[Point]) -> int:
-    best = 0
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            d = _dist_sq(a, b)
-            if d > best:
-                best = d
-    return best
-
-
 def is_diametral(x: Sequence[int]) -> bool:
     """True iff the point attains the largest pairwise Euclidean distance
-    within its own orbit (brute force over all node pairs).
+    within its own orbit, which is the double cone rule of ``_in_cone``.
 
     The origin is not diametral by convention (its orbit has diameter 0).
     """
-    seed = _check_dim2(x)
-    nodes = orbit2d(seed).nodes
-    overall = max_pairwise_dist_sq(nodes)
-    if overall == 0:
-        return False
-    from_seed = max(_dist_sq(seed, p) for p in nodes)
-    return from_seed == overall
+    return _in_cone(*_check_dim2(x))
 
 
 def diametral_flags(o: Orbit2D) -> tuple[bool, ...]:
-    overall = max_pairwise_dist_sq(o.nodes)
-    if overall == 0:
-        return (False,) * len(o.nodes)
-    return tuple(
-        max(_dist_sq(p, q) for q in o.nodes) == overall for p in o.nodes
-    )
+    return tuple(_in_cone(a, b) for a, b in o.nodes)
 
 
 def canonical_rep(o: Orbit2D) -> Point:

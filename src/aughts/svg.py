@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aughts.census import Region, _diametral_mask, _iter_blocks, _perimeter
-from aughts.errors import ResourceLimitError
-from aughts.orbits import Point, orbit2d
+from aughts.census import Region, _check_cells, _iter_blocks
+from aughts.orbits import Point, _in_cone, _semi_perimeter, orbit2d
 
 PIXEL_BUDGET = 1_500_000
 
@@ -66,27 +65,18 @@ def render_svg(spec: RenderSpec) -> str:
     return _render_single_orbit(spec)
 
 
-def _check_budget(region: Region) -> None:
-    xmin, xmax, ymin, ymax = region.bounds()
-    cells = max(xmax - xmin + 1, 0) * max(ymax - ymin + 1, 0)
-    if cells > PIXEL_BUDGET:
-        raise ResourceLimitError(
-            f"render needs {cells} cells, budget is {PIXEL_BUDGET}"
-        )
-
-
 def _mod_colors(spec: RenderSpec, x1: np.ndarray, x2: np.ndarray) -> list[str]:
-    residues = _perimeter(x1, x2) % spec.modulus
+    residues = 2 * _semi_perimeter(x1, x2) % spec.modulus
     return [spec.palette[int(r)] for r in residues]
 
 
 def _diametral_colors(spec: RenderSpec, x1: np.ndarray, x2: np.ndarray) -> list[str]:
-    mask = _diametral_mask(x1, x2)
+    mask = _in_cone(x1, x2)
     return [DIAMETRAL_COLOR if m else OTHER_COLOR for m in mask]
 
 
 def _render_cells(spec: RenderSpec, colorizer) -> str:
-    _check_budget(spec.region)
+    _check_cells(spec.region, PIXEL_BUDGET, "render")
     xmin, xmax, ymin, ymax = spec.region.bounds()
     s = spec.scale
     width = (xmax - xmin + 1) * s
@@ -105,7 +95,7 @@ def _render_cells(spec: RenderSpec, colorizer) -> str:
 
 
 def _render_projection(spec: RenderSpec) -> str:
-    _check_budget(spec.region)
+    _check_cells(spec.region, PIXEL_BUDGET, "render")
     radius_px = 220
     margin = 20
     size = 2 * (radius_px + margin)
@@ -118,7 +108,7 @@ def _render_projection(spec: RenderSpec) -> str:
     for x1, x2 in _iter_blocks(spec.region):
         nonzero = (x1 != 0) | (x2 != 0)
         x1, x2 = x1[nonzero], x2[nonzero]
-        mask = _diametral_mask(x1, x2)
+        mask = _in_cone(x1, x2)
         # each square fits int64 (|x| <= 2^31) but their sum needs uint64
         norm = np.sqrt((x1 * x1).astype(np.uint64) + (x2 * x2).astype(np.uint64))
         cx = center + radius_px * x1 / norm

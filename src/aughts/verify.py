@@ -240,8 +240,10 @@ def orbit_suite() -> SuiteResult:
         o = orbits.orbit2d(x)
         res.check(len(o.nodes) in (1, 3, 6), f"orbit size of {x} is {len(o.nodes)}")
         res.check(o.semi_perimeter % 2 == 0, f"odd semi-perimeter at {x}")
+        xs, ys = [p[0] for p in o.nodes], [p[1] for p in o.nodes]
         res.check(
-            o.box_side == o.semi_perimeter // 2, f"box side law fails at {x}"
+            o.box_side == max(xs) - min(xs) == max(ys) - min(ys),
+            f"box side law fails at {x}",
         )
         res.check(
             (2 * o.semi_perimeter) % 4 == 0, f"orbit length not divisible by 4 at {x}"

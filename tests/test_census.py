@@ -1,14 +1,27 @@
 """Census formulas and region scans, with brute-force cross-checks."""
 
 import math
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from brute_force import (
+    brute_is_diametral,
+    diametral_count,
+    extents,
+    max_pairwise_dist_sq,
+    orbit_nodes,
+    walk_length,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aughts
 from aughts import census
 from aughts.census import (
     PerimeterStats,
@@ -23,7 +36,7 @@ from aughts.census import (
     square_orbit_averages,
 )
 from aughts.errors import ResourceLimitError
-from aughts.orbits import is_diametral, orbit2d, orbit_rep, semi_perimeter
+from aughts.orbits import _in_cone, _semi_perimeter, orbit2d, orbit_rep, semi_perimeter
 
 
 # -- independent brute-force oracle ----------------------------------------
@@ -160,6 +173,9 @@ def test_census_matches_scalar_orbit_reps():
         reps = {orbit_rep((x, y)) for x in range(m + 1) for y in range(m + 1)}
         metrics = [orbit2d(rep) for rep in reps]
         lengths = [2 * o.semi_perimeter for o in metrics]
+        walked = [orbit_nodes(rep) for rep in reps]
+        box_sum = sum(extents(nodes)[0] for nodes in walked)
+        diam_sum = sum(math.isqrt(max_pairwise_dist_sq(nodes) // 2) for nodes in walked)
         assert census.square_orbit_sums(m) == ([len(reps)], len(reps), sum(lengths))
         for d in range(2, 17):
             report = modular_census(m, d)
@@ -168,17 +184,23 @@ def test_census_matches_scalar_orbit_reps():
             assert report.total_points == (m + 1) ** 2
             assert report.total_orbits == len(reps)
             assert report.sum_perimeter == sum(lengths)
-            assert report.sum_box_side == sum(o.box_side for o in metrics)
-            assert report.sum_diam_multiplier == sum(o.diam_multiplier for o in metrics)
+            assert report.sum_box_side == box_sum
+            assert report.sum_diam_multiplier == diam_sum
 
 
 def test_vectorized_diametral_matches_scalar():
-    xs, ys = np.meshgrid(
-        np.arange(-40, 41, dtype=np.int64), np.arange(-40, 41, dtype=np.int64)
-    )
-    mask = census._diametral_mask(xs.ravel(), ys.ravel())
-    for a, b, flag in zip(xs.ravel().tolist(), ys.ravel().tolist(), mask.tolist()):
-        assert is_diametral((a, b)) == flag, (a, b)
+    # int64 arrays reaching the 2^31 guard, where a squared coordinate or a
+    # sum of squares would wrap
+    edge = [2**31, 2**31 - 1, 2**30 + 1, 2**30, 2**30 - 1]
+    values = sorted(set(range(-40, 41)) | set(edge) | {-v for v in edge})
+    xs, ys = np.meshgrid(np.array(values, dtype=np.int64), np.array(values, dtype=np.int64))
+    xs, ys = xs.ravel(), ys.ravel()
+    mask = _in_cone(xs, ys)
+    lengths = 2 * _semi_perimeter(xs, ys)
+    assert mask.dtype == bool and lengths.dtype == np.int64
+    for a, b, flag, length in zip(xs.tolist(), ys.tolist(), mask.tolist(), lengths.tolist()):
+        assert brute_is_diametral((a, b)) == flag, (a, b)
+        assert walk_length((a, b)) == length, (a, b)
 
 
 def test_modular_census_counts_orbits_not_points():
@@ -242,22 +264,10 @@ ORACLE_REGIONS = [
 ]
 
 
-def scalar_diametral_count(region):
-    """(total, hits) by testing every lattice point with is_diametral."""
-    xmin, xmax, ymin, ymax = region.bounds()
-    total = hits = 0
-    for y in range(ymin, ymax + 1):
-        for x in range(xmin, xmax + 1):
-            if region.contains(x, y):
-                total += 1
-                hits += is_diametral((x, y))
-    return total, hits
-
-
 @pytest.mark.parametrize("region", ORACLE_REGIONS, ids=lambda r: f"{r.kind}{list(r.params)}")
 def test_diametral_row_count_matches_scalar_oracle(region):
     report = diametral_report(region)
-    assert (report.total_points, report.diametral_points) == scalar_diametral_count(region)
+    assert (report.total_points, report.diametral_points) == diametral_count(region)
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,14 +284,14 @@ def test_diametral_rect_count_matches_scalar_oracle(x0, y0, w, h, near_origin):
         x0, y0 = x0 % 25 - 15, y0 % 25 - 15
     region = Region.rect(x0, x0 + w, y0, y0 + h)
     report = diametral_report(region)
-    assert (report.total_points, report.diametral_points) == scalar_diametral_count(region)
+    assert (report.total_points, report.diametral_points) == diametral_count(region)
 
 
 NEAR_2_31 = Region.rect(2**31 - 300, 2**31 - 299, 2**31 - 300, 2**31 - 100)
 
 
 def test_diametral_count_near_2_31():
-    assert scalar_diametral_count(NEAR_2_31) == (402, 402)
+    assert diametral_count(NEAR_2_31) == (402, 402)
     report = diametral_report(NEAR_2_31)
     assert (report.total_points, report.diametral_points) == (402, 402)
     assert report.diametral_fraction == 1.0
@@ -291,7 +301,7 @@ def test_projection_histogram_near_2_31():
     # the rect crosses the cone edge y = 2x, so both colours occur
     region = Region.rect(2**30 - 12, 2**30 + 3, 2**31 - 40, 2**31)
     hist = projection_histogram(region, 64)
-    total, hits = scalar_diametral_count(region)
+    total, hits = diametral_count(region)
     assert 0 < hits < total
     assert (sum(hist.diametral), sum(hist.others)) == (hits, total - hits)
 
@@ -347,11 +357,20 @@ def scanned_points(region):
 
 @pytest.mark.parametrize(
     "region",
-    [Region.disk(200), Region.hexagon(150), Region.square(130), Region.rect(-3, 40, -300, 20)],
+    [
+        Region.disk(200),
+        Region.hexagon(150),
+        Region.square(130),
+        Region.rect(-3, 40, -300, 20),
+        Region.rect(-40000, 30000, -1, 1),
+    ],
     ids=lambda r: f"{r.kind}{list(r.params)}",
 )
 def test_scan_matches_independent_predicate_across_blocks(region):
-    # several blocks of rows, in row-major order: y ascending, then x
+    # row-major order, y ascending, then x, with rows wider than a block
+    # split; every block but the last is full
+    sizes = [x1.size for x1, _ in census._iter_blocks(region)]
+    assert all(n == census._BLOCK_POINTS for n in sizes[:-1])
     points = scanned_points(region)
     assert points == sorted(points, key=lambda p: (p[1], p[0]))
     xmin, xmax, ymin, ymax = region.bounds()
@@ -372,6 +391,37 @@ def test_scan_rejects_bounds_beyond_2_31():
         projection_histogram(Region.rect(-(2**31) - 1, -(2**31), 0, 1), 8)
     corner = Region.rect(2**31 - 1, 2**31, -(2**31), -(2**31) + 1)
     assert len(scanned_points(corner)) == 4
+
+
+def test_wide_scan_memory_is_bounded():
+    # rows of 20001 points; a fresh process, so that the peak RSS of earlier
+    # tests cannot hide the growth
+    code = (
+        "import resource\n"
+        "from aughts.census import Region, projection_histogram\n"
+        "projection_histogram(Region.disk(20), 8)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "projection_histogram(Region.rect(0, 20000, 0, 63), 8)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(aughts.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10 * 1024  # kB
+
+
+def test_projection_histogram_point_limit():
+    # 2^32 + 1 points, within the 2^31 coordinate guard: stops before scanning
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        projection_histogram(Region.rect(-(2**31), 2**31, 0, 0), 8)
+    assert time.perf_counter() - start < 1
+    # the budget counts bounding-box cells: one column of 10^4 over it
+    with pytest.raises(ResourceLimitError):
+        projection_histogram(Region.rect(0, census.POINT_LIMIT // 10**4, 1, 10**4), 8)
 
 
 def test_diametral_census_size_guard():

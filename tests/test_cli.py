@@ -1,15 +1,22 @@
 """CLI surface: subcommands, JSON schemas, exit codes, render determinism."""
 
+import contextlib
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from brute_force import diametral_count, extents, node_is_diametral, orbit_nodes, walk_length
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import aughts
+from aughts.census import Region
 from aughts.cli import main
 from aughts.svg import DEFAULT_PALETTE, used_fill_colors
 
@@ -152,13 +159,36 @@ def test_census_diametral_near_2_31(capsys):
     assert payload["diametral_fraction"] == 1.0
 
 
-def run_cli_process(*argv, timeout=60):
+def run_cli_process(*argv, timeout=60, **kwargs):
     src = os.path.dirname(os.path.dirname(aughts.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
         [sys.executable, "-m", "aughts.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=env, timeout=timeout, **kwargs,
     )
+
+
+def test_failed_out_write_keeps_previous_file(tmp_path):
+    target = tmp_path / "render.svg"
+    target.write_bytes(b"previous\n")
+
+    def limit_file_size():
+        # writes past 4 kB fail with EFBIG (Python ignores SIGXFSZ)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+    proc = run_cli_process(
+        "render", "--mod", "6", "--sym-square", "20", "--out", str(target),
+        preexec_fn=limit_file_size,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
+    assert target.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["render.svg"]
+    # without the limit the same render replaces the file
+    proc = run_cli_process("render", "--mod", "6", "--sym-square", "20", "--out", str(target))
+    assert proc.returncode == 0
+    assert target.read_bytes().startswith(b"<?xml")
+    assert [p.name for p in tmp_path.iterdir()] == ["render.svg"]
 
 
 def test_census_mod_beyond_scan_guard_exits_2():
@@ -337,3 +367,140 @@ def test_unknown_command_exits_2(capsys):
     # argparse exits through SystemExit; main converts it to the return code
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# -- fuzzing main(argv) ---------------------------------------------------------
+
+# integers near the 2^31 input guard and the int64 edge 2^63, or small
+_edge = st.sampled_from([2**31, 2**62, 2**63]).flatmap(
+    lambda v: st.tuples(st.integers(v - 3, v + 3), st.sampled_from([1, -1]))
+).map(lambda t: t[0] * t[1])
+_ints = st.one_of(st.integers(-40, 40), st.integers(-(2**31), 2**31), _edge)
+_bad_text = st.sampled_from(["", "a,b", "1,,2", "1.5,2", "1;2", "0x10,3", ","])
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+# multiples of points on the cone's edges y = 2x and y = x/2, inside it, and
+# on the line y = -x where orbits have three nodes
+_cone_edge = st.tuples(
+    st.integers(-(2**30), 2**30), st.sampled_from([(1, 2), (2, 1), (2, 3), (1, -1)])
+).map(lambda t: _csv((t[0] * t[1][0], t[0] * t[1][1])))
+_point_text = st.one_of(
+    st.lists(_ints, min_size=2, max_size=2).map(_csv),
+    _cone_edge,
+    st.lists(st.integers(-30, 30), min_size=1, max_size=7).map(_csv),
+    _bad_text,
+)
+
+
+@st.composite
+def _region_args(draw, max_size):
+    kind = draw(st.sampled_from(["square", "sym-square", "hexagon", "disk", "rect", "rect", "two"]))
+    if kind == "two":
+        return ["--square", "5", "--disk", "5"]
+    if kind != "rect":
+        size = draw(st.one_of(st.integers(-3, max_size), _edge))
+        return [f"--{kind}", str(size)]
+    if draw(st.booleans()):
+        # each side is under 100 or beyond the row and cell limits, so no
+        # draw runs long
+        corner = st.one_of(st.integers(-40, 40), _edge)
+        corners = draw(st.lists(corner, min_size=4, max_size=4))
+        return [f"--rect={_csv(corners)}"]
+    return _small_rect(draw)
+
+
+def _small_rect(draw):
+    """At most 15 x 15 points anywhere, often near the guards."""
+    x0, y0 = draw(_ints), draw(_ints)
+    w, h = draw(st.integers(-2, 14)), draw(st.integers(-2, 14))
+    return [f"--rect={_csv([x0, x0 + w, y0, y0 + h])}"]
+
+
+_palette = st.one_of(
+    st.lists(st.sampled_from(DEFAULT_PALETTE), min_size=1, max_size=20).map(_csv),
+    st.sampled_from(["", ",", "red,,blue", "#12", "#zzzzzz"]),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["orbit"] * 6 + ["trace"] * 3 + ["census"] * 4 + ["render"] * 4 + ["group", "verify"]
+    ))
+    argv = [command]
+    if command == "orbit":
+        argv += ["--seed-order", draw(st.sampled_from(["k1-first", "k2-first"]))]
+        argv += ["--", draw(_point_text)]
+    elif command == "trace":
+        word = draw(st.one_of(st.lists(st.integers(-1, 8), max_size=8).map(_csv), _bad_text))
+        argv += [f"--word={word}", "--", draw(_point_text)]
+    elif command == "census" and draw(st.booleans()):
+        argv += _small_rect(draw) + ["--diametral"]
+    elif command == "census":
+        argv += draw(_region_args(300))
+        argv += draw(st.one_of(
+            st.just(["--diametral"]),
+            st.one_of(st.integers(-2, 20), st.just(2**16 + 1), _edge).map(lambda d: ["--mod", str(d)]),
+            st.just([]),
+        ))
+    elif command == "render":
+        argv += draw(_region_args(25))
+        argv += draw(st.sampled_from([
+            ["--diametral"], ["--projection"], ["--mod", "6"], ["--mod", "1"], ["--mod", "30"],
+        ]))
+        if draw(st.booleans()):
+            argv = [command, f"--point={draw(_point_text)}"]
+        if draw(st.booleans()):
+            argv.append(f"--palette={draw(_palette)}")
+        argv += ["--scale", str(draw(st.sampled_from([1, 2, 1, 0, -1])))]
+    elif command == "group":
+        argv += ["--dim", str(draw(st.one_of(st.integers(-1, 5), st.just(2**63))))]
+    else:
+        argv += ["--max-n", str(draw(st.one_of(st.integers(-1, 3), st.just(2**63))))]
+    if draw(st.integers(0, 9)) == 0:
+        argv[1:1] = ["--format", draw(st.sampled_from(["json", "svg"]))]
+    return argv
+
+
+def _check_against_oracle(argv, out):
+    """Exit-0 outputs that the brute-force orbit oracle can recompute."""
+    if argv[0] == "orbit":
+        record = json.loads(out)
+        if record["kind"] != "orbit":
+            return
+        seed = tuple(record["seed"])
+        nodes = orbit_nodes(seed)
+        listed = [tuple(p) for p in record["nodes"]]
+        assert set(listed) == nodes and len(listed) == len(nodes)
+        assert record["length"] == walk_length(seed)
+        assert (record["box_side"], record["box_side"]) == extents(nodes)
+        assert record["diametral"] == [node_is_diametral(p, nodes) for p in listed]
+        event("orbit checked against the oracle")
+        return
+    rect = [a.split("=")[1] for a in argv if a.startswith("--rect=")]
+    if argv[0] == "census" and "--diametral" in argv and rect:
+        region = Region.rect(*(int(v) for v in rect[0].split(",")))
+        xmin, xmax, ymin, ymax = region.bounds()
+        # both extents, not their product: an empty side times a 2^64 side
+        # would still be a loop over 2^64 rows
+        if 0 < xmax - xmin + 1 <= 15 and 0 < ymax - ymin + 1 <= 15:
+            payload = json.loads(out)
+            assert (payload["total_points"], payload["diametral_points"]) == diametral_count(region)
+            event("rect census checked against the oracle")
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_main_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exit {code}")  # shown by --hypothesis-show-statistics
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        _check_against_oracle(argv, out.getvalue())

@@ -3,6 +3,13 @@
 import random
 
 import pytest
+from brute_force import (
+    brute_is_diametral,
+    extents,
+    max_pairwise_dist_sq,
+    node_is_diametral,
+    orbit_nodes,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +23,6 @@ from aughts.orbits import (
     euclidean_diameter,
     fundamental_triangles,
     is_diametral,
-    max_pairwise_dist_sq,
     orbit2d,
     orbit_distance,
     orbit_rep,
@@ -146,9 +152,12 @@ def test_euclidean_diameter_examples():
 def test_diameter_matches_brute_force(x1, x2):
     o = orbit2d((x1, x2))
     m, _ = euclidean_diameter(o)
-    assert max_pairwise_dist_sq(o.nodes) == 2 * m * m
+    nodes = orbit_nodes((x1, x2))
+    assert set(o.nodes) == nodes
+    assert max_pairwise_dist_sq(nodes) == 2 * m * m
     assert o.diam_multiplier == m
-    assert o.box_side == m  # the two three-way maxima coincide
+    # box law: the bounding box is a square whose side is the multiplier
+    assert extents(nodes) == (o.box_side, o.box_side) == (m, m)
 
 
 def test_is_diametral_examples():
@@ -161,8 +170,19 @@ def test_diametral_flags_match_pointwise():
     o = orbit2d((1, 0))
     flags = diametral_flags(o)
     assert [n for n, f in zip(o.nodes, flags) if f] == [(-1, -1), (1, 1)]
-    assert all(is_diametral(n) == f for n, f in zip(o.nodes, flags))
     assert diametral_flags(orbit2d((0, 0))) == (False,)
+    # nodes of seeds near 2^31 reach 2^32, beyond the scalar input guard
+    big = 2**31
+    seeds = [(x1, x2) for x1 in range(-12, 13) for x2 in range(-12, 13)]
+    seeds += [(big, -big), (-big, big), (big, big - 1), (big // 2, big), (big, 3)]
+    for seed in seeds:
+        o = orbit2d(seed)
+        nodes = orbit_nodes(seed)
+        flags = diametral_flags(o)
+        assert flags == tuple(node_is_diametral(n, nodes) for n in o.nodes), seed
+        for n, f in zip(o.nodes, flags):
+            if max(map(abs, n)) <= big:
+                assert is_diametral(n) == f, n
 
 
 def test_diametral_double_cone_exhaustive():
@@ -173,7 +193,8 @@ def test_diametral_double_cone_exhaustive():
                 continue
             a, b = (x1, x2) if x1 > 0 or (x1 == 0 and x2 > 0) else (-x1, -x2)
             in_cone = a >= 0 and 2 * b >= a and b <= 2 * a
-            assert is_diametral((x1, x2)) == in_cone, (x1, x2)
+            assert is_diametral((x1, x2)) == brute_is_diametral((x1, x2)) == in_cone, (x1, x2)
+    assert not is_diametral((0, 0)) and not brute_is_diametral((0, 0))
 
 
 def test_canonical_rep():
