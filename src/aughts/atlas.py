@@ -5,13 +5,19 @@ The catalog is built by breadth-first closure under LEFT multiplication by
 the generators, so an element found via parent p and generator j satisfies
 e = K(j) * p; reading the parent chain from the element up to the identity
 yields its word as a product taken left to right.
+
+The isomorphism psi, the permutation e applies to the star coordinates of
+``aughts.orbits``, is read off (sigma, h, eps): psi(j+1) = sigma(j)+1 and
+psi(1) = 1, except that eps = 1 sets psi(1) = sigma(h)+1 and psi(h+1) = 1.
+K(j) maps to (1, j+1), so the Cayley graph is the star graph ST_(n+1)
+(Akers & Krishnamurthy, IEEE Trans. Computers, 1989).
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -48,7 +54,6 @@ class GroupCatalog:
     index: dict[SignedPermElement, int]
     distance: list[int]
     parent: list[tuple[int, int] | None]
-    _psi: list[Permutation] = field(default_factory=list, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -68,9 +73,7 @@ class GroupCatalog:
 
     def psi_image(self, e: SignedPermElement) -> Permutation:
         """Image in the symmetric group of degree n+1, K(j) -> (1, j+1)."""
-        if not self._psi:
-            self._build_psi()
-        return self._psi[self._index_of(e)]
+        return psi(e, self.n)
 
     def distance_histogram(self) -> dict[int, int]:
         return dict(sorted(Counter(self.distance).items()))
@@ -80,17 +83,6 @@ class GroupCatalog:
         if idx is None:
             raise ValueError(f"element not in catalog: {format_element(e)}")
         return idx
-
-    def _build_psi(self) -> None:
-        images: list[Permutation] = [Permutation.identity(self.n + 1)] * len(self)
-        for i in range(1, len(self)):
-            link = self.parent[i]
-            assert link is not None
-            i_parent, j = link
-            # e = K(j) * parent, and the image of a product composes with
-            # the left factor acting first.
-            images[i] = _gen_transposition(self.n, j).then(images[i_parent])
-        self._psi = images
 
 
 def enumerate_group(n: int) -> GroupCatalog:
@@ -151,10 +143,13 @@ def coset_decomposition(cat: GroupCatalog) -> dict[int, list[SignedPermElement]]
 
 
 def psi(e: SignedPermElement, n: int) -> Permutation:
-    """Image of a catalog element in the symmetric group of degree n+1."""
+    """Image in the symmetric group of degree n+1, read off (sigma, h, eps)."""
     if e.degree != n:
         raise ValueError(f"element degree {e.degree} does not match n={n}")
-    return catalog(n).psi_image(e)
+    images = [1] + [v + 1 for v in e.sigma.images]
+    if e.eps == 1:
+        images[0], images[e.h] = images[e.h], 1
+    return Permutation(tuple(images))
 
 
 @dataclass(frozen=True)
@@ -169,13 +164,16 @@ class IsoWitness:
 def verify_isomorphism(n: int) -> IsoWitness:
     """Check that the generator map extends to an isomorphism.
 
-    Verifies the image map is well defined along BFS words, bijective onto
-    all (n+1)! permutations, and multiplicative on every pair of elements.
+    Verifies that psi sends each K(j) to (1, j+1), is bijective onto all
+    (n+1)! permutations, and is multiplicative on every pair of elements.
     """
     if not 1 <= n <= ISOMORPHISM_MAX_N:
         raise ValueError(f"n must be in 1..{ISOMORPHISM_MAX_N}, got {n}")
     cat = catalog(n)
-    forward = {e: cat.psi_image(e) for e in cat.elements}
+    forward = {e: psi(e, n) for e in cat.elements}
+    for j in range(1, n + 1):
+        if forward[generator(n, j)] != _gen_transposition(n, j):
+            raise ConsistencyError(f"psi(K({j})) is not (1, {j + 1})")
     backward = {p: e for e, p in forward.items()}
     if len(backward) != factorial(n + 1):
         raise ConsistencyError("image map is not injective")

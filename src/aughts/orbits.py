@@ -4,12 +4,18 @@ The operator for index j rewrites coordinate j of an integer vector with the
 alternating circular sum of all coordinates starting at -x_j, and fixes the
 rest.  In two dimensions, alternating the two operators traces a closed
 figure-eight ("twisted aught") through at most six lattice points.
+
+In the star coordinates Phi(x) = (-sum(y), y_1, ..., y_n), y_k =
+(-1)^(k+1) x_k, operator j swaps entries 0 and j, so an orbit is the set of
+distinct rearrangements of Phi(x) and its graph a quotient of the star graph
+ST_(n+1) (Akers & Krishnamurthy, IEEE Trans. Computers, 1989).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from aughts.errors import ResourceLimitError
@@ -36,6 +42,22 @@ def _check_point(x: Sequence[int]) -> Point:
     return pt
 
 
+def _star(x: Point) -> Point:
+    """Phi(x) = (-sum(y), y_1, ..., y_n) with y_k = (-1)^(k+1) x_k."""
+    y = tuple(v if k % 2 == 0 else -v for k, v in enumerate(x))
+    return (-sum(y),) + y
+
+
+def _unstar(z: Point) -> Point:
+    """Inverse of ``_star`` on the sum-zero lattice."""
+    return tuple(v if k % 2 == 0 else -v for k, v in enumerate(z[1:]))
+
+
+def _swap(z: Point, j: int) -> Point:
+    """Operator j in star coordinates: entries 0 and j trade places."""
+    return (z[j],) + z[1:j] + (z[0],) + z[j + 1 :]
+
+
 def apply_k(x: Sequence[int], j: int) -> Point:
     """Replace coordinate j with the alternating sum starting at -x_j."""
     pt = _check_point(x)
@@ -43,9 +65,7 @@ def apply_k(x: Sequence[int], j: int) -> Point:
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range 1..{n}")
     value = sum(sign_pow(j + k) * pt[k] for k in range(n))
-    out = list(pt)
-    out[j - 1] = value
-    return tuple(out)
+    return pt[: j - 1] + (value,) + pt[j:]
 
 
 @dataclass(frozen=True)
@@ -62,15 +82,18 @@ class Trajectory:
 
 
 def run_word(x: Sequence[int], word: Iterable[int]) -> Trajectory:
-    """Apply a sequence of operator indices, first index first."""
+    """Apply a sequence of operator indices, first index first; only the
+    start is guarded, so the path may leave the 2^31 box."""
     start = _check_point(x)
     word_t = tuple(int(j) for j in word)
     path = [start]
-    current = start
+    z = _star(start)
     for j in word_t:
-        current = apply_k(current, j)
-        path.append(current)
-    return Trajectory(start, word_t, tuple(path), closed=current == start)
+        if not 1 <= j <= len(start):
+            raise ValueError(f"index {j} out of range 1..{len(start)}")
+        z = _swap(z, j)
+        path.append(_unstar(z))
+    return Trajectory(start, word_t, tuple(path), closed=path[-1] == start)
 
 
 @dataclass(frozen=True)
@@ -79,29 +102,21 @@ class ReachGraph:
     edges: frozenset[tuple[Point, Point]]
 
 
-def reach_graph(x: Sequence[int], node_limit: int = NODE_LIMIT) -> ReachGraph:
-    """Closure of a point under all operators; edges join distinct points."""
+def reach_graph(x: Sequence[int]) -> ReachGraph:
+    """Closure of a point under all operators: the rearrangements of Phi(x),
+    at most (n+1)! <= 5040; edges join distinct points one swap apart."""
     start = _check_point(x)
     n = len(start)
     if n > 6:
         raise ValueError("reachability exploration is limited to dimension <= 6")
-    seen = {start}
-    edges: set[tuple[Point, Point]] = set()
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
+    nodes = {z: _unstar(z) for z in set(permutations(_star(start)))}
+    edges = set()
+    for z, p in nodes.items():
         for j in range(1, n + 1):
-            nxt = apply_k(current, j)
-            if nxt != current:
-                edges.add((min(current, nxt), max(current, nxt)))
-            if nxt not in seen:
-                if len(seen) >= node_limit:
-                    raise ResourceLimitError(
-                        f"orbit exploration exceeded {node_limit} nodes"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return ReachGraph(frozenset(seen), frozenset(edges))
+            if z[0] < z[j]:
+                q = nodes[_swap(z, j)]
+                edges.add((min(p, q), max(p, q)))
+    return ReachGraph(frozenset(nodes.values()), frozenset(edges))
 
 
 def _check_dim2(x: Sequence[int]) -> tuple[int, int]:
@@ -246,34 +261,30 @@ def orbit_rep(x: Sequence[int]) -> Point:
     return canonical_rep(orbit2d(x))
 
 
-def orbit_distance(
-    a: Sequence[int], b: Sequence[int], node_limit: int = NODE_LIMIT
-) -> int | None:
-    """Minimal number of operator applications from a to b, if connected."""
-    start = _check_point(a)
-    goal = _check_point(b)
+def orbit_distance(a: Sequence[int], b: Sequence[int]) -> int | None:
+    """Minimal number of operator applications from a to b, if connected
+    (iff Phi(a) is a rearrangement of Phi(b)); a search over swaps."""
+    start, goal = _check_point(a), _check_point(b)
     if len(start) != len(goal):
         raise ValueError("points must have the same dimension")
-    if start == goal:
-        return 0
-    n = len(start)
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for j in range(1, n + 1):
-            nxt = apply_k(current, j)
-            if nxt in dist:
-                continue
-            if len(dist) >= node_limit:
-                raise ResourceLimitError(
-                    f"orbit exploration exceeded {node_limit} nodes"
-                )
-            dist[nxt] = dist[current] + 1
-            if nxt == goal:
-                return dist[nxt]
-            queue.append(nxt)
-    return None
+    src, dst = _star(start), _star(goal)
+    if sorted(src) != sorted(dst):
+        return None
+    dist = {src: 0}
+    queue = deque([src])
+    while True:
+        z = queue.popleft()
+        if z == dst:
+            return dist[z]
+        for j in range(1, len(start) + 1):
+            nxt = _swap(z, j)
+            if nxt not in dist:
+                if len(dist) >= NODE_LIMIT:
+                    raise ResourceLimitError(
+                        f"orbit exploration exceeded {NODE_LIMIT} nodes"
+                    )
+                dist[nxt] = dist[z] + 1
+                queue.append(nxt)
 
 
 def fundamental_triangles(m: int) -> tuple[frozenset[Point], frozenset[Point]]:

@@ -7,6 +7,7 @@ and all numbers are formatted with explicit precision.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class RenderSpec:
     def __post_init__(self) -> None:
         if self.mode not in RENDER_MODES:
             raise ValueError(f"unknown render mode {self.mode!r}")
+        for color in self.palette:
+            if not re.fullmatch(r"#([0-9a-fA-F]{3}){1,2}", color):
+                raise ValueError(f"palette entry {color!r} is not #RGB or #RRGGBB")
         if self.mode == "mod_color":
             if self.modulus is None or self.modulus < 2:
                 raise ValueError("mod_color requires a modulus >= 2")

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import permutations as iter_permutations
 
 from aughts import atlas, intmat, orbits
 from aughts.signed_perm import (
-    Permutation,
-    SignedPermElement,
     format_element,
     identity_element,
     matrix_to_msih,
@@ -162,7 +159,7 @@ def oracle_suite(n_max: int) -> SuiteResult:
     """Symbolic multiplication against the matrix product, all pairs."""
     res = SuiteResult("matrix-symbol-oracle")
     for n in range(1, min(n_max, 4) + 1):
-        elements = _all_elements(n)
+        elements = atlas.catalog(n).elements
         mats = {e: to_matrix(e) for e in elements}
         for a in elements:
             for b in elements:
@@ -257,17 +254,6 @@ def orbit_suite() -> SuiteResult:
         "distinct orbits reported as connected",
     )
     return res
-
-
-def _all_elements(n: int) -> list[SignedPermElement]:
-    """Direct enumeration of the (n+1)! symbolic elements (no BFS)."""
-    out: list[SignedPermElement] = []
-    for images in iter_permutations(range(1, n + 1)):
-        sigma = Permutation.of(images)
-        out.append(SignedPermElement.of(sigma, 1, 0))
-        for h in range(1, n + 1):
-            out.append(SignedPermElement.of(sigma, h, 1))
-    return out
 
 
 def run_all(n_max: int) -> list[SuiteResult]:

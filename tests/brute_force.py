@@ -2,15 +2,56 @@
 
 The orbit of a 2D point is walked with the two operators, K1 then K2 then
 K1 and so on until the walk closes; its length, box and diametral points are
-then read off the walked nodes by direct measurement.  Everything is in
-Python ints with no input guard, so nodes beyond 2^31 are fine.
+then read off the walked nodes by direct measurement.  In any dimension the
+reach graph and the orbit distance come from a breadth-first search with the
+operators.  Everything is in Python ints with no input guard, so nodes
+beyond 2^31 are fine.
 """
+
+from collections import deque
 
 
 def k_step(p, j):
-    """Operator j in 2D: coordinate j becomes the alternating sum -x_j + ..."""
-    x1, x2 = p
-    return (x2 - x1, x2) if j == 1 else (x1, x1 - x2)
+    """Operator j: coordinate j becomes the alternating sum -x_j + ..."""
+    out = list(p)
+    out[j - 1] = sum(v if (j + k) % 2 == 0 else -v for k, v in enumerate(p))
+    return tuple(out)
+
+
+def bfs_reach_graph(p):
+    """(nodes, edges) of the orbit of p; each edge is a (min, max) pair of
+    distinct points one operator apart."""
+    start = tuple(p)
+    seen = {start}
+    edges = set()
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for j in range(1, len(start) + 1):
+            nxt = k_step(current, j)
+            if nxt != current:
+                edges.add((min(current, nxt), max(current, nxt)))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen, edges
+
+
+def bfs_orbit_distance(a, b):
+    """Fewest operator steps from a to b, or None when b is not reached."""
+    start, goal = tuple(a), tuple(b)
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        if current == goal:
+            return dist[current]
+        for j in range(1, len(start) + 1):
+            nxt = k_step(current, j)
+            if nxt not in dist:
+                dist[nxt] = dist[current] + 1
+                queue.append(nxt)
+    return None
 
 
 def orbit_walk(p):

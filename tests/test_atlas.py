@@ -93,6 +93,48 @@ def test_psi_rejects_foreign_degree():
         psi(identity_element(3), 4)
 
 
+def test_psi_builds_no_catalog():
+    before = atlas.catalog.cache_info().currsize
+    assert psi(generator(7, 3), 7) == Permutation.transposition(8, 1, 4)
+    assert atlas.catalog.cache_info().currsize == before
+
+
+def _nontrivial_cycles(p):
+    seen, count = set(), 0
+    for start in range(1, p.degree + 1):
+        if start in seen or p.apply(start) == start:
+            continue
+        count += 1
+        j = start
+        while j not in seen:
+            seen.add(j)
+            j = p.apply(j)
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_psi_and_star_graph_distances(n):
+    # star graph ST_(n+1): distance m + c - 2*[symbol 1 moved], diameter 3n/2
+    cat = catalog(n)
+    for e in cat.elements:
+        image = psi(e, n)
+        assert image == psi_of_word(n, cat.word(e))
+        moved = sum(v != j for j, v in enumerate(image.images, start=1))
+        star = moved + _nontrivial_cycles(image) - 2 * (image.apply(1) != 1)
+        assert cat.distance_of(e) == star, e
+    assert max(cat.distance) == 3 * n // 2
+
+
+def test_verify_isomorphism_pins_generator_images(monkeypatch):
+    # a conjugate of psi is still a bijective homomorphism, but sends K(j)
+    # to the wrong transpositions
+    c = Permutation.of((2, 3, 1, 4))
+    true_psi = atlas.psi
+    monkeypatch.setattr(atlas, "psi", lambda e, n: c.inverse().then(true_psi(e, n)).then(c))
+    with pytest.raises(ConsistencyError, match="psi"):
+        verify_isomorphism(3)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verify_isomorphism(n):
     witness = verify_isomorphism(n)

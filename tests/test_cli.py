@@ -11,7 +11,15 @@ import time
 from pathlib import Path
 
 import pytest
-from brute_force import diametral_count, extents, node_is_diametral, orbit_nodes, walk_length
+from brute_force import (
+    bfs_reach_graph,
+    diametral_count,
+    extents,
+    k_step,
+    node_is_diametral,
+    orbit_nodes,
+    walk_length,
+)
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +135,21 @@ def test_trace_word(capsys):
     assert payload["closed"] is True
     assert len(payload["path"]) == 7
     assert run_cli(capsys, "trace", "3,5", "--word", "1,7")[0] == 2
+
+
+def test_orbit_and_trace_nodes_beyond_the_guard(capsys):
+    # only the input is guarded; nodes reach -4294967299 and 4294967295
+    code, out, err = run_cli(capsys, "orbit", "2147483647,-2147483647,5")
+    assert code == 0, err
+    payload = json.loads(out)
+    nodes, edges = bfs_reach_graph((2147483647, -2147483647, 5))
+    assert (payload["node_count"], payload["edge_count"]) == (len(nodes), len(edges)) == (12, 15)
+    code, out, err = run_cli(capsys, "trace", "2147483647,-2147483647,1", "--word", "2,1")
+    assert code == 0, err
+    path = [(2147483647, -2147483647, 1)]
+    for j in (2, 1):
+        path.append(k_step(path[-1], j))
+    assert [tuple(p) for p in json.loads(out)["path"]] == path
 
 
 def test_census_modular(tmp_path, capsys):
@@ -363,6 +386,14 @@ def test_render_custom_palette(tmp_path, capsys):
     assert used_fill_colors(out.read_text()) <= {f"#0000{i:02x}" for i in range(8)}
 
 
+@pytest.mark.parametrize("palette", ['"/><script>x</script><x a=",#000', "red,#000", "#12,#000", "#0000000,#000"])
+def test_render_rejects_non_hex_palette(capsys, palette):
+    code, out, err = run_cli(capsys, "render", "--square", "2", "--mod", "2", "--palette", palette)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_command_exits_2(capsys):
     # argparse exits through SystemExit; main converts it to the return code
     assert main(["frobnicate"]) == 2
@@ -392,6 +423,7 @@ _point_text = st.one_of(
     st.lists(_ints, min_size=2, max_size=2).map(_csv),
     _cone_edge,
     st.lists(st.integers(-30, 30), min_size=1, max_size=7).map(_csv),
+    st.lists(_ints, min_size=3, max_size=4).map(_csv),
     _bad_text,
 )
 
@@ -436,7 +468,12 @@ def _argv(draw):
         argv += ["--seed-order", draw(st.sampled_from(["k1-first", "k2-first"]))]
         argv += ["--", draw(_point_text)]
     elif command == "trace":
-        word = draw(st.one_of(st.lists(st.integers(-1, 8), max_size=8).map(_csv), _bad_text))
+        # indices 1 and 2 exist in every drawn point of dimension 2 or more
+        word = draw(st.one_of(
+            st.lists(st.integers(-1, 8), max_size=8).map(_csv),
+            st.lists(st.integers(1, 2), max_size=8).map(_csv),
+            _bad_text,
+        ))
         argv += [f"--word={word}", "--", draw(_point_text)]
     elif command == "census" and draw(st.booleans()):
         argv += _small_rect(draw) + ["--diametral"]
@@ -468,9 +505,21 @@ def _argv(draw):
 
 def _check_against_oracle(argv, out):
     """Exit-0 outputs that the brute-force orbit oracle can recompute."""
+    if argv[0] == "trace":
+        record = json.loads(out)
+        path = [tuple(record["start"])]
+        for j in record["word"]:
+            path.append(k_step(path[-1], j))
+        assert [tuple(p) for p in record["path"]] == path
+        event("trace checked against the oracle")
+        return
     if argv[0] == "orbit":
         record = json.loads(out)
-        if record["kind"] != "orbit":
+        if record["kind"] == "reach-graph":
+            if len(record["seed"]) <= 4:
+                nodes, edges = bfs_reach_graph(record["seed"])
+                assert (record["node_count"], record["edge_count"]) == (len(nodes), len(edges))
+                event("reach graph checked against the oracle")
             return
         seed = tuple(record["seed"])
         nodes = orbit_nodes(seed)

@@ -4,6 +4,8 @@ import random
 
 import pytest
 from brute_force import (
+    bfs_orbit_distance,
+    bfs_reach_graph,
     brute_is_diametral,
     extents,
     max_pairwise_dist_sq,
@@ -13,9 +15,11 @@ from brute_force import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aughts.errors import ResourceLimitError
 from aughts.orbits import (
     HAMILTONIAN_WORD_3D,
+    _star,
+    _swap,
+    _unstar,
     apply_k,
     canonical_rep,
     cycle_points,
@@ -92,9 +96,51 @@ def test_reach_graph_counts():
     assert len(small.edges) == 2
 
 
-def test_reach_graph_limit():
-    with pytest.raises(ResourceLimitError):
-        reach_graph((10, 8, 15), node_limit=5)
+BIG = 2**31
+
+
+def _random_point(rng, n):
+    """Small values (many repeats in Phi), wide values, or values at the guard."""
+    pool = rng.choice([range(-2, 3), range(-1000, 1001), (BIG, -BIG, BIG - 1, 0, 1)])
+    return tuple(rng.choice(pool) for _ in range(n))
+
+
+def test_operators_swap_star_coordinates():
+    # Phi(apply_k(x, j)) is Phi(x) with entries 0 and j swapped
+    rng = random.Random(2718)
+    for n in range(1, 9):
+        for _ in range(50):
+            x = tuple(rng.choice([rng.randint(-50, 50), rng.randint(-BIG, BIG), BIG, -BIG]) for _ in range(n))
+            z = _star(x)
+            assert sum(z) == 0 and _unstar(z) == x
+            for j in range(1, n + 1):
+                swapped = list(z)
+                swapped[0], swapped[j] = z[j], z[0]
+                assert _star(apply_k(x, j)) == _swap(z, j) == tuple(swapped), (x, j)
+
+
+def test_semi_perimeter_is_pairwise_star_spread():
+    points = [(a, b) for a in range(-40, 41) for b in range(-40, 41)]
+    near = (BIG, BIG - 1, BIG // 2, 1, 0)
+    points += [(s * a, t * b) for a in near for b in near for s in (1, -1) for t in (1, -1)]
+    for x in points:
+        z = _star(x)
+        spread = sum(abs(u - v) for i, u in enumerate(z) for v in z[i + 1 :])
+        assert semi_perimeter(x) == spread, x
+
+
+def test_reach_graph_and_distance_match_bfs_oracle():
+    # about 1 s: the oracle walks up to 5040 nodes at n = 6
+    rng = random.Random(619)
+    for n in range(1, 7):
+        for _ in range(16 if n < 6 else 5):
+            x = _random_point(rng, n)
+            nodes, edges = bfs_reach_graph(x)
+            graph = reach_graph(x)
+            assert graph.nodes == nodes and graph.edges == edges, x
+            guarded = sorted(p for p in nodes if max(map(abs, p)) <= BIG)
+            for b in (rng.choice(guarded), _random_point(rng, n)):
+                assert orbit_distance(x, b) == bfs_orbit_distance(x, b), (x, b)
 
 
 def test_orbit2d_examples():
