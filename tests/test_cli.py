@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON schemas, exit codes, render determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -82,6 +83,26 @@ def test_group_export(tmp_path, capsys):
     assert payload["order"] == 6
     distances = [e["distance"] for e in payload["elements"]]
     assert sorted(distances) == [0, 1, 1, 2, 2, 3]
+
+
+def test_group_dim_3_golden_bytes(capsys):
+    code, out, _ = run_cli(capsys, "group", "--dim", "3")
+    assert code == 0
+    assert out == (GOLDEN / "group_dim_3.json").read_text()
+
+
+# sha256 of the stdout of `aughts group --dim 1..7` and `aughts verify
+# --max-n 1..5`, one "<digest>  <command>" line each
+CLI_DIGESTS = [
+    line.split("  ", 1) for line in (GOLDEN / "cli_stdout.sha256").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("digest, command", CLI_DIGESTS, ids=[c for _, c in CLI_DIGESTS])
+def test_group_and_verify_stdout_digests(capsys, digest, command):
+    code, out, _ = run_cli(capsys, *command.split()[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_orbit_2d_json(capsys):
