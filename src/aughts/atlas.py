@@ -1,25 +1,39 @@
 """Enumeration of the full group, Cayley distances, cosets and the
 isomorphism with the symmetric group of degree n + 1.
 
-The catalog is built by breadth-first closure under LEFT multiplication by
-the generators, so an element found via parent p and generator j satisfies
-e = K(j) * p; reading the parent chain from the element up to the identity
-yields its word as a product taken left to right.
+Elements are coded as integers: (sigma, h, eps) has the rank
+lehmer(sigma) * (n+1) + (h if eps else 0), where the Lehmer rank of sigma is
+its index in lexicographic order (Knuth, TAOCP 4A, 7.2.1.2). Left
+multiplication by K(j) has a closed form on (sigma, h, eps), so the n
+left-multiplication tables over all (n+1)! ranks are built with array
+operations (``left_tables``). The catalog is the breadth-first closure of
+the identity under these tables, run one level at a time in the order a
+queue would visit, so an element found via parent p and generator j
+satisfies e = K(j) * p; reading the parent chain from the element up to the
+identity yields its word as a product taken left to right.
 
 The isomorphism psi, the permutation e applies to the star coordinates of
 ``aughts.orbits``, is read off (sigma, h, eps): psi(j+1) = sigma(j)+1 and
 psi(1) = 1, except that eps = 1 sets psi(1) = sigma(h)+1 and psi(h+1) = 1.
 K(j) maps to (1, j+1), so the Cayley graph is the star graph ST_(n+1)
-(Akers & Krishnamurthy, IEEE Trans. Computers, 1989).
+(Akers & Krishnamurthy, IEEE Trans. Computers, 1989). ``verify_isomorphism``
+checks the homomorphism law on generators only: given psi(id) = id and
+psi(K(j) * e) = psi(K(j)) then psi(e) for every j and e, induction on the
+word length of a = K(j1)...K(jd) gives psi(a * b) = psi(a) then psi(b) for
+every pair, since the product is associative (it is the matrix product).
+That is n (n+1)! products instead of ((n+1)!)^2.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
+
+import numpy as np
 
 from aughts.intmat import full_cycle_matrix, matrix_order
 from aughts.signed_perm import (
@@ -85,33 +99,85 @@ class GroupCatalog:
         return idx
 
 
+def left_tables(n: int) -> np.ndarray:
+    """The n left-multiplication tables, shape (n, (n+1)!): entry [j-1, r] is
+    the rank of K(j) * e for the element e of rank r.
+
+    With tau = e.sigma, K(j) * (tau, h, eps) is (tau, j, 1) when eps = 0,
+    (tau, 1, 0) when h = j, and otherwise tau with its entries at j and h
+    swapped, with pivot h. The Lehmer rank of a swapped tau is found by
+    binary search, since the permutations read as base-(n+1) numbers
+    ascend in lexicographic order.
+    """
+    perms = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
+    place = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = perms @ place
+    flag_free = np.arange(len(perms), dtype=np.int32) * (n + 1)
+    tables = np.empty((n, len(perms), n + 1), dtype=np.int32)
+    for j in range(1, n + 1):
+        tables[j - 1, :, 0] = flag_free + j
+        tables[j - 1, :, j] = flag_free
+        for h in range(1, n + 1):
+            if h != j:
+                swap = (perms[:, h - 1] - perms[:, j - 1]) * (place[j - 1] - place[h - 1])
+                tables[j - 1, :, h] = np.searchsorted(keys, keys + swap) * (n + 1) + h
+    return tables.reshape(n, -1)
+
+
+def _level_bfs(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first search from rank 0 (the identity) over the tables, one
+    level at a time, in the order a queue would visit: candidates are taken
+    frontier-major and generator-minor, and the first occurrence of a new
+    rank fixes its parent and its place in the next frontier.
+
+    Returns, per BFS position, the rank, the distance, the parent's position
+    and the generator j with element = K(j) * parent (parent -1 and j 0 at
+    the identity).
+    """
+    n, size = tables.shape
+    position = np.full(size, -1, dtype=np.int32)
+    order = np.zeros(size, dtype=np.int32)
+    distance = np.zeros(size, dtype=np.int32)
+    parent = np.full(size, -1, dtype=np.int32)
+    via = np.zeros(size, dtype=np.int32)
+    position[0] = 0
+    start, count, level = 0, 1, 0
+    while start < count:
+        frontier = order[start:count]
+        candidates = tables[:, frontier].T.ravel()
+        fresh = np.flatnonzero(position[candidates] < 0)
+        _, first = np.unique(candidates[fresh], return_index=True)
+        picked = fresh[np.sort(first)]
+        stop = count + len(picked)
+        order[count:stop] = candidates[picked]
+        position[order[count:stop]] = np.arange(count, stop, dtype=np.int32)
+        distance[count:stop] = level + 1
+        parent[count:stop] = start + picked // n
+        via[count:stop] = picked % n + 1
+        start, count, level = count, stop, level + 1
+    return order[:count], distance[:count], parent[:count], via[:count]
+
+
 def enumerate_group(n: int) -> GroupCatalog:
     """Breadth-first closure under left multiplication by the generators."""
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"n must be in 1..{ENUMERATION_MAX_N}, got {n}")
-    gens = [generator(n, j) for j in range(1, n + 1)]
-    start = identity_element(n)
-    elements = [start]
-    index = {start: 0}
-    distance = [0]
-    parent: list[tuple[int, int] | None] = [None]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        current = elements[i]
-        for j, g in enumerate(gens, start=1):
-            nxt = msih_mul(g, current)
-            if nxt not in index:
-                index[nxt] = len(elements)
-                elements.append(nxt)
-                distance.append(distance[i] + 1)
-                parent.append((i, j))
-                queue.append(index[nxt])
-    if len(elements) != factorial(n + 1):
+    order, distance, parent, via = _level_bfs(left_tables(n))
+    if len(order) != factorial(n + 1):
         raise ConsistencyError(
-            f"enumeration found {len(elements)} elements, expected {factorial(n + 1)}"
+            f"enumeration found {len(order)} elements, expected {factorial(n + 1)}"
         )
-    return GroupCatalog(n, elements, index, distance, parent)
+    sigmas = [Permutation(p) for p in permutations(range(1, n + 1))]
+    lehmer, pivot = np.divmod(order, n + 1)
+    elements = [
+        SignedPermElement(sigmas[s], h or 1, 1 if h else 0)
+        for s, h in zip(lehmer.tolist(), pivot.tolist())
+    ]
+    links: list[tuple[int, int] | None] = [None]
+    links += zip(parent[1:].tolist(), via[1:].tolist())
+    return GroupCatalog(
+        n, elements, dict(zip(elements, range(len(elements)))), distance.tolist(), links
+    )
 
 
 @lru_cache(maxsize=None)
@@ -164,25 +230,31 @@ class IsoWitness:
 def verify_isomorphism(n: int) -> IsoWitness:
     """Check that the generator map extends to an isomorphism.
 
-    Verifies that psi sends each K(j) to (1, j+1), is bijective onto all
-    (n+1)! permutations, and is multiplicative on every pair of elements.
+    Verifies that psi fixes the identity, sends each K(j) to (1, j+1), is
+    bijective onto all (n+1)! permutations, and satisfies
+    psi(K(j) * e) = psi(K(j)) then psi(e) for every generator and element.
+    Every element is a word K(j1)...K(jd), so by induction on d the last
+    check gives psi(a * b) = psi(a) then psi(b) for every pair.
     """
     if not 1 <= n <= ISOMORPHISM_MAX_N:
         raise ValueError(f"n must be in 1..{ISOMORPHISM_MAX_N}, got {n}")
     cat = catalog(n)
     forward = {e: psi(e, n) for e in cat.elements}
+    if forward[identity_element(n)] != Permutation.identity(n + 1):
+        raise ConsistencyError("psi does not fix the identity")
     for j in range(1, n + 1):
         if forward[generator(n, j)] != _gen_transposition(n, j):
             raise ConsistencyError(f"psi(K({j})) is not (1, {j + 1})")
     backward = {p: e for e, p in forward.items()}
     if len(backward) != factorial(n + 1):
         raise ConsistencyError("image map is not injective")
-    for a in cat.elements:
-        fa = forward[a]
-        for b in cat.elements:
-            if forward[msih_mul(a, b)] != fa.then(forward[b]):
+    for j in range(1, n + 1):
+        g = generator(n, j)
+        fg = forward[g]
+        for e in cat.elements:
+            if forward[msih_mul(g, e)] != fg.then(forward[e]):
                 raise ConsistencyError(
-                    f"homomorphism fails at {format_element(a)} * {format_element(b)}"
+                    f"homomorphism fails at {format_element(g)} * {format_element(e)}"
                 )
     return IsoWitness(n, forward, backward)
 

@@ -6,9 +6,15 @@ then read off the walked nodes by direct measurement.  In any dimension the
 reach graph and the orbit distance come from a breadth-first search with the
 operators.  Everything is in Python ints with no input guard, so nodes
 beyond 2^31 are fine.
+
+The group catalog is closed with a queue and a dict keyed by element, one
+``msih_mul`` per step; elements are ranked by their Lehmer code, and the
+homomorphism law is checked on every pair.
 """
 
 from collections import deque
+
+from aughts.signed_perm import generator, identity_element, msih_mul
 
 
 def k_step(p, j):
@@ -117,3 +123,49 @@ def diametral_count(region):
                 total += 1
                 hits += brute_is_diametral((x, y))
     return total, hits
+
+
+def bfs_catalog(n):
+    """(elements, distance, parent) of the breadth-first closure of the
+    identity under left multiplication by K(1), ..., K(n); parent[i] is
+    (parent position, j) with elements[i] = K(j) * elements[parent position],
+    or None at the identity."""
+    gens = [generator(n, j) for j in range(1, n + 1)]
+    elements = [identity_element(n)]
+    index = {elements[0]: 0}
+    distance = [0]
+    parent = [None]
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for j, g in enumerate(gens, start=1):
+            nxt = msih_mul(g, elements[i])
+            if nxt not in index:
+                index[nxt] = len(elements)
+                elements.append(nxt)
+                distance.append(distance[i] + 1)
+                parent.append((i, j))
+                queue.append(index[nxt])
+    return elements, distance, parent
+
+
+def lehmer_rank(e):
+    """lehmer(sigma) * (n+1) + (h if eps else 0), where the Lehmer rank of
+    sigma is its index among the permutations in lexicographic order."""
+    images = e.sigma.images
+    n = len(images)
+    r = 0
+    for i, v in enumerate(images):
+        r = r * (n - i) + sum(w < v for w in images[i + 1 :])
+    return r * (n + 1) + (e.h if e.eps else 0)
+
+
+def all_pairs_homomorphism(elements, image):
+    """The first pair (a, b) with image(a * b) != image(a) then image(b),
+    or None when the map is multiplicative on every pair."""
+    images = {e: image(e) for e in elements}
+    for a in elements:
+        for b in elements:
+            if images[msih_mul(a, b)] != images[a].then(images[b]):
+                return a, b
+    return None

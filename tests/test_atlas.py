@@ -4,6 +4,7 @@ import random
 from math import factorial
 
 import pytest
+from brute_force import all_pairs_homomorphism, bfs_catalog, lehmer_rank
 
 from aughts import atlas
 from aughts.atlas import (
@@ -20,6 +21,7 @@ from aughts.atlas import (
     random_word_element,
     verify_isomorphism,
 )
+from aughts.intmat import mat_mul
 from aughts.signed_perm import (
     Permutation,
     SignedPermElement,
@@ -28,6 +30,7 @@ from aughts.signed_perm import (
     identity_element,
     msih_inverse,
     msih_mul,
+    to_matrix,
 )
 
 
@@ -41,6 +44,28 @@ def test_enumeration_guard():
         enumerate_group(0)
     with pytest.raises(ValueError):
         enumerate_group(8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_catalog_matches_bfs_oracle(n):
+    cat = enumerate_group(n)
+    elements, distance, parent = bfs_catalog(n)
+    assert cat.elements == elements
+    assert cat.distance == distance
+    assert cat.parent == parent
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_left_tables_match_msih_mul(n):
+    tables = atlas.left_tables(n)
+    elements = catalog(n).elements
+    ranks = [lehmer_rank(e) for e in elements]
+    assert ranks[0] == 0
+    assert sorted(ranks) == list(range(factorial(n + 1)))
+    rank_of = dict(zip(elements, ranks))
+    for j in range(1, n + 1):
+        g = generator(n, j)
+        assert tables[j - 1, ranks].tolist() == [rank_of[msih_mul(g, e)] for e in elements]
 
 
 def test_cayley_distances_n3():
@@ -112,7 +137,7 @@ def _nontrivial_cycles(p):
     return count
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_psi_and_star_graph_distances(n):
     # star graph ST_(n+1): distance m + c - 2*[symbol 1 moved], diameter 3n/2
     cat = catalog(n)
@@ -133,6 +158,51 @@ def test_verify_isomorphism_pins_generator_images(monkeypatch):
     monkeypatch.setattr(atlas, "psi", lambda e, n: c.inverse().then(true_psi(e, n)).then(c))
     with pytest.raises(ConsistencyError, match="psi"):
         verify_isomorphism(3)
+
+
+def _swap_images(x, y):
+    """psi with the images of x and y exchanged: still a bijection."""
+    true_psi = atlas.psi
+    return lambda e, n: true_psi(y if e == x else x if e == y else e, n)
+
+
+def test_verify_isomorphism_rejects_one_wrong_image(monkeypatch):
+    # the two elements farthest from the identity are no generators, so only
+    # the homomorphism law can catch the swap
+    cat = catalog(5)
+    monkeypatch.setattr(atlas, "psi", _swap_images(cat.elements[-1], cat.elements[-2]))
+    with pytest.raises(ConsistencyError, match="homomorphism"):
+        verify_isomorphism(5)
+    monkeypatch.setattr(atlas, "psi", _swap_images(cat.elements[0], cat.elements[-1]))
+    with pytest.raises(ConsistencyError, match="identity"):
+        verify_isomorphism(5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_isomorphism_agrees_with_all_pairs_oracle(monkeypatch, n):
+    elements = catalog(n).elements
+    assert all_pairs_homomorphism(elements, lambda e: psi(e, n)) is None
+    verify_isomorphism(n)
+    if n == 1:
+        return  # no element beyond the identity and K(1)
+    wrong = _swap_images(elements[-1], elements[-2])
+    assert all_pairs_homomorphism(elements, lambda e: wrong(e, n)) is not None
+    monkeypatch.setattr(atlas, "psi", wrong)
+    with pytest.raises(ConsistencyError):
+        verify_isomorphism(n)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_generator_products_are_matrix_products(n):
+    # the generator-only check in verify_isomorphism needs the symbolic
+    # product to be the (associative) matrix product
+    elements = catalog(n).elements
+    mats = [to_matrix(e) for e in elements]
+    for j in range(1, n + 1):
+        g = generator(n, j)
+        gm = to_matrix(g)
+        for e, m in zip(elements, mats):
+            assert to_matrix(msih_mul(g, e)) == mat_mul(gm, m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
