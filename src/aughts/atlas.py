@@ -39,7 +39,6 @@ from aughts.intmat import full_cycle_matrix, matrix_order
 from aughts.signed_perm import (
     Permutation,
     SignedPermElement,
-    element_order,
     format_element,
     generator,
     identity_element,
@@ -47,7 +46,6 @@ from aughts.signed_perm import (
 )
 
 ENUMERATION_MAX_N = 7
-ISOMORPHISM_MAX_N = 5
 
 
 class ConsistencyError(RuntimeError):
@@ -187,8 +185,9 @@ def catalog(n: int) -> GroupCatalog:
 
 
 def order_spectrum(cat: GroupCatalog) -> dict[int, int]:
-    """Multiplicative order of every element, as a {order: count} map."""
-    return dict(sorted(Counter(element_order(e) for e in cat.elements).items()))
+    """Multiplicative order of every element, as a {order: count} map; psi is
+    an isomorphism, so e has the order of the permutation psi(e)."""
+    return dict(sorted(Counter(psi(e, cat.n).order() for e in cat.elements).items()))
 
 
 def coset_decomposition(cat: GroupCatalog) -> dict[int, list[SignedPermElement]]:
@@ -236,8 +235,6 @@ def verify_isomorphism(n: int) -> IsoWitness:
     Every element is a word K(j1)...K(jd), so by induction on d the last
     check gives psi(a * b) = psi(a) then psi(b) for every pair.
     """
-    if not 1 <= n <= ISOMORPHISM_MAX_N:
-        raise ValueError(f"n must be in 1..{ISOMORPHISM_MAX_N}, got {n}")
     cat = catalog(n)
     forward = {e: psi(e, n) for e in cat.elements}
     if forward[identity_element(n)] != Permutation.identity(n + 1):

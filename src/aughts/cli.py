@@ -3,7 +3,9 @@
 Subcommands: verify, group, orbit, trace, census, render.
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O, 4 resource.
 Every ValueError or OverflowError, from the arguments or the library, ends
-with exit 2 and one ``error:`` line on stderr.
+with exit 2 and one ``error:`` line on stderr. Each subcommand accepts only
+the options it reads and returns its exit code with its output text; ``main``
+writes that text, to stdout or to ``--out``, in one place.
 """
 
 from __future__ import annotations
@@ -34,38 +36,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--seed-order",
-            choices=("k1-first", "k2-first"),
-            default="k1-first",
-            help="traversal direction of the 2D orbit cycle",
-        )
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "svg"), default=None)
-
     p_verify = sub.add_parser("verify", help="run the identity/oracle suites")
     p_verify.add_argument("--max-n", type=int, default=3, dest="max_n")
-    add_common(p_verify)
 
     p_group = sub.add_parser("group", help="export the full group catalog")
     p_group.add_argument("--dim", type=int, required=True)
-    add_common(p_group)
 
     p_orbit = sub.add_parser("orbit", help="orbit of a lattice point")
     p_orbit.add_argument("point", help="comma-separated integer coordinates")
-    add_common(p_orbit)
+    _add_seed_order(p_orbit)
 
     p_trace = sub.add_parser("trace", help="apply a word of operator indices")
     p_trace.add_argument("point", help="comma-separated integer coordinates")
     p_trace.add_argument("--word", required=True, help="comma-separated indices")
-    add_common(p_trace)
 
     p_census = sub.add_parser("census", help="orbit/point census over a region")
     _add_region_flags(p_census)
     p_census.add_argument("--mod", type=int, default=None)
     p_census.add_argument("--diametral", action="store_true")
-    add_common(p_census)
 
     p_render = sub.add_parser("render", help="deterministic SVG renders")
     _add_region_flags(p_render)
@@ -75,9 +63,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--point", help="single-orbit seed, comma-separated")
     p_render.add_argument("--palette", help="comma-separated hex colors")
     p_render.add_argument("--scale", type=int, default=10)
-    add_common(p_render)
+    _add_seed_order(p_render)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output path (default: stdout)")
     return parser
+
+
+_FIRST_GENERATOR = {"k1-first": 1, "k2-first": 2}
+
+
+def _add_seed_order(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--seed-order",
+        choices=_FIRST_GENERATOR,
+        default="k1-first",
+        help="traversal direction of the 2D orbit cycle",
+    )
 
 
 def _add_region_flags(p: argparse.ArgumentParser) -> None:
@@ -136,9 +138,16 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
+    target = os.path.realpath(out_path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device, FIFO or other special file is written into, not replaced
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
     # Write a temp file beside the target and rename it over the target, so
-    # a failed write leaves the previous file whole and no partial file.
-    directory, name = os.path.split(os.path.abspath(out_path))
+    # a failed write leaves the previous file whole and no partial file. The
+    # target is the resolved path, so a symlink keeps pointing at it.
+    directory, name = os.path.split(target)
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
@@ -146,45 +155,38 @@ def _emit(text: str, out_path: str | None) -> None:
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # the mode open() would have given
             handle.write(text)
-        os.replace(tmp, out_path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(payload, indent=2), out_path)
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     suites = verify.run_all(args.max_n)
-    total = 0
-    failed = False
+    lines = []
     for suite in suites:
-        total += suite.checks
         status = "PASS" if suite.passed else "FAIL"
-        print(f"[{status}] {suite.name}: {suite.checks} checks")
-        for note in suite.notes:
-            print(f"       {note}")
+        lines.append(f"[{status}] {suite.name}: {suite.checks} checks")
+        lines += [f"       {note}" for note in suite.notes]
         if not suite.passed:
-            failed = True
-            print(f"       first counterexample: {suite.counterexample}")
-    print(f"{'some suites FAILED' if failed else 'all suites passed'} ({total} checks)")
-    return 1 if failed else 0
+            lines.append(f"       first counterexample: {suite.counterexample}")
+    failed = not all(suite.passed for suite in suites)
+    total = sum(suite.checks for suite in suites)
+    verdict = "some suites FAILED" if failed else "all suites passed"
+    lines.append(f"{verdict} ({total} checks)")
+    return int(failed), "".join(line + "\n" for line in lines)
 
 
-def cmd_group(args) -> int:
-    payload = atlas.catalog_json(atlas.catalog(args.dim))
-    _emit_json(payload, args.out)
-    return 0
+def cmd_group(args) -> tuple[int, str]:
+    return 0, json.dumps(atlas.catalog_json(atlas.catalog(args.dim)), indent=2)
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> tuple[int, str]:
     point = _parse_point(args.point)
     if not 2 <= len(point) <= 6:
         raise UsageError(f"orbit needs dimension 2..6, got {len(point)}")
-    first = 1 if args.seed_order == "k1-first" else 2
     if len(point) == 2:
+        first = _FIRST_GENERATOR[args.seed_order]
         record = orbits.orbit_record(orbits.orbit2d(point, first))
         record = {"schema_version": SCHEMA_VERSION, "kind": "orbit", **record}
     else:
@@ -196,11 +198,10 @@ def cmd_orbit(args) -> int:
             "node_count": len(graph.nodes),
             "edge_count": len(graph.edges),
         }
-    _emit_json(record, args.out)
-    return 0
+    return 0, json.dumps(record, indent=2)
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> tuple[int, str]:
     point = _parse_point(args.point)
     word = _parse_word(args.word)
     traj = orbits.run_word(point, word)
@@ -209,11 +210,10 @@ def cmd_trace(args) -> int:
         "kind": "trajectory",
         **orbits.trajectory_record(traj),
     }
-    _emit_json(record, args.out)
-    return 0
+    return 0, json.dumps(record, indent=2)
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> tuple[int, str]:
     region = _region_from_args(args)
     if args.diametral == (args.mod is not None):
         raise UsageError("census needs exactly one of --mod or --diametral")
@@ -233,11 +233,10 @@ def cmd_census(args) -> int:
         print(
             f"diametral fraction: {report.diametral_fraction:.12g}", file=sys.stderr
         )
-    _emit_json(report.to_json_dict(), args.out)
-    return 0
+    return 0, json.dumps(report.to_json_dict(), indent=2)
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> tuple[int, str]:
     modes = [
         args.mod is not None,
         args.diametral,
@@ -251,7 +250,6 @@ def cmd_render(args) -> int:
     palette = svg.DEFAULT_PALETTE
     if args.palette:
         palette = tuple(c.strip() for c in args.palette.split(",") if c.strip())
-    first = 1 if args.seed_order == "k1-first" else 2
     if args.point is not None:
         seed = _parse_point(args.point)
         if len(seed) != 2:
@@ -274,10 +272,9 @@ def cmd_render(args) -> int:
         palette=palette,
         scale=args.scale,
         seed=seed,
-        first_generator=first,
+        first_generator=_FIRST_GENERATOR[args.seed_order],
     )
-    _emit(svg.render_svg(spec), args.out)
-    return 0
+    return 0, svg.render_svg(spec)
 
 
 _COMMANDS = {
@@ -297,11 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        wanted = getattr(args, "format", None)
-        natural = "svg" if args.command == "render" else "json"
-        if wanted is not None and wanted != natural:
-            raise UsageError(f"{args.command} produces {natural}, not {wanted}")
-        return _COMMANDS[args.command](args)
+        code, text = _COMMANDS[args.command](args)
+        _emit(text, args.out)
+        return code
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

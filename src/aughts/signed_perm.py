@@ -162,23 +162,10 @@ def msih_inverse(a: SignedPermElement) -> SignedPermElement:
     return SignedPermElement.of(inv, a.sigma.apply(a.h), 1)
 
 
-def element_order(a: SignedPermElement) -> int:
-    acc = a
-    ident = identity_element(a.degree)
-    for k in range(1, 10_000):
-        if acc == ident:
-            return k
-        acc = msih_mul(acc, a)
-    raise ValueError("element order not found (not a finite-order element?)")
-
-
-def to_matrix(e: SignedPermElement, n: int | None = None) -> SmallIntMatrix:
+def to_matrix(e: SignedPermElement) -> SmallIntMatrix:
     """Matrix form: entry (j, sigma(j)) = (-1)^(j+sigma(j)), except that the
     pivot row is the alternating row when the flag is set."""
-    if n is None:
-        n = e.degree
-    if n != e.degree:
-        raise ValueError(f"degree mismatch: element has {e.degree}, asked {n}")
+    n = e.degree
     entries = [0] * (n * n)
     for j in range(1, n + 1):
         if e.eps == 1 and j == e.h:

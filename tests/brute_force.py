@@ -9,7 +9,8 @@ beyond 2^31 are fine.
 
 The group catalog is closed with a queue and a dict keyed by element, one
 ``msih_mul`` per step; elements are ranked by their Lehmer code, and the
-homomorphism law is checked on every pair.
+homomorphism law is checked on every pair. The order of an element is found
+by multiplying it by itself until the product is the identity.
 """
 
 from collections import deque
@@ -169,3 +170,14 @@ def all_pairs_homomorphism(elements, image):
             if images[msih_mul(a, b)] != images[a].then(images[b]):
                 return a, b
     return None
+
+
+def element_order(a):
+    """Least k >= 1 with a^k the identity, by repeated ``msih_mul``."""
+    acc = a
+    ident = identity_element(a.degree)
+    for k in range(1, 10_000):
+        if acc == ident:
+            return k
+        acc = msih_mul(acc, a)
+    raise ValueError("element order not found (not a finite-order element?)")

@@ -1,10 +1,11 @@
 """Group enumeration, Cayley distances, cosets and the symmetric-group map."""
 
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
-from brute_force import all_pairs_homomorphism, bfs_catalog, lehmer_rank
+from brute_force import all_pairs_homomorphism, bfs_catalog, element_order, lehmer_rank
 
 from aughts import atlas
 from aughts.atlas import (
@@ -25,7 +26,6 @@ from aughts.intmat import mat_mul
 from aughts.signed_perm import (
     Permutation,
     SignedPermElement,
-    element_order,
     generator,
     identity_element,
     msih_inverse,
@@ -89,6 +89,11 @@ def test_order_spectrum():
     assert order_spectrum(catalog(3)) == {1: 1, 2: 9, 3: 8, 4: 6}
     assert order_spectrum(catalog(2)) == {1: 1, 2: 3, 3: 2}
     assert 12 not in order_spectrum(catalog(3))
+    # orders read off psi equal those found by repeated products
+    for n in range(1, 7):
+        elements = catalog(n).elements
+        oracle = dict(sorted(Counter(element_order(e) for e in elements).items()))
+        assert order_spectrum(catalog(n)) == oracle
 
 
 def test_coset_decomposition():
@@ -205,7 +210,7 @@ def test_generator_products_are_matrix_products(n):
             assert to_matrix(msih_mul(g, e)) == mat_mul(gm, m)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_verify_isomorphism(n):
     witness = verify_isomorphism(n)
     assert len(witness.forward) == factorial(n + 1)
@@ -219,8 +224,10 @@ def test_isomorphism_preserves_orders_n3():
 
 
 def test_isomorphism_guard():
-    with pytest.raises(ValueError):
-        verify_isomorphism(6)
+    # the bound is the catalog's, 1..ENUMERATION_MAX_N
+    for n in (0, 8):
+        with pytest.raises(ValueError):
+            verify_isomorphism(n)
 
 
 def test_psi_word_independence():

@@ -1,11 +1,13 @@
 """CLI surface: subcommands, JSON schemas, exit codes, render determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import resource
+import stat
 import subprocess
 import sys
 import time
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 import aughts
 from aughts.census import Region
-from aughts.cli import main
+from aughts.cli import build_parser, main
 from aughts.svg import DEFAULT_PALETTE, used_fill_colors
 
 
@@ -60,7 +62,7 @@ def test_verify_usage_guard(capsys):
     assert "error" in err
 
 
-def test_verify_failure_exits_1(capsys, monkeypatch):
+def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     from aughts import verify as verify_mod
 
     def failing(n_max):
@@ -72,6 +74,74 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "2")
     assert code == 1
     assert "induced counterexample" in out
+    # with --out the same report goes to the file, and the exit code stays 1
+    target = tmp_path / "verify.txt"
+    code, out_to_file, _ = run_cli(capsys, "verify", "--max-n", "2", "--out", str(target))
+    assert (code, out_to_file) == (1, "")
+    assert target.read_text() == out
+
+
+def test_verify_out_writes_the_stdout_bytes(tmp_path, capsys):
+    target = tmp_path / "verify.txt"
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--out", str(target))
+    assert (code, out) == (0, "")
+    _, expected, _ = run_cli(capsys, "verify", "--max-n", "3")
+    assert target.read_bytes() == expected.encode()
+
+
+def test_verify_max_n_6_checks_the_isomorphism(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "6")
+    assert code == 0
+    assert "|M(6)| = 5040; isomorphic to S_7: OK" in out
+
+
+# a valid invocation of each subcommand, cheap enough to run many times
+BASE_ARGV = {
+    "verify": ["verify", "--max-n", "1"],
+    "group": ["group", "--dim", "2"],
+    "orbit": ["orbit", "1,0"],
+    "trace": ["trace", "1,0", "--word", "1,2"],
+    "census": ["census", "--square", "4", "--mod", "2"],
+    "render": ["render", "--point", "1,0"],
+}
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    region = {"square", "sym_square", "hexagon", "disk", "rect"}
+    accepted = {
+        name: {a.dest for a in parser._actions if a.dest != "help"}
+        for name, parser in sub.choices.items()
+    }
+    assert accepted == {
+        "verify": {"max_n", "out"},
+        "group": {"dim", "out"},
+        "orbit": {"point", "seed_order", "out"},
+        "trace": {"point", "word", "out"},
+        "census": region | {"mod", "diametral", "out"},
+        "render": region
+        | {"mod", "diametral", "projection", "point", "palette", "scale", "seed_order", "out"},
+    }
+    assert sum(map(len, accepted.values())) == 31
+
+
+@pytest.mark.parametrize("command", BASE_ARGV)
+def test_every_subcommand_rejects_format(capsys, command):
+    assert run_cli(capsys, *BASE_ARGV[command])[0] == 0
+    for fmt in ("json", "svg"):
+        code, out, err = run_cli(capsys, *BASE_ARGV[command], "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --format" in err
+
+
+@pytest.mark.parametrize("command", BASE_ARGV)
+def test_seed_order_only_where_it_is_read(capsys, command):
+    code, out, err = run_cli(capsys, *BASE_ARGV[command], "--seed-order", "k2-first")
+    if command in ("orbit", "render"):
+        assert code == 0
+    else:
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --seed-order" in err
 
 
 def test_group_export(tmp_path, capsys):
@@ -233,6 +303,34 @@ def test_failed_out_write_keeps_previous_file(tmp_path):
     assert proc.returncode == 0
     assert target.read_bytes().startswith(b"<?xml")
     assert [p.name for p in tmp_path.iterdir()] == ["render.svg"]
+
+
+def test_out_writes_into_a_fifo_without_replacing_it(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # the read end is open before the CLI opens the write end, so neither blocks
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, _ = run_cli(capsys, "orbit", "1,0", "--out", str(fifo))
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert (code, out) == (0, "")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert data.decode() + "\n" == run_cli(capsys, "orbit", "1,0")[1]
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    target = tmp_path / "orbit.json"
+    target.write_text("previous\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, _ = run_cli(capsys, "orbit", "1,0", "--out", str(link))
+    assert (code, out) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() + "\n" == run_cli(capsys, "orbit", "1,0")[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "orbit.json"]
 
 
 def test_census_mod_beyond_scan_guard_exits_2():
@@ -520,7 +618,8 @@ def _argv(draw):
     else:
         argv += ["--max-n", str(draw(st.one_of(st.integers(-1, 3), st.just(2**63))))]
     if draw(st.integers(0, 9)) == 0:
-        argv[1:1] = ["--format", draw(st.sampled_from(["json", "svg"]))]
+        # accepted by orbit and render only
+        argv[1:1] = ["--seed-order", draw(st.sampled_from(["k1-first", "k2-first"]))]
     return argv
 
 
@@ -572,5 +671,7 @@ def test_main_fuzz(argv):
     event(f"{argv[0]} exit {code}")  # shown by --hypothesis-show-statistics
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if "--seed-order" in argv and argv[0] not in ("orbit", "render"):
+        assert code == 2, argv
     if code == 0:
         _check_against_oracle(argv, out.getvalue())

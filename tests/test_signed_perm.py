@@ -4,13 +4,13 @@ import random
 from itertools import permutations
 
 import pytest
+from brute_force import element_order
 
 from aughts.intmat import identity_matrix, make_k, mat_mul
 from aughts.signed_perm import (
     NotGroupElementError,
     Permutation,
     SignedPermElement,
-    element_order,
     format_element,
     generator,
     identity_element,
@@ -67,11 +67,6 @@ def test_to_matrix_generators():
 def test_to_matrix_swap_example():
     e = SignedPermElement.of(Permutation.of([2, 1, 3]), 1, 0)
     assert to_matrix(e).rows() == ((0, -1, 0), (-1, 0, 0), (0, 0, 1))
-
-
-def test_to_matrix_degree_mismatch():
-    with pytest.raises(ValueError):
-        to_matrix(identity_element(3), 4)
 
 
 def test_eps0_normalizes_pivot():
