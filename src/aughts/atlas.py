@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -300,25 +301,30 @@ def psi_of_word(n: int, word: tuple[int, ...]) -> Permutation:
     return acc
 
 
+def catalog_header(cat: GroupCatalog) -> dict:
+    """The fields of ``catalog_json`` that precede its element records."""
+    return {"schema_version": 1, "kind": "group-catalog", "n": cat.n, "order": len(cat)}
+
+
+def catalog_records(cat: GroupCatalog) -> Iterator[dict]:
+    """One JSON-ready record per element, in BFS order: distance, word and
+    image. A parent precedes its children in BFS order, so each word is the
+    generator that reached the element followed by its parent's word."""
+    words: list[tuple[int, ...]] = []
+    for e, distance, link in zip(cat.elements, cat.distance, cat.parent):
+        word = () if link is None else (link[1],) + words[link[0]]
+        words.append(word)
+        yield {
+            "sigma": list(e.sigma.images),
+            "h": e.h,
+            "eps": e.eps,
+            "text": format_element(e),
+            "distance": distance,
+            "word": list(word),
+            "psi": list(psi(e, cat.n).images),
+        }
+
+
 def catalog_json(cat: GroupCatalog) -> dict:
     """JSON-ready export: every element with distance, word and image."""
-    records = []
-    for e in cat.elements:
-        records.append(
-            {
-                "sigma": list(e.sigma.images),
-                "h": e.h,
-                "eps": e.eps,
-                "text": format_element(e),
-                "distance": cat.distance_of(e),
-                "word": list(cat.word(e)),
-                "psi": list(cat.psi_image(e).images),
-            }
-        )
-    return {
-        "schema_version": 1,
-        "kind": "group-catalog",
-        "n": cat.n,
-        "order": len(cat),
-        "elements": records,
-    }
+    return {**catalog_header(cat), "elements": list(catalog_records(cat))}

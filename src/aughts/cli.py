@@ -2,10 +2,11 @@
 
 Subcommands: verify, group, orbit, trace, census, render.
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O, 4 resource.
-Every ValueError or OverflowError, from the arguments or the library, ends
-with exit 2 and one ``error:`` line on stderr. Each subcommand accepts only
-the options it reads and returns its exit code with its output text; ``main``
-writes that text, to stdout or to ``--out``, in one place.
+Every rejected argument, whether argparse, the CLI or the library refuses it,
+ends with exit 2 and one ``error:`` line on stderr. Each subcommand accepts
+only the options it reads and returns its exit code with its output, a str or
+an iterable of str chunks; ``main`` writes it, to stdout or to ``--out``, in
+one place and with the same bytes on both.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 from aughts import atlas, census, orbits, svg, verify
 from aughts.errors import ResourceLimitError
@@ -26,8 +28,17 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects an argument with one ``error:`` line and exit 2, without the
+    usage line; ``add_subparsers`` makes the subcommand parsers of the same
+    class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aughts",
         description=(
             "Exact-integer toolkit for the group of alternating involutions "
@@ -132,17 +143,18 @@ def _region_from_args(args) -> census.Region:
     return census.Region.rect(*parts)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(output: str | Iterable[str], out_path: str | None) -> None:
+    """Write ``output``, a str or an iterable of str chunks, to stdout or to
+    ``out_path``, ending with a newline on both."""
+    chunks = [output] if isinstance(output, str) else output
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        _write(sys.stdout, chunks)
         return
     target = os.path.realpath(out_path)
     if os.path.exists(target) and not os.path.isfile(target):
         # a device, FIFO or other special file is written into, not replaced
         with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write(handle, chunks)
         return
     # Write a temp file beside the target and rename it over the target, so
     # a failed write leaves the previous file whole and no partial file. The
@@ -154,11 +166,49 @@ def _emit(text: str, out_path: str | None) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # the mode open() would have given
-            handle.write(text)
+            _write(handle, chunks)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write(handle, chunks: Iterable[str]) -> None:
+    """Write the chunks one by one, then a newline unless the last chunk
+    ends with one."""
+    last = ""
+    for last in chunks:
+        handle.write(last)
+    if not last.endswith("\n"):
+        handle.write("\n")
+
+
+def _json_fields(record: dict, depth: int) -> str:
+    """The ``"key": value`` lines of a flat record, laid out as
+    ``json.dumps(indent=2)`` lays out a dict at nesting depth ``depth``.
+    Values are ints, strs or lists of ints."""
+    pad = "  " * (depth + 1)
+    lines = []
+    for key, value in record.items():
+        if isinstance(value, str):
+            value = json.dumps(value)
+        elif isinstance(value, list):
+            items = f",\n{pad}  ".join(map(str, value))
+            value = f"[\n{pad}  {items}\n{pad}]" if value else "[]"
+        lines.append(f"{pad}{json.dumps(key)}: {value}")
+    return ",\n".join(lines)
+
+
+def _catalog_chunks(cat: atlas.GroupCatalog) -> Iterator[str]:
+    """``json.dumps(atlas.catalog_json(cat), indent=2)`` in chunks: the header,
+    one chunk per element record, then the closing brackets. A catalog has
+    at least two elements, so the element list is never empty."""
+    yield "{\n" + _json_fields(atlas.catalog_header(cat), 0) + ',\n  "elements": [\n'
+    separator = ""
+    for record in atlas.catalog_records(cat):
+        yield f"{separator}    {{\n{_json_fields(record, 2)}\n    }}"
+        separator = ",\n"
+    yield "\n  ]\n}"
 
 
 def cmd_verify(args) -> tuple[int, str]:
@@ -177,8 +227,9 @@ def cmd_verify(args) -> tuple[int, str]:
     return int(failed), "".join(line + "\n" for line in lines)
 
 
-def cmd_group(args) -> tuple[int, str]:
-    return 0, json.dumps(atlas.catalog_json(atlas.catalog(args.dim)), indent=2)
+def cmd_group(args) -> tuple[int, Iterator[str]]:
+    # the catalog is built here, so a rejected --dim exits before any output
+    return 0, _catalog_chunks(atlas.catalog(args.dim))
 
 
 def cmd_orbit(args) -> tuple[int, str]:
@@ -294,8 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, text = _COMMANDS[args.command](args)
-        _emit(text, args.out)
+        code, output = _COMMANDS[args.command](args)
+        _emit(output, args.out)
         return code
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

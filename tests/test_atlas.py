@@ -26,6 +26,7 @@ from aughts.intmat import mat_mul
 from aughts.signed_perm import (
     Permutation,
     SignedPermElement,
+    format_element,
     generator,
     identity_element,
     msih_inverse,
@@ -306,6 +307,32 @@ def test_catalog_json_shape():
     first = payload["elements"][0]
     assert set(first) == {"sigma", "h", "eps", "text", "distance", "word", "psi"}
     assert first["distance"] == 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_catalog_records_match_the_parent_chain(n):
+    # the export before words were built from the parent's word: a walk up
+    # the parent chain and an index lookup per element
+    cat = catalog(n)
+    expected = [
+        {
+            "sigma": list(e.sigma.images),
+            "h": e.h,
+            "eps": e.eps,
+            "text": format_element(e),
+            "distance": cat.distance_of(e),
+            "word": list(cat.word(e)),
+            "psi": list(cat.psi_image(e).images),
+        }
+        for e in cat.elements
+    ]
+    assert catalog_json(cat) == {
+        "schema_version": 1,
+        "kind": "group-catalog",
+        "n": n,
+        "order": factorial(n + 1),
+        "elements": expected,
+    }
 
 
 def test_consistency_error_is_runtime_error():

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import time
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,9 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import aughts
+from aughts.atlas import catalog, catalog_json
 from aughts.census import Region
-from aughts.cli import build_parser, main
+from aughts.cli import build_parser, cmd_group, main
 from aughts.svg import DEFAULT_PALETTE, used_fill_colors
 
 
@@ -175,6 +177,43 @@ def test_group_and_verify_stdout_digests(capsys, digest, command):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_group_streams_the_whole_document(capsys, n):
+    # one chunk per record between the header and the closing brackets
+    code, chunks = cmd_group(argparse.Namespace(dim=n))
+    assert code == 0 and len(list(chunks)) == factorial(n + 1) + 2
+    # the old writer, one json.dumps of the whole catalog, is the oracle
+    code, out, _ = run_cli(capsys, "group", "--dim", str(n))
+    assert code == 0
+    assert out == json.dumps(catalog_json(catalog(n)), indent=2) + "\n"
+
+
+def test_group_dim_7_memory_is_bounded(tmp_path):
+    # Linux carries a process's ru_maxrss across exec, so a CLI spawned from
+    # this test process would report at least this process's peak; a small
+    # runner process spawns it and reports its children's peak instead.
+    # Writing the whole document at once peaked near 206 MB.
+    target = tmp_path / "group7.json"
+    runner = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run(sys.argv[1:]).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = [sys.executable, "-m", "aughts.cli", "group", "--dim", "7", "--out", str(target)]
+    src = os.path.dirname(os.path.dirname(aughts.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", runner, *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, max_rss = map(int, proc.stdout.split())
+    assert exit_code == 0
+    assert max_rss < 100 * 1024  # kB
+    # --out writes the stdout bytes
+    digest = {command: d for d, command in CLI_DIGESTS}["aughts group --dim 7"]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
 def test_orbit_2d_json(capsys):
     code, out, _ = run_cli(capsys, "orbit", "1,0")
     assert code == 0
@@ -282,17 +321,17 @@ def run_cli_process(*argv, timeout=60, **kwargs):
     )
 
 
+def _limit_file_size():
+    # writes past 4 kB fail with EFBIG (Python ignores SIGXFSZ)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+
 def test_failed_out_write_keeps_previous_file(tmp_path):
     target = tmp_path / "render.svg"
     target.write_bytes(b"previous\n")
-
-    def limit_file_size():
-        # writes past 4 kB fail with EFBIG (Python ignores SIGXFSZ)
-        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
-
     proc = run_cli_process(
         "render", "--mod", "6", "--sym-square", "20", "--out", str(target),
-        preexec_fn=limit_file_size,
+        preexec_fn=_limit_file_size,
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
@@ -303,6 +342,19 @@ def test_failed_out_write_keeps_previous_file(tmp_path):
     assert proc.returncode == 0
     assert target.read_bytes().startswith(b"<?xml")
     assert [p.name for p in tmp_path.iterdir()] == ["render.svg"]
+
+
+def test_failed_group_out_write_keeps_previous_file(tmp_path):
+    # the write fails part way through the stream of records
+    target = tmp_path / "group.json"
+    target.write_bytes(b"previous\n")
+    proc = run_cli_process(
+        "group", "--dim", "6", "--out", str(target), preexec_fn=_limit_file_size
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
+    assert target.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["group.json"]
 
 
 def test_out_writes_into_a_fifo_without_replacing_it(tmp_path, capsys):
@@ -317,7 +369,7 @@ def test_out_writes_into_a_fifo_without_replacing_it(tmp_path, capsys):
         os.close(reader)
     assert (code, out) == (0, "")
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-    assert data.decode() + "\n" == run_cli(capsys, "orbit", "1,0")[1]
+    assert data == run_cli(capsys, "orbit", "1,0")[1].encode()
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
@@ -329,7 +381,7 @@ def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "orbit", "1,0", "--out", str(link))
     assert (code, out) == (0, "")
     assert link.is_symlink() and os.readlink(link) == str(target)
-    assert target.read_text() + "\n" == run_cli(capsys, "orbit", "1,0")[1]
+    assert target.read_bytes() == run_cli(capsys, "orbit", "1,0")[1].encode()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "orbit.json"]
 
 
@@ -391,9 +443,10 @@ def test_census_mod_beyond_modulus_limit_exits_4():
         ["orbit", "3000000000,1"],
         # range checks the library makes, not the CLI
         ["group", "--dim", "99"],
+        ["group", "--dim", "8"],
         ["census", "--square", "100", "--mod", "1"],
     ],
-    ids=["render-2^62", "orbit-3e9", "group-dim", "census-mod-1"],
+    ids=["render-2^62", "orbit-3e9", "group-dim", "group-dim-8", "census-mod-1"],
 )
 def test_library_value_errors_exit_2(argv):
     proc = run_cli_process(*argv)
@@ -517,6 +570,31 @@ def test_unknown_command_exits_2(capsys):
     # argparse exits through SystemExit; main converts it to the return code
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["group"],
+        ["group", "--dim", "x"],
+        ["group", "--dim", "2", "--format", "json"],
+        ["orbit", "1,0", "--seed-order", "k3-first"],
+    ],
+    ids=["no-command", "unknown-command", "no-dim", "dim-x", "format", "seed-order"],
+)
+def test_argparse_rejections_write_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_keeps_its_text_and_exit_0(capsys):
+    code, out, err = run_cli(capsys, "group", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: aughts group [-h] --dim DIM [--out OUT]\n")
+    assert "--dim DIM" in out.split("options:", 1)[1]
 
 
 # -- fuzzing main(argv) ---------------------------------------------------------
@@ -673,5 +751,9 @@ def test_main_fuzz(argv):
     assert "Traceback" not in err.getvalue()
     if "--seed-order" in argv and argv[0] not in ("orbit", "render"):
         assert code == 2, argv
+    if code == 2:
+        # argparse's rejections too: no usage line
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
     if code == 0:
         _check_against_oracle(argv, out.getvalue())
