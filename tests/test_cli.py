@@ -516,6 +516,21 @@ def test_render_golden_bytes(tmp_path, capsys, name, argv):
     assert out.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
 
 
+# sha256 of the stdout of renders that span many scan blocks, with rows split
+# across blocks: the three scanned modes, #RGB and #RRGGBB palettes, scales
+# 1, 2, 10, 2^63 and 10^20, and rects at the 2^31 corners
+RENDER_DIGESTS = [
+    line.split("  ", 1) for line in (GOLDEN / "render_stdout.sha256").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("digest, command", RENDER_DIGESTS, ids=[c for _, c in RENDER_DIGESTS])
+def test_render_stdout_digests(capsys, digest, command):
+    code, out, _ = run_cli(capsys, *command.split()[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_render_diametral_and_projection(tmp_path, capsys):
     out = tmp_path / "d.svg"
     assert run_cli(capsys, "render", "--diametral", "--sym-square", "10", "--out", str(out))[0] == 0
