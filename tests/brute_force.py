@@ -11,11 +11,19 @@ The group catalog is closed with a queue and a dict keyed by element, one
 ``msih_mul`` per step; elements are ranked by their Lehmer code, and the
 homomorphism law is checked on every pair. The order of an element is found
 by multiplying it by itself until the product is the identity.
+
+The scanned SVG renders are written one f-string per cell, as the emitter
+wrote them before it joined per-block piece tables.
 """
 
 from collections import deque
 
+import numpy as np
+
+from aughts.census import _check_cells, _iter_blocks
+from aughts.orbits import _in_cone, _semi_perimeter
 from aughts.signed_perm import generator, identity_element, msih_mul
+from aughts.svg import DIAMETRAL_COLOR, OTHER_COLOR, PIXEL_BUDGET, _svg_open
 
 
 def k_step(p, j):
@@ -181,3 +189,61 @@ def element_order(a):
             return k
         acc = msih_mul(acc, a)
     raise ValueError("element order not found (not a finite-order element?)")
+
+
+def per_cell_render(spec):
+    """The SVG of a mod, diametral or projection render, one line per cell."""
+    if spec.mode == "projection":
+        return _per_cell_projection(spec)
+    return _per_cell_rects(spec)
+
+
+def _per_cell_rects(spec):
+    _check_cells(spec.region, PIXEL_BUDGET, "render")
+    xmin, xmax, ymin, ymax = spec.region.bounds()
+    s = spec.scale
+    width = (xmax - xmin + 1) * s
+    height = (ymax - ymin + 1) * s
+    lines = [_svg_open(width, height)]
+    for x1, x2 in _iter_blocks(spec.region):
+        if spec.mode == "mod_color":
+            residues = 2 * _semi_perimeter(x1, x2) % spec.modulus
+            colors = [spec.palette[int(r)] for r in residues]
+        else:
+            colors = [DIAMETRAL_COLOR if m else OTHER_COLOR for m in _in_cone(x1, x2)]
+        for a, b, color in zip(x1.tolist(), x2.tolist(), colors):
+            px = (a - xmin) * s
+            py = (ymax - b) * s
+            lines.append(
+                f'<rect x="{px}" y="{py}" width="{s}" height="{s}" fill="{color}"/>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _per_cell_projection(spec):
+    _check_cells(spec.region, PIXEL_BUDGET, "render")
+    radius_px = 220
+    margin = 20
+    size = 2 * (radius_px + margin)
+    center = radius_px + margin
+    lines = [
+        _svg_open(size, size),
+        f'<circle cx="{center}" cy="{center}" r="{radius_px}" fill="none" '
+        f'stroke="#cccccc" stroke-width="1"/>',
+    ]
+    for x1, x2 in _iter_blocks(spec.region):
+        nonzero = (x1 != 0) | (x2 != 0)
+        x1, x2 = x1[nonzero], x2[nonzero]
+        mask = _in_cone(x1, x2)
+        # each square fits int64 (|x| <= 2^31) but their sum needs uint64
+        norm = np.sqrt((x1 * x1).astype(np.uint64) + (x2 * x2).astype(np.uint64))
+        cx = center + radius_px * x1 / norm
+        cy = center - radius_px * x2 / norm
+        for px, py, m in zip(cx.tolist(), cy.tolist(), mask.tolist()):
+            color = DIAMETRAL_COLOR if m else OTHER_COLOR
+            lines.append(
+                f'<circle cx="{px:.3f}" cy="{py:.3f}" r="2" fill="{color}"/>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

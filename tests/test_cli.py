@@ -188,30 +188,52 @@ def test_group_streams_the_whole_document(capsys, n):
     assert out == json.dumps(catalog_json(catalog(n)), indent=2) + "\n"
 
 
-def test_group_dim_7_memory_is_bounded(tmp_path):
-    # Linux carries a process's ru_maxrss across exec, so a CLI spawned from
-    # this test process would report at least this process's peak; a small
-    # runner process spawns it and reports its children's peak instead.
-    # Writing the whole document at once peaked near 206 MB.
-    target = tmp_path / "group7.json"
+def _fresh_cli_max_rss(*argv):
+    """(exit code, peak RSS in kB) of ``python -m aughts.cli *argv``.
+
+    Linux carries a process's ru_maxrss across exec, so a CLI spawned from
+    this test process would report at least this process's peak; a small
+    runner process spawns it and reports its children's peak instead.
+    """
     runner = (
         "import resource, subprocess, sys\n"
         "code = subprocess.run(sys.argv[1:]).returncode\n"
         "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
-    argv = [sys.executable, "-m", "aughts.cli", "group", "--dim", "7", "--out", str(target)]
     src = os.path.dirname(os.path.dirname(aughts.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", runner, *argv],
+        [sys.executable, "-c", runner, sys.executable, "-m", "aughts.cli", *argv],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
     exit_code, max_rss = map(int, proc.stdout.split())
+    return exit_code, max_rss
+
+
+def test_group_dim_7_memory_is_bounded(tmp_path):
+    # Writing the whole document at once peaked near 206 MB.
+    target = tmp_path / "group7.json"
+    exit_code, max_rss = _fresh_cli_max_rss("group", "--dim", "7", "--out", str(target))
     assert exit_code == 0
     assert max_rss < 100 * 1024  # kB
     # --out writes the stdout bytes
     digest = {command: d for d, command in CLI_DIGESTS}["aughts group --dim 7"]
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `aughts render --sym-square 611 --mod 7`, made by the per-cell emitter
+SYM_SQUARE_611_DIGEST = "c458dba48515fcffc571a2a3a884a37cdbe93dc3558e8c29fa180fa7b7e04148"
+
+
+def test_render_at_pixel_budget_memory_is_bounded(tmp_path):
+    # 1,495,729 cells, just under PIXEL_BUDGET, and 96 MB of SVG; one string
+    # per cell peaked near 394 MB, one string per scan block near 216 MB
+    target = tmp_path / "render.svg"
+    argv = ("render", "--sym-square", "611", "--mod", "7", "--out", str(target))
+    exit_code, max_rss = _fresh_cli_max_rss(*argv)
+    assert exit_code == 0
+    assert max_rss < 300 * 1024  # kB
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SYM_SQUARE_611_DIGEST
 
 
 def test_orbit_2d_json(capsys):
