@@ -6,7 +6,6 @@ from aughts.atlas import (
     IsoWitness,
     catalog,
     coset_decomposition,
-    embed_element,
     enumerate_group,
     full_cycle_order_via_sym,
     order_spectrum,

@@ -26,7 +26,6 @@ That is n (n+1)! products instead of ((n+1)!)^2.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -273,32 +272,6 @@ def full_cycle_order_via_sym(n: int) -> int:
             f"symmetric-group order {order} != matrix order {mat_order}"
         )
     return order
-
-
-def embed_element(e: SignedPermElement) -> SignedPermElement:
-    """Embed an element one dimension up by padding with a fixed point."""
-    images = e.sigma.images + (e.degree + 1,)
-    return SignedPermElement.of(Permutation.of(images), e.h, e.eps)
-
-
-def random_word_element(
-    n: int, rng: random.Random, max_len: int = 12
-) -> tuple[SignedPermElement, tuple[int, ...]]:
-    """Random generator word and the element it evaluates to."""
-    length = rng.randint(0, max_len)
-    word = tuple(rng.randint(1, n) for _ in range(length))
-    acc = identity_element(n)
-    for j in word:
-        acc = msih_mul(acc, generator(n, j))
-    return acc, word
-
-
-def psi_of_word(n: int, word: tuple[int, ...]) -> Permutation:
-    """Evaluate the generator map along an arbitrary word (left to right)."""
-    acc = Permutation.identity(n + 1)
-    for j in word:
-        acc = acc.then(_gen_transposition(n, j))
-    return acc
 
 
 def catalog_header(cat: GroupCatalog) -> dict:

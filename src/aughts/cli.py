@@ -62,16 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--word", required=True, help="comma-separated indices")
 
     p_census = sub.add_parser("census", help="orbit/point census over a region")
-    _add_region_flags(p_census)
-    p_census.add_argument("--mod", type=int, default=None)
-    p_census.add_argument("--diametral", action="store_true")
+    _add_region_flags(p_census, required=True)
+    census_mode = p_census.add_mutually_exclusive_group(required=True)
+    census_mode.add_argument("--mod", type=int, default=None)
+    census_mode.add_argument("--diametral", action="store_true")
 
     p_render = sub.add_parser("render", help="deterministic SVG renders")
-    _add_region_flags(p_render)
-    p_render.add_argument("--mod", type=int, default=None)
-    p_render.add_argument("--diametral", action="store_true")
-    p_render.add_argument("--projection", action="store_true")
-    p_render.add_argument("--point", help="single-orbit seed, comma-separated")
+    _add_region_flags(p_render, required=False)  # --point needs no region
+    render_mode = p_render.add_mutually_exclusive_group(required=True)
+    render_mode.add_argument("--mod", type=int, default=None)
+    render_mode.add_argument("--diametral", action="store_true")
+    render_mode.add_argument("--projection", action="store_true")
+    render_mode.add_argument("--point", help="single-orbit seed, comma-separated")
     p_render.add_argument("--palette", help="comma-separated hex colors")
     p_render.add_argument("--scale", type=int, default=10)
     _add_seed_order(p_render)
@@ -93,12 +95,13 @@ def _add_seed_order(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_region_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--square", type=int, default=None, metavar="M")
-    p.add_argument("--sym-square", type=int, default=None, metavar="R")
-    p.add_argument("--hexagon", type=int, default=None, metavar="M")
-    p.add_argument("--disk", type=int, default=None, metavar="R")
-    p.add_argument("--rect", default=None, metavar="X0,X1,Y0,Y1")
+def _add_region_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    region = p.add_mutually_exclusive_group(required=required)
+    region.add_argument("--square", type=int, default=None, metavar="M")
+    region.add_argument("--sym-square", type=int, default=None, metavar="R")
+    region.add_argument("--hexagon", type=int, default=None, metavar="M")
+    region.add_argument("--disk", type=int, default=None, metavar="R")
+    region.add_argument("--rect", default=None, metavar="X0,X1,Y0,Y1")
 
 
 def _parse_point(text: str) -> tuple[int, ...]:
@@ -116,19 +119,7 @@ def _parse_word(text: str) -> tuple[int, ...]:
 
 
 def _region_from_args(args) -> census.Region:
-    chosen = [
-        name
-        for name, value in (
-            ("square", args.square),
-            ("sym-square", args.sym_square),
-            ("hexagon", args.hexagon),
-            ("disk", args.disk),
-            ("rect", args.rect),
-        )
-        if value is not None
-    ]
-    if len(chosen) != 1:
-        raise UsageError("exactly one region flag is required")
+    """The region of the one region flag that argparse let through."""
     if args.square is not None:
         return census.Region.square(args.square)
     if args.sym_square is not None:
@@ -137,6 +128,8 @@ def _region_from_args(args) -> census.Region:
         return census.Region.hexagon(args.hexagon)
     if args.disk is not None:
         return census.Region.disk(args.disk)
+    if args.rect is None:
+        raise UsageError("render needs a region flag unless --point is given")
     parts = _parse_point(args.rect)
     if len(parts) != 4:
         raise UsageError("--rect needs four integers X0,X1,Y0,Y1")
@@ -266,8 +259,6 @@ def cmd_trace(args) -> tuple[int, str]:
 
 def cmd_census(args) -> tuple[int, str]:
     region = _region_from_args(args)
-    if args.diametral == (args.mod is not None):
-        raise UsageError("census needs exactly one of --mod or --diametral")
     if args.mod is not None:
         if region.kind != "square_0M":
             raise UsageError("modular census is defined over --square M")
@@ -288,16 +279,6 @@ def cmd_census(args) -> tuple[int, str]:
 
 
 def cmd_render(args) -> tuple[int, str]:
-    modes = [
-        args.mod is not None,
-        args.diametral,
-        args.projection,
-        args.point is not None,
-    ]
-    if sum(modes) != 1:
-        raise UsageError(
-            "render needs exactly one of --mod, --diametral, --projection, --point"
-        )
     palette = svg.DEFAULT_PALETTE
     if args.palette:
         palette = tuple(c.strip() for c in args.palette.split(",") if c.strip())

@@ -67,12 +67,6 @@ class SmallIntMatrix:
             flat.extend(int(v) for v in row)
         return cls(n, tuple(flat))
 
-    def entry(self, row: int, col: int) -> int:
-        """1-based entry access."""
-        _check_index(self.n, row)
-        _check_index(self.n, col)
-        return self.entries[(row - 1) * self.n + (col - 1)]
-
     def row(self, row: int) -> tuple[int, ...]:
         _check_index(self.n, row)
         start = (row - 1) * self.n

@@ -179,56 +179,25 @@ def to_matrix(e: SignedPermElement) -> SmallIntMatrix:
 def matrix_to_msih(m: SmallIntMatrix) -> SignedPermElement:
     """Decode a matrix back to its unique normalized (sigma, h, eps) triple.
 
-    Raises NotGroupElementError when the matrix is of neither shape.
+    The candidate is read off the nonzero pattern: the pivot row is the row
+    with more than one nonzero entry (at n = 1, the entry -1), every other
+    row maps to the column of its first nonzero entry, and the pivot row to
+    the column no other row uses. The candidate is returned only when it is
+    a permutation that ``to_matrix`` encodes as ``m``, so the matrix form is
+    stated there alone; every other matrix raises NotGroupElementError.
     """
     n = m.n
-    if m.max_abs() > 1:
-        raise NotGroupElementError("entries outside {-1, 0, 1}")
-
-    def _nonzero_cols(row: tuple[int, ...]) -> list[int]:
-        return [k + 1 for k, v in enumerate(row) if v != 0]
-
     rows = m.rows()
-    full_rows = [j for j in range(1, n + 1) if len(_nonzero_cols(rows[j - 1])) > 1]
-
-    if not full_rows:
-        images = []
-        for j in range(1, n + 1):
-            cols = _nonzero_cols(rows[j - 1])
-            if len(cols) != 1:
-                raise NotGroupElementError(f"row {j} has no nonzero entry")
-            (k,) = cols
-            if rows[j - 1][k - 1] == sign_pow(j + k):
-                images.append(k)
-            elif n == 1 and rows[0] == alternating_row(1, 1):
-                return SignedPermElement.of(Permutation.identity(1), 1, 1)
-            else:
-                raise NotGroupElementError(f"wrong sign at ({j}, {k})")
-        if sorted(images) != list(range(1, n + 1)):
-            raise NotGroupElementError("columns do not form a permutation")
-        return SignedPermElement.of(Permutation.of(images), 1, 0)
-
-    if len(full_rows) != 1:
-        raise NotGroupElementError("more than one full row")
-    h = full_rows[0]
-    if rows[h - 1] != alternating_row(n, h):
-        raise NotGroupElementError(f"row {h} is not the alternating row")
-    images = [0] * n
-    for j in range(1, n + 1):
-        if j == h:
-            continue
-        cols = _nonzero_cols(rows[j - 1])
-        if len(cols) != 1:
-            raise NotGroupElementError(f"row {j} has no single nonzero entry")
-        (k,) = cols
-        if rows[j - 1][k - 1] != sign_pow(j + k):
-            raise NotGroupElementError(f"wrong sign at ({j}, {k})")
-        images[j - 1] = k
-    missing = set(range(1, n + 1)) - set(images)
-    if len(missing) != 1:
-        raise NotGroupElementError("columns do not complete to a permutation")
-    images[h - 1] = missing.pop()
-    return SignedPermElement.of(Permutation.of(images), h, 1)
+    images = [next((k for k, v in enumerate(row, 1) if v), 0) for row in rows]
+    pivots = [j for j, row in enumerate(rows, 1) if n - row.count(0) > 1 or row == (-1,)]
+    h, eps = (pivots[0], 1) if pivots else (1, 0)
+    if eps:
+        images[h - 1] = min(set(range(1, n + 1)).difference(images[: h - 1], images[h:]))
+    if sorted(images) == list(range(1, n + 1)):
+        e = SignedPermElement.of(Permutation(tuple(images)), h, eps)
+        if to_matrix(e) == m:
+            return e
+    raise NotGroupElementError(f"not the matrix of a group element: {rows}")
 
 
 _ELEMENT_RE = re.compile(

@@ -3,16 +3,24 @@
 Each suite returns a result object with a check count and, on failure, the
 first counterexample as a printable string.  The CLI `verify` subcommand
 drives these and exits nonzero if anything fails; nothing here should ever
-fail on a correct build.
+fail on a correct build.  The suites that call the library's own internal
+checks run inside their result, so a check that raises
+(``ConsistencyError``, ``NotGroupElementError``, ``UnitEntryError``) ends
+the suite as a failed check with the error as its counterexample, not as a
+traceback.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import factorial
 
 from aughts import atlas, intmat, orbits
+from aughts.atlas import ConsistencyError
+from aughts.intmat import UnitEntryError
 from aughts.signed_perm import (
+    NotGroupElementError,
     format_element,
     identity_element,
     matrix_to_msih,
@@ -48,6 +56,16 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+    def __enter__(self) -> "SuiteResult":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        """Record an internal check that raised as a failed check."""
+        if isinstance(exc, (ConsistencyError, NotGroupElementError, UnitEntryError)):
+            self.fail(f"{kind.__name__}: {exc}")
+            return True
+        return False
 
 
 def involution_suite(n_max: int) -> SuiteResult:
@@ -96,34 +114,34 @@ CLOSED_FORM_SEED = 1789
 
 
 def closed_form_suite(n_max: int) -> SuiteResult:
-    res = SuiteResult("closed-form-products")
-    # pair products, fully
-    for n in range(2, n_max + 1):
-        for j in range(1, n + 1):
-            for ell in range(1, n + 1):
-                if j == ell:
-                    continue
-                res.check(
-                    intmat.product_closed_form(n, (j, ell))
-                    == intmat.k_word_product(n, (j, ell)),
-                    f"pair closed form fails at n={n}, ({j},{ell})",
-                )
-    # random distinct tuples
-    rng = random.Random(CLOSED_FORM_SEED)
-    for _ in range(CLOSED_FORM_TRIALS):
-        n = rng.randint(2, n_max)
-        s = rng.randint(1, n)
-        js = tuple(rng.sample(range(1, n + 1), s))
-        res.check(
-            intmat.product_closed_form(n, js) == intmat.k_word_product(n, js),
-            f"closed form fails at n={n}, tuple {js}",
-        )
-    # full-cycle orders, both directions, matrix vs symmetric group
-    for n in range(1, n_max + 1):
-        down = intmat.matrix_order(intmat.full_cycle_matrix(n, "down"), limit=n + 2)
-        via_sym = atlas.full_cycle_order_via_sym(n)
-        res.check(down == n + 1, f"down cycle order {down} != {n + 1}")
-        res.check(via_sym == n + 1, f"symmetric-group order {via_sym} != {n + 1}")
+    with SuiteResult("closed-form-products") as res:
+        # pair products, fully
+        for n in range(2, n_max + 1):
+            for j in range(1, n + 1):
+                for ell in range(1, n + 1):
+                    if j == ell:
+                        continue
+                    res.check(
+                        intmat.product_closed_form(n, (j, ell))
+                        == intmat.k_word_product(n, (j, ell)),
+                        f"pair closed form fails at n={n}, ({j},{ell})",
+                    )
+        # random distinct tuples
+        rng = random.Random(CLOSED_FORM_SEED)
+        for _ in range(CLOSED_FORM_TRIALS):
+            n = rng.randint(2, n_max)
+            s = rng.randint(1, n)
+            js = tuple(rng.sample(range(1, n + 1), s))
+            res.check(
+                intmat.product_closed_form(n, js) == intmat.k_word_product(n, js),
+                f"closed form fails at n={n}, tuple {js}",
+            )
+        # full-cycle orders, both directions, matrix vs symmetric group
+        for n in range(1, n_max + 1):
+            down = intmat.matrix_order(intmat.full_cycle_matrix(n, "down"), limit=n + 2)
+            via_sym = atlas.full_cycle_order_via_sym(n)
+            res.check(down == n + 1, f"down cycle order {down} != {n + 1}")
+            res.check(via_sym == n + 1, f"symmetric-group order {via_sym} != {n + 1}")
     return res
 
 
@@ -161,65 +179,64 @@ def rank_one_suite(n_max: int) -> SuiteResult:
 
 def oracle_suite(n_max: int) -> SuiteResult:
     """Symbolic multiplication against the matrix product, all pairs."""
-    res = SuiteResult("matrix-symbol-oracle")
-    for n in range(1, min(n_max, 4) + 1):
-        elements = atlas.catalog(n).elements
-        mats = {e: to_matrix(e) for e in elements}
-        for a in elements:
-            for b in elements:
+    with SuiteResult("matrix-symbol-oracle") as res:
+        for n in range(1, min(n_max, 4) + 1):
+            elements = atlas.catalog(n).elements
+            mats = {e: to_matrix(e) for e in elements}
+            for a in elements:
+                for b in elements:
+                    res.check(
+                        to_matrix(msih_mul(a, b)) == intmat.mat_mul(mats[a], mats[b]),
+                        f"oracle fails at n={n}: {format_element(a)} * {format_element(b)}",
+                    )
+            ident = identity_element(n)
+            for e in elements:
                 res.check(
-                    to_matrix(msih_mul(a, b)) == intmat.mat_mul(mats[a], mats[b]),
-                    f"oracle fails at n={n}: {format_element(a)} * {format_element(b)}",
+                    msih_mul(e, msih_inverse(e)) == ident,
+                    f"inverse law fails at n={n}: {format_element(e)}",
                 )
-        ident = identity_element(n)
-        for e in elements:
-            res.check(
-                msih_mul(e, msih_inverse(e)) == ident,
-                f"inverse law fails at n={n}: {format_element(e)}",
-            )
-            res.check(
-                matrix_to_msih(mats[e]) == e,
-                f"round trip fails at n={n}: {format_element(e)}",
-            )
-        res.notes.append(f"n={n}: {len(elements) ** 2} oracle pairs checked")
+                res.check(
+                    matrix_to_msih(mats[e]) == e,
+                    f"round trip fails at n={n}: {format_element(e)}",
+                )
+            res.notes.append(f"n={n}: {len(elements) ** 2} oracle pairs checked")
     return res
 
 
 def group_suite(n_max: int) -> SuiteResult:
-    res = SuiteResult("group-structure")
-    from math import factorial
-
-    for n in range(1, n_max + 1):
-        cat = atlas.catalog(n)
-        res.check(
-            len(cat) == factorial(n + 1),
-            f"|M({n})| = {len(cat)} != {factorial(n + 1)}",
-        )
-        blocks = atlas.coset_decomposition(cat)
-        res.check(
-            len(blocks) == n + 1 and all(len(b) == factorial(n) for b in blocks.values()),
-            f"coset decomposition wrong at n={n}",
-        )
-        witness = atlas.verify_isomorphism(n)
-        res.check(
-            len(witness.backward) == factorial(n + 1),
-            f"isomorphism not bijective at n={n}",
-        )
-        res.notes.append(f"|M({n})| = {len(cat)}; isomorphic to S_{n + 1}: OK")
-    if n_max >= 3:
-        cat3 = atlas.catalog(3)
-        spectrum = atlas.order_spectrum(cat3)
-        res.check(
-            spectrum == {1: 1, 2: 9, 3: 8, 4: 6},
-            f"order spectrum at n=3 is {spectrum}",
-        )
-        res.check(12 not in spectrum, "n=3 has an element of order 12")
-        hist = cat3.distance_histogram()
-        res.check(
-            hist.get(4) == 5 and max(hist) == 4,
-            f"distance histogram at n=3 is {hist}",
-        )
-        res.notes.append(f"order spectrum of M(3): {spectrum}")
+    with SuiteResult("group-structure") as res:
+        for n in range(1, n_max + 1):
+            cat = atlas.catalog(n)
+            res.check(
+                len(cat) == factorial(n + 1),
+                f"|M({n})| = {len(cat)} != {factorial(n + 1)}",
+            )
+            blocks = atlas.coset_decomposition(cat)
+            res.check(
+                len(blocks) == n + 1
+                and all(len(b) == factorial(n) for b in blocks.values()),
+                f"coset decomposition wrong at n={n}",
+            )
+            witness = atlas.verify_isomorphism(n)
+            res.check(
+                len(witness.backward) == factorial(n + 1),
+                f"isomorphism not bijective at n={n}",
+            )
+            res.notes.append(f"|M({n})| = {len(cat)}; isomorphic to S_{n + 1}: OK")
+        if n_max >= 3:
+            cat3 = atlas.catalog(3)
+            spectrum = atlas.order_spectrum(cat3)
+            res.check(
+                spectrum == {1: 1, 2: 9, 3: 8, 4: 6},
+                f"order spectrum at n=3 is {spectrum}",
+            )
+            res.check(12 not in spectrum, "n=3 has an element of order 12")
+            hist = cat3.distance_histogram()
+            res.check(
+                hist.get(4) == 5 and max(hist) == 4,
+                f"distance histogram at n=3 is {hist}",
+            )
+            res.notes.append(f"order spectrum of M(3): {spectrum}")
     return res
 
 

@@ -10,7 +10,9 @@ beyond 2^31 are fine.
 The group catalog is closed with a queue and a dict keyed by element, one
 ``msih_mul`` per step; elements are ranked by their Lehmer code, and the
 homomorphism law is checked on every pair. The order of an element is found
-by multiplying it by itself until the product is the identity.
+by multiplying it by itself until the product is the identity. Random words,
+the generator map along a word and the embedding one dimension up are the
+group helpers that only the tests use.
 
 The scanned SVG renders are written one f-string per cell, as the emitter
 wrote them before it joined per-block piece tables.
@@ -22,7 +24,13 @@ import numpy as np
 
 from aughts.census import _check_cells, _iter_blocks
 from aughts.orbits import _in_cone, _semi_perimeter
-from aughts.signed_perm import generator, identity_element, msih_mul
+from aughts.signed_perm import (
+    Permutation,
+    SignedPermElement,
+    generator,
+    identity_element,
+    msih_mul,
+)
 from aughts.svg import DIAMETRAL_COLOR, OTHER_COLOR, PIXEL_BUDGET, _svg_open
 
 
@@ -189,6 +197,31 @@ def element_order(a):
             return k
         acc = msih_mul(acc, a)
     raise ValueError("element order not found (not a finite-order element?)")
+
+
+def embed_element(e):
+    """Embed an element one dimension up by padding with a fixed point."""
+    images = e.sigma.images + (e.degree + 1,)
+    return SignedPermElement.of(Permutation.of(images), e.h, e.eps)
+
+
+def random_word_element(n, rng, max_len=12):
+    """(element, word): a random generator word and the element it
+    evaluates to."""
+    word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_len)))
+    acc = identity_element(n)
+    for j in word:
+        acc = msih_mul(acc, generator(n, j))
+    return acc, word
+
+
+def psi_of_word(n, word):
+    """The generator map along an arbitrary word, read left to right: K(j)
+    goes to the transposition (1, j+1)."""
+    acc = Permutation.identity(n + 1)
+    for j in word:
+        acc = acc.then(Permutation.transposition(n + 1, 1, j + 1))
+    return acc
 
 
 def per_cell_render(spec):

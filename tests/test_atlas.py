@@ -5,7 +5,15 @@ from collections import Counter
 from math import factorial
 
 import pytest
-from brute_force import all_pairs_homomorphism, bfs_catalog, element_order, lehmer_rank
+from brute_force import (
+    all_pairs_homomorphism,
+    bfs_catalog,
+    element_order,
+    embed_element,
+    lehmer_rank,
+    psi_of_word,
+    random_word_element,
+)
 
 from aughts import atlas
 from aughts.atlas import (
@@ -13,13 +21,10 @@ from aughts.atlas import (
     catalog,
     catalog_json,
     coset_decomposition,
-    embed_element,
     enumerate_group,
     full_cycle_order_via_sym,
     order_spectrum,
     psi,
-    psi_of_word,
-    random_word_element,
     verify_isomorphism,
 )
 from aughts.intmat import mat_mul

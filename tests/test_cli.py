@@ -83,6 +83,62 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert target.read_text() == out
 
 
+def _conjugate_psi_at_3(monkeypatch):
+    # a conjugate of psi at n = 3 is still a bijective homomorphism, but
+    # sends K(j) to the wrong transpositions
+    from aughts import atlas
+    from aughts.signed_perm import Permutation
+
+    c = Permutation.of((2, 3, 1, 4))
+    true_psi = atlas.psi
+    monkeypatch.setattr(
+        atlas,
+        "psi",
+        lambda e, n: c.inverse().then(true_psi(e, n)).then(c) if n == 3 else true_psi(e, n),
+    )
+
+
+def _refuse_decoding(monkeypatch):
+    from aughts import verify as verify_mod
+    from aughts.signed_perm import NotGroupElementError
+
+    def refuse(m):
+        raise NotGroupElementError(f"refused {m.rows()}")
+
+    monkeypatch.setattr(verify_mod, "matrix_to_msih", refuse)
+
+
+def _closed_form_leaves_unit_entries(monkeypatch):
+    from aughts import intmat
+
+    def leave(n, js):
+        raise intmat.UnitEntryError(f"entry 2 in the product of {js}")
+
+    monkeypatch.setattr(intmat, "product_closed_form", leave)
+
+
+@pytest.mark.parametrize(
+    "breakage, suite, counterexample",
+    [
+        (_conjugate_psi_at_3, "group-structure", "ConsistencyError: psi(K(1)) is not (1, 2)"),
+        (_refuse_decoding, "matrix-symbol-oracle", "NotGroupElementError: refused ((1,),)"),
+        (_closed_form_leaves_unit_entries, "closed-form-products",
+         "UnitEntryError: entry 2 in the product of (1, 2)"),
+    ],
+    ids=["consistency", "decoder", "unit-entries"],
+)
+def test_verify_reports_a_raising_internal_check(
+    capsys, monkeypatch, breakage, suite, counterexample
+):
+    breakage(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "3")
+    assert (code, err) == (1, "")
+    assert f"[FAIL] {suite}: " in out
+    assert f"       first counterexample: {counterexample}\n" in out
+    assert out.count("[FAIL]") == 1
+    assert out.endswith(")\n") and "some suites FAILED" in out.splitlines()[-1]
+
+
 def test_verify_out_writes_the_stdout_bytes(tmp_path, capsys):
     target = tmp_path / "verify.txt"
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--out", str(target))
@@ -581,6 +637,10 @@ def test_render_usage_errors(capsys):
     assert run_cli(capsys, "render", "--sym-square", "8")[0] == 2
     assert run_cli(capsys, "render", "--mod", "25", "--sym-square", "8")[0] == 2
     assert run_cli(capsys, "render", "--mod", "6", "--diametral", "--sym-square", "8")[0] == 2
+    assert run_cli(capsys, "render", "--mod", "6")[0] == 2
+    # --point ignores one region flag, but two are rejected as in every mode
+    assert run_cli(capsys, "render", "--point", "1,2", "--square", "3")[0] == 0
+    assert run_cli(capsys, "render", "--point", "1,2", "--square", "3", "--disk", "4")[0] == 2
 
 
 def test_render_custom_palette(tmp_path, capsys):
@@ -618,8 +678,14 @@ def test_unknown_command_exits_2(capsys):
         ["group", "--dim", "x"],
         ["group", "--dim", "2", "--format", "json"],
         ["orbit", "1,0", "--seed-order", "k3-first"],
+        ["census", "--square", "5", "--disk", "5", "--diametral"],
+        ["census", "--square", "5"],
+        ["render", "--mod", "6", "--projection", "--square", "5"],
     ],
-    ids=["no-command", "unknown-command", "no-dim", "dim-x", "format", "seed-order"],
+    ids=[
+        "no-command", "unknown-command", "no-dim", "dim-x", "format", "seed-order",
+        "two-regions", "no-census-mode", "two-render-modes",
+    ],
 )
 def test_argparse_rejections_write_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,12 +1,13 @@
 """Symbolic (sigma, h, eps) elements against the matrix oracle."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from brute_force import element_order
 
-from aughts.intmat import identity_matrix, make_k, mat_mul
+from aughts.atlas import catalog
+from aughts.intmat import SmallIntMatrix, identity_matrix, make_k, mat_mul, zero_matrix
 from aughts.signed_perm import (
     NotGroupElementError,
     Permutation,
@@ -145,8 +146,6 @@ def test_matrix_to_msih_examples():
 
 
 def test_matrix_to_msih_rejects_non_elements():
-    from aughts.intmat import SmallIntMatrix, zero_matrix
-
     with pytest.raises(NotGroupElementError):
         matrix_to_msih(zero_matrix(3))
     with pytest.raises(NotGroupElementError):
@@ -157,6 +156,21 @@ def test_matrix_to_msih_rejects_non_elements():
     with pytest.raises(NotGroupElementError):
         # two full rows
         matrix_to_msih(SmallIntMatrix.from_rows([[-1, 1], [1, -1]]))
+
+
+@pytest.mark.parametrize("n, values", [(1, (-1, 0, 1, 2)), (2, (-1, 0, 1, 2)), (3, (-1, 0, 1))])
+def test_matrix_to_msih_decodes_exactly_the_group_matrices(n, values):
+    # every matrix with entries in ``values``: the decoder returns e exactly
+    # on to_matrix(e) and raises NotGroupElementError on every other one
+    encoded = {to_matrix(e): e for e in catalog(n).elements}
+    decoded = {}
+    for entries in product(values, repeat=n * n):
+        m = SmallIntMatrix(n, entries)
+        try:
+            decoded[m] = matrix_to_msih(m)
+        except NotGroupElementError:
+            pass
+    assert decoded == encoded
 
 
 def test_element_order_small():
