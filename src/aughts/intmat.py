@@ -2,8 +2,10 @@
 
 The generator ``K(j)`` is the identity matrix with row ``j`` replaced by the
 alternating row ``r(j) = ((-1)^j, (-1)^(j+1), ..., (-1)^(j+n-1))``.  All
-arithmetic here is exact; entries are checked against the signed 64-bit range
-and equality is entry-wise, with no tolerances anywhere.
+arithmetic here is exact; entries are Python ints, products are checked
+against the signed 64-bit range and equality is entry-wise, with no
+tolerances anywhere.  ``mat_mul`` multiplies with numpy: in int64 when a
+bound on its input rules out any wrap, and in Python ints otherwise.
 
 Indices on the public surface are 1-based (matching the usual notation for
 the generators); storage is 0-based internally.
@@ -11,8 +13,11 @@ the generators); storage is 0-based internally.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
+
+import numpy as np
 
 INT64_MAX = 2**63 - 1
 
@@ -45,7 +50,12 @@ def alternating_row(n: int, j: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SmallIntMatrix:
-    """Dense n x n integer matrix, row-major, immutable and hashable."""
+    """Dense n x n integer matrix, row-major, immutable and hashable.
+
+    Every entry is a Python ``int``: a numpy integer would wrap silently in
+    arithmetic and a float would be truncated, so both are refused here
+    (``from_rows`` converts numpy integers exactly).
+    """
 
     n: int
     entries: tuple[int, ...]
@@ -56,6 +66,8 @@ class SmallIntMatrix:
             raise ValueError(
                 f"expected {self.n * self.n} entries, got {len(self.entries)}"
             )
+        if set(map(type, self.entries)) != {int}:
+            raise TypeError("matrix entries must be Python ints")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SmallIntMatrix":
@@ -64,7 +76,7 @@ class SmallIntMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError("rows must form a square matrix")
-            flat.extend(int(v) for v in row)
+            flat.extend(map(operator.index, row))
         return cls(n, tuple(flat))
 
     def row(self, row: int) -> tuple[int, ...]:
@@ -76,7 +88,7 @@ class SmallIntMatrix:
         return tuple(self.row(i) for i in range(1, self.n + 1))
 
     def max_abs(self) -> int:
-        return max(abs(v) for v in self.entries)
+        return max(map(abs, self.entries))
 
     def is_identity(self) -> bool:
         return self == identity_matrix(self.n)
@@ -116,26 +128,34 @@ def pivot_outer(n: int, j: int) -> SmallIntMatrix:
 def make_k(n: int, j: int) -> SmallIntMatrix:
     """Generator K(j): identity with row j replaced by the alternating row."""
     _check_index(n, j)
-    rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    rows[j - 1] = list(alternating_row(n, j))
-    return SmallIntMatrix.from_rows(rows)
+    entries = [0] * (n * n)
+    entries[:: n + 1] = [1] * n
+    entries[(j - 1) * n : j * n] = alternating_row(n, j)
+    return SmallIntMatrix(n, tuple(entries))
 
 
 def mat_mul(a: SmallIntMatrix, b: SmallIntMatrix) -> SmallIntMatrix:
-    """Exact product; raises OverflowError past the signed 64-bit range."""
+    """Exact product; raises OverflowError past the signed 64-bit range.
+
+    Each entry of the product, and each partial sum on the way to it, is a
+    sum of at most n terms of size at most max|a| * max|b|.  So when
+    n * max(max|a|, 1) * max(max|b|, 1) <= 2^63 - 1 the product runs in
+    int64, which then cannot wrap and needs no range check; otherwise it
+    runs in Python ints (``dtype=object``) and the entries are checked.
+    The max with 1 keeps a zero factor whose partner lies beyond int64 off
+    the int64 path.
+    """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     n = a.n
-    ae, be = a.entries, b.entries
-    out: list[int] = []
-    for i in range(n):
-        arow = ae[i * n : (i + 1) * n]
-        for j in range(n):
-            v = sum(arow[k] * be[k * n + j] for k in range(n))
-            if abs(v) > INT64_MAX:
-                raise OverflowError("matrix product exceeds 64-bit range")
-            out.append(v)
-    return SmallIntMatrix(n, tuple(out))
+    bound = n * max(a.max_abs(), 1) * max(b.max_abs(), 1)
+    dtype = np.int64 if bound <= INT64_MAX else object
+    x = np.array(a.entries, dtype).reshape(n, n)
+    y = np.array(b.entries, dtype).reshape(n, n)
+    out = tuple((x @ y).ravel().tolist())
+    if dtype is object and max(map(abs, out)) > INT64_MAX:
+        raise OverflowError("matrix product exceeds 64-bit range")
+    return SmallIntMatrix(n, out)
 
 
 def mat_add(a: SmallIntMatrix, b: SmallIntMatrix) -> SmallIntMatrix:
@@ -202,15 +222,16 @@ def product_closed_form(n: int, js: Sequence[int]) -> SmallIntMatrix:
     if len(set(js)) != len(js):
         raise ValueError("indices must be distinct")
 
-    rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+    entries = [0] * (n * n)
+    entries[:: n + 1] = [1] * n
     for j in js:
-        rows[j - 1][j - 1] = 0
+        entries[(j - 1) * (n + 1)] = 0
     for j, ell in zip(js, js[1:]):
-        rows[j - 1][ell - 1] += sign_pow(j + ell)
-    last = js[-1]
-    alt = alternating_row(n, last)
-    rows[last - 1] = [v + w for v, w in zip(rows[last - 1], alt)]
-    return assert_unit_entries(SmallIntMatrix.from_rows(rows))
+        entries[(j - 1) * n + ell - 1] += sign_pow(j + ell)
+    start = (js[-1] - 1) * n
+    for k, v in enumerate(alternating_row(n, js[-1])):
+        entries[start + k] += v
+    return assert_unit_entries(SmallIntMatrix(n, tuple(entries)))
 
 
 def full_cycle_matrix(

@@ -183,22 +183,28 @@ def oracle_suite(n_max: int) -> SuiteResult:
         for n in range(1, min(n_max, 4) + 1):
             elements = atlas.catalog(n).elements
             mats = {e: to_matrix(e) for e in elements}
+            # a product that is not a key of the table (say, an unnormalized
+            # triple) is encoded; failure texts are formatted only on failure
             for a in elements:
+                ma = mats[a]
                 for b in elements:
-                    res.check(
-                        to_matrix(msih_mul(a, b)) == intmat.mat_mul(mats[a], mats[b]),
-                        f"oracle fails at n={n}: {format_element(a)} * {format_element(b)}",
-                    )
+                    p = msih_mul(a, b)
+                    if (mats.get(p) or to_matrix(p)) == intmat.mat_mul(ma, mats[b]):
+                        res.ok()
+                    else:
+                        res.fail(
+                            f"oracle fails at n={n}: {format_element(a)} * {format_element(b)}"
+                        )
             ident = identity_element(n)
             for e in elements:
-                res.check(
-                    msih_mul(e, msih_inverse(e)) == ident,
-                    f"inverse law fails at n={n}: {format_element(e)}",
-                )
-                res.check(
-                    matrix_to_msih(mats[e]) == e,
-                    f"round trip fails at n={n}: {format_element(e)}",
-                )
+                if msih_mul(e, msih_inverse(e)) == ident:
+                    res.ok()
+                else:
+                    res.fail(f"inverse law fails at n={n}: {format_element(e)}")
+                if matrix_to_msih(mats[e]) == e:
+                    res.ok()
+                else:
+                    res.fail(f"round trip fails at n={n}: {format_element(e)}")
             res.notes.append(f"n={n}: {len(elements) ** 2} oracle pairs checked")
     return res
 

@@ -16,6 +16,9 @@ group helpers that only the tests use.
 
 The scanned SVG renders are written one f-string per cell, as the emitter
 wrote them before it joined per-block piece tables.
+
+Integer matrices are multiplied with a triple loop in Python ints, one entry
+at a time, as ``intmat.mat_mul`` did before it multiplied with numpy.
 """
 
 from collections import deque
@@ -23,6 +26,7 @@ from collections import deque
 import numpy as np
 
 from aughts.census import _check_cells, _iter_blocks
+from aughts.intmat import INT64_MAX, SmallIntMatrix
 from aughts.orbits import _in_cone, _semi_perimeter
 from aughts.signed_perm import (
     Permutation,
@@ -222,6 +226,22 @@ def psi_of_word(n, word):
     for j in word:
         acc = acc.then(Permutation.transposition(n + 1, 1, j + 1))
     return acc
+
+
+def loop_mat_mul(a, b):
+    """Exact product by the triple loop; OverflowError at the first entry
+    beyond the signed 64-bit range."""
+    n = a.n
+    ae, be = a.entries, b.entries
+    out = []
+    for i in range(n):
+        arow = ae[i * n : (i + 1) * n]
+        for j in range(n):
+            v = sum(arow[k] * be[k * n + j] for k in range(n))
+            if abs(v) > INT64_MAX:
+                raise OverflowError("matrix product exceeds 64-bit range")
+            out.append(v)
+    return SmallIntMatrix(n, tuple(out))
 
 
 def per_cell_render(spec):

@@ -139,6 +139,49 @@ def test_verify_reports_a_raising_internal_check(
     assert out.endswith(")\n") and "some suites FAILED" in out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("wrong_degree", [2, 3], ids=["in-table", "outside-table"])
+def test_verify_reports_a_wrong_oracle_product(capsys, monkeypatch, wrong_degree):
+    # one product at n = 2 comes back as the identity: of M(2), whose matrix
+    # the oracle's table holds, or of M(3), whose matrix it must encode
+    from aughts import verify as verify_mod
+    from aughts.signed_perm import generator, identity_element
+
+    true_mul = verify_mod.msih_mul
+    pair = (generator(2, 1), generator(2, 2))
+    wrong = identity_element(wrong_degree)
+    monkeypatch.setattr(
+        verify_mod, "msih_mul", lambda a, b: wrong if (a, b) == pair else true_mul(a, b)
+    )
+    code, out, err = run_cli(capsys, "verify", "--max-n", "2")
+    assert (code, err) == (1, "")
+    assert "[FAIL] matrix-symbol-oracle: 56 checks\n" in out
+    assert (
+        "       first counterexample: oracle fails at n=2: "
+        "M(sigma=[1,2];h=1;eps=1) * M(sigma=[1,2];h=2;eps=1)\n"
+    ) in out
+    assert out.count("[FAIL]") == 1
+    assert out.endswith("some suites FAILED (2346 checks)\n")
+
+
+def test_verify_oracle_encodes_a_product_outside_its_table(capsys, monkeypatch):
+    # a product with the pivot 2 left on an eps = 0 element is not a key of
+    # the oracle's table, but its matrix is right, so every check passes
+    from aughts import verify as verify_mod
+    from aughts.signed_perm import Permutation, SignedPermElement, identity_element
+
+    true_mul = verify_mod.msih_mul
+    swap = SignedPermElement.of(Permutation.of((2, 1)), 1, 0)
+    pair = (swap, identity_element(2))
+    stray = SignedPermElement(swap.sigma, 2, 0)
+    assert stray != swap
+    monkeypatch.setattr(
+        verify_mod, "msih_mul", lambda a, b: stray if (a, b) == pair else true_mul(a, b)
+    )
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "2")
+    assert code == 0
+    assert "[PASS] matrix-symbol-oracle: 56 checks\n" in out
+
+
 def test_verify_out_writes_the_stdout_bytes(tmp_path, capsys):
     target = tmp_path / "verify.txt"
     code, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--out", str(target))

@@ -2,12 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
+from brute_force import loop_mat_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aughts import intmat
 from aughts.intmat import (
+    INT64_MAX,
     SmallIntMatrix,
     alternating_row,
     basis_outer,
@@ -46,6 +49,23 @@ def test_matrix_shape_validation():
         SmallIntMatrix.from_rows([[1, 0], [0]])
 
 
+def test_matrix_entries_must_be_python_ints():
+    # an np.int64 entry would make the product wrap (2^40 squared read 0)
+    # and a float would be truncated, so both are refused
+    big = np.int64(2**40)
+    for entries in ((big, 0, 0, 1), (1.0, 0, 0, 1), (True, 0, 0, 1)):
+        with pytest.raises(TypeError):
+            SmallIntMatrix(2, entries)
+    with pytest.raises(TypeError):
+        SmallIntMatrix.from_rows([[1.5, 0], [0, 1]])
+    # from_rows converts numpy integers exactly
+    m = SmallIntMatrix.from_rows([[big, np.int32(0)], [np.uint8(0), 1]])
+    assert m.entries == (2**40, 0, 0, 1)
+    assert set(map(type, m.entries)) == {int}
+    with pytest.raises(OverflowError):
+        mat_mul(m, m)
+
+
 def test_make_k_displays():
     assert make_k(3, 1).rows() == ((-1, 1, -1), (0, 1, 0), (0, 0, 1))
     assert make_k(3, 3).rows() == ((1, 0, 0), (0, 1, 0), (-1, 1, -1))
@@ -81,6 +101,90 @@ def test_mat_mul_overflow_checked():
     big = SmallIntMatrix.from_rows([[2**62, 0], [0, 1]])
     with pytest.raises(OverflowError):
         mat_mul(big, big)
+
+
+def _outcome(mul, a, b):
+    try:
+        return mul(a, b)
+    except OverflowError:
+        return OverflowError
+
+
+def _assert_agrees_with_loop(a, b):
+    """mat_mul returns what the triple loop returns, or raises where it does."""
+    got = _outcome(mat_mul, a, b)
+    assert got == _outcome(loop_mat_mul, a, b)
+    return got
+
+
+def _random_matrix(rng, n, values):
+    return SmallIntMatrix(n, tuple(values(rng) for _ in range(n * n)))
+
+
+def test_mat_mul_matches_loop_on_dense_entries():
+    rng = random.Random(2509)
+    small = lambda r: r.randint(-50, 50)
+    for n in range(1, 9):
+        for _ in range(40):
+            a, b = _random_matrix(rng, n, small), _random_matrix(rng, n, small)
+            assert _assert_agrees_with_loop(a, b) is not OverflowError
+
+
+def test_mat_mul_matches_loop_near_the_int64_range():
+    rng = random.Random(17838)
+    edges = [0, 1, -1, 2**31, -(2**31), 2**31 - 1, 2**62, -(2**62), 2**62 - 1]
+    choices = [
+        lambda r: r.choice(edges),
+        # magnitudes from a few bits to past int64
+        lambda r: r.choice((-1, 1)) * r.getrandbits(r.randint(1, 70)),
+    ]
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        values = rng.choice(choices)
+        a, b = _random_matrix(rng, n, values), _random_matrix(rng, n, values)
+        outcomes.add(_assert_agrees_with_loop(a, b) is OverflowError)
+    assert outcomes == {False, True}
+
+
+def test_mat_mul_at_the_no_wrap_bound():
+    # n * max|a| * max|b| == 2^63 - 1 exactly: n = 7, max|a| = 1
+    c = INT64_MAX // 7
+    assert 7 * c == INT64_MAX
+    ones = SmallIntMatrix(7, (1,) * 49)
+    b = SmallIntMatrix(7, (c, -c, 0, 1, -1, c, 5) * 7)
+    got = _assert_agrees_with_loop(ones, b)
+    assert got.row(1)[:3] == (INT64_MAX, -INT64_MAX, 0)
+    # bound 2^63: n = 2, max|a| = 2^62, max|b| = 1
+    a = SmallIntMatrix.from_rows([[2**62, 2**62], [2**62, 2**62 - 1]])
+    cancel = SmallIntMatrix.from_rows([[1, 0], [-1, 0]])
+    assert _assert_agrees_with_loop(a, cancel).entries == (0, 0, 1, 0)
+    adds = SmallIntMatrix.from_rows([[1, 0], [1, 0]])
+    assert _assert_agrees_with_loop(a, adds) is OverflowError
+
+
+def test_mat_mul_results_at_the_int64_edges():
+    top = SmallIntMatrix.from_rows([[2**62, 2**62 - 1], [0, 0]])
+    for sign in (1, -1):
+        col = SmallIntMatrix.from_rows([[sign, 0], [sign, 0]])
+        got = _assert_agrees_with_loop(top, col)
+        assert got.entries == (sign * INT64_MAX, 0, 0, 0)
+    # 2^63 and -2^63 both raise, although int64 holds -2^63
+    row = SmallIntMatrix.from_rows([[2**62, 2**62], [0, 0]])
+    for sign in (1, -1):
+        col = SmallIntMatrix.from_rows([[sign, 0], [sign, 0]])
+        assert _assert_agrees_with_loop(row, col) is OverflowError
+        with pytest.raises(OverflowError):
+            mat_mul(row, col)
+
+
+def test_mat_mul_zero_factor_against_entries_beyond_int64():
+    huge = SmallIntMatrix.from_rows(
+        [[2**64, -(2**100), 3], [1, 2**63, 0], [0, 0, 2**70]]
+    )
+    zero = zero_matrix(3)
+    assert _assert_agrees_with_loop(zero, huge) == zero
+    assert _assert_agrees_with_loop(huge, zero) == zero
 
 
 def test_product_closed_form_displays():
