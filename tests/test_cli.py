@@ -263,7 +263,7 @@ def test_group_dim_3_golden_bytes(capsys):
 
 
 # sha256 of the stdout of `aughts group --dim 1..7` and `aughts verify
-# --max-n 1..5`, one "<digest>  <command>" line each
+# --max-n 1..7`, one "<digest>  <command>" line each
 CLI_DIGESTS = [
     line.split("  ", 1) for line in (GOLDEN / "cli_stdout.sha256").read_text().splitlines()
 ]
