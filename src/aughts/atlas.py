@@ -26,10 +26,10 @@ That is n (n+1)! products instead of ((n+1)!)^2.
 
 from __future__ import annotations
 
-from collections import Counter
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -41,8 +41,6 @@ from aughts.signed_perm import (
     SignedPermElement,
     format_element,
     generator,
-    identity_element,
-    msih_mul,
 )
 
 ENUMERATION_MAX_N = 7
@@ -57,30 +55,47 @@ def _gen_transposition(n: int, j: int) -> Permutation:
     return Permutation.transposition(n + 1, 1, j + 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupCatalog:
-    """All (n+1)! group elements with BFS distances and parent links."""
+    """All (n+1)! group elements as arrays over BFS positions: the rank, the
+    distance, the parent's position and the generator j with element =
+    K(j) * parent (parent -1 and j 0 at the identity); ``position`` maps a
+    rank back to its BFS position. ``elements`` and ``index`` decode the
+    ranks into triples when first read."""
 
     n: int
-    elements: list[SignedPermElement]
-    index: dict[SignedPermElement, int]
-    distance: list[int]
-    parent: list[tuple[int, int] | None]
+    rank: np.ndarray
+    distance: np.ndarray
+    parent: np.ndarray
+    via: np.ndarray
+    position: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rank)
+
+    @cached_property
+    def elements(self) -> list[SignedPermElement]:
+        sigmas = [Permutation(p) for p in permutations(range(1, self.n + 1))]
+        lehmer, pivot = np.divmod(self.rank, self.n + 1)
+        return [
+            SignedPermElement(sigmas[s], h or 1, 1 if h else 0)
+            for s, h in zip(lehmer.tolist(), pivot.tolist())
+        ]
+
+    @cached_property
+    def index(self) -> dict[SignedPermElement, int]:
+        return dict(zip(self.elements, range(len(self))))
 
     def distance_of(self, e: SignedPermElement) -> int:
-        return self.distance[self._index_of(e)]
+        return int(self.distance[self._position_of(e)])
 
     def word(self, e: SignedPermElement) -> tuple[int, ...]:
         """Generator word (j1, ..., jd) with e = K(j1) K(j2) ... K(jd)."""
-        i = self._index_of(e)
+        i = self._position_of(e)
         out: list[int] = []
-        while self.parent[i] is not None:
-            i_parent, j = self.parent[i]
-            out.append(j)
-            i = i_parent
+        while i > 0:
+            out.append(int(self.via[i]))
+            i = int(self.parent[i])
         return tuple(out)
 
     def psi_image(self, e: SignedPermElement) -> Permutation:
@@ -88,13 +103,35 @@ class GroupCatalog:
         return psi(e, self.n)
 
     def distance_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.distance).items()))
+        # BFS levels are contiguous, so every distance up to the largest occurs
+        return dict(enumerate(np.bincount(self.distance).tolist()))
 
-    def _index_of(self, e: SignedPermElement) -> int:
-        idx = self.index.get(e)
-        if idx is None:
+    def _position_of(self, e: SignedPermElement) -> int:
+        """BFS position of a normalized element of degree n, found through
+        its rank; anything else is not in the catalog."""
+        images = e.sigma.images
+        n = self.n
+        if (
+            len(images) != n
+            or sorted(images) != list(range(1, n + 1))
+            or ((e.eps, e.h) != (0, 1) and not (e.eps == 1 and 1 <= e.h <= n))
+        ):
             raise ValueError(f"element not in catalog: {format_element(e)}")
-        return idx
+        lehmer = 0
+        for i, v in enumerate(images):
+            lehmer = lehmer * (n - i) + sum(w < v for w in images[i + 1 :])
+        return int(self.position[lehmer * (n + 1) + (e.h if e.eps else 0)])
+
+
+def _check_n(n: int) -> None:
+    if not 1 <= n <= ENUMERATION_MAX_N:
+        raise ValueError(f"n must be in 1..{ENUMERATION_MAX_N}, got {n}")
+
+
+def _permutations(n: int) -> np.ndarray:
+    """The permutations of 1..n in lexicographic order, one per row, so row s
+    is the permutation of Lehmer rank s."""
+    return np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
 
 
 def left_tables(n: int) -> np.ndarray:
@@ -107,7 +144,7 @@ def left_tables(n: int) -> np.ndarray:
     binary search, since the permutations read as base-(n+1) numbers
     ascend in lexicographic order.
     """
-    perms = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
+    perms = _permutations(n)
     place = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     keys = perms @ place
     flag_free = np.arange(len(perms), dtype=np.int32) * (n + 1)
@@ -122,7 +159,9 @@ def left_tables(n: int) -> np.ndarray:
     return tables.reshape(n, -1)
 
 
-def _level_bfs(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _level_bfs(
+    tables: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Breadth-first search from rank 0 (the identity) over the tables, one
     level at a time, in the order a queue would visit: candidates are taken
     frontier-major and generator-minor, and the first occurrence of a new
@@ -130,7 +169,7 @@ def _level_bfs(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
     Returns, per BFS position, the rank, the distance, the parent's position
     and the generator j with element = K(j) * parent (parent -1 and j 0 at
-    the identity).
+    the identity), and per rank its BFS position (-1 if never reached).
     """
     n, size = tables.shape
     position = np.full(size, -1, dtype=np.int32)
@@ -153,29 +192,18 @@ def _level_bfs(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         parent[count:stop] = start + picked // n
         via[count:stop] = picked % n + 1
         start, count, level = count, stop, level + 1
-    return order[:count], distance[:count], parent[:count], via[:count]
+    return order[:count], distance[:count], parent[:count], via[:count], position
 
 
 def enumerate_group(n: int) -> GroupCatalog:
     """Breadth-first closure under left multiplication by the generators."""
-    if not 1 <= n <= ENUMERATION_MAX_N:
-        raise ValueError(f"n must be in 1..{ENUMERATION_MAX_N}, got {n}")
-    order, distance, parent, via = _level_bfs(left_tables(n))
-    if len(order) != factorial(n + 1):
+    _check_n(n)
+    cat = GroupCatalog(n, *_level_bfs(left_tables(n)))
+    if len(cat) != factorial(n + 1):
         raise ConsistencyError(
-            f"enumeration found {len(order)} elements, expected {factorial(n + 1)}"
+            f"enumeration found {len(cat)} elements, expected {factorial(n + 1)}"
         )
-    sigmas = [Permutation(p) for p in permutations(range(1, n + 1))]
-    lehmer, pivot = np.divmod(order, n + 1)
-    elements = [
-        SignedPermElement(sigmas[s], h or 1, 1 if h else 0)
-        for s, h in zip(lehmer.tolist(), pivot.tolist())
-    ]
-    links: list[tuple[int, int] | None] = [None]
-    links += zip(parent[1:].tolist(), via[1:].tolist())
-    return GroupCatalog(
-        n, elements, dict(zip(elements, range(len(elements)))), distance.tolist(), links
-    )
+    return cat
 
 
 @lru_cache(maxsize=None)
@@ -184,10 +212,35 @@ def catalog(n: int) -> GroupCatalog:
     return enumerate_group(n)
 
 
+def psi_table(n: int) -> np.ndarray:
+    """psi over all ranks, shape ((n+1)!, n+1), int8: row r holds the images
+    of 1..n+1 under psi of the element of rank r."""
+    _check_n(n)
+    perms = _permutations(n)
+    table = np.empty((len(perms), n + 1, n + 1), dtype=np.int8)
+    table[:, :, 0] = 1
+    table[:, :, 1:] = perms[:, None, :] + 1
+    for h in range(1, n + 1):
+        table[:, h, 0] = perms[:, h - 1] + 1
+        table[:, h, h] = 1
+    return table.reshape(-1, n + 1)
+
+
 def order_spectrum(cat: GroupCatalog) -> dict[int, int]:
     """Multiplicative order of every element, as a {order: count} map; psi is
-    an isomorphism, so e has the order of the permutation psi(e)."""
-    return dict(sorted(Counter(psi(e, cat.n).order() for e in cat.elements).items()))
+    an isomorphism, so e has the order of the permutation psi(e), the least
+    k with psi(e)^k the identity, found by raising every table row at once."""
+    table = psi_table(cat.n).astype(np.intp) - 1
+    identity = np.arange(cat.n + 1)
+    order = np.zeros(len(table), dtype=np.intp)
+    power, k = table, 1
+    while True:
+        order[(order == 0) & (power == identity).all(axis=1)] = k
+        if order.all():
+            values, counts = np.unique(order, return_counts=True)
+            return dict(zip(values.tolist(), counts.tolist()))
+        power = np.take_along_axis(table, power, axis=1)
+        k += 1
 
 
 def coset_decomposition(cat: GroupCatalog) -> dict[int, list[SignedPermElement]]:
@@ -229,30 +282,38 @@ class IsoWitness:
 def verify_isomorphism(n: int) -> IsoWitness:
     """Check that the generator map extends to an isomorphism.
 
-    Verifies that psi fixes the identity, sends each K(j) to (1, j+1), is
-    bijective onto all (n+1)! permutations, and satisfies
-    psi(K(j) * e) = psi(K(j)) then psi(e) for every generator and element.
-    Every element is a word K(j1)...K(jd), so by induction on d the last
-    check gives psi(a * b) = psi(a) then psi(b) for every pair.
+    Verifies on the psi table that psi fixes the identity, sends each K(j)
+    to (1, j+1), is injective (the rows read as base-(n+2) numbers are
+    distinct), and satisfies psi(K(j) * e) = psi(K(j)) then psi(e) for every
+    generator and element: the row of K(j) * e is the row of e with its
+    first and (j+1)-th entries exchanged. Every element is a word
+    K(j1)...K(jd), so by induction on d the last check gives
+    psi(a * b) = psi(a) then psi(b) for every pair.
     """
     cat = catalog(n)
-    forward = {e: psi(e, n) for e in cat.elements}
-    if forward[identity_element(n)] != Permutation.identity(n + 1):
+    table = psi_table(n)
+    identity = np.arange(1, n + 2)
+    if not np.array_equal(table[0], identity):
         raise ConsistencyError("psi does not fix the identity")
-    for j in range(1, n + 1):
-        if forward[generator(n, j)] != _gen_transposition(n, j):
+    # swaps[j] exchanges the first and the (j+1)-th entry
+    swaps = {j: np.r_[j, 1:j, 0, j + 1 : n + 1] for j in range(1, n + 1)}
+    for j in swaps:
+        # K(j) is (identity, j, 1), of rank j
+        if not np.array_equal(table[j], identity[swaps[j]]):
             raise ConsistencyError(f"psi(K({j})) is not (1, {j + 1})")
-    backward = {p: e for e, p in forward.items()}
-    if len(backward) != factorial(n + 1):
+    keys = table.astype(np.int64) @ (n + 2) ** np.arange(n + 1, dtype=np.int64)
+    if len(np.unique(keys)) != factorial(n + 1):
         raise ConsistencyError("image map is not injective")
-    for j in range(1, n + 1):
-        g = generator(n, j)
-        fg = forward[g]
-        for e in cat.elements:
-            if forward[msih_mul(g, e)] != fg.then(forward[e]):
-                raise ConsistencyError(
-                    f"homomorphism fails at {format_element(g)} * {format_element(e)}"
-                )
+    for j, products in enumerate(left_tables(n), start=1):
+        wrong = (table[products] != table[:, swaps[j]]).any(axis=1)[cat.rank]
+        if wrong.any():
+            e = cat.elements[int(np.argmax(wrong))]
+            raise ConsistencyError(
+                f"homomorphism fails at {format_element(generator(n, j))} * {format_element(e)}"
+            )
+    images = map(Permutation, map(tuple, table[cat.rank].tolist()))
+    forward = dict(zip(cat.elements, images))
+    backward = {p: e for e, p in forward.items()}
     return IsoWitness(n, forward, backward)
 
 
@@ -274,30 +335,55 @@ def full_cycle_order_via_sym(n: int) -> int:
     return order
 
 
-def catalog_header(cat: GroupCatalog) -> dict:
-    """The fields of ``catalog_json`` that precede its element records."""
-    return {"schema_version": 1, "kind": "group-catalog", "n": cat.n, "order": len(cat)}
+def catalog_chunks(cat: GroupCatalog) -> Iterator[str]:
+    """``json.dumps(catalog_json(cat), indent=2)`` in chunks: the header, one
+    chunk per element record in BFS order, then the closing brackets.
 
-
-def catalog_records(cat: GroupCatalog) -> Iterator[dict]:
-    """One JSON-ready record per element, in BFS order: distance, word and
-    image. A parent precedes its children in BFS order, so each word is the
-    generator that reached the element followed by its parent's word."""
-    words: list[tuple[int, ...]] = []
-    for e, distance, link in zip(cat.elements, cat.distance, cat.parent):
-        word = () if link is None else (link[1],) + words[link[0]]
-        words.append(word)
-        yield {
-            "sigma": list(e.sigma.images),
-            "h": e.h,
-            "eps": e.eps,
-            "text": format_element(e),
-            "distance": distance,
-            "word": list(word),
-            "psi": list(psi(e, cat.n).images),
-        }
+    A record is joined from pieces: the sigma block and the text prefix of
+    the Lehmer rank of its sigma, the h and eps lines of its pivot, the
+    distance, the word and the psi row. The records go out one BFS level at
+    a time; each word's lines are the generator that reached the element
+    followed by the word lines of its parent, kept from the level before.
+    """
+    n, sep = cat.n, ",\n        "
+    yield (
+        f'{{\n  "schema_version": 1,\n  "kind": "group-catalog",\n  "n": {n},\n'
+        f'  "order": {len(cat)},\n  "elements": [\n'
+    )
+    sigmas = [list(map(str, p)) for p in permutations(range(1, n + 1))]
+    sigma_block = [
+        f'    {{\n      "sigma": [\n        {sep.join(s)}\n      ],\n      "h": ' for s in sigmas
+    ]
+    text_prefix = [f',\n      "text": "M(sigma=[{",".join(s)}];h=' for s in sigmas]
+    flags = [(1, 0)] + [(h, 1) for h in range(1, n + 1)]
+    pivot_lines = [f'{h},\n      "eps": {eps}' for h, eps in flags]
+    pivot_text = [f'{h};eps={eps})",\n      "distance": ' for h, eps in flags]
+    lehmer, pivot = np.divmod(cat.rank, n + 1)
+    rows = psi_table(n)[cat.rank]
+    previous, first, start = [], 0, 0
+    for distance, stop in enumerate(np.cumsum(np.bincount(cat.distance)).tolist()):
+        level = slice(start, stop)
+        # the identity is the one record at distance 0, and the first
+        lead = ",\n" if distance else ""
+        current = []
+        for s, p, parent, j, row in zip(
+            lehmer[level].tolist(), pivot[level].tolist(), cat.parent[level].tolist(),
+            cat.via[level].tolist(), rows[level].tolist(),
+        ):
+            # the identity (distance 0) has the empty word, and its children
+            # (parent position 0) the one-letter words
+            line = f"{j}{sep}{previous[parent - first]}" if parent > 0 else str(j)
+            current.append(line)
+            word = f"[\n        {line}\n      ]" if distance else "[]"
+            yield (
+                f"{lead}{sigma_block[s]}{pivot_lines[p]}{text_prefix[s]}{pivot_text[p]}"
+                f'{distance},\n      "word": {word},\n      "psi": [\n        '
+                f"{sep.join(map(str, row))}\n      ]\n    }}"
+            )
+        previous, first, start = current, start, stop
+    yield "\n  ]\n}"
 
 
 def catalog_json(cat: GroupCatalog) -> dict:
     """JSON-ready export: every element with distance, word and image."""
-    return {**catalog_header(cat), "elements": list(catalog_records(cat))}
+    return json.loads("".join(catalog_chunks(cat)))

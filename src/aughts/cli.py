@@ -176,34 +176,6 @@ def _write(handle, chunks: Iterable[str]) -> None:
         handle.write("\n")
 
 
-def _json_fields(record: dict, depth: int) -> str:
-    """The ``"key": value`` lines of a flat record, laid out as
-    ``json.dumps(indent=2)`` lays out a dict at nesting depth ``depth``.
-    Values are ints, strs or lists of ints."""
-    pad = "  " * (depth + 1)
-    lines = []
-    for key, value in record.items():
-        if isinstance(value, str):
-            value = json.dumps(value)
-        elif isinstance(value, list):
-            items = f",\n{pad}  ".join(map(str, value))
-            value = f"[\n{pad}  {items}\n{pad}]" if value else "[]"
-        lines.append(f"{pad}{json.dumps(key)}: {value}")
-    return ",\n".join(lines)
-
-
-def _catalog_chunks(cat: atlas.GroupCatalog) -> Iterator[str]:
-    """``json.dumps(atlas.catalog_json(cat), indent=2)`` in chunks: the header,
-    one chunk per element record, then the closing brackets. A catalog has
-    at least two elements, so the element list is never empty."""
-    yield "{\n" + _json_fields(atlas.catalog_header(cat), 0) + ',\n  "elements": [\n'
-    separator = ""
-    for record in atlas.catalog_records(cat):
-        yield f"{separator}    {{\n{_json_fields(record, 2)}\n    }}"
-        separator = ",\n"
-    yield "\n  ]\n}"
-
-
 def cmd_verify(args) -> tuple[int, str]:
     suites = verify.run_all(args.max_n)
     lines = []
@@ -222,7 +194,7 @@ def cmd_verify(args) -> tuple[int, str]:
 
 def cmd_group(args) -> tuple[int, Iterator[str]]:
     # the catalog is built here, so a rejected --dim exits before any output
-    return 0, _catalog_chunks(atlas.catalog(args.dim))
+    return 0, atlas.catalog_chunks(atlas.catalog(args.dim))
 
 
 def cmd_orbit(args) -> tuple[int, str]:

@@ -214,7 +214,7 @@ def product_closed_form(n: int, js: Sequence[int]) -> SmallIntMatrix:
     pair (j, l), and replace row js with the alternating row r(js).
     """
     _check_dim(n)
-    js = tuple(int(j) for j in js)
+    js = tuple(map(operator.index, js))
     if not 1 <= len(js) <= n:
         raise ValueError(f"tuple length must be in 1..{n}, got {len(js)}")
     for j in js:

@@ -13,6 +13,7 @@ ST_(n+1) (Akers & Krishnamurthy, IEEE Trans. Computers, 1989).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
@@ -33,7 +34,7 @@ HAMILTONIAN_WORD_3D: tuple[int, ...] = (1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 2, 3) * 2
 
 
 def _check_point(x: Sequence[int]) -> Point:
-    pt = tuple(int(v) for v in x)
+    pt = tuple(map(operator.index, x))
     if not pt:
         raise ValueError("point must have at least one coordinate")
     for v in pt:
@@ -85,7 +86,7 @@ def run_word(x: Sequence[int], word: Iterable[int]) -> Trajectory:
     """Apply a sequence of operator indices, first index first; only the
     start is guarded, so the path may leave the 2^31 box."""
     start = _check_point(x)
-    word_t = tuple(int(j) for j in word)
+    word_t = tuple(map(operator.index, word))
     path = [start]
     z = _star(start)
     for j in word_t:

@@ -12,6 +12,7 @@ permutation of ``a`` acts first.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ class Permutation:
 
     @classmethod
     def of(cls, images) -> "Permutation":
-        imgs = tuple(int(v) for v in images)
+        imgs = tuple(map(operator.index, images))
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
         return cls(imgs)
@@ -101,6 +102,7 @@ class SignedPermElement:
 
     @classmethod
     def of(cls, sigma: Permutation, h: int, eps: int) -> "SignedPermElement":
+        h, eps = operator.index(h), operator.index(eps)
         if eps not in (0, 1):
             raise ValueError(f"eps must be 0 or 1, got {eps}")
         if not 1 <= h <= sigma.degree:

@@ -12,7 +12,10 @@ The group catalog is closed with a queue and a dict keyed by element, one
 homomorphism law is checked on every pair. The order of an element is found
 by multiplying it by itself until the product is the identity. Random words,
 the generator map along a word and the embedding one dimension up are the
-group helpers that only the tests use.
+group helpers that only the tests use. The catalog export is built as one
+dict per element, from the scalar psi and a walk up the parent chain for the
+word, and laid out field by field as ``json.dumps(indent=2)`` lays it out,
+as the export was written before it joined per-rank piece tables.
 
 The scanned SVG renders are written one f-string per cell, as the emitter
 wrote them before it joined per-block piece tables.
@@ -21,16 +24,20 @@ Integer matrices are multiplied with a triple loop in Python ints, one entry
 at a time, as ``intmat.mat_mul`` did before it multiplied with numpy.
 """
 
+import json
 from collections import deque
+from math import factorial
 
 import numpy as np
 
+from aughts.atlas import psi
 from aughts.census import _check_cells, _iter_blocks
 from aughts.intmat import INT64_MAX, SmallIntMatrix
 from aughts.orbits import _in_cone, _semi_perimeter
 from aughts.signed_perm import (
     Permutation,
     SignedPermElement,
+    format_element,
     generator,
     identity_element,
     msih_mul,
@@ -168,6 +175,58 @@ def bfs_catalog(n):
                 parent.append((i, j))
                 queue.append(index[nxt])
     return elements, distance, parent
+
+
+def catalog_records(n):
+    """One dict per element of the queue-built catalog, in BFS order: the
+    triple, its text, distance, word and psi image; each word is read by
+    walking the parent chain up to the identity."""
+    elements, distance, parent = bfs_catalog(n)
+    for i, e in enumerate(elements):
+        word, k = [], i
+        while parent[k] is not None:
+            k, j = parent[k]
+            word.append(j)
+        yield {
+            "sigma": list(e.sigma.images),
+            "h": e.h,
+            "eps": e.eps,
+            "text": format_element(e),
+            "distance": distance[i],
+            "word": word,
+            "psi": list(psi(e, n).images),
+        }
+
+
+def catalog_header(n):
+    return {"schema_version": 1, "kind": "group-catalog", "n": n, "order": factorial(n + 1)}
+
+
+def json_fields(record, depth):
+    """The ``"key": value`` lines of a flat record, laid out as
+    ``json.dumps(indent=2)`` lays out a dict at nesting depth ``depth``.
+    Values are ints, strs or lists of ints."""
+    pad = "  " * (depth + 1)
+    lines = []
+    for key, value in record.items():
+        if isinstance(value, str):
+            value = json.dumps(value)
+        elif isinstance(value, list):
+            items = f",\n{pad}  ".join(map(str, value))
+            value = f"[\n{pad}  {items}\n{pad}]" if value else "[]"
+        lines.append(f"{pad}{json.dumps(key)}: {value}")
+    return ",\n".join(lines)
+
+
+def catalog_chunks(n):
+    """The export of ``group --dim n`` in chunks, field by field: the header,
+    one chunk per record, then the closing brackets."""
+    yield "{\n" + json_fields(catalog_header(n), 0) + ',\n  "elements": [\n'
+    separator = ""
+    for record in catalog_records(n):
+        yield f"{separator}    {{\n{json_fields(record, 2)}\n    }}"
+        separator = ",\n"
+    yield "\n  ]\n}"
 
 
 def lehmer_rank(e):

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from math import factorial
 
+import numpy as np
 import pytest
 from brute_force import (
     all_pairs_homomorphism,
@@ -57,8 +58,12 @@ def test_catalog_matches_bfs_oracle(n):
     cat = enumerate_group(n)
     elements, distance, parent = bfs_catalog(n)
     assert cat.elements == elements
-    assert cat.distance == distance
-    assert cat.parent == parent
+    assert cat.distance.tolist() == distance
+    links = list(zip(cat.parent.tolist(), cat.via.tolist()))
+    assert links[0] == (-1, 0) and parent[0] is None
+    assert links[1:] == parent[1:]
+    assert cat.rank.tolist() == [lehmer_rank(e) for e in elements]
+    assert cat.position[cat.rank].tolist() == list(range(len(elements)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -89,6 +94,20 @@ def test_words_reconstruct_elements():
             acc = msih_mul(acc, generator(3, j))
         assert acc == e
         assert len(cat.word(e)) == cat.distance_of(e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_psi_table_rows_match_scalar_psi(n):
+    table = atlas.psi_table(n)
+    assert table.shape == (factorial(n + 1), n + 1) and table.dtype == np.int8
+    cat = catalog(n)
+    assert table[cat.rank].tolist() == [list(psi(e, n).images) for e in cat.elements]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_order_spectrum_matches_scalar_psi_orders(n):
+    cat = catalog(n)
+    assert order_spectrum(cat) == Counter(psi(e, n).order() for e in cat.elements)
 
 
 def test_order_spectrum():
@@ -161,30 +180,51 @@ def test_psi_and_star_graph_distances(n):
     assert max(cat.distance) == 3 * n // 2
 
 
+def _conjugated_psi_table(c):
+    """psi_table with every row conjugated by the permutation c: still a
+    bijective homomorphism, but K(j) goes to the wrong transpositions."""
+    true_table = atlas.psi_table
+    images = np.array(c.images, dtype=np.int8)
+    inverse = np.argsort(images)
+    return lambda n: images[true_table(n)[:, inverse] - 1]
+
+
 def test_verify_isomorphism_pins_generator_images(monkeypatch):
-    # a conjugate of psi is still a bijective homomorphism, but sends K(j)
-    # to the wrong transpositions
-    c = Permutation.of((2, 3, 1, 4))
-    true_psi = atlas.psi
-    monkeypatch.setattr(atlas, "psi", lambda e, n: c.inverse().then(true_psi(e, n)).then(c))
+    monkeypatch.setattr(atlas, "psi_table", _conjugated_psi_table(Permutation.of((2, 3, 1, 4))))
     with pytest.raises(ConsistencyError, match="psi"):
         verify_isomorphism(3)
 
 
+def test_conjugated_psi_table_is_the_conjugated_scalar_psi():
+    c = Permutation.of((2, 3, 1, 4))
+    table = _conjugated_psi_table(c)(3)
+    cat = catalog(3)
+    assert table[cat.rank].tolist() == [
+        list(c.inverse().then(psi(e, 3)).then(c).images) for e in cat.elements
+    ]
+
+
 def _swap_images(x, y):
-    """psi with the images of x and y exchanged: still a bijection."""
-    true_psi = atlas.psi
-    return lambda e, n: true_psi(y if e == x else x if e == y else e, n)
+    """psi_table with the rows of the elements x and y exchanged: still a
+    bijection."""
+    true_table = atlas.psi_table
+
+    def table(n):
+        out = true_table(n)
+        out[[lehmer_rank(x), lehmer_rank(y)]] = out[[lehmer_rank(y), lehmer_rank(x)]]
+        return out
+
+    return table
 
 
 def test_verify_isomorphism_rejects_one_wrong_image(monkeypatch):
     # the two elements farthest from the identity are no generators, so only
     # the homomorphism law can catch the swap
     cat = catalog(5)
-    monkeypatch.setattr(atlas, "psi", _swap_images(cat.elements[-1], cat.elements[-2]))
+    monkeypatch.setattr(atlas, "psi_table", _swap_images(cat.elements[-1], cat.elements[-2]))
     with pytest.raises(ConsistencyError, match="homomorphism"):
         verify_isomorphism(5)
-    monkeypatch.setattr(atlas, "psi", _swap_images(cat.elements[0], cat.elements[-1]))
+    monkeypatch.setattr(atlas, "psi_table", _swap_images(cat.elements[0], cat.elements[-1]))
     with pytest.raises(ConsistencyError, match="identity"):
         verify_isomorphism(5)
 
@@ -196,9 +236,13 @@ def test_verify_isomorphism_agrees_with_all_pairs_oracle(monkeypatch, n):
     verify_isomorphism(n)
     if n == 1:
         return  # no element beyond the identity and K(1)
-    wrong = _swap_images(elements[-1], elements[-2])
-    assert all_pairs_homomorphism(elements, lambda e: wrong(e, n)) is not None
-    monkeypatch.setattr(atlas, "psi", wrong)
+    wrong = _swap_images(elements[-1], elements[-2])(n)
+
+    def image(e):
+        return Permutation(tuple(wrong[lehmer_rank(e)].tolist()))
+
+    assert all_pairs_homomorphism(elements, image) is not None
+    monkeypatch.setattr(atlas, "psi_table", lambda m: wrong)
     with pytest.raises(ConsistencyError):
         verify_isomorphism(n)
 

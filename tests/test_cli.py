@@ -17,6 +17,9 @@ from pathlib import Path
 import pytest
 from brute_force import (
     bfs_reach_graph,
+    catalog_chunks,
+    catalog_header,
+    catalog_records,
     diametral_count,
     extents,
     k_step,
@@ -28,7 +31,6 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import aughts
-from aughts.atlas import catalog, catalog_json
 from aughts.census import Region
 from aughts.cli import build_parser, cmd_group, main
 from aughts.svg import DEFAULT_PALETTE, used_fill_colors
@@ -84,17 +86,18 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def _conjugate_psi_at_3(monkeypatch):
-    # a conjugate of psi at n = 3 is still a bijective homomorphism, but
-    # sends K(j) to the wrong transpositions
-    from aughts import atlas
-    from aughts.signed_perm import Permutation
+    # psi_table with its rows conjugated at n = 3 is still a bijective
+    # homomorphism, but sends K(j) to the wrong transpositions
+    import numpy as np
 
-    c = Permutation.of((2, 3, 1, 4))
-    true_psi = atlas.psi
+    from aughts import atlas
+
+    c = np.array((2, 3, 1, 4), dtype=np.int8)
+    true_table = atlas.psi_table
     monkeypatch.setattr(
         atlas,
-        "psi",
-        lambda e, n: c.inverse().then(true_psi(e, n)).then(c) if n == 3 else true_psi(e, n),
+        "psi_table",
+        lambda n: c[true_table(n)[:, np.argsort(c)] - 1] if n == 3 else true_table(n),
     )
 
 
@@ -278,13 +281,15 @@ def test_group_and_verify_stdout_digests(capsys, digest, command):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_group_streams_the_whole_document(capsys, n):
-    # one chunk per record between the header and the closing brackets
+    # one chunk per record between the header and the closing brackets, each
+    # equal to the record laid out field by field from its dict
     code, chunks = cmd_group(argparse.Namespace(dim=n))
-    assert code == 0 and len(list(chunks)) == factorial(n + 1) + 2
-    # the old writer, one json.dumps of the whole catalog, is the oracle
+    assert code == 0 and list(chunks) == list(catalog_chunks(n))
+    # one json.dumps of the whole catalog, built as dicts, is the oracle
+    document = {**catalog_header(n), "elements": list(catalog_records(n))}
     code, out, _ = run_cli(capsys, "group", "--dim", str(n))
     assert code == 0
-    assert out == json.dumps(catalog_json(catalog(n)), indent=2) + "\n"
+    assert out == json.dumps(document, indent=2) + "\n"
 
 
 def _fresh_cli_max_rss(*argv):

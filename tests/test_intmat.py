@@ -378,3 +378,12 @@ def test_unit_entry_guard():
     twos = SmallIntMatrix.from_rows([[2, 0], [0, 2]])
     with pytest.raises(intmat.UnitEntryError):
         intmat.assert_unit_entries(twos)
+
+
+def test_product_closed_form_refuses_float_indices():
+    # a float index was truncated: (1.5, 2.9) gave the product for (1, 2)
+    with pytest.raises(TypeError):
+        product_closed_form(3, (1.5, 2.9))
+    product = product_closed_form(3, (np.int64(1), np.int64(2)))
+    assert product == product_closed_form(3, (1, 2))
+    assert all(type(v) is int for v in product.entries)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from brute_force import (
     bfs_orbit_distance,
@@ -397,3 +398,21 @@ def test_mirror_triangles_at_distance_three():
                 assert orbit_distance(x, y) == 3
                 count += 1
     assert count > 50
+
+
+def test_orbit_points_refuse_float_coordinates():
+    # a float coordinate was truncated: (1.5, 2) walked the orbit of (1, 2)
+    with pytest.raises(TypeError):
+        orbit2d((1.5, 2))
+    orbit = orbit2d((np.int64(1), np.int64(2)))
+    assert orbit == orbit2d((1, 2))
+    assert all(type(v) is int for node in orbit.nodes for v in node)
+
+
+def test_run_word_refuses_float_indices():
+    # a float index was truncated to the operator it rounds down to
+    with pytest.raises(TypeError):
+        run_word((10, 8, 15), (1.9, 2))
+    traj = run_word((10, 8, 15), np.array([1, 2, 3]))
+    assert traj == run_word((10, 8, 15), (1, 2, 3))
+    assert all(type(j) is int for j in traj.word)

@@ -3,6 +3,7 @@
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from brute_force import element_order
 
@@ -190,3 +191,24 @@ def test_format_parse_round_trip():
     )
     with pytest.raises(ValueError):
         parse_element("not an element")
+
+
+def test_permutation_of_refuses_float_images():
+    # float images were truncated: (1.7, 2.2) became (1, 2)
+    with pytest.raises(TypeError):
+        Permutation.of((1.7, 2.2))
+    sigma = Permutation.of(np.array([2, 3, 1]))
+    assert sigma == Permutation((2, 3, 1))
+    assert all(type(v) is int for v in sigma.images)
+
+
+def test_element_of_refuses_float_pivot_and_flag():
+    # h=2.0, eps=1.0 were kept as floats and printed as "h=2.0;eps=1.0"
+    sigma = Permutation.identity(3)
+    with pytest.raises(TypeError):
+        SignedPermElement.of(sigma, 2.0, 1.0)
+    with pytest.raises(TypeError):
+        SignedPermElement.of(sigma, 2, 1.0)
+    e = SignedPermElement.of(sigma, np.int64(2), np.int64(1))
+    assert e == generator(3, 2)
+    assert format_element(e) == "M(sigma=[1,2,3];h=2;eps=1)"
