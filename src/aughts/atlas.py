@@ -10,7 +10,8 @@ operations (``left_tables``). The catalog is the breadth-first closure of
 the identity under these tables, run one level at a time in the order a
 queue would visit, so an element found via parent p and generator j
 satisfies e = K(j) * p; reading the parent chain from the element up to the
-identity yields its word as a product taken left to right.
+identity yields its word as a product taken left to right. The catalog keeps
+the search as arrays over BFS positions and decodes elements only on demand.
 
 The isomorphism psi, the permutation e applies to the star coordinates of
 ``aughts.orbits``, is read off (sigma, h, eps): psi(j+1) = sigma(j)+1 and
@@ -21,7 +22,9 @@ checks the homomorphism law on generators only: given psi(id) = id and
 psi(K(j) * e) = psi(K(j)) then psi(e) for every j and e, induction on the
 word length of a = K(j1)...K(jd) gives psi(a * b) = psi(a) then psi(b) for
 every pair, since the product is associative (it is the matrix product).
-That is n (n+1)! products instead of ((n+1)!)^2.
+That is n (n+1)! products instead of ((n+1)!)^2, checked as array
+comparisons on psi over all ranks (``psi_table``), which also gives the order
+spectrum and the image column of the JSON export.
 """
 
 from __future__ import annotations
@@ -230,9 +233,9 @@ def order_spectrum(cat: GroupCatalog) -> dict[int, int]:
     """Multiplicative order of every element, as a {order: count} map; psi is
     an isomorphism, so e has the order of the permutation psi(e), the least
     k with psi(e)^k the identity, found by raising every table row at once."""
-    table = psi_table(cat.n).astype(np.intp) - 1
+    table = psi_table(cat.n) - 1
     identity = np.arange(cat.n + 1)
-    order = np.zeros(len(table), dtype=np.intp)
+    order = np.zeros(len(table), dtype=np.int64)
     power, k = table, 1
     while True:
         order[(order == 0) & (power == identity).all(axis=1)] = k
@@ -311,7 +314,7 @@ def verify_isomorphism(n: int) -> IsoWitness:
             raise ConsistencyError(
                 f"homomorphism fails at {format_element(generator(n, j))} * {format_element(e)}"
             )
-    images = map(Permutation, map(tuple, table[cat.rank].tolist()))
+    images = map(Permutation, zip(*table[cat.rank].T.tolist()))
     forward = dict(zip(cat.elements, images))
     backward = {p: e for e, p in forward.items()}
     return IsoWitness(n, forward, backward)

@@ -110,6 +110,27 @@ def test_order_spectrum_matches_scalar_psi_orders(n):
     assert order_spectrum(cat) == Counter(psi(e, n).order() for e in cat.elements)
 
 
+def test_catalog_lookups_refuse_elements_outside_it():
+    # the rank of a triple is found only for a normalized element of degree n
+    cat = catalog(3)
+    identity = Permutation.identity(3)
+    outside = [
+        identity_element(4),
+        SignedPermElement(identity, 2, 0),
+        SignedPermElement(identity, 4, 1),
+        SignedPermElement(identity, 0, 1),
+        SignedPermElement(Permutation((1, 1, 3)), 1, 0),
+        SignedPermElement(identity, 1, 2),
+    ]
+    for e in outside:
+        assert e not in cat.index
+        with pytest.raises(ValueError, match="not in catalog"):
+            cat.distance_of(e)
+        with pytest.raises(ValueError, match="not in catalog"):
+            cat.word(e)
+    assert cat.word(SignedPermElement.of(identity, 2, 1)) == (2,)
+
+
 def test_order_spectrum():
     assert order_spectrum(catalog(3)) == {1: 1, 2: 9, 3: 8, 4: 6}
     assert order_spectrum(catalog(2)) == {1: 1, 2: 3, 3: 2}
@@ -222,11 +243,29 @@ def test_verify_isomorphism_rejects_one_wrong_image(monkeypatch):
     # the homomorphism law can catch the swap
     cat = catalog(5)
     monkeypatch.setattr(atlas, "psi_table", _swap_images(cat.elements[-1], cat.elements[-2]))
-    with pytest.raises(ConsistencyError, match="homomorphism"):
+    # the first failing pair in BFS order, as the scalar check reported it
+    with pytest.raises(ConsistencyError) as failure:
         verify_isomorphism(5)
+    assert str(failure.value) == (
+        "homomorphism fails at M(sigma=[1,2,3,4,5];h=1;eps=1) * M(sigma=[2,4,5,1,3];h=1;eps=1)"
+    )
     monkeypatch.setattr(atlas, "psi_table", _swap_images(cat.elements[0], cat.elements[-1]))
     with pytest.raises(ConsistencyError, match="identity"):
         verify_isomorphism(5)
+
+
+def test_verify_isomorphism_rejects_a_repeated_image(monkeypatch):
+    cat = catalog(4)
+    true_table = atlas.psi_table
+
+    def repeated(n):
+        out = true_table(n)
+        out[lehmer_rank(cat.elements[-1])] = out[lehmer_rank(cat.elements[-2])]
+        return out
+
+    monkeypatch.setattr(atlas, "psi_table", repeated)
+    with pytest.raises(ConsistencyError, match="not injective"):
+        verify_isomorphism(4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
