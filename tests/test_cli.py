@@ -265,8 +265,9 @@ def test_group_dim_3_golden_bytes(capsys):
     assert out == (GOLDEN / "group_dim_3.json").read_text()
 
 
-# sha256 of the stdout of `aughts group --dim 1..7` and `aughts verify
-# --max-n 1..7`, one "<digest>  <command>" line each
+# sha256 of the stdout of `aughts group --dim 1..7`, `aughts verify
+# --max-n 1..7` and two diametral censuses of 4 M rows, one
+# "<digest>  <command>" line each
 CLI_DIGESTS = [
     line.split("  ", 1) for line in (GOLDEN / "cli_stdout.sha256").read_text().splitlines()
 ]
@@ -644,7 +645,8 @@ def test_render_golden_bytes(tmp_path, capsys, name, argv):
 
 # sha256 of the stdout of renders that span many scan blocks, with rows split
 # across blocks: the three scanned modes, #RGB and #RRGGBB palettes, scales
-# 1, 2, 10, 2^63 and 10^20, and rects at the 2^31 corners
+# 1, 2, 10, 2^63 and 10^20, rects at the 2^31 corners and a column of
+# 1.5 M rows
 RENDER_DIGESTS = [
     line.split("  ", 1) for line in (GOLDEN / "render_stdout.sha256").read_text().splitlines()
 ]
