@@ -206,6 +206,9 @@ def enumerate_group(n: int) -> GroupCatalog:
         raise ConsistencyError(
             f"enumeration found {len(cat)} elements, expected {factorial(n + 1)}"
         )
+    # ``catalog`` hands the same arrays to every caller
+    for array in (cat.rank, cat.distance, cat.parent, cat.via, cat.position):
+        array.flags.writeable = False
     return cat
 
 

@@ -12,10 +12,14 @@ census sums the cone's points per anti-diagonal in closed form.  A point
 other than the origin is diametral iff it or its negative lies in that cone,
 so each row contributes the interval intersection of its x-range with the
 cone.  The disk length statistics sum each row's orbit lengths in closed
-form.  Only the angular histogram and the SVG renders scan points, in blocks
-of at most 2^15 int64 points built from the same per-row x-ranges, behind a
-bounding-box budget.  The orbit length, the cone test and the cone's row
-form are defined once, in ``aughts.orbits``, for ints and arrays alike.
+form.  No count loops over rows in Python: rows come in chunks of up to 2^16
+as int64 arrays (Python ints for a rect beyond the 2^31 guard),
+``Region.row_spans`` gives their x-ranges, and numpy does the rest, so an
+int64 row costs tens of nanoseconds and ``ROW_LIMIT`` bounds the work.  Only the angular histogram and the SVG renders scan points, in blocks
+of at most 2^15 int64 points built from the same x-ranges with ``cumsum``
+and ``repeat``, behind a bounding-box budget.  The orbit length, the cone
+test and the cone's row form are defined once, in ``aughts.orbits``, for
+ints and arrays alike.
 """
 
 from __future__ import annotations
@@ -31,12 +35,18 @@ from aughts.orbits import COORD_LIMIT, _cone_span, _in_cone, _semi_perimeter
 
 # Points per scan block, so a block's arrays stay a few MB however wide the rows.
 _BLOCK_POINTS = 2**15
+# Rows per chunk of the row counts and the scan, so a chunk's arrays stay a
+# few MB however many rows a region has.
+_CHUNK_ROWS = 2**16
 # Bounding-box cells an angular histogram may scan (about 56 ns each, 6 s).
 POINT_LIMIT = 10**8
-# Rows a per-row count may visit (about 2 us each for a diametral count,
-# 12 us for the disk lengths), so a far-flung region stops at once instead of
-# running for days.
-ROW_LIMIT = 4_000_000
+# Rows a row count may visit, so a far-flung region stops at once instead of
+# running for days.  The disk lengths, the slower count, take about 95 ns a
+# row in chunks of int64 rows (0.38 s for r = 1,999,999 on a 2-vCPU VM), so
+# their worst case is about 6 s; rects beyond the 2^31 guard count in Python
+# ints, about 1 us a row, and may visit an eighth as many rows.  Kept below
+# 2^29 so that no disk row's int64 length sum can wrap.
+ROW_LIMIT = 64_000_000
 # Largest modulus of a census: it builds and prints one count per residue.
 MODULUS_LIMIT = 2**16
 
@@ -122,6 +132,32 @@ class Region:
             return -half, half
         return xmin, xmax
 
+    def row_spans(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``row_span`` of each row of an int64 array, as two int64 arrays.
+
+        Equal to ``row_span`` row by row for a region and rows within the
+        2^31 guard; the box kinds also take an object array of Python ints,
+        for rects beyond it.  The disk's half-width is an exact isqrt of
+        r^2 - y^2 <= 2^62: the float sqrt is within 2^-21 of the root, so
+        truncating it errs by at most one, which one step each way mends.
+        """
+        xmin, xmax, ymin, ymax = self.bounds()
+        if self.kind == "hexagon_H":
+            (m,) = self.params
+            lo, hi = np.maximum(ys - m, -m), np.minimum(ys + m, m)
+        elif self.kind == "disk":
+            (r,) = self.params
+            rest = np.maximum(r * r - ys * ys, 0)
+            half = np.sqrt(rest.astype(np.float64)).astype(np.int64)
+            half -= half * half > rest
+            half += (half + 1) * (half + 1) <= rest
+            lo, hi = -half, half
+        else:
+            lo, hi = np.full_like(ys, xmin), np.full_like(ys, xmax)
+        outside = (ys < ymin) | (ys > ymax)
+        lo[outside], hi[outside] = 1, 0
+        return lo, hi
+
     def contains(self, x1: int, x2: int) -> bool:
         lo, hi = self.row_span(x2)
         return lo <= x1 <= hi
@@ -143,43 +179,63 @@ def _check_cells(region: Region, limit: int, what: str) -> None:
         raise ResourceLimitError(f"{what} needs {cells} cells, budget is {limit}")
 
 
+def _row_chunks(ymin: int, ymax: int, dtype=np.int64) -> Iterator[np.ndarray]:
+    """The rows ymin..ymax, ascending, as arrays of at most _CHUNK_ROWS."""
+    for start in range(ymin, ymax + 1, _CHUNK_ROWS):
+        yield np.arange(start, min(start + _CHUNK_ROWS, ymax + 1), dtype=dtype)
+
+
 def _iter_blocks(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the region's points as (x1, x2) arrays in row-major order.
 
     Rows ascend in y and each row ascends in x over its ``row_span``; a block
     holds up to _BLOCK_POINTS points, a wider row is split across blocks, and
     no block is empty.  Coordinates are bounded by 2^31 so that the int64
-    kernels cannot wrap.
+    kernels cannot wrap.  Each chunk of rows numbers its points row-major
+    from 0; a block takes the next run of those numbers, and the piece of a
+    chunk that ends a block started in the chunk before is joined to it.
     """
     xmin, xmax, ymin, ymax = region.bounds()
     if max(abs(xmin), abs(xmax), abs(ymin), abs(ymax)) > COORD_LIMIT:
         raise ValueError(f"region bounds {region.bounds()} exceed the 2^31 guard")
     if xmin > xmax:
         return
-    # (first x, y, length) of each row segment in the pending block
-    segments: list[tuple[int, int, int]] = []
+    pieces: list[tuple[np.ndarray, np.ndarray]] = []  # of the pending block
     room = _BLOCK_POINTS
-    for y in range(ymin, ymax + 1):
-        lo, hi = region.row_span(y)
-        while lo <= hi:
-            take = min(hi - lo + 1, room)
-            segments.append((lo, y, take))
-            lo += take
-            room -= take
+    for ys in _row_chunks(ymin, ymax):
+        lo, hi = region.row_spans(ys)
+        # rows of a nonempty box are nonempty; row i holds the chunk's points
+        # starts[i]..ends[i]-1, and point p of it has x = p + (lo - starts)[i]
+        widths = hi - lo + 1
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        size = int(ends[-1])
+        done = 0
+        while done < size:
+            take = min(room, size - done)
+            stop = done + take
+            rows = slice(
+                int(np.searchsorted(ends, done, side="right")),
+                int(np.searchsorted(ends, stop - 1, side="right")) + 1,
+            )
+            counts = np.minimum(ends[rows], stop) - np.maximum(starts[rows], done)
+            pieces.append((
+                np.arange(done, stop, dtype=np.int64)
+                + np.repeat(lo[rows] - starts[rows], counts),
+                np.repeat(ys[rows], counts),
+            ))
+            done, room = stop, room - take
             if room == 0:
-                yield _block(segments)
-                segments, room = [], _BLOCK_POINTS
-    if segments:
-        yield _block(segments)
+                yield _joined(pieces)
+                pieces, room = [], _BLOCK_POINTS
+    if pieces:
+        yield _joined(pieces)
 
 
-def _block(segments: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    los, ys, counts = (np.array(col, dtype=np.int64) for col in zip(*segments))
-    # point i of the block has x = i + (first x of its segment - index of the
-    # segment's first point)
-    offsets = los - (np.cumsum(counts) - counts)
-    x1 = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(offsets, counts)
-    return x1, np.repeat(ys, counts)
+def _joined(pieces: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    if len(pieces) == 1:
+        return pieces[0]
+    return tuple(np.concatenate(column) for column in zip(*pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +438,22 @@ def diametral_report(region: Region) -> CensusReport:
             # counts the same as its transpose, which has fewer rows.
             rows = Region.rect(y0, y1, x0, x1)
     _, _, ymin, ymax = rows.bounds()
-    if ymax - ymin + 1 > ROW_LIMIT:
+    # Within the 2^31 guard every span and count fits int64; only a rect can
+    # lie beyond it within the row limit, and it counts in Python ints.
+    beyond = max(map(abs, rows.bounds())) > COORD_LIMIT
+    limit = ROW_LIMIT // 8 if beyond else ROW_LIMIT
+    if ymax - ymin + 1 > limit:
         raise ResourceLimitError(
-            f"diametral census needs {ymax - ymin + 1} rows, limit is {ROW_LIMIT}"
+            f"diametral census needs {ymax - ymin + 1} rows, limit is {limit}"
         )
+    dtype = object if beyond else np.int64
     total = 0
     hits = 0
-    for y in range(ymin, ymax + 1):
-        lo, hi = rows.row_span(y)
-        if lo > hi:
-            continue
-        total += hi - lo + 1
-        a, b = _cone_span(y)
-        hits += max(0, min(b, hi) - max(a, lo) + 1)
+    for ys in _row_chunks(ymin, ymax, dtype):
+        lo, hi = rows.row_spans(ys)
+        a, b = _cone_span(ys)
+        total += int(np.maximum(hi - lo + 1, 0).sum())
+        hits += int(np.maximum(np.minimum(b, hi) - np.maximum(a, lo) + 1, 0).sum())
     return CensusReport(
         region=region,
         basis="points",
@@ -466,29 +525,39 @@ def disk_length_stats(r: int) -> DiskLengthStats:
     total = 0
     count = 0
     maximum = 0
-    for y in range(-r, r + 1):
-        lo, hi = region.row_span(y)
-        count += hi - lo + 1
-        total += 2 * (
-            _abs_linear_sum(2, -y, lo, hi)
-            + _abs_linear_sum(1, y, lo, hi)
-            + _abs_linear_sum(1, -2 * y, lo, hi)
+    for ys in _row_chunks(-r, r):
+        lo, hi = region.row_spans(ys)
+        count += int((hi - lo + 1).sum())
+        lengths = 2 * (
+            _abs_linear_sum(2, -ys, lo, hi)
+            + _abs_linear_sum(1, ys, lo, hi)
+            + _abs_linear_sum(1, -2 * ys, lo, hi)
         )
+        # each row's total is below 2^60 (r <= 2^28) but a chunk's sum need
+        # not be: add the high and low 32 bits apart, each sum within int64
+        total += (int((lengths >> 32).sum()) << 32) + int((lengths & 0xFFFFFFFF).sum())
         maximum = max(
-            maximum, 2 * _semi_perimeter(lo, y), 2 * _semi_perimeter(hi, y)
+            maximum,
+            int(_semi_perimeter(lo, ys).max()) * 2,
+            int(_semi_perimeter(hi, ys).max()) * 2,
         )
     return DiskLengthStats(r, count, total / count, maximum)
 
 
-def _abs_linear_sum(a: int, b: int, lo: int, hi: int) -> int:
-    """Sum of |a*x + b| over the integers lo <= x <= hi, for a > 0."""
+def _abs_linear_sum(a: int, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sum of |a*x + b| over the integers lo <= x <= hi, per row, for a > 0.
 
-    def linear(p: int, q: int) -> int:
+    int64 arrays of rows; on the rows of a disk of radius r <= 2^28, with
+    a <= 2 and |b| <= 2r, no term exceeds 2^60.
+    """
+
+    def linear(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         # sum of a*x + b over p <= x <= q; (p + q)(q - p + 1) is even
-        return a * (p + q) * (q - p + 1) // 2 + b * (q - p + 1) if p <= q else 0
+        n = q - p + 1
+        return np.where(n > 0, a * (p + q) * n // 2 + b * n, 0)
 
     k = (-b) // a  # a*x + b <= 0 exactly for x <= k
-    return linear(max(lo, k + 1), hi) - linear(lo, min(hi, k))
+    return linear(np.maximum(lo, k + 1), hi) - linear(lo, np.minimum(hi, k))
 
 
 # ---------------------------------------------------------------------------

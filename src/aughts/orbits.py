@@ -168,13 +168,18 @@ def _in_cone(x1, x2):
     )
 
 
-def _cone_span(y: int) -> tuple[int, int]:
-    """Inclusive x-range of the diametral points on row y (empty on row 0)."""
-    if y > 0:
-        return -(-y // 2), 2 * y
-    if y < 0:
-        return 2 * y, y // 2
-    return 1, 0
+def _cone_span(y):
+    """Inclusive x-range of the diametral points on row y (empty on row 0).
+
+    [ceil(y/2), 2y] above the x-axis, [2y, floor(y/2)] below it and [1, 0]
+    on it, each picked by multiplying with its row's sign test, so the same
+    code takes Python ints or integer arrays.
+    """
+    above, below = y > 0, y < 0
+    return (
+        above * ((y + 1) // 2) + below * (2 * y) + (y == 0),
+        above * (2 * y) + below * (y // 2),
+    )
 
 
 def semi_perimeter(x: Sequence[int]) -> int:

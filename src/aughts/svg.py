@@ -100,15 +100,16 @@ def _render_cells(spec: RenderSpec, colorizer) -> str:
     width = (xmax - xmin + 1) * s
     height = (ymax - ymin + 1) * s
     parts = [_svg_open(width, height), "\n"]
+    row_tail = f'" width="{s}" height="{s}" fill="'
     for x1, x2 in _iter_blocks(spec.region):
         table, color = colorizer(spec, x1, x2)
-        # the block's distinct columns and its rows, first to last; pixel
-        # offsets are Python ints, exact for any scale
+        # the block's distinct columns and the pixel offsets of its rows,
+        # first to last; Python ints, exact for any scale
         cols, col = _distinct(x1)
         y0 = int(x2[0])
-        rows = range(y0, int(x2[-1]) + 1)
+        rows = range((ymax - y0) * s, (ymax - int(x2[-1])) * s - s, -s)
         pieces = [f'<rect x="{(x - xmin) * s}" y="' for x in cols]
-        pieces += [f'{(ymax - y) * s}" width="{s}" height="{s}" fill="' for y in rows]
+        pieces += [str(py) + row_tail for py in rows]
         pieces += [f'{c}"/>\n' for c in table]
         seq = np.empty((len(x1), 3), dtype=np.int64)
         seq[:, 0] = col

@@ -17,6 +17,11 @@ dict per element, from the scalar psi and a walk up the parent chain for the
 word, and laid out field by field as ``json.dumps(indent=2)`` lays it out,
 as the export was written before it joined per-rank piece tables.
 
+The region scans and counts visit one row at a time, in Python ints, as
+the census did before it read whole chunks of rows off ``Region.row_spans``:
+the scan blocks are filled with row segments, and each row adds its span,
+its intersection with the cone's row range and its closed-form length sum.
+
 The scanned SVG renders are written one f-string per cell, as the emitter
 wrote them before it joined per-block piece tables.
 
@@ -31,9 +36,9 @@ from math import factorial
 import numpy as np
 
 from aughts.atlas import psi
-from aughts.census import _check_cells, _iter_blocks
+from aughts.census import _BLOCK_POINTS, Region, _check_cells, _iter_blocks
 from aughts.intmat import INT64_MAX, SmallIntMatrix
-from aughts.orbits import _in_cone, _semi_perimeter
+from aughts.orbits import _cone_span, _in_cone, _semi_perimeter
 from aughts.signed_perm import (
     Permutation,
     SignedPermElement,
@@ -151,6 +156,77 @@ def diametral_count(region):
                 total += 1
                 hits += brute_is_diametral((x, y))
     return total, hits
+
+
+def per_row_blocks(region):
+    """The scan blocks of ``census._iter_blocks``, built one row at a time:
+    each row's ``row_span`` is cut into segments that fill blocks of
+    ``_BLOCK_POINTS`` points in row-major order."""
+    _, _, ymin, ymax = region.bounds()
+    segments = []  # (first x, y, length) of each row segment of the block
+    room = _BLOCK_POINTS
+    for y in range(ymin, ymax + 1):
+        lo, hi = region.row_span(y)
+        while lo <= hi:
+            take = min(hi - lo + 1, room)
+            segments.append((lo, y, take))
+            lo += take
+            room -= take
+            if room == 0:
+                yield _segment_block(segments)
+                segments, room = [], _BLOCK_POINTS
+    if segments:
+        yield _segment_block(segments)
+
+
+def _segment_block(segments):
+    x1 = [x for lo, _, n in segments for x in range(lo, lo + n)]
+    x2 = [y for _, y, n in segments for _ in range(n)]
+    return np.array(x1, dtype=np.int64), np.array(x2, dtype=np.int64)
+
+
+def per_row_diametral_counts(region):
+    """(total, hits) of the region, one row at a time in Python ints: each
+    row's ``row_span`` and its intersection with the cone's row range."""
+    _, _, ymin, ymax = region.bounds()
+    total = hits = 0
+    for y in range(ymin, ymax + 1):
+        lo, hi = region.row_span(y)
+        if lo > hi:
+            continue
+        total += hi - lo + 1
+        a, b = _cone_span(y)
+        hits += max(0, min(b, hi) - max(a, lo) + 1)
+    return total, hits
+
+
+def per_row_disk_length_stats(r):
+    """(point count, length total, largest length) over the disk of radius
+    r, one row at a time in Python ints; each row sums its lengths in closed
+    form and takes its largest at an end, where the convex length peaks."""
+    region = Region.disk(r)
+    total = count = maximum = 0
+    for y in range(-r, r + 1):
+        lo, hi = region.row_span(y)
+        count += hi - lo + 1
+        total += 2 * (
+            abs_linear_sum(2, -y, lo, hi)
+            + abs_linear_sum(1, y, lo, hi)
+            + abs_linear_sum(1, -2 * y, lo, hi)
+        )
+        maximum = max(maximum, 2 * _semi_perimeter(lo, y), 2 * _semi_perimeter(hi, y))
+    return count, total, maximum
+
+
+def abs_linear_sum(a, b, lo, hi):
+    """Sum of |a*x + b| over the integers lo <= x <= hi, for a > 0."""
+
+    def linear(p, q):
+        # sum of a*x + b over p <= x <= q; (p + q)(q - p + 1) is even
+        return a * (p + q) * (q - p + 1) // 2 + b * (q - p + 1) if p <= q else 0
+
+    k = (-b) // a  # a*x + b <= 0 exactly for x <= k
+    return linear(max(lo, k + 1), hi) - linear(lo, min(hi, k))
 
 
 def bfs_catalog(n):

@@ -157,6 +157,26 @@ def test_coset_decomposition():
             assert moved in blocks3[j]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coset_blocks_are_rank_residues(n):
+    # verify's group suite counts the coset blocks off the ranks
+    cat = catalog(n)
+    sizes = np.bincount(cat.rank % (n + 1), minlength=n + 1)
+    blocks = coset_decomposition(cat)
+    assert sizes.tolist() == [len(blocks[key]) for key in range(n + 1)]
+
+
+def test_catalog_arrays_are_read_only():
+    cat = catalog(3)
+    before = cat.distance_histogram()
+    for array in (cat.rank, cat.distance, cat.parent, cat.via, cat.position):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    with pytest.raises(ValueError):
+        cat.distance[:] = 0
+    assert catalog(3).distance_histogram() == before == {0: 1, 1: 3, 2: 6, 3: 9, 4: 5}
+
+
 def test_psi_generators_and_identity():
     assert psi(generator(3, 1), 3) == Permutation.transposition(4, 1, 2)
     assert psi(identity_element(3), 3) == Permutation.identity(4)

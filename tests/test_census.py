@@ -16,6 +16,9 @@ from brute_force import (
     extents,
     max_pairwise_dist_sq,
     orbit_nodes,
+    per_row_blocks,
+    per_row_diametral_counts,
+    per_row_disk_length_stats,
     walk_length,
 )
 from hypothesis import given, settings
@@ -322,8 +325,10 @@ def test_row_span_agrees_with_contains(region):
     # contains and the block scan both read row_span, so the scanned set is
     # checked against the independent predicate
     scanned = set(scanned_points(region))
+    los, his = region.row_spans(np.arange(-12, 13, dtype=np.int64))
     for y in range(-12, 13):
         lo, hi = region.row_span(y)
+        assert (los[y + 12], his[y + 12]) == (lo, hi), y
         for x in range(-12, 13):
             inside = independent_member(region, x, y)
             assert inside == (lo <= x <= hi) == region.contains(x, y), (x, y)
@@ -383,6 +388,89 @@ def test_scan_matches_independent_predicate_across_blocks(region):
     assert points == expected
 
 
+# Rows y of the disks of radius 2^31 - 1 and 2^31 where r^2 - y^2 is a
+# square minus 1, from y^2 + k^2 = r^2 + 1.  r^2 - y^2 is a square only on
+# the rows 0 and +-r: neither r^2 is a sum of two positive squares.
+SQUARE_MINUS_ONE_ROWS = {
+    2**31 - 1: [
+        1, 316409597, 697802027, 931120763, 989425759, 1206078871, 1288490189,
+        1509390961, 1527555217, 1717986917, 1776811687, 1905970273, 1935122771,
+        2030950109, 2124045899, 2147483647,
+    ],
+    2**31: [
+        1, 65536, 102879944, 216510568, 348267737, 699307792, 900453919,
+        900513416, 992819024, 1019335316, 1019392999, 1108716391, 1204706777,
+        1204761028, 1288490188, 1288542617, 1717947596, 1717986919, 1777705511,
+        1777742276, 1839139468, 1890112148, 1890143257, 1904204927, 1949554207,
+        1949581688, 2030432129, 2119055356, 2136541409, 2145017887, 2147483647,
+        2147483648,
+    ],
+}
+
+
+@pytest.mark.parametrize("r", sorted(SQUARE_MINUS_ONE_ROWS))
+def test_disk_row_spans_are_exact_at_2_31(r):
+    # the float sqrt of r^2 - y^2 rounds up to the root at a square minus 1
+    # and may fall below it at a square
+    special = SQUARE_MINUS_ONE_ROWS[r]
+    assert all(math.isqrt(r * r - y * y + 1) ** 2 == r * r - y * y + 1 for y in special)
+    rng = np.random.default_rng(r)
+    ys = np.concatenate([
+        rng.integers(-r, r, size=10**5, endpoint=True),
+        special, np.negative(special), [0],
+        np.arange(r - 2000, r + 1), np.arange(-2**31, -2**31 + 3), [2**31],
+    ]).astype(np.int64)
+    region = Region.disk(r)
+    lo, hi = region.row_spans(ys)
+    assert lo.dtype == hi.dtype == np.int64
+    assert list(zip(lo.tolist(), hi.tolist())) == [region.row_span(y) for y in ys.tolist()]
+
+
+# each crosses a chunk of 2^16 rows; the rect at the 2^31 corner is 7 wide
+CHUNKED_SCANS = [
+    Region.rect(0, 0, -37500, 37499),
+    Region.rect(2**31 - 6, 2**31, 2**31 - 70000, 2**31),
+    Region.rect(-(2**31), -(2**31) + 1, -40000, 40000),
+    Region.rect(-40000, 30000, -1, 1),
+    Region.disk(300),
+]
+
+
+@pytest.mark.parametrize("region", CHUNKED_SCANS, ids=lambda r: f"{r.kind}{list(r.params)}")
+def test_scan_blocks_match_per_row_oracle(region):
+    blocks = census._iter_blocks(region)
+    count = 0
+    for (x1, x2), (u1, u2) in zip(blocks, per_row_blocks(region), strict=True):
+        assert x1.dtype == x2.dtype == np.int64
+        assert np.array_equal(x1, u1) and np.array_equal(x2, u2)
+        count += 1
+    assert count == -(-diametral_report(region).total_points // census._BLOCK_POINTS)
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Region.rect(-3, 40, -100000, 100000),  # tall: counted as its transpose
+        Region.rect(-70000, 70000, -(2**31), -(2**31) + 70000),
+        Region.rect(2**31 - 70000, 2**31 + 5, 2**31 - 69990, 2**31 + 9),  # Python ints
+        Region.rect(-(2**64), 2**64, 2**63 - 5, 2**63 + 5),
+        Region.square(70000),
+        Region.hexagon(40000),
+        Region.disk(40000),
+    ],
+    ids=lambda r: f"{r.kind}{list(r.params)}",
+)
+def test_diametral_report_matches_per_row_oracle(region):
+    report = diametral_report(region)
+    assert (report.total_points, report.diametral_points) == per_row_diametral_counts(region)
+
+
+@pytest.mark.parametrize("r", [100, 977, 40000])
+def test_disk_length_stats_match_per_row_oracle(r):
+    count, total, maximum = per_row_disk_length_stats(r)
+    assert disk_length_stats(r) == census.DiskLengthStats(r, count, total / count, maximum)
+
+
 def test_scan_rejects_bounds_beyond_2_31():
     # 2x wraps int64 at 2^62; the scan refuses any bound beyond 2^31
     with pytest.raises(ValueError):
@@ -435,6 +523,14 @@ def test_diametral_row_limit():
         diametral_report(Region.rect(0, 2**40, 0, 2**40))
     with pytest.raises(ResourceLimitError):
         diametral_report(Region.disk(census.ROW_LIMIT // 2))
+
+
+def test_diametral_row_limit_beyond_2_31():
+    # rows in Python ints cost more: an eighth of the limit, checked up front
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        diametral_report(Region.rect(2**40, 2**41, 0, census.ROW_LIMIT // 8))
+    assert time.perf_counter() - start < 1
 
 
 def test_disk_length_stats_row_limit():
