@@ -41,11 +41,11 @@ _CHUNK_ROWS = 2**16
 # Bounding-box cells an angular histogram may scan (about 56 ns each, 6 s).
 POINT_LIMIT = 10**8
 # Rows a row count may visit, so a far-flung region stops at once instead of
-# running for days.  The disk lengths, the slower count, take about 95 ns a
-# row in chunks of int64 rows (0.38 s for r = 1,999,999 on a 2-vCPU VM), so
-# their worst case is about 6 s; rects beyond the 2^31 guard count in Python
-# ints, about 1 us a row, and may visit an eighth as many rows.  Kept below
-# 2^29 so that no disk row's int64 length sum can wrap.
+# running for days.  The disk lengths, the slower count, take about 100 ns a
+# row in chunks of int64 rows: their worst case, r = 31,999,999, took 6.6 s
+# on a 2-vCPU VM.  Rects beyond the 2^31 guard count in Python ints, about
+# 1 us a row, and may visit an eighth as many rows (8.1 s for 8,000,000).
+# Kept below 2^29 so that no disk row's int64 length sum can wrap.
 ROW_LIMIT = 64_000_000
 # Largest modulus of a census: it builds and prints one count per residue.
 MODULUS_LIMIT = 2**16
@@ -138,8 +138,10 @@ class Region:
         Equal to ``row_span`` row by row for a region and rows within the
         2^31 guard; the box kinds also take an object array of Python ints,
         for rects beyond it.  The disk's half-width is an exact isqrt of
-        r^2 - y^2 <= 2^62: the float sqrt is within 2^-21 of the root, so
-        truncating it errs by at most one, which one step each way mends.
+        v = r^2 - y^2 <= 2^62 from the float sqrt, which is never below it:
+        rounding is monotone and sqrt(fl(k^2)) rounds to k for k <= 2^31, as
+        fl(k^2) is within k^2 2^-53 of k^2.  It exceeds sqrt(v) by at most
+        2^-21, so it truncates to isqrt(v) + 1 at most, which one step mends.
         """
         xmin, xmax, ymin, ymax = self.bounds()
         if self.kind == "hexagon_H":
@@ -150,7 +152,6 @@ class Region:
             rest = np.maximum(r * r - ys * ys, 0)
             half = np.sqrt(rest.astype(np.float64)).astype(np.int64)
             half -= half * half > rest
-            half += (half + 1) * (half + 1) <= rest
             lo, hi = -half, half
         else:
             lo, hi = np.full_like(ys, xmin), np.full_like(ys, xmax)

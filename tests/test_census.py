@@ -426,25 +426,43 @@ def test_disk_row_spans_are_exact_at_2_31(r):
     assert list(zip(lo.tolist(), hi.tolist())) == [region.row_span(y) for y in ys.tolist()]
 
 
-# each crosses a chunk of 2^16 rows; the rect at the 2^31 corner is 7 wide
-CHUNKED_SCANS = [
-    Region.rect(0, 0, -37500, 37499),
-    Region.rect(2**31 - 6, 2**31, 2**31 - 70000, 2**31),
-    Region.rect(-(2**31), -(2**31) + 1, -40000, 40000),
-    Region.rect(-40000, 30000, -1, 1),
-    Region.disk(300),
-]
-
-
-@pytest.mark.parametrize("region", CHUNKED_SCANS, ids=lambda r: f"{r.kind}{list(r.params)}")
-def test_scan_blocks_match_per_row_oracle(region):
-    blocks = census._iter_blocks(region)
+def assert_blocks_match_per_row_oracle(region):
     count = 0
-    for (x1, x2), (u1, u2) in zip(blocks, per_row_blocks(region), strict=True):
+    for (x1, x2), (u1, u2) in zip(
+        census._iter_blocks(region), per_row_blocks(region), strict=True
+    ):
         assert x1.dtype == x2.dtype == np.int64
         assert np.array_equal(x1, u1) and np.array_equal(x2, u2)
         count += 1
     assert count == -(-diametral_report(region).total_points // census._BLOCK_POINTS)
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Region.rect(0, 0, -37500, 37499),
+        Region.rect(2**31 - 6, 2**31, 2**31 - 70000, 2**31),
+        Region.rect(-(2**31), -(2**31) + 1, -40000, 40000),
+    ],
+    ids=lambda r: f"{r.kind}{list(r.params)}",
+)
+def test_scan_blocks_match_per_row_oracle(region):
+    # each crosses a chunk of 2^16 rows
+    assert_blocks_match_per_row_oracle(region)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 100])
+@pytest.mark.parametrize(
+    "region",
+    [Region.disk(300), Region.hexagon(150), Region.rect(-40000, 30000, -1, 1)],
+    ids=lambda r: f"{r.kind}{list(r.params)}",
+)
+def test_scan_blocks_join_pieces_across_chunks(monkeypatch, region, chunk_rows):
+    # A chunk of 2^16 box rows holds whole blocks, so only a disk or a
+    # hexagon of more than 2^16 rows, billions of points, ends a block in a
+    # later chunk than it starts; smaller chunks make that happen here.
+    monkeypatch.setattr(census, "_CHUNK_ROWS", chunk_rows)
+    assert_blocks_match_per_row_oracle(region)
 
 
 @pytest.mark.parametrize(
@@ -469,6 +487,13 @@ def test_diametral_report_matches_per_row_oracle(region):
 def test_disk_length_stats_match_per_row_oracle(r):
     count, total, maximum = per_row_disk_length_stats(r)
     assert disk_length_stats(r) == census.DiskLengthStats(r, count, total / count, maximum)
+
+
+def test_disk_length_stats_add_rows_without_int64_wrap():
+    # a chunk of 2^16 rows of the disk of radius 5 * 10^6 sums to 1.56 * 2^63;
+    # a wrap would be off by a multiple of 2^64, about 1 % of the total
+    big, small = disk_length_stats(5 * 10**6), disk_length_stats(10**6)
+    assert big.average / small.average == pytest.approx(5, rel=1e-5)
 
 
 def test_scan_rejects_bounds_beyond_2_31():
