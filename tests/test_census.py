@@ -410,8 +410,8 @@ SQUARE_MINUS_ONE_ROWS = {
 
 @pytest.mark.parametrize("r", sorted(SQUARE_MINUS_ONE_ROWS))
 def test_disk_row_spans_are_exact_at_2_31(r):
-    # the float sqrt of r^2 - y^2 rounds up to the root at a square minus 1
-    # and may fall below it at a square
+    # the float sqrt of r^2 - y^2 rounds up to the next root at a square
+    # minus 1, which the step down mends; at a square it is the root
     special = SQUARE_MINUS_ONE_ROWS[r]
     assert all(math.isqrt(r * r - y * y + 1) ** 2 == r * r - y * y + 1 for y in special)
     rng = np.random.default_rng(r)
