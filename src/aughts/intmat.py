@@ -4,8 +4,18 @@ The generator ``K(j)`` is the identity matrix with row ``j`` replaced by the
 alternating row ``r(j) = ((-1)^j, (-1)^(j+1), ..., (-1)^(j+n-1))``.  All
 arithmetic here is exact; entries are Python ints, products are checked
 against the signed 64-bit range and equality is entry-wise, with no
-tolerances anywhere.  ``mat_mul`` multiplies with numpy: in int64 when a
-bound on its input rules out any wrap, and in Python ints otherwise.
+tolerances anywhere.
+
+Products are taken with numpy under one bound, written once in
+``_product_dtype``: every entry of an n x n product, and every partial sum
+on the way to it, is a sum of n terms of size at most max|a| * max|b|, so
+when n * max(max|a|, 1) * max(max|b|, 1) <= 2^63 - 1 the product runs in
+int64 and cannot wrap; beyond it the product runs in Python ints
+(``dtype=object``) and raises ``OverflowError`` where an entry leaves the
+signed 64-bit range.  ``mat_mul`` multiplies two matrices and
+``stack_mul`` two (k, n, n) stacks of them (``stack``) in one product;
+``k_word_products`` multiplies many generator words at once, one stacked
+product per word position, and ``k_word_product`` is its one-word case.
 
 Indices on the public surface are 1-based (matching the usual notation for
 the generators); storage is 0-based internally.
@@ -24,6 +34,9 @@ INT64_MAX = 2**63 - 1
 
 class UnitEntryError(ArithmeticError):
     """A product of generators produced an entry outside {-1, 0, 1}."""
+
+    def __init__(self, message: str = "group element has an entry outside {-1, 0, 1}"):
+        super().__init__(message)
 
 
 def sign_pow(exponent: int) -> int:
@@ -70,6 +83,15 @@ class SmallIntMatrix:
             raise TypeError("matrix entries must be Python ints")
 
     @classmethod
+    def _of_ints(cls, n: int, entries: tuple[int, ...]) -> "SmallIntMatrix":
+        """A matrix of n * n entries known to be Python ints, as ``tolist()``
+        returns them, built without the checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SmallIntMatrix":
         n = len(rows)
         flat: list[int] = []
@@ -88,7 +110,7 @@ class SmallIntMatrix:
         return tuple(self.row(i) for i in range(1, self.n + 1))
 
     def max_abs(self) -> int:
-        return max(map(abs, self.entries))
+        return max(max(self.entries), -min(self.entries))
 
     def is_identity(self) -> bool:
         return self == identity_matrix(self.n)
@@ -134,28 +156,64 @@ def make_k(n: int, j: int) -> SmallIntMatrix:
     return SmallIntMatrix(n, tuple(entries))
 
 
-def mat_mul(a: SmallIntMatrix, b: SmallIntMatrix) -> SmallIntMatrix:
-    """Exact product; raises OverflowError past the signed 64-bit range.
+def _product_dtype(n: int, max_a: int, max_b: int) -> type:
+    """The dtype in which a product of n x n factors with the given largest
+    magnitudes is exact: int64 when n * max(max_a, 1) * max(max_b, 1) is at
+    most 2^63 - 1, so that no entry or partial sum can wrap, and Python ints
+    (``object``) otherwise.  The max with 1 keeps a zero factor whose partner
+    lies beyond int64 off the int64 path."""
+    return np.int64 if n * max(max_a, 1) * max(max_b, 1) <= INT64_MAX else object
 
-    Each entry of the product, and each partial sum on the way to it, is a
-    sum of at most n terms of size at most max|a| * max|b|.  So when
-    n * max(max|a|, 1) * max(max|b|, 1) <= 2^63 - 1 the product runs in
-    int64, which then cannot wrap and needs no range check; otherwise it
-    runs in Python ints (``dtype=object``) and the entries are checked.
-    The max with 1 keeps a zero factor whose partner lies beyond int64 off
-    the int64 path.
-    """
+
+def _checked(product: np.ndarray) -> np.ndarray:
+    """A product computed in ``_product_dtype``; OverflowError when one of
+    its Python-int entries leaves the signed 64-bit range."""
+    if product.dtype == object and product.size and _array_max_abs(product) > INT64_MAX:
+        raise OverflowError("matrix product exceeds 64-bit range")
+    return product
+
+
+def _array_max_abs(x: np.ndarray) -> int:
+    # max(max, -min) rather than abs(): abs wraps at -2^63 in int64
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
+def mat_mul(a: SmallIntMatrix, b: SmallIntMatrix) -> SmallIntMatrix:
+    """Exact product; raises OverflowError past the signed 64-bit range."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     n = a.n
-    bound = n * max(a.max_abs(), 1) * max(b.max_abs(), 1)
-    dtype = np.int64 if bound <= INT64_MAX else object
-    x = np.array(a.entries, dtype).reshape(n, n)
-    y = np.array(b.entries, dtype).reshape(n, n)
-    out = tuple((x @ y).ravel().tolist())
-    if dtype is object and max(map(abs, out)) > INT64_MAX:
-        raise OverflowError("matrix product exceeds 64-bit range")
-    return SmallIntMatrix(n, out)
+    dtype = _product_dtype(n, a.max_abs(), b.max_abs())
+    x = np.fromiter(a.entries, dtype, n * n).reshape(n, n)
+    y = np.fromiter(b.entries, dtype, n * n).reshape(n, n)
+    return SmallIntMatrix._of_ints(n, tuple(_checked(x @ y).ravel().tolist()))
+
+
+def stack(n: int, matrices: Sequence[SmallIntMatrix]) -> np.ndarray:
+    """The n x n matrices as one (k, n, n) array: int64 when every entry lies
+    within +-(2^63 - 1), Python ints (``dtype=object``) otherwise."""
+    _check_dim(n)
+    if any(m.n != n for m in matrices):
+        raise ValueError(f"dimension mismatch: expected {n} x {n} matrices")
+    wide = max((m.max_abs() for m in matrices), default=0) > INT64_MAX
+    entries = [m.entries for m in matrices]
+    return np.array(entries, object if wide else np.int64).reshape(len(matrices), n, n)
+
+
+def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact products a @ b of stacks of n x n matrices, as int64.
+
+    The stacks broadcast as in ``np.matmul``.  The whole family is taken in
+    one product, in the dtype that ``mat_mul`` would pick for the stacks'
+    largest entries; so it raises OverflowError exactly when ``mat_mul``
+    raises on one of its pairs.
+    """
+    n = a.shape[-1]
+    if a.shape[-2:] != (n, n) or b.shape[-2:] != (n, n):
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    dtype = _product_dtype(n, _array_max_abs(a), _array_max_abs(b))
+    product = _checked(a.astype(dtype, copy=False) @ b.astype(dtype, copy=False))
+    return product.astype(np.int64, copy=False)
 
 
 def mat_add(a: SmallIntMatrix, b: SmallIntMatrix) -> SmallIntMatrix:
@@ -190,20 +248,51 @@ def matrix_order(m: SmallIntMatrix, limit: int = 10_000) -> int:
 def assert_unit_entries(m: SmallIntMatrix) -> SmallIntMatrix:
     """Enforce the group invariant that entries stay in {-1, 0, 1}."""
     if m.max_abs() > 1:
-        raise UnitEntryError("group element has an entry outside {-1, 0, 1}")
+        raise UnitEntryError()
     return m
 
 
-def k_word_product(n: int, js: Sequence[int]) -> SmallIntMatrix:
-    """Brute-force product K(j1) K(j2) ... by repeated multiplication.
+def k_word_products(
+    n: int, words: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brute-force products K(j1) K(j2) ... of many words at once.
 
-    This is the oracle against which every closed-form product is checked.
+    Step s multiplies the running products of all words longer than s by
+    their s-th generators in one stacked product.  Returns the (k, n, n)
+    int64 products and a mask over the words that is False where a running
+    product left the unit entries {-1, 0, 1}: such a word is multiplied no
+    further and its slot holds no product.  These are the oracle against
+    which every closed-form product is checked.
+    """
+    _check_dim(n)
+    used = sorted({operator.index(j) for word in words for j in word})
+    generators = stack(n, [make_k(n, j) for j in used])
+    slot = {j: i for i, j in enumerate(used)}
+    lengths = np.array([len(word) for word in words], dtype=np.intp)
+    steps = int(lengths.max(initial=0))
+    table = np.array(
+        [[slot[j] for j in word] + [0] * (steps - len(word)) for word in words], np.intp
+    ).reshape(len(words), steps)
+    products = np.zeros((len(words), n, n), np.int64)
+    products[:, range(n), range(n)] = 1
+    unit = np.ones(len(words), dtype=bool)
+    for s in range(steps):
+        live = np.flatnonzero(unit & (lengths > s))
+        step = stack_mul(products[live], generators[table[live, s]])
+        products[live] = step
+        unit[live] = (np.abs(step) <= 1).all(axis=(1, 2))
+    return products, unit
+
+
+def k_word_product(n: int, js: Sequence[int]) -> SmallIntMatrix:
+    """Brute-force product K(j1) K(j2) ...: the one-word ``k_word_products``.
+
     The unit-entry invariant is asserted after each step.
     """
-    acc = identity_matrix(n)
-    for j in js:
-        acc = assert_unit_entries(mat_mul(acc, make_k(n, j)))
-    return acc
+    products, unit = k_word_products(n, [js])
+    if not unit[0]:
+        raise UnitEntryError()
+    return SmallIntMatrix(n, tuple(products[0].ravel().tolist()))
 
 
 def product_closed_form(n: int, js: Sequence[int]) -> SmallIntMatrix:

@@ -130,6 +130,14 @@ def generator(n: int, j: int) -> SignedPermElement:
     return SignedPermElement.of(Permutation.identity(n), j, 1)
 
 
+def _flag_pivot(e: SignedPermElement) -> int:
+    """The pivot row of a flagged element; ValueError outside 1..n, which the
+    bare constructor does not check."""
+    if not 1 <= e.h <= len(e.sigma.images):
+        raise ValueError(f"pivot {e.h} out of range 1..{len(e.sigma.images)}")
+    return e.h
+
+
 def msih_mul(a: SignedPermElement, b: SignedPermElement) -> SignedPermElement:
     """Product a*b in the symbolic format.
 
@@ -137,31 +145,31 @@ def msih_mul(a: SignedPermElement, b: SignedPermElement) -> SignedPermElement:
     composite permutation is j -> tau(sigma(j)); when both flags are set and
     the pivots collide (sigma^-1(b.h) == a.h) the flags cancel, otherwise
     the composite permutation is additionally patched at the two pivots.
+    The result is read straight off the image tuples.
     """
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    sigma, tau = a.sigma, b.sigma
-    ts = sigma.then(tau)
+    sigma, tau = a.sigma.images, b.sigma.images
+    if len(sigma) != len(tau):
+        raise ValueError(f"degree mismatch: {len(sigma)} vs {len(tau)}")
+    images = [tau[v - 1] for v in sigma]
     if a.eps == 0 and b.eps == 0:
-        return SignedPermElement.of(ts, 1, 0)
-    if a.eps == 1 and b.eps == 0:
-        return SignedPermElement.of(ts, a.h, 1)
-    sv = sigma.inverse().apply(b.h)
+        return SignedPermElement(Permutation(tuple(images)), 1, 0)
+    if b.eps == 0:
+        return SignedPermElement(Permutation(tuple(images)), _flag_pivot(a), 1)
+    sv = sigma.index(_flag_pivot(b)) + 1
     if a.eps == 0:
-        return SignedPermElement.of(ts, sv, 1)
-    u = a.h
+        return SignedPermElement(Permutation(tuple(images)), sv, 1)
+    u = _flag_pivot(a)
     if sv == u:
-        return SignedPermElement.of(ts, 1, 0)
-    images = list(ts.images)
+        return SignedPermElement(Permutation(tuple(images)), 1, 0)
     images[u - 1], images[sv - 1] = images[sv - 1], images[u - 1]
-    return SignedPermElement.of(Permutation(tuple(images)), sv, 1)
+    return SignedPermElement(Permutation(tuple(images)), sv, 1)
 
 
 def msih_inverse(a: SignedPermElement) -> SignedPermElement:
     inv = a.sigma.inverse()
     if a.eps == 0:
         return SignedPermElement.of(inv, 1, 0)
-    return SignedPermElement.of(inv, a.sigma.apply(a.h), 1)
+    return SignedPermElement.of(inv, a.sigma.apply(_flag_pivot(a)), 1)
 
 
 def to_matrix(e: SignedPermElement) -> SmallIntMatrix:

@@ -27,14 +27,26 @@ wrote them before it joined per-block piece tables.
 
 Integer matrices are multiplied with a triple loop in Python ints, one entry
 at a time, as ``intmat.mat_mul`` did before it multiplied with numpy.
+
+The symbolic product is composed through ``Permutation.then`` and
+``inverse`` objects, as ``msih_mul`` did before it read the image tuples.
+The matrix suites of ``verify`` are run one ``mat_mul`` and one check at a
+time, with every failure text formatted, as they ran before they took whole
+families in one stacked product; a word product is one ``mat_mul`` per
+generator. They look up the library's functions on its modules when called,
+so a test that patches a module attribute breaks the oracle as it breaks
+the suite.
 """
 
 import json
 from collections import deque
 from math import factorial
 
+import random
+
 import numpy as np
 
+from aughts import atlas, intmat, orbits, verify
 from aughts.atlas import psi
 from aughts.census import _BLOCK_POINTS, Region, _check_cells, _iter_blocks
 from aughts.intmat import INT64_MAX, SmallIntMatrix
@@ -435,3 +447,163 @@ def _per_cell_projection(spec):
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def loop_msih_mul(a, b):
+    """Product a*b in the symbolic format, composed through permutation
+    objects."""
+    if a.degree != b.degree:
+        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+    sigma, tau = a.sigma, b.sigma
+    ts = sigma.then(tau)
+    if a.eps == 0 and b.eps == 0:
+        return SignedPermElement.of(ts, 1, 0)
+    if a.eps == 1 and b.eps == 0:
+        return SignedPermElement.of(ts, a.h, 1)
+    sv = sigma.inverse().apply(b.h)
+    if a.eps == 0:
+        return SignedPermElement.of(ts, sv, 1)
+    u = a.h
+    if sv == u:
+        return SignedPermElement.of(ts, 1, 0)
+    images = list(ts.images)
+    images[u - 1], images[sv - 1] = images[sv - 1], images[u - 1]
+    return SignedPermElement.of(Permutation(tuple(images)), sv, 1)
+
+
+def loop_k_word_product(n, js):
+    """K(j1) K(j2) ... by one mat_mul per generator, asserting unit entries
+    after each step."""
+    acc = intmat.identity_matrix(n)
+    for j in js:
+        acc = intmat.assert_unit_entries(intmat.mat_mul(acc, intmat.make_k(n, j)))
+    return acc
+
+
+def loop_involution_suite(n_max):
+    res = verify.SuiteResult("involutions")
+    for n in range(1, n_max + 1):
+        for j in range(1, n + 1):
+            k = intmat.make_k(n, j)
+            res.check(
+                intmat.mat_mul(k, k).is_identity(),
+                f"K({j})^2 != Id at n={n}",
+            )
+    rng = random.Random(1105)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        x = tuple(rng.randint(-50, 50) for _ in range(n))
+        j = rng.randint(1, n)
+        res.check(
+            orbits.apply_k(orbits.apply_k(x, j), j) == x,
+            f"operator {j} applied twice moved {x}",
+        )
+    return res
+
+
+def loop_braid_suite(n_max):
+    res = verify.SuiteResult("braid-relations")
+    for n in range(2, n_max + 1):
+        for j in range(1, n + 1):
+            for ell in range(1, n + 1):
+                if j == ell:
+                    continue
+                kj, kl = intmat.make_k(n, j), intmat.make_k(n, ell)
+                prod = intmat.mat_mul(kj, kl)
+                res.check(
+                    intmat.mat_pow(prod, 3).is_identity(),
+                    f"(K({j})K({ell}))^3 != Id at n={n}",
+                )
+                res.check(
+                    intmat.mat_mul(prod, kj) == intmat.mat_mul(intmat.mat_mul(kl, kj), kl),
+                    f"palindrome identity fails at n={n}, j={j}, l={ell}",
+                )
+    return res
+
+
+def loop_closed_form_suite(n_max):
+    with verify.SuiteResult("closed-form-products") as res:
+        for n in range(2, n_max + 1):
+            for j in range(1, n + 1):
+                for ell in range(1, n + 1):
+                    if j == ell:
+                        continue
+                    res.check(
+                        intmat.product_closed_form(n, (j, ell))
+                        == loop_k_word_product(n, (j, ell)),
+                        f"pair closed form fails at n={n}, ({j},{ell})",
+                    )
+        rng = random.Random(verify.CLOSED_FORM_SEED)
+        for _ in range(verify.CLOSED_FORM_TRIALS):
+            n = rng.randint(2, n_max)
+            s = rng.randint(1, n)
+            js = tuple(rng.sample(range(1, n + 1), s))
+            res.check(
+                intmat.product_closed_form(n, js) == loop_k_word_product(n, js),
+                f"closed form fails at n={n}, tuple {js}",
+            )
+        for n in range(1, n_max + 1):
+            down = intmat.matrix_order(intmat.full_cycle_matrix(n, "down"), limit=n + 2)
+            via_sym = atlas.full_cycle_order_via_sym(n)
+            res.check(down == n + 1, f"down cycle order {down} != {n + 1}")
+            res.check(via_sym == n + 1, f"symmetric-group order {via_sym} != {n + 1}")
+    return res
+
+
+def loop_rank_one_suite(n_max):
+    res = verify.SuiteResult("rank-one-identities")
+    for n in range(1, n_max + 1):
+        for j in range(1, n + 1):
+            row = intmat.alternating_row(n, j)
+            res.check(row[j - 1] == -1, f"r({j}).e({j}) != -1 at n={n}")
+            res.check(
+                sum(v * v for v in row) == n, f"r({j}).r({j})^T != n at n={n}"
+            )
+            for ell in range(1, n + 1):
+                res.check(
+                    row[ell - 1] == intmat.sign_pow(j + ell - 1),
+                    f"r({j}).e({ell}) sign wrong at n={n}",
+                )
+                if ell != j:
+                    lhs = intmat.mat_mul(
+                        intmat.pivot_outer(n, ell), intmat.pivot_outer(n, j)
+                    )
+                    rhs = intmat.mat_scale(intmat.pivot_outer(n, ell), -1)
+                    res.check(
+                        lhs == rhs,
+                        f"e({ell})r({ell}) e({j})r({j}) != -e({ell})r({ell}) at n={n}",
+                    )
+            for k in range(1, n + 1):
+                res.check(
+                    intmat.mat_pow(intmat.pivot_outer(n, j), k)
+                    == intmat.mat_scale(intmat.pivot_outer(n, j), intmat.sign_pow(k + 1)),
+                    f"(e({j})r({j}))^{k} identity fails at n={n}",
+                )
+    return res
+
+
+def loop_oracle_suite(n_max):
+    with verify.SuiteResult("matrix-symbol-oracle") as res:
+        for n in range(1, min(n_max, 4) + 1):
+            elements = atlas.catalog(n).elements
+            mats = {e: verify.to_matrix(e) for e in elements}
+            for a in elements:
+                for b in elements:
+                    p = verify.msih_mul(a, b)
+                    res.check(
+                        (mats.get(p) or verify.to_matrix(p)) == intmat.mat_mul(mats[a], mats[b]),
+                        f"oracle fails at n={n}: "
+                        f"{verify.format_element(a)} * {verify.format_element(b)}",
+                    )
+            ident = verify.identity_element(n)
+            for e in elements:
+                res.check(
+                    verify.msih_mul(e, verify.msih_inverse(e)) == ident,
+                    f"inverse law fails at n={n}: {verify.format_element(e)}",
+                )
+                res.check(
+                    verify.matrix_to_msih(mats[e]) == e,
+                    f"round trip fails at n={n}: {verify.format_element(e)}",
+                )
+            res.notes.append(f"n={n}: {len(elements) ** 2} oracle pairs checked")
+    return res

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from brute_force import loop_mat_mul
+from brute_force import loop_k_word_product, loop_mat_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,6 +185,125 @@ def test_mat_mul_zero_factor_against_entries_beyond_int64():
     zero = zero_matrix(3)
     assert _assert_agrees_with_loop(zero, huge) == zero
     assert _assert_agrees_with_loop(huge, zero) == zero
+
+
+def _stack_outcome(a, b):
+    try:
+        return intmat.stack_mul(a, b)
+    except OverflowError:
+        return OverflowError
+
+
+EDGE_VALUES = [0, 1, -1, 2**62, -(2**62), 2**62 - 1, INT64_MAX, -INT64_MAX]
+
+
+def test_stack_mul_matches_loop_near_the_int64_range():
+    rng = random.Random(30517)
+    beyond = [2**63, -(2**63), 2**64, -(2**100)]
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        values = EDGE_VALUES + (beyond if rng.random() < 0.3 else [])
+        a = _random_matrix(rng, n, lambda r: r.choice(values))
+        b = _random_matrix(rng, n, lambda r: r.choice(EDGE_VALUES))
+        # zero rows keep some products of large factors small
+        if rng.random() < 0.3:
+            b = SmallIntMatrix(n, (0,) * n + b.entries[n:])
+        want = _outcome(loop_mat_mul, a, b)
+        assert _outcome(mat_mul, a, b) == want
+        got = _stack_outcome(intmat.stack(n, [a]), intmat.stack(n, [b]))
+        if want is OverflowError:
+            assert got is OverflowError
+        else:
+            assert got.dtype == np.int64 and tuple(got.ravel().tolist()) == want.entries
+        outcomes.add(want is OverflowError)
+    assert outcomes == {False, True}
+
+
+def test_stack_mul_raises_where_one_pair_does():
+    fine = SmallIntMatrix.from_rows([[2**62, 2**62 - 1], [0, 0]])
+    col = SmallIntMatrix.from_rows([[1, 0], [1, 0]])
+    over = SmallIntMatrix.from_rows([[2**62, 2**62], [0, 0]])
+    assert _stack_outcome(intmat.stack(2, [fine, fine]), intmat.stack(2, [col, col]))[
+        :, 0, 0
+    ].tolist() == [INT64_MAX, INT64_MAX]
+    for sign in (1, -1):
+        cols = intmat.stack(2, [mat_scale(col, sign)] * 3)
+        rows = intmat.stack(2, [fine, over, fine])
+        with pytest.raises(OverflowError):
+            mat_mul(over, mat_scale(col, sign))
+        assert _stack_outcome(rows, cols) is OverflowError
+
+
+def test_stack_mul_zero_factor_against_entries_beyond_int64():
+    huge = SmallIntMatrix.from_rows(
+        [[2**64, -(2**100), 3], [1, 2**63, 0], [0, 0, 2**70]]
+    )
+    wide = intmat.stack(3, [huge, huge])
+    assert wide.dtype == object
+    zeros = intmat.stack(3, [zero_matrix(3)] * 2)
+    for a, b in ((wide, zeros), (zeros, wide)):
+        got = intmat.stack_mul(a, b)
+        assert got.dtype == np.int64 and not got.any()
+    assert _outcome(loop_mat_mul, huge, zero_matrix(3)) == zero_matrix(3)
+
+
+def test_stack_mul_at_the_no_wrap_bound():
+    c = INT64_MAX // 7
+    ones = intmat.stack(7, [SmallIntMatrix(7, (1,) * 49)])
+    b = SmallIntMatrix(7, (c, -c, 0, 1, -1, c, 5) * 7)
+    got = intmat.stack_mul(ones, intmat.stack(7, [b]))
+    assert got[0, 0, :3].tolist() == [INT64_MAX, -INT64_MAX, 0]
+    assert tuple(got.ravel().tolist()) == loop_mat_mul(SmallIntMatrix(7, (1,) * 49), b).entries
+
+
+def test_stack_refuses_mixed_sizes():
+    with pytest.raises(ValueError):
+        intmat.stack(3, [make_k(3, 1), make_k(4, 1)])
+    with pytest.raises(ValueError):
+        intmat.stack_mul(intmat.stack(3, [make_k(3, 1)]), intmat.stack(4, [make_k(4, 1)]))
+
+
+def _word_outcome(product, n, js):
+    try:
+        return product(n, js)
+    except intmat.UnitEntryError:
+        return intmat.UnitEntryError
+
+
+def test_k_word_products_match_the_loop():
+    rng = random.Random(8810)
+    for n in range(1, 9):
+        words = [()] + [
+            tuple(rng.randint(1, n) for _ in range(rng.randint(1, 2 * n))) for _ in range(60)
+        ]
+        products, unit = intmat.k_word_products(n, words)
+        assert unit.all()
+        for word, got in zip(words, products):
+            assert tuple(got.ravel().tolist()) == loop_k_word_product(n, word).entries
+            assert k_word_product(n, word) == loop_k_word_product(n, word)
+
+
+def test_k_word_products_mark_words_that_leave_the_unit_entries(monkeypatch):
+    true_make_k = intmat.make_k
+    bent = SmallIntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    monkeypatch.setattr(intmat, "make_k", lambda n, j: bent if j == 2 else true_make_k(n, j))
+    rng = random.Random(4)
+    words = [tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 6))) for _ in range(200)]
+    _, unit = intmat.k_word_products(3, words)
+    want = [_word_outcome(loop_k_word_product, 3, w) is not intmat.UnitEntryError for w in words]
+    assert unit.tolist() == want
+    assert False in want and True in want
+    for word in words:
+        assert _word_outcome(k_word_product, 3, word) == _word_outcome(
+            loop_k_word_product, 3, word
+        )
+
+
+def test_k_word_product_refuses_indices_out_of_range():
+    for js in ((0,), (1, 4), (-1,)):
+        with pytest.raises(ValueError):
+            k_word_product(3, js)
 
 
 def test_product_closed_form_displays():

@@ -89,6 +89,26 @@ def test_msih_mul_degree_mismatch():
         msih_mul(identity_element(3), identity_element(4))
 
 
+@pytest.mark.parametrize("h", [0, 4])
+def test_a_flagged_pivot_outside_1_to_n_is_refused(h):
+    # the bare constructor does not check the pivot: h = 0 read images[-1]
+    # and returned a product, h = n + 1 raised IndexError
+    sigma = Permutation.of((2, 3, 1))
+    bad = SignedPermElement(sigma, h, 1)
+    for other in (identity_element(3), generator(3, 2), SignedPermElement.of(sigma, 3, 1)):
+        with pytest.raises(ValueError, match=f"pivot {h} out of range 1..3"):
+            msih_mul(bad, other)
+        with pytest.raises(ValueError, match=f"pivot {h} out of range 1..3"):
+            msih_mul(other, bad)
+    with pytest.raises(ValueError, match=f"pivot {h} out of range 1..3"):
+        msih_inverse(bad)
+    # an unflagged element's pivot plays no role
+    stray = SignedPermElement(sigma, h, 0)
+    assert msih_mul(stray, generator(3, 1)) == msih_mul(
+        SignedPermElement.of(sigma, 1, 0), generator(3, 1)
+    )
+
+
 def test_oracle_all_pairs_n3():
     elements = all_elements(3)
     assert len(elements) == 24
