@@ -612,6 +612,14 @@ def test_disk_length_stats_golden_repr(r):
         ("sym_square_300_64", Region.sym_square(300), 64),
         ("hexagon_400_64", Region.hexagon(400), 64),
         ("rect_near_2_31_64", Region.rect(2**30 - 12, 2**30 + 3, 2**31 - 40, 2**31), 64),
+        ("disk_1000_64", Region.disk(1000), 64),
+        # rows of 20001 points, each crossing the boundary at pi/4 or none
+        ("rect_wide_rows_8", Region.rect(0, 20000, 0, 63), 8),
+        # one point per row, every one on the boundary pi/2 or 3pi/2
+        ("rect_column_360", Region.rect(0, 0, -(10**6), 10**6), 360),
+        # an odd bin count: the boundaries of the lower half are not those
+        # of the upper half turned by pi
+        ("hexagon_150_9", Region.hexagon(150), 9),
     ],
 )
 def test_projection_histogram_golden_repr(name, region, bins):
