@@ -12,34 +12,45 @@ census sums the cone's points per anti-diagonal in closed form.  A point
 other than the origin is diametral iff it or its negative lies in that cone,
 so each row contributes the interval intersection of its x-range with the
 cone.  The disk length statistics sum each row's orbit lengths in closed
-form.  No count loops over rows in Python: rows come in chunks of up to 2^16
-as int64 arrays (Python ints for a rect beyond the 2^31 guard),
-``Region.row_spans`` gives their x-ranges, and numpy does the rest, so an
-int64 row costs tens of nanoseconds and ``ROW_LIMIT`` bounds the work.  Only the angular histogram and the SVG renders scan points, in blocks
-of at most 2^15 int64 points built from the same x-ranges with ``cumsum``
-and ``repeat``, behind a bounding-box budget.  The orbit length, the cone
-test and the cone's row form are defined once, in ``aughts.orbits``, for
-ints and arrays alike.
+form.  The angular histogram counts rows too: a row's points lie in angle
+order, so it adds its x-range and its cone span to the bin of one end, and
+each bin boundary it crosses moves the points at or past that ray, a floor
+of y cot phi, up one bin; the bins are exact, with float floors checked
+against a proven margin and integer brackets of cos and sin inside it.  No
+count loops over rows in Python: rows come in chunks of up to 2^16 as int64
+arrays (Python ints for a rect beyond the 2^31 guard), ``Region.row_spans``
+gives their x-ranges, and numpy does the rest, so an int64 row costs tens
+of nanoseconds and ``ROW_LIMIT`` bounds the work.  Only the SVG renders
+scan points, in blocks of at most 2^15 int64 points built from the same
+x-ranges with ``cumsum`` and ``repeat``, behind a bounding-box budget.  The
+orbit length, the cone's row form and the cone test are defined once, in
+``aughts.orbits``, for ints and arrays alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from aughts.errors import ResourceLimitError
-from aughts.orbits import COORD_LIMIT, _cone_span, _in_cone, _semi_perimeter
+from aughts.orbits import COORD_LIMIT, _cone_span, _semi_perimeter
 
 # Points per scan block, so a block's arrays stay a few MB however wide the rows.
 _BLOCK_POINTS = 2**15
 # Rows per chunk of the row counts and the scan, so a chunk's arrays stay a
 # few MB however many rows a region has.
 _CHUNK_ROWS = 2**16
-# Bounding-box cells an angular histogram may scan (about 56 ns each, 6 s).
+# Bounding-box cells an angular histogram may cover.  It counts rows and
+# crossed (row, boundary) pairs, not points; its slowest case is one point
+# per row, about NN ns a row (a column at the limit, N s).
 POINT_LIMIT = 10**8
+# Bins of an angular histogram: it brackets every boundary's cotangent once,
+# about 8 us a bin (0.5 s at the limit), and their float windows stay apart.
+BINS_LIMIT = 2**16
 # Rows a row count may visit, so a far-flung region stops at once instead of
 # running for days.  The disk lengths, the slower count, take about 100 ns a
 # row in chunks of int64 rows: their worst case, r = 31,999,999, took 6.6 s
@@ -575,19 +586,304 @@ class ProjectionHistogram:
 def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
     """Counts of diametral / non-diametral points per direction-angle bin.
 
-    The origin has no direction and is skipped.
+    Bin b holds the points whose direction angle, in [0, 2pi), lies in
+    [phi_b, phi_(b+1)) with phi_b = 2 pi b / bins, decided exactly; the
+    origin has no direction and is skipped.  No point is visited.  The row
+    y = 0 is split at x = 0 by hand.  Every row below the axis is turned by
+    pi, which maps its bin boundaries onto the rays psi_j = pi j / bins with
+    j of the parity of bins; those above are the rays of even j.  On a row
+    y > 0 the angle falls as x grows, and the points at or past the ray
+    psi_j are those with x <= y cot psi_j.  A row's points all start in the
+    bin of its right end, and each ray between its ends' bins then moves
+    its floor(y cot psi_j) - lo + 1 points at or past it, and as many of its
+    cone span's, up one bin; an end's bin is the number of rays it is at or
+    past.  So the work is O(rows + crossed (row, ray) pairs), at most
+    O(points), and the pairs go in pieces of at most 2^16.
+
+    The floors and the end bins are float with a proven margin; inside it
+    they are decided exactly.  For each ray, fl(cot) is the float nearest
+    c0/s0, from integer brackets of 2^k cos and 2^k sin at
+    k = 64 + 2 bitlen(bins) bits; from those brackets ``_rays`` bounds
+    |fl(cot) - cot| <= delta, about 2^-51 |cot| + 2^-k bins^2.  With
+    |x|, y <= 2^31 the integers are exact in float64 and each rounding is
+    within 2^-53 relative, so
+
+    - t = fl(y fl(cot)) is within y delta + 2^-52 |t| of y cot, and floor(t)
+      is taken for floor(y cot) when t's fractional part and its
+      complement both exceed 2 y delta + 2^-50 (|t| + 1), which is below
+      2^-17 for the pairs of a row within 2^31;
+    - fl(x / y) is within 2^-52 of x / y relative, so the rays whose fl(cot)
+      lies outside fl(x / y) +- (4 delta + 2^-48 (|fl(cot)| + 1)) are at or
+      past the end, or not, as the floats say.
+
+    Every other case is decided exactly.  On multiples of pi/4, cot is -1,
+    0 or 1: floor(y cot) is y cot in int64, and fl(x / y) <= cot iff
+    x / y <= cot.  Every other ray has an irrational tangent (Niven,
+    *Irrational Numbers*, 1956), so no lattice point lies on it and
+    ``_at_or_past`` reaches a certain sign of x sin - y cos by doubling its
+    brackets' bits.
     """
     if bins < 8:
         raise ValueError(f"need at least 8 bins, got {bins}")
+    if bins > BINS_LIMIT:
+        raise ResourceLimitError(f"{bins} bins exceed the limit {BINS_LIMIT}")
     _check_cells(region, POINT_LIMIT, "angular histogram")
+    xmin, xmax, ymin, ymax = region.bounds()
+    if max(abs(xmin), abs(xmax), abs(ymin), abs(ymax)) > COORD_LIMIT:
+        raise ValueError(f"region bounds {region.bounds()} exceed the 2^31 guard")
+    total = np.zeros(bins, dtype=np.int64)
     dia = np.zeros(bins, dtype=np.int64)
-    oth = np.zeros(bins, dtype=np.int64)
-    for x1, x2 in _iter_blocks(region):
-        nonzero = (x1 != 0) | (x2 != 0)
-        x1, x2 = x1[nonzero], x2[nonzero]
-        theta = np.arctan2(x2.astype(float), x1.astype(float)) % (2 * math.pi)
-        idx = np.minimum((theta / (2 * math.pi) * bins).astype(np.int64), bins - 1)
-        mask = _in_cone(x1, x2)
-        dia += np.bincount(idx[mask], minlength=bins)
-        oth += np.bincount(idx[~mask], minlength=bins)
-    return ProjectionHistogram(bins, tuple(int(v) for v in dia), tuple(int(v) for v in oth))
+    half = bins // 2
+    if xmin <= xmax:
+        even, odd = _rays(bins)
+        for ys in _row_chunks(ymin, ymax):
+            # rows of a nonempty box are nonempty
+            lo, hi = region.row_spans(ys)
+            below = int(np.searchsorted(ys, 0))
+            above = int(np.searchsorted(ys, 0, side="right"))
+            # the rows below the axis turned by pi, then those above
+            _add_rows(odd if bins % 2 else even, -ys[:below], -hi[:below], -lo[:below],
+                      total[half:], dia[half:])
+            _add_rows(even, ys[above:], lo[above:], hi[above:], total, dia)
+            if below < above:
+                x0, x1 = int(lo[below]), int(hi[below])
+                total[0] += max(0, x1 - max(x0, 1) + 1)
+                total[half] += max(0, min(x1, -1) - x0 + 1)
+    return ProjectionHistogram(
+        bins, tuple(int(v) for v in dia), tuple(int(v) for v in total - dia)
+    )
+
+
+# (row, ray) pairs per piece, so a piece's arrays stay a few MB however many
+# rays the rows cross.
+_PAIR_PIECE = 2**16
+
+
+def _add_rows(rays: "_Rays", y, lo, hi, total, dia) -> None:
+    """Add rows y > 0 with nonempty spans [lo, hi] to the bins ``total`` and
+    ``dia``, which start with the bin before ray 0 of ``rays``."""
+    if not y.size:
+        return
+    size = rays.cot.size + 1
+    total, dia = total[:size], dia[:size]
+    left = rays.count_past(lo, y)
+    right = left.copy()
+    wide = np.flatnonzero(hi > lo)
+    right[wide] = rays.count_past(hi[wide], y[wide])
+    cone_lo, cone_hi = _cone_span(y)
+    cone_lo, cone_hi = np.maximum(cone_lo, lo), np.minimum(cone_hi, hi)
+    total += _bin_sums(right, hi - lo + 1, size)
+    dia += _bin_sums(right, np.maximum(cone_hi - cone_lo + 1, 0), size)
+    crossing = np.flatnonzero(left > right)
+    for row, rank in _runs(left[crossing] - right[crossing], _PAIR_PIECE):
+        row = crossing[row]
+        ray = right[row] + rank
+        floors = rays.floors(y[row], ray)
+        # ray i parts bin i from bin i + 1
+        for out, moved in (
+            (total, floors - lo[row] + 1),
+            (dia, np.maximum(np.minimum(floors, cone_hi[row]) - cone_lo[row] + 1, 0)),
+        ):
+            up = _bin_sums(ray, moved, size - 1)
+            out[1:] += up
+            out[:-1] -= up
+
+
+def _bin_sums(index: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
+    """Sum of counts per index, in int64; each sum is a number of points
+    within ``POINT_LIMIT`` < 2^53, so the float sums of bincount are exact."""
+    return np.bincount(index, weights=counts, minlength=size).astype(np.int64)
+
+
+def _runs(counts: np.ndarray, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The items counted per row, numbered row-major, in runs of at most
+    ``limit``: each run as (the row of each item, its rank within the row)."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    size = int(ends[-1]) if ends.size else 0
+    for done in range(0, size, limit):
+        stop = min(done + limit, size)
+        first = int(np.searchsorted(ends, done, side="right"))
+        last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+        taken = np.minimum(ends[first:last], stop) - np.maximum(starts[first:last], done)
+        row = np.repeat(np.arange(first, last), taken)
+        yield row, np.arange(done, stop) - starts[row]
+
+
+@dataclass(frozen=True)
+class _Rays:
+    """The rays psi_j = pi j / bins, 0 < j < bins, of one parity of j, in
+    ascending j: the bin boundaries of a half-plane turned above the axis.
+
+    ``cot`` holds fl(cot psi_j), within ``delta`` of cot psi_j, and
+    ``exact`` holds cot psi_j on the multiples of pi/4 (``on_quarter``) and
+    0 elsewhere.  ``edges`` holds, in ascending order, the ends of the
+    window -fl(cot) +- w of each ray, w = 4 delta + 2^-48 (|fl(cot)| + 1)
+    off the quarters and 0 on them.  The windows stay apart: two rays of
+    one parity differ in cot by at least sin(2 pi / bins) >= 4 / bins, and
+    as |cot| <= bins / pi, w is below 2^-45 bins, which is less for bins up
+    to ``BINS_LIMIT``.
+    """
+
+    bins: int
+    js: np.ndarray
+    cot: np.ndarray
+    delta: np.ndarray
+    exact: np.ndarray
+    on_quarter: np.ndarray
+    edges: np.ndarray
+
+    def floors(self, y: np.ndarray, ray: np.ndarray) -> np.ndarray:
+        """floor(y cot psi) of each row y > 0 and ray index, exactly."""
+        t = y * self.cot[ray]
+        out = np.floor(t)
+        frac = t - out
+        margin = 2 * self.delta[ray] * y + 2.0**-50 * (np.abs(t) + 1)
+        out = out.astype(np.int64)
+        near = np.flatnonzero((frac <= margin) | (1 - frac <= margin))
+        if near.size:
+            quarter = self.on_quarter[ray[near]]
+            exact = near[quarter]
+            out[exact] = y[exact] * self.exact[ray[exact]]
+            for i in near[~quarter].tolist():
+                # floor(y cot) is round(t) or one less
+                m, j = round(t[i]), int(self.js[ray[i]])
+                out[i] = m if _at_or_past(m, int(y[i]), j, self.bins) else m - 1
+        return out
+
+    def count_past(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """How many rays each point (x, y > 0) is at or past, exactly.
+
+        The point is at or past a ray iff x / y <= cot, that is iff the key
+        -x / y is at least -cot.  A key -fl(x / y) at or above a ray's
+        window is past it for certain, one below the window is not, and one
+        inside is settled by ``floors``.
+        """
+        where = np.searchsorted(self.edges, -(x / y), side="right")
+        count = where >> 1
+        inside = np.flatnonzero(where & 1)
+        if inside.size:
+            count[inside] += x[inside] <= self.floors(y[inside], count[inside])
+        return count
+
+
+@lru_cache(maxsize=8)
+def _rays(bins: int) -> tuple[_Rays, _Rays]:
+    """The rays of even j and of odd j for a histogram of ``bins`` bins."""
+    k = 64 + 2 * bins.bit_length()
+    cot = [0.0] * bins  # of psi_j, 0 < j < bins; cot psi_(bins-j) = -cot psi_j
+    delta = [0.0] * bins
+    for j in range(1, bins // 2 + 1):
+        if 4 * j % bins == 0:
+            cot[j] = float(2 * j < bins)
+        else:
+            c0, c1, s0, s1 = _direction(j, bins, k)
+            cot[j] = c0 / s0
+            # |c0/s0 - cot| <= w (s1 + |c|) / s0^2 for brackets of width w;
+            # doubled, with fl's own 2^-53 |cot|, to cover the float sums
+            w, c = max(c1 - c0, s1 - s0), max(abs(c0), abs(c1))
+            delta[j] = 2 * (w * (s1 + c) / (s0 * s0) + 2.0**-52 * abs(cot[j]))
+        if 2 * j < bins:
+            cot[bins - j], delta[bins - j] = -cot[j], delta[j]
+    cot, delta = np.array(cot), np.array(delta)
+    on_quarter = 4 * np.arange(bins) % bins == 0
+    exact = np.where(on_quarter, cot, 0).astype(np.int64)
+    width = np.where(on_quarter, 0.0, 4 * delta + 2.0**-48 * (np.abs(cot) + 1))
+    halves = []
+    for parity in (0, 1):
+        js = np.arange(2 - parity, bins, 2)
+        edges = np.stack([-cot[js] - width[js], -cot[js] + width[js]], axis=1).ravel()
+        halves.append(
+            _Rays(bins, js, cot[js], delta[js], exact[js], on_quarter[js], edges)
+        )
+    return tuple(halves)
+
+
+def _at_or_past(x: int, y: int, j: int, bins: int) -> bool:
+    """Whether x <= y cot psi for y > 0 and psi = pi j / bins off the
+    multiples of pi/4, from the sign of x sin psi - y cos psi; the brackets'
+    bits double until the sign is certain, which ends as the value is not 0.
+    """
+    k = 64
+    while True:
+        c0, c1, s0, s1 = _direction(j, bins, k)
+        # 2^k (x sin psi - y cos psi) lies in [low, high]
+        low = min(x * s0, x * s1) - y * c1
+        high = max(x * s0, x * s1) - y * c0
+        if high <= 0:
+            return True
+        if low > 0:
+            return False
+        k *= 2
+
+
+def _direction(j: int, bins: int, k: int) -> tuple[int, int, int, int]:
+    """Integers c0 <= 2^k cos psi <= c1 and s0 <= 2^k sin psi <= s1 for
+    psi = pi j / bins in (0, pi), from the first octant by symmetry."""
+    turn = 2 * j > bins  # psi = pi - psi'
+    if turn:
+        j = bins - j
+    swap = 4 * j > bins  # psi = pi/2 - alpha
+    # alpha = pi num / den, in lowest terms so that rays share brackets
+    num, den = (bins - 2 * j, 2 * bins) if swap else (j, bins)
+    g = math.gcd(num, den)
+    c0, c1, s0, s1 = _cos_sin(num // g, den // g, k)
+    if swap:
+        c0, c1, s0, s1 = s0, s1, c0, c1
+    return (-c1, -c0, s0, s1) if turn else (c0, c1, s0, s1)
+
+
+@lru_cache(maxsize=4096)
+def _cos_sin(num: int, den: int, k: int) -> tuple[int, int, int, int]:
+    """Integer brackets (c0, c1, s0, s1) of 2^k cos alpha and 2^k sin alpha
+    for alpha = pi num / den in [0, pi/4].
+
+    The Taylor series runs in fixed point with p = k + g bits.  Each term is
+    a floor of the last times a / (n 2^p), a ratio below 0.8, so each is
+    short of a^n / n! 2^p by less than 5 units; the series stops at the
+    first zero term, with a tail below 5 units in each of the two sums.  The
+    fixed-point angle a is off by at most err/4 + 1 units, and cos and sin
+    change by no more than that.  The total bound widens the brackets, which
+    are then rounded outward to k bits.
+    """
+    g = k.bit_length() + 12
+    p = k + g
+    pi, err = _pi_fixed(p)
+    a = pi * num // den
+    sums = [0, 0]  # cos, sin
+    term, n = 1 << p, 0
+    while term:
+        sums[n & 1] += -term if n & 2 else term
+        n += 1
+        term = term * a // (n << p)
+    bound = 5 * (n + 1) + err // 4 + 2
+    c, s = sums
+    return (
+        (c - bound) >> g, -(-(c + bound) >> g),
+        (s - bound) >> g, -(-(s + bound) >> g),
+    )
+
+
+@lru_cache(maxsize=16)
+def _pi_fixed(p: int) -> tuple[int, int]:
+    """(P, err) with |P - pi 2^p| < err, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239)."""
+    (a, na), (b, nb) = _atan_inverse(5, p), _atan_inverse(239, p)
+    return 16 * a - 4 * b, 16 * (na + 1) + 4 * (nb + 1)
+
+
+def _atan_inverse(m: int, p: int) -> tuple[int, int]:
+    """(A, terms) with |A - atan(1/m) 2^p| < terms + 1.
+
+    Term n is floor(2^p / ((2n+1) m^(2n+1))) exactly, as nested floor
+    divisions by integers compose, so each is short by less than one unit;
+    the series stops when 2^p / m^(2n+1) < 1, which bounds the alternating
+    tail.
+    """
+    total, power, n = 0, (1 << p) // m, 0
+    while power:
+        term = power // (2 * n + 1)
+        total += -term if n & 1 else term
+        power //= m * m
+        n += 1
+    return total, n

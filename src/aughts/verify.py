@@ -149,6 +149,9 @@ CLOSED_FORM_SEED = 1789
 
 
 def closed_form_suite(n_max: int) -> SuiteResult:
+    if n_max < 2:
+        # no pair of distinct generators to draw words from
+        return SuiteResult("closed-form-products")
     with SuiteResult("closed-form-products") as res:
         # pair products, fully, then random distinct tuples
         words = [

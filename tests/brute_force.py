@@ -38,8 +38,11 @@ so a test that patches a module attribute breaks the oracle as it breaks
 the suite.
 """
 
+import functools
 import json
+import math
 from collections import deque
+from fractions import Fraction
 from math import factorial
 
 import random
@@ -239,6 +242,110 @@ def abs_linear_sum(a, b, lo, hi):
 
     k = (-b) // a  # a*x + b <= 0 exactly for x <= k
     return linear(max(lo, k + 1), hi) - linear(lo, min(hi, k))
+
+
+# The eight directions on multiples of pi/4, (cos, sin) up to a positive factor.
+_OCTANT_DIRECTIONS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+def exact_bin(x, y, bins):
+    """The bin of the direction of (x, y) != (0, 0): the largest b with
+    2 pi b / bins <= its angle in [0, 2 pi), by a binary search over
+    ``angle_at_least``, in integer comparisons only."""
+    low, high = 0, bins - 1
+    while low < high:
+        mid = (low + high + 1) // 2
+        if angle_at_least(x, y, mid, bins):
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+def exact_histogram(points, bins):
+    """(diametral, others) per bin of ``exact_bin``; the origin is skipped."""
+    dia, others = [0] * bins, [0] * bins
+    for x, y in points:
+        if (x, y) != (0, 0):
+            (dia if _in_cone(x, y) else others)[exact_bin(x, y, bins)] += 1
+    return tuple(dia), tuple(others)
+
+
+def angle_at_least(x, y, b, bins):
+    """Whether the angle of (x, y) != (0, 0) in [0, 2 pi) is at least
+    phi = 2 pi b / bins, 0 < b < bins.
+
+    [0, pi) holds the points with y > 0 or y = 0 < x.  Within one half the
+    angle is at least phi iff y cos phi - x sin phi >= 0: an integer on the
+    multiples of pi/4, and otherwise an integer interval from brackets of
+    2^k cos phi and 2^k sin phi, whose bits double until it misses 0.
+    """
+    upper = y > 0 or (y == 0 and x > 0)
+    if upper != (2 * b < bins):
+        return not upper
+    if 8 * b % bins == 0:
+        c, s = _OCTANT_DIRECTIONS[8 * b // bins]
+        return y * c - x * s >= 0
+    k = 64
+    while True:
+        c0, c1, s0, s1 = cos_sin_bracket(b, bins, k)
+        low = min(y * c0, y * c1) - max(x * s0, x * s1)
+        high = max(y * c0, y * c1) - min(x * s0, x * s1)
+        if low >= 0 or high < 0:
+            return low >= 0
+        k *= 2
+
+
+_BRACKETS = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_bounds(k):
+    terms = k // 4 + 2
+
+    def atan_bounds(m):
+        total = sum(Fraction((-1) ** i, (2 * i + 1) * m ** (2 * i + 1)) for i in range(terms))
+        tail = Fraction(1, (2 * terms + 1) * m ** (2 * terms + 1))
+        return total - tail, total + tail
+
+    (a0, a1), (b0, b1) = atan_bounds(5), atan_bounds(239)
+    return 16 * a0 - 4 * b1, 16 * a1 - 4 * b0
+
+
+def cos_sin_bracket(b, bins, k):
+    """Integers c0 <= 2^k cos phi <= c1 and s0 <= 2^k sin phi <= s1 for
+    phi = 2 pi b / bins, by another route than ``census`` takes:
+
+    - pi lies between the partial sums of Machin's formula
+      16 atan(1/5) - 4 atan(1/239) with their alternating tails added or
+      taken away, as exact fractions;
+    - phi is q pi/2 + beta with beta in [0, pi/2), and beta's ends are
+      rounded outward to multiples of 2^-(k+16);
+    - cos and sin at beta's lower end are Taylor sums over one common
+      integer denominator, within the Lagrange bound beta^n / n!, and change
+      by at most beta's width across it; a quarter turn q permutes them.
+    """
+    key = (b, bins, k)
+    if key not in _BRACKETS:
+        pi0, pi1 = _pi_bounds(k)
+        quarter, rest = divmod(4 * b, bins)  # beta = pi rest / (2 bins)
+        m = k + 16
+        low = math.floor(pi0 * rest / (2 * bins) * 2**m)
+        high = math.ceil(pi1 * rest / (2 * bins) * 2**m)
+        # beta^d / d! = low^d 2^(m(n-d)) (n!/d!) / den at the lower end
+        n = 2 * (k // 6 + 8)
+        den = 2 ** (m * n) * factorial(n)
+        sums = [0, 0]
+        for d in range(n):
+            sums[d % 2] += (-1) ** (d // 2) * low**d * 2 ** (m * (n - d)) * (factorial(n) // factorial(d))
+        slack = low**n + (high - low) * 2 ** (m * (n - 1)) * factorial(n)
+        (c0, c1), (s0, s1) = (
+            ((v - slack) * 2**k // den, -(-(v + slack) * 2**k // den)) for v in sums
+        )
+        _BRACKETS[key] = [
+            (c0, c1, s0, s1), (-s1, -s0, c0, c1), (-c1, -c0, -s1, -s0), (s0, s1, -c1, -c0)
+        ][quarter]
+    return _BRACKETS[key]
 
 
 def bfs_catalog(n):
@@ -522,6 +629,8 @@ def loop_braid_suite(n_max):
 
 
 def loop_closed_form_suite(n_max):
+    if n_max < 2:
+        return verify.SuiteResult("closed-form-products")
     with verify.SuiteResult("closed-form-products") as res:
         for n in range(2, n_max + 1):
             for j in range(1, n + 1):

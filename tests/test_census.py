@@ -6,13 +6,16 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from brute_force import (
     brute_is_diametral,
+    cos_sin_bracket,
     diametral_count,
+    exact_histogram,
     extents,
     max_pairwise_dist_sq,
     orbit_nodes,
@@ -674,6 +677,146 @@ def test_projection_histogram_square_first_quadrant():
 def test_projection_histogram_empty_region():
     hist = projection_histogram(Region.rect(1, 0, 1, 0), 36)
     assert sum(hist.diametral) == 0 and sum(hist.others) == 0
+
+
+def _region_points(region):
+    _, _, ymin, ymax = region.bounds()
+    for y in range(ymin, ymax + 1):
+        lo, hi = region.row_span(y)
+        for x in range(lo, hi + 1):
+            yield x, y
+
+
+def _assert_exact_bins(region, bins):
+    hist = projection_histogram(region, bins)
+    assert (hist.diametral, hist.others) == exact_histogram(_region_points(region), bins)
+
+
+HISTOGRAM_BINS = [8, 9, 12, 16, 31, 64, 360]
+
+
+@pytest.mark.parametrize("bins", HISTOGRAM_BINS)
+@pytest.mark.parametrize(
+    "region",
+    [
+        Region.square(9),
+        Region.sym_square(7),
+        Region.hexagon(7),
+        Region.disk(10),
+        Region.rect(-4, 5, -8, 2),  # straddles both axes
+        Region.rect(17, 40, 15, 41),  # straddles y = x
+        Region.rect(-40, -17, 15, 41),  # straddles y = -x
+        Region.rect(8, 14, 14, 30),  # straddles y = 2x
+        Region.rect(-30, 30, 0, 0),  # the row y = 0
+        Region.rect(0, 0, -30, 30),  # the column x = 0
+        Region.rect(2**31 - 30, 2**31, -(2**31), -(2**31) + 20),  # far corner
+    ],
+    ids=lambda r: f"{r.kind}{list(r.params)}",
+)
+def test_projection_histogram_matches_exact_oracle(region, bins):
+    _assert_exact_bins(region, bins)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x0=st.integers(-60, 60),
+    y0=st.integers(-60, 60),
+    w=st.integers(0, 12),
+    h=st.integers(0, 12),
+    bins=st.integers(8, 400),
+)
+def test_projection_histogram_rects_match_exact_oracle(x0, y0, w, h, bins):
+    _assert_exact_bins(Region.rect(x0, x0 + w, y0, y0 + h), bins)
+
+
+def _convergents(low, high):
+    """The continued-fraction convergents p/q shared by all of [low, high]."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = math.floor(low)
+        if math.floor(high) != a:
+            return
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        yield p1, q1
+        if low == a:
+            return
+        low, high = 1 / (high - a), 1 / (low - a)
+
+
+@pytest.mark.parametrize("bins, step", [(64, 1), (360, 7), (1000, 29)])
+def test_projection_histogram_at_convergents(bins, step):
+    # the lattice points closest to each boundary's direction, within 2^31,
+    # and their four neighbours; the convergents come from an integer bracket
+    # of tan phi, as a float tangent is too coarse for the later ones
+    checked = 0
+    for b in range(1, bins, step):
+        if 8 * b % bins == 0:
+            continue
+        c0, c1, s0, s1 = cos_sin_bracket(b, bins, 256)
+        low, high = sorted((Fraction(abs(s0), abs(c1)), Fraction(abs(s1), abs(c0))))
+        if c0 * c1 <= 0 or s0 * s1 <= 0:
+            continue
+        for p, q in _convergents(low, high):
+            if max(p, q) > 2**31 - 1:
+                break
+            x, y = q * (1 if c0 > 0 else -1), p * (1 if s0 > 0 else -1)
+            # the point as the middle of a row, where a crossing's floor bins
+            # it, and as a row of its own, where its row's end bin does
+            _assert_exact_bins(Region.rect(x - 1, x + 1, y, y), bins)
+            _assert_exact_bins(Region.rect(x, x, y - 1, y + 1), bins)
+            checked += 1
+    assert checked > 10 * (bins // step)
+
+
+def test_projection_histogram_near_boundary_point():
+    # at 0.99999999999999995 bins its angle is just short of the boundary
+    # 2 pi / 64, where a float arctan2 rounds it across
+    hist = projection_histogram(Region.rect(161206709, 161206709, 15877475, 15877475), 64)
+    assert hist.others[0] == 1 and sum(hist.others) + sum(hist.diametral) == 1
+
+
+@pytest.mark.parametrize("bins", [9, 64, 360, 1000])
+def test_direction_brackets_agree_with_the_oracle(bins):
+    # psi_j = pi j / bins is the oracle's 2 pi j / (2 bins); both brackets
+    # hold the true value, so they must meet
+    for k in (64, 128, 256):
+        for j in range(1, bins, max(1, bins // 16)):
+            if 4 * j % bins == 0:
+                continue
+            ours = census._direction(j, bins, k)
+            theirs = cos_sin_bracket(j, 2 * bins, k)
+            for i in (0, 2):
+                assert max(ours[i], theirs[i]) <= min(ours[i + 1], theirs[i + 1])
+                assert ours[i + 1] - ours[i] <= 4
+
+
+def test_projection_histogram_bins_limit():
+    # the float windows of the rays stay apart up to the limit
+    for rays in census._rays(census.BINS_LIMIT):
+        assert np.all(np.diff(rays.edges) >= 0)
+        assert np.all(rays.edges[2::2] > rays.edges[1:-1:2])
+    with pytest.raises(ResourceLimitError):
+        projection_histogram(Region.disk(1), census.BINS_LIMIT + 1)
+
+
+def test_many_bins_histogram_memory_is_bounded():
+    # 10^8 points crossing about 10^7 (row, boundary) pairs, taken in
+    # pieces; a fresh process, so that earlier tests cannot hide the growth
+    code = (
+        "import resource\n"
+        "from aughts.census import Region, projection_histogram\n"
+        "projection_histogram(Region.disk(20), 4096)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "projection_histogram(Region.square(9999), 4096)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(aughts.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 16 * 1024  # kB
 
 
 def test_projection_histogram_bin_guard():

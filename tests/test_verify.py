@@ -66,8 +66,8 @@ def assert_suites_agree(names, n_max, patch=None):
 def test_matrix_suites_match_the_loops(name, n_max):
     (got,) = assert_suites_agree([name], n_max)
     if (name, n_max) == ("closed-form", 1):
-        # no pair of distinct generators to draw from; the loop raises too
-        assert got[0] is ValueError
+        # no pair of distinct generators to draw from: no checks, as braid
+        assert got == (0, 0, None, [])
     else:
         _, failures, counterexample, _ = got
         assert failures == 0 and counterexample is None
