@@ -215,38 +215,33 @@ def _iter_blocks(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     pieces: list[tuple[np.ndarray, np.ndarray]] = []  # of the pending block
     room = _BLOCK_POINTS
     for ys in _row_chunks(ymin, ymax):
-        # rows of a nonempty box are nonempty
         lo, hi = region.row_spans(ys)
-        for row, rank in _runs(hi - lo + 1, _BLOCK_POINTS, room):
-            pieces.append((lo[row] + rank, ys[row]))
-            room -= row.size
+        # rows of a nonempty box are nonempty; row i holds the chunk's points
+        # starts[i]..ends[i]-1, and point p of it has x = p + (lo - starts)[i]
+        widths = hi - lo + 1
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        size = int(ends[-1])
+        done = 0
+        while done < size:
+            take = min(room, size - done)
+            stop = done + take
+            rows = slice(
+                int(np.searchsorted(ends, done, side="right")),
+                int(np.searchsorted(ends, stop - 1, side="right")) + 1,
+            )
+            counts = np.minimum(ends[rows], stop) - np.maximum(starts[rows], done)
+            pieces.append((
+                np.arange(done, stop, dtype=np.int64)
+                + np.repeat(lo[rows] - starts[rows], counts),
+                np.repeat(ys[rows], counts),
+            ))
+            done, room = stop, room - take
             if room == 0:
                 yield _joined(pieces)
                 pieces, room = [], _BLOCK_POINTS
     if pieces:
         yield _joined(pieces)
-
-
-def _runs(
-    counts: np.ndarray, limit: int, first: int | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The items counted per row, numbered row-major, in runs of at most
-    ``limit`` (the first of at most ``first``): each run as (the row of each
-    item, its rank within the row)."""
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    size = int(ends[-1]) if ends.size else 0
-    done, take = 0, limit if first is None else first
-    while done < size:
-        stop = min(done + take, size)
-        rows = slice(
-            int(np.searchsorted(ends, done, side="right")),
-            int(np.searchsorted(ends, stop - 1, side="right")) + 1,
-        )
-        taken = np.minimum(ends[rows], stop) - np.maximum(starts[rows], done)
-        row = np.repeat(np.arange(rows.start, rows.stop), taken)
-        yield row, np.arange(done, stop) - starts[row]
-        done, take = stop, limit
 
 
 def _joined(pieces: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -698,6 +693,21 @@ def _bin_sums(index: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
     """Sum of counts per index, in int64; each sum is a number of points
     within ``POINT_LIMIT`` < 2^53, so the float sums of bincount are exact."""
     return np.bincount(index, weights=counts, minlength=size).astype(np.int64)
+
+
+def _runs(counts: np.ndarray, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The items counted per row, numbered row-major, in runs of at most
+    ``limit``: each run as (the row of each item, its rank within the row)."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    size = int(ends[-1]) if ends.size else 0
+    for done in range(0, size, limit):
+        stop = min(done + limit, size)
+        first = int(np.searchsorted(ends, done, side="right"))
+        last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+        taken = np.minimum(ends[first:last], stop) - np.maximum(starts[first:last], done)
+        row = np.repeat(np.arange(first, last), taken)
+        yield row, np.arange(done, stop) - starts[row]
 
 
 @dataclass(frozen=True)
