@@ -725,8 +725,9 @@ class _Rays:
     window -fl(cot) +- w of each ray, w = 4 delta + 2^-48 (|fl(cot)| + 1)
     off the quarters and 0 on them.  The windows stay apart: two rays of
     one parity differ in cot by at least sin(2 pi / bins) >= 4 / bins, and
-    as |cot| <= bins / pi, w is below 2^-45 bins, which is less for bins up
-    to ``BINS_LIMIT``.
+    as |cot| <= bins / pi, w is below 2^-45 bins, so two half-windows
+    together are narrower than 2^-44 bins, which is less than 4 / bins for
+    bins up to 2^22, beyond ``BINS_LIMIT``.
     """
 
     bins: int

@@ -616,7 +616,8 @@ def test_disk_length_stats_golden_repr(r):
         ("hexagon_400_64", Region.hexagon(400), 64),
         ("rect_near_2_31_64", Region.rect(2**30 - 12, 2**30 + 3, 2**31 - 40, 2**31), 64),
         ("disk_1000_64", Region.disk(1000), 64),
-        # rows of 20001 points, each crossing the boundary at pi/4 or none
+        # rows of 20001 points; each above the axis crosses pi/4 and ends on
+        # pi/2
         ("rect_wide_rows_8", Region.rect(0, 20000, 0, 63), 8),
         # one point per row, every one on the boundary pi/2 or 3pi/2
         ("rect_column_360", Region.rect(0, 0, -(10**6), 10**6), 360),
@@ -753,9 +754,8 @@ def test_projection_histogram_at_convergents(bins, step):
         if 8 * b % bins == 0:
             continue
         c0, c1, s0, s1 = cos_sin_bracket(b, bins, 256)
+        assert c0 * c1 > 0 and s0 * s1 > 0  # off the axes, signs certain
         low, high = sorted((Fraction(abs(s0), abs(c1)), Fraction(abs(s1), abs(c0))))
-        if c0 * c1 <= 0 or s0 * s1 <= 0:
-            continue
         for p, q in _convergents(low, high):
             if max(p, q) > 2**31 - 1:
                 break
