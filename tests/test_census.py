@@ -693,10 +693,7 @@ def _assert_exact_bins(region, bins):
     assert (hist.diametral, hist.others) == exact_histogram(_region_points(region), bins)
 
 
-HISTOGRAM_BINS = [8, 9, 12, 16, 31, 64, 360]
-
-
-@pytest.mark.parametrize("bins", HISTOGRAM_BINS)
+@pytest.mark.parametrize("bins", [8, 9, 12, 16, 31, 64, 360])
 @pytest.mark.parametrize(
     "region",
     [
