@@ -5,7 +5,6 @@ from aughts.atlas import (
     GroupCatalog,
     IsoWitness,
     catalog,
-    coset_decomposition,
     enumerate_group,
     full_cycle_order_via_sym,
     order_spectrum,
@@ -33,7 +32,6 @@ from aughts.intmat import (
     mat_mul,
     matrix_order,
     product_closed_form,
-    shift_power,
 )
 from aughts.orbits import (
     HAMILTONIAN_WORD_3D,

@@ -1,5 +1,5 @@
-"""Enumeration of the full group, Cayley distances, cosets and the
-isomorphism with the symmetric group of degree n + 1.
+"""Enumeration of the full group, Cayley distances and the isomorphism
+with the symmetric group of degree n + 1.
 
 Elements are coded as integers: (sigma, h, eps) has the rank
 lehmer(sigma) * (n+1) + (h if eps else 0), where the Lehmer rank of sigma is
@@ -78,10 +78,10 @@ class GroupCatalog:
 
     @cached_property
     def elements(self) -> list[SignedPermElement]:
-        sigmas = [Permutation(p) for p in permutations(range(1, self.n + 1))]
+        sigmas = [Permutation._trusted(p) for p in permutations(range(1, self.n + 1))]
         lehmer, pivot = np.divmod(self.rank, self.n + 1)
         return [
-            SignedPermElement(sigmas[s], h or 1, 1 if h else 0)
+            SignedPermElement._trusted(sigmas[s], h or 1, 1 if h else 0)
             for s, h in zip(lehmer.tolist(), pivot.tolist())
         ]
 
@@ -110,15 +110,11 @@ class GroupCatalog:
         return dict(enumerate(np.bincount(self.distance).tolist()))
 
     def _position_of(self, e: SignedPermElement) -> int:
-        """BFS position of a normalized element of degree n, found through
-        its rank; anything else is not in the catalog."""
+        """BFS position of an element of degree n, found through its rank;
+        an element of another degree is not in the catalog."""
         images = e.sigma.images
         n = self.n
-        if (
-            len(images) != n
-            or sorted(images) != list(range(1, n + 1))
-            or ((e.eps, e.h) != (0, 1) and not (e.eps == 1 and 1 <= e.h <= n))
-        ):
+        if len(images) != n:
             raise ValueError(f"element not in catalog: {format_element(e)}")
         lehmer = 0
         for i, v in enumerate(images):
@@ -249,23 +245,6 @@ def order_spectrum(cat: GroupCatalog) -> dict[int, int]:
         k += 1
 
 
-def coset_decomposition(cat: GroupCatalog) -> dict[int, list[SignedPermElement]]:
-    """Partition into the flag-free subgroup (key 0) and its left cosets.
-
-    Left-multiplying the flag-free subgroup by K(j) pins the pivot to j, so
-    the coset of a flagged element is read off its pivot; each block has n!
-    elements.
-    """
-    blocks: dict[int, list[SignedPermElement]] = {j: [] for j in range(cat.n + 1)}
-    for e in cat.elements:
-        blocks[e.h if e.eps == 1 else 0].append(e)
-    expected = factorial(cat.n)
-    for key, block in blocks.items():
-        if len(block) != expected:
-            raise ConsistencyError(f"coset block {key} has size {len(block)}")
-    return blocks
-
-
 def psi(e: SignedPermElement, n: int) -> Permutation:
     """Image in the symmetric group of degree n+1, read off (sigma, h, eps)."""
     if e.degree != n:
@@ -317,7 +296,7 @@ def verify_isomorphism(n: int) -> IsoWitness:
             raise ConsistencyError(
                 f"homomorphism fails at {format_element(generator(n, j))} * {format_element(e)}"
             )
-    images = map(Permutation, zip(*table[cat.rank].T.tolist()))
+    images = map(Permutation._trusted, zip(*table[cat.rank].T.tolist()))
     forward = dict(zip(cat.elements, images))
     backward = {p: e for e, p in forward.items()}
     return IsoWitness(n, forward, backward)

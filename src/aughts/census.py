@@ -30,6 +30,7 @@ orbit length, the cone's row form and the cone test are defined once, in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -66,36 +67,51 @@ MODULUS_LIMIT = 2**16
 # regions
 
 
+# Params of each region kind: the size M or R, or a rect's x0, x1, y0, y1.
+_PARAM_COUNTS = {"square_0M": 1, "square_sym": 1, "hexagon_H": 1, "disk": 1, "rect": 4}
+
+
 @dataclass(frozen=True)
 class Region:
     """Integer lattice region; ``row_span`` is its exact membership rule.
 
     Kinds: ``square_0M`` = [0,M]^2, ``square_sym`` = [-R,R]^2,
     ``hexagon_H`` = [-M,M]^2 with the two corners |x-y| > M cut off,
-    ``disk`` = x^2+y^2 <= R^2, and ``rect`` = [x0,x1] x [y0,y1].
+    ``disk`` = x^2+y^2 <= R^2, and ``rect`` = [x0,x1] x [y0,y1].  The
+    constructor checks the kind and the number of params, converts each
+    param with ``operator.index`` (a numpy integer becomes an int, a float
+    is refused) and refuses a size below 1.
     """
 
     kind: str
     params: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if self.kind not in _PARAM_COUNTS:
+            raise ValueError(f"unknown region kind {self.kind!r}")
+        params = tuple(map(operator.index, self.params))
+        if len(params) != _PARAM_COUNTS[self.kind]:
+            raise ValueError(
+                f"a {self.kind} region takes {_PARAM_COUNTS[self.kind]} params, got {len(params)}"
+            )
+        if self.kind != "rect" and params[0] < 1:
+            raise ValueError(f"region size must be >= 1, got {params[0]}")
+        object.__setattr__(self, "params", params)
+
     @classmethod
     def square(cls, m: int) -> "Region":
-        _check_size(m)
         return cls("square_0M", (m,))
 
     @classmethod
     def sym_square(cls, r: int) -> "Region":
-        _check_size(r)
         return cls("square_sym", (r,))
 
     @classmethod
     def hexagon(cls, m: int) -> "Region":
-        _check_size(m)
         return cls("hexagon_H", (m,))
 
     @classmethod
     def disk(cls, r: int) -> "Region":
-        _check_size(r)
         return cls("disk", (r,))
 
     @classmethod
@@ -112,19 +128,13 @@ class Region:
 
     def bounds(self) -> tuple[int, int, int, int]:
         """(xmin, xmax, ymin, ymax) of the bounding box."""
-        if self.kind == "square_0M":
-            (m,) = self.params
-            return 0, m, 0, m
-        if self.kind in ("square_sym", "disk"):
-            (r,) = self.params
-            return -r, r, -r, r
-        if self.kind == "hexagon_H":
-            (m,) = self.params
-            return -m, m, -m, m
         if self.kind == "rect":
             x0, x1, y0, y1 = self.params
             return x0, x1, y0, y1
-        raise ValueError(f"unknown region kind {self.kind!r}")
+        (m,) = self.params
+        if self.kind == "square_0M":
+            return 0, m, 0, m
+        return -m, m, -m, m
 
     def row_span(self, y: int) -> tuple[int, int]:
         """Inclusive x-range (lo, hi) of row y, exact in Python ints.
@@ -176,11 +186,6 @@ class Region:
 
     def describe(self) -> dict:
         return {"kind": self.kind, "params": list(self.params)}
-
-
-def _check_size(value: int) -> None:
-    if value < 1:
-        raise ValueError(f"region size must be >= 1, got {value}")
 
 
 def _check_cells(region: Region, limit: int, what: str) -> None:

@@ -126,20 +126,6 @@ def identity_matrix(n: int) -> SmallIntMatrix:
     )
 
 
-def zero_matrix(n: int) -> SmallIntMatrix:
-    _check_dim(n)
-    return SmallIntMatrix(n, (0,) * (n * n))
-
-
-def basis_outer(n: int, j: int, ell: int) -> SmallIntMatrix:
-    """Rank-one matrix e_j e_ell^T: a single 1 at position (j, ell)."""
-    _check_index(n, j)
-    _check_index(n, ell)
-    entries = [0] * (n * n)
-    entries[(j - 1) * n + (ell - 1)] = 1
-    return SmallIntMatrix(n, tuple(entries))
-
-
 def pivot_outer(n: int, j: int) -> SmallIntMatrix:
     """Rank-one matrix e_j r_j: the zero matrix with row j set to r_j."""
     entries = [0] * (n * n)
@@ -214,16 +200,6 @@ def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dtype = _product_dtype(n, _array_max_abs(a), _array_max_abs(b))
     product = _checked(a.astype(dtype, copy=False) @ b.astype(dtype, copy=False))
     return product.astype(np.int64, copy=False)
-
-
-def mat_add(a: SmallIntMatrix, b: SmallIntMatrix) -> SmallIntMatrix:
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return SmallIntMatrix(a.n, tuple(x + y for x, y in zip(a.entries, b.entries)))
-
-
-def mat_scale(a: SmallIntMatrix, c: int) -> SmallIntMatrix:
-    return SmallIntMatrix(a.n, tuple(c * x for x in a.entries))
 
 
 def mat_pow(a: SmallIntMatrix, k: int) -> SmallIntMatrix:
@@ -339,16 +315,3 @@ def full_cycle_matrix(
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     return product_closed_form(n, tuple(js))
 
-
-def shift_power(n: int, k: int) -> SmallIntMatrix:
-    """k-th power of the sub-diagonal shift: ones on the k-th sub-diagonal.
-
-    k = 0 gives the identity and k = n the zero matrix.
-    """
-    _check_dim(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"shift power must be in 0..{n}, got {k}")
-    entries = [0] * (n * n)
-    for ell in range(k + 1, n + 1):
-        entries[(ell - 1) * n + (ell - k - 1)] = 1
-    return SmallIntMatrix(n, tuple(entries))

@@ -25,20 +25,38 @@ class NotGroupElementError(ValueError):
 
 @dataclass(frozen=True)
 class Permutation:
-    """Permutation of {1..n}; ``images[j-1]`` is the image of j."""
+    """Permutation of {1..n}; ``images[j-1]`` is the image of j.
+
+    The constructor converts each image with ``operator.index`` (a numpy
+    integer becomes an int, a float is refused) and refuses images that are
+    not a permutation of 1..n, so every ``Permutation`` is one.
+    """
 
     images: tuple[int, ...]
 
-    @classmethod
-    def of(cls, images) -> "Permutation":
-        imgs = tuple(map(operator.index, images))
+    def __post_init__(self) -> None:
+        imgs = tuple(map(operator.index, self.images))
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
-        return cls(imgs)
+        object.__setattr__(self, "images", imgs)
+
+    @classmethod
+    def of(cls, images) -> "Permutation":
+        return cls(images)
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation whose images are known to be a tuple of ints that
+        permutes 1..n, built without the checks.  The field goes straight
+        into the instance dict, which is faster than ``object.__setattr__``
+        and skips the frozen dataclass's refusal just as that does."""
+        p = object.__new__(cls)
+        p.__dict__["images"] = images
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
@@ -57,13 +75,13 @@ class Permutation:
         """Composite j -> other(self(j)): self acts first."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
+        return Permutation._trusted(tuple(other.images[v - 1] for v in self.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for j, v in enumerate(self.images, start=1):
             inv[v - 1] = j
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(v == j for j, v in enumerate(self.images, start=1))
@@ -91,6 +109,8 @@ class Permutation:
 class SignedPermElement:
     """Group element named by (sigma, h, eps); eps=0 elements carry h=1.
 
+    The constructor checks the triple: sigma is a ``Permutation``, h and eps
+    are converted with ``operator.index``, eps is 0 or 1 and 1 <= h <= n.
     The pivot plays no role when ``eps`` is 0, so it is normalized to 1
     there; structural equality then coincides with group equality and the
     triples can be used as set/dict keys.
@@ -100,16 +120,30 @@ class SignedPermElement:
     h: int
     eps: int
 
-    @classmethod
-    def of(cls, sigma: Permutation, h: int, eps: int) -> "SignedPermElement":
-        h, eps = operator.index(h), operator.index(eps)
+    def __post_init__(self) -> None:
+        if not isinstance(self.sigma, Permutation):
+            raise TypeError(f"sigma must be a Permutation, got {type(self.sigma).__name__}")
+        h, eps = operator.index(self.h), operator.index(self.eps)
         if eps not in (0, 1):
             raise ValueError(f"eps must be 0 or 1, got {eps}")
-        if not 1 <= h <= sigma.degree:
-            raise ValueError(f"pivot {h} out of range 1..{sigma.degree}")
-        if eps == 0:
-            h = 1
+        if not 1 <= h <= self.sigma.degree:
+            raise ValueError(f"pivot {h} out of range 1..{self.sigma.degree}")
+        object.__setattr__(self, "h", h if eps else 1)
+        object.__setattr__(self, "eps", eps)
+
+    @classmethod
+    def of(cls, sigma: Permutation, h: int, eps: int) -> "SignedPermElement":
         return cls(sigma, h, eps)
+
+    @classmethod
+    def _trusted(cls, sigma: Permutation, h: int, eps: int) -> "SignedPermElement":
+        """An element whose triple is known to be normalized and valid, with
+        int pivot and flag, built without the checks, as
+        ``Permutation._trusted`` is."""
+        e = object.__new__(cls)
+        fields = e.__dict__
+        fields["sigma"], fields["h"], fields["eps"] = sigma, h, eps
+        return e
 
     @property
     def degree(self) -> int:
@@ -120,56 +154,45 @@ class SignedPermElement:
 
 
 def identity_element(n: int) -> SignedPermElement:
-    return SignedPermElement.of(Permutation.identity(n), 1, 0)
+    return SignedPermElement(Permutation.identity(n), 1, 0)
 
 
 def generator(n: int, j: int) -> SignedPermElement:
     """The alternating involution K(j) in symbolic form."""
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range 1..{n}")
-    return SignedPermElement.of(Permutation.identity(n), j, 1)
-
-
-def _flag_pivot(e: SignedPermElement) -> int:
-    """The pivot row of a flagged element; ValueError outside 1..n, which the
-    bare constructor does not check."""
-    if not 1 <= e.h <= len(e.sigma.images):
-        raise ValueError(f"pivot {e.h} out of range 1..{len(e.sigma.images)}")
-    return e.h
+    return SignedPermElement(Permutation.identity(n), j, 1)
 
 
 def msih_mul(a: SignedPermElement, b: SignedPermElement) -> SignedPermElement:
     """Product a*b in the symbolic format.
 
-    Four cases by the flag pair.  With sigma = a.sigma, tau = b.sigma, the
-    composite permutation is j -> tau(sigma(j)); when both flags are set and
-    the pivots collide (sigma^-1(b.h) == a.h) the flags cancel, otherwise
-    the composite permutation is additionally patched at the two pivots.
-    The result is read straight off the image tuples.
+    With sigma = a.sigma, tau = b.sigma, the composite permutation is
+    j -> tau(sigma(j)).  An unflagged b keeps a's pivot and flag (both
+    normalized); when both flags are set and the pivots collide
+    (sigma^-1(b.h) == a.h) the flags cancel, otherwise the composite
+    permutation is additionally patched at the two pivots.  The result is
+    read straight off the image tuples.
     """
     sigma, tau = a.sigma.images, b.sigma.images
     if len(sigma) != len(tau):
         raise ValueError(f"degree mismatch: {len(sigma)} vs {len(tau)}")
     images = [tau[v - 1] for v in sigma]
-    if a.eps == 0 and b.eps == 0:
-        return SignedPermElement(Permutation(tuple(images)), 1, 0)
     if b.eps == 0:
-        return SignedPermElement(Permutation(tuple(images)), _flag_pivot(a), 1)
-    sv = sigma.index(_flag_pivot(b)) + 1
+        return SignedPermElement._trusted(Permutation._trusted(tuple(images)), a.h, a.eps)
+    sv = sigma.index(b.h) + 1
     if a.eps == 0:
-        return SignedPermElement(Permutation(tuple(images)), sv, 1)
-    u = _flag_pivot(a)
+        return SignedPermElement._trusted(Permutation._trusted(tuple(images)), sv, 1)
+    u = a.h
     if sv == u:
-        return SignedPermElement(Permutation(tuple(images)), 1, 0)
+        return SignedPermElement._trusted(Permutation._trusted(tuple(images)), 1, 0)
     images[u - 1], images[sv - 1] = images[sv - 1], images[u - 1]
-    return SignedPermElement(Permutation(tuple(images)), sv, 1)
+    return SignedPermElement._trusted(Permutation._trusted(tuple(images)), sv, 1)
 
 
 def msih_inverse(a: SignedPermElement) -> SignedPermElement:
     inv = a.sigma.inverse()
     if a.eps == 0:
-        return SignedPermElement.of(inv, 1, 0)
-    return SignedPermElement.of(inv, a.sigma.apply(_flag_pivot(a)), 1)
+        return SignedPermElement._trusted(inv, 1, 0)
+    return SignedPermElement._trusted(inv, a.sigma.apply(a.h), 1)
 
 
 def to_matrix(e: SignedPermElement) -> SmallIntMatrix:
@@ -204,7 +227,7 @@ def matrix_to_msih(m: SmallIntMatrix) -> SignedPermElement:
     if eps:
         images[h - 1] = min(set(range(1, n + 1)).difference(images[: h - 1], images[h:]))
     if sorted(images) == list(range(1, n + 1)):
-        e = SignedPermElement.of(Permutation(tuple(images)), h, eps)
+        e = SignedPermElement(Permutation(tuple(images)), h, eps)
         if to_matrix(e) == m:
             return e
     raise NotGroupElementError(f"not the matrix of a group element: {rows}")
@@ -225,6 +248,6 @@ def parse_element(text: str) -> SignedPermElement:
     if match is None:
         raise ValueError(f"cannot parse element text: {text!r}")
     images = [int(v) for v in match.group("imgs").split(",") if v.strip()]
-    return SignedPermElement.of(
-        Permutation.of(images), int(match.group("h")), int(match.group("eps"))
+    return SignedPermElement(
+        Permutation(images), int(match.group("h")), int(match.group("eps"))
     )

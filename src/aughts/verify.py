@@ -28,7 +28,7 @@ import numpy as np
 
 from aughts import atlas, intmat, orbits
 from aughts.atlas import ConsistencyError
-from aughts.intmat import SmallIntMatrix, UnitEntryError
+from aughts.intmat import UnitEntryError
 from aughts.signed_perm import (
     NotGroupElementError,
     format_element,
@@ -276,32 +276,25 @@ def oracle_suite(n_max: int) -> SuiteResult:
             mats = [to_matrix(e) for e in elements]
             table = intmat.stack(n, mats)
             # every matrix product of a pair, and the position of every
-            # symbolic product in the table; a product that is not a key of
-            # the table (say, an unnormalized triple) is encoded and compared
-            # alone
+            # symbolic product in the table; the table holds every element
+            # of degree n, so a product that is not one of its keys is wrong
             expected = intmat.stack_mul(table[:, None], table[None, :])
             position = cat.index
             found: list[int] = []
-            strays: dict[int, SmallIntMatrix] = {}
             try:
                 for a in elements:
                     for b in elements:
-                        p = msih_mul(a, b)
-                        i = position.get(p, -1)
-                        if i < 0:
-                            strays[len(found)] = to_matrix(p)
-                        found.append(i)
+                        found.append(position.get(msih_mul(a, b), -1))
             finally:
                 size = len(elements)
                 expected = expected.reshape(size * size, n, n)[: len(found)]
+                at = np.array(found, dtype=np.intp)
                 # one row of pairs at a time, so that the table's matrices
                 # are not gathered into a second array as large as the product
                 agree = np.empty(len(found), dtype=bool)
-                for start in range(0, len(found), size):
+                for start in range(0, len(at), size):
                     rows = slice(start, start + size)
-                    agree[rows] = _equal(table[found[rows]], expected[rows])
-                for k, m in strays.items():
-                    agree[k] = m == SmallIntMatrix(n, tuple(expected[k].ravel().tolist()))
+                    agree[rows] = (at[rows] >= 0) & _equal(table[at[rows]], expected[rows])
                 res.check_all(
                     agree,
                     lambda k: f"oracle fails at n={n}: "

@@ -26,7 +26,11 @@ The scanned SVG renders are written one f-string per cell, as the emitter
 wrote them before it joined per-block piece tables.
 
 Integer matrices are multiplied with a triple loop in Python ints, one entry
-at a time, as ``intmat.mat_mul`` did before it multiplied with numpy.
+at a time, as ``intmat.mat_mul`` did before it multiplied with numpy. The
+zero matrix, the unit matrices e_j e_l^T, sums, scalar multiples and the
+powers of the sub-diagonal shift are the matrix helpers that only the tests
+use. The coset blocks of the catalog are found by decoding every element
+and sorting it by its pivot.
 
 The symbolic product is composed through ``Permutation.then`` and
 ``inverse`` objects, as ``msih_mul`` did before it read the image tuples.
@@ -50,9 +54,9 @@ import random
 import numpy as np
 
 from aughts import atlas, intmat, orbits, verify
-from aughts.atlas import psi
+from aughts.atlas import ConsistencyError, psi
 from aughts.census import _BLOCK_POINTS, Region, _check_cells, _iter_blocks
-from aughts.intmat import INT64_MAX, SmallIntMatrix
+from aughts.intmat import INT64_MAX, SmallIntMatrix, _check_dim, _check_index
 from aughts.orbits import _cone_span, _in_cone, _semi_perimeter
 from aughts.signed_perm import (
     Permutation,
@@ -498,6 +502,60 @@ def loop_mat_mul(a, b):
     return SmallIntMatrix(n, tuple(out))
 
 
+def zero_matrix(n):
+    _check_dim(n)
+    return SmallIntMatrix(n, (0,) * (n * n))
+
+
+def basis_outer(n, j, ell):
+    """Rank-one matrix e_j e_ell^T: a single 1 at position (j, ell)."""
+    _check_index(n, j)
+    _check_index(n, ell)
+    entries = [0] * (n * n)
+    entries[(j - 1) * n + (ell - 1)] = 1
+    return SmallIntMatrix(n, tuple(entries))
+
+
+def mat_add(a, b):
+    if a.n != b.n:
+        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    return SmallIntMatrix(a.n, tuple(x + y for x, y in zip(a.entries, b.entries)))
+
+
+def mat_scale(a, c):
+    return SmallIntMatrix(a.n, tuple(c * x for x in a.entries))
+
+
+def shift_power(n, k):
+    """k-th power of the sub-diagonal shift: ones on the k-th sub-diagonal.
+
+    k = 0 gives the identity and k = n the zero matrix.
+    """
+    _check_dim(n)
+    if not 0 <= k <= n:
+        raise ValueError(f"shift power must be in 0..{n}, got {k}")
+    entries = [0] * (n * n)
+    for ell in range(k + 1, n + 1):
+        entries[(ell - 1) * n + (ell - k - 1)] = 1
+    return SmallIntMatrix(n, tuple(entries))
+
+
+def coset_decomposition(cat):
+    """Partition into the flag-free subgroup (key 0) and its left cosets.
+
+    Left-multiplying the flag-free subgroup by K(j) pins the pivot to j, so
+    the coset of a flagged element is read off its pivot; each block has n!
+    elements.
+    """
+    blocks = {j: [] for j in range(cat.n + 1)}
+    for e in cat.elements:
+        blocks[e.h if e.eps == 1 else 0].append(e)
+    expected = factorial(cat.n)
+    for key, block in blocks.items():
+        if len(block) != expected:
+            raise ConsistencyError(f"coset block {key} has size {len(block)}")
+    return blocks
+
 def per_cell_render(spec):
     """The SVG of a mod, diametral or projection render, one line per cell."""
     if spec.mode == "projection":
@@ -677,7 +735,7 @@ def loop_rank_one_suite(n_max):
                     lhs = intmat.mat_mul(
                         intmat.pivot_outer(n, ell), intmat.pivot_outer(n, j)
                     )
-                    rhs = intmat.mat_scale(intmat.pivot_outer(n, ell), -1)
+                    rhs = mat_scale(intmat.pivot_outer(n, ell), -1)
                     res.check(
                         lhs == rhs,
                         f"e({ell})r({ell}) e({j})r({j}) != -e({ell})r({ell}) at n={n}",
@@ -685,7 +743,7 @@ def loop_rank_one_suite(n_max):
             for k in range(1, n + 1):
                 res.check(
                     intmat.mat_pow(intmat.pivot_outer(n, j), k)
-                    == intmat.mat_scale(intmat.pivot_outer(n, j), intmat.sign_pow(k + 1)),
+                    == mat_scale(intmat.pivot_outer(n, j), intmat.sign_pow(k + 1)),
                     f"(e({j})r({j}))^{k} identity fails at n={n}",
                 )
     return res
@@ -700,7 +758,7 @@ def loop_oracle_suite(n_max):
                 for b in elements:
                     p = verify.msih_mul(a, b)
                     res.check(
-                        (mats.get(p) or verify.to_matrix(p)) == intmat.mat_mul(mats[a], mats[b]),
+                        mats.get(p) == intmat.mat_mul(mats[a], mats[b]),
                         f"oracle fails at n={n}: "
                         f"{verify.format_element(a)} * {verify.format_element(b)}",
                     )

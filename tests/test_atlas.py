@@ -9,6 +9,7 @@ import pytest
 from brute_force import (
     all_pairs_homomorphism,
     bfs_catalog,
+    coset_decomposition,
     element_order,
     embed_element,
     lehmer_rank,
@@ -21,7 +22,6 @@ from aughts.atlas import (
     ConsistencyError,
     catalog,
     catalog_json,
-    coset_decomposition,
     enumerate_group,
     full_cycle_order_via_sym,
     order_spectrum,
@@ -111,23 +111,23 @@ def test_order_spectrum_matches_scalar_psi_orders(n):
 
 
 def test_catalog_lookups_refuse_elements_outside_it():
-    # the rank of a triple is found only for a normalized element of degree n
+    # an element of another degree has no rank in the catalog, and a triple
+    # that names no element cannot be built
     cat = catalog(3)
+    e = identity_element(4)
+    assert e not in cat.index
+    with pytest.raises(ValueError, match="not in catalog"):
+        cat.distance_of(e)
+    with pytest.raises(ValueError, match="not in catalog"):
+        cat.word(e)
     identity = Permutation.identity(3)
-    outside = [
-        identity_element(4),
-        SignedPermElement(identity, 2, 0),
-        SignedPermElement(identity, 4, 1),
-        SignedPermElement(identity, 0, 1),
-        SignedPermElement(Permutation((1, 1, 3)), 1, 0),
-        SignedPermElement(identity, 1, 2),
-    ]
-    for e in outside:
-        assert e not in cat.index
-        with pytest.raises(ValueError, match="not in catalog"):
-            cat.distance_of(e)
-        with pytest.raises(ValueError, match="not in catalog"):
-            cat.word(e)
+    for h, eps in ((4, 1), (0, 1), (1, 2)):
+        with pytest.raises(ValueError):
+            SignedPermElement(identity, h, eps)
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((1, 1, 3))
+    # the unflagged pivot is normalized, so this triple is the identity
+    assert cat.word(SignedPermElement(identity, 2, 0)) == ()
     assert cat.word(SignedPermElement.of(identity, 2, 1)) == (2,)
 
 

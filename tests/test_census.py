@@ -165,6 +165,45 @@ def test_region_membership():
     assert diametral_report(empty).total_points == 0
 
 
+@pytest.mark.parametrize(
+    "kind, params, error, match",
+    [
+        ("ellipse", (5,), ValueError, "unknown region kind 'ellipse'"),
+        ("disk", (5, 6), ValueError, "a disk region takes 1 params, got 2"),
+        ("square_0M", (), ValueError, "a square_0M region takes 1 params, got 0"),
+        ("rect", (0, 1, 0), ValueError, "a rect region takes 4 params, got 3"),
+        ("square_sym", (0,), ValueError, "region size must be >= 1, got 0"),
+        ("hexagon_H", (-3,), ValueError, "region size must be >= 1, got -3"),
+        ("rect", (0, 300, 0, "10"), TypeError, None),
+    ],
+    ids=[
+        "unknown-kind", "disk-two-params", "square-no-param", "rect-three-params",
+        "sym-square-size-0", "hexagon-size-negative", "rect-str",
+    ],
+)
+def test_region_constructor_refuses_what_names_no_region(kind, params, error, match):
+    with pytest.raises(error, match=match):
+        Region(kind, params)
+
+
+def test_region_factories_refuse_float_params():
+    # rect(0.5, 300, 0, 10) counted 3311 points (the column x = 0, which
+    # contains() leaves out) and square(150.5) raised from inside the scan
+    with pytest.raises(TypeError):
+        Region.rect(0.5, 300, 0, 10)
+    with pytest.raises(TypeError):
+        Region.square(150.5)
+
+
+def test_region_params_from_numpy_become_ints():
+    region = Region.rect(np.int64(1), np.int64(300), np.int64(0), np.int64(10))
+    assert region == Region.rect(1, 300, 0, 10)
+    assert all(type(v) is int for v in region.params)
+    assert diametral_report(region).total_points == 3300
+    disk = Region.disk(np.int64(5))
+    assert type(disk.params[0]) is int and disk.describe() == {"kind": "disk", "params": [5]}
+
+
 def test_disk_contains_without_int64_wrap():
     # x^2 + y^2 = 1.25e19 exceeds both R^2 = 9e18 and the int64 range
     disk = Region.disk(3 * 10**9)

@@ -166,23 +166,29 @@ def test_verify_reports_a_wrong_oracle_product(capsys, monkeypatch, wrong_degree
     assert out.endswith("some suites FAILED (2346 checks)\n")
 
 
-def test_verify_oracle_encodes_a_product_outside_its_table(capsys, monkeypatch):
-    # a product with the pivot 2 left on an eps = 0 element is not a key of
-    # the oracle's table, but its matrix is right, so every check passes
+def test_verify_oracle_fails_a_product_outside_its_table(capsys, monkeypatch):
+    # a product with the pivot 2 left on an eps = 0 element, built unchecked,
+    # is not a key of the oracle's table, which holds every element of
+    # degree 2, so the oracle counts it as one failure
     from aughts import verify as verify_mod
     from aughts.signed_perm import Permutation, SignedPermElement, identity_element
 
     true_mul = verify_mod.msih_mul
     swap = SignedPermElement.of(Permutation.of((2, 1)), 1, 0)
     pair = (swap, identity_element(2))
-    stray = SignedPermElement(swap.sigma, 2, 0)
+    stray = SignedPermElement._trusted(swap.sigma, 2, 0)
     assert stray != swap
     monkeypatch.setattr(
         verify_mod, "msih_mul", lambda a, b: stray if (a, b) == pair else true_mul(a, b)
     )
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "2")
-    assert code == 0
-    assert "[PASS] matrix-symbol-oracle: 56 checks\n" in out
+    code, out, err = run_cli(capsys, "verify", "--max-n", "2")
+    assert (code, err) == (1, "")
+    assert "[FAIL] matrix-symbol-oracle: 56 checks\n" in out
+    assert (
+        "       first counterexample: oracle fails at n=2: "
+        "M(sigma=[2,1];h=1;eps=0) * M(sigma=[1,2];h=1;eps=0)\n"
+    ) in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_verify_out_writes_the_stdout_bytes(tmp_path, capsys):

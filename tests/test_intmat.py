@@ -4,7 +4,15 @@ import random
 
 import numpy as np
 import pytest
-from brute_force import loop_k_word_product, loop_mat_mul
+from brute_force import (
+    basis_outer,
+    loop_k_word_product,
+    loop_mat_mul,
+    mat_add,
+    mat_scale,
+    shift_power,
+    zero_matrix,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,21 +21,16 @@ from aughts.intmat import (
     INT64_MAX,
     SmallIntMatrix,
     alternating_row,
-    basis_outer,
     full_cycle_matrix,
     identity_matrix,
     k_word_product,
     make_k,
-    mat_add,
     mat_mul,
     mat_pow,
-    mat_scale,
     matrix_order,
     pivot_outer,
     product_closed_form,
-    shift_power,
     sign_pow,
-    zero_matrix,
 )
 
 

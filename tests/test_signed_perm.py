@@ -5,10 +5,10 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from brute_force import element_order
+from brute_force import element_order, zero_matrix
 
-from aughts.atlas import catalog
-from aughts.intmat import SmallIntMatrix, identity_matrix, make_k, mat_mul, zero_matrix
+from aughts.atlas import catalog, verify_isomorphism
+from aughts.intmat import SmallIntMatrix, identity_matrix, make_k, mat_mul
 from aughts.signed_perm import (
     NotGroupElementError,
     Permutation,
@@ -75,6 +75,10 @@ def test_eps0_normalizes_pivot():
     e = SignedPermElement.of(Permutation.of([2, 1]), 2, 0)
     assert e.h == 1
     assert e == SignedPermElement.of(Permutation.of([2, 1]), 1, 0)
+    # the bare constructor normalizes too
+    sigma = Permutation((2, 3, 1))
+    assert SignedPermElement(sigma, 3, 0).h == 1
+    assert hash(SignedPermElement(sigma, 3, 0)) == hash(SignedPermElement(sigma, 1, 0))
 
 
 def test_msih_mul_identity_and_involution():
@@ -91,22 +95,56 @@ def test_msih_mul_degree_mismatch():
 
 @pytest.mark.parametrize("h", [0, 4])
 def test_a_flagged_pivot_outside_1_to_n_is_refused(h):
-    # the bare constructor does not check the pivot: h = 0 read images[-1]
-    # and returned a product, h = n + 1 raised IndexError
+    # the constructor checks the pivot whatever the flag, so no product or
+    # inverse meets a pivot outside 1..n; generator has no check of its own
     sigma = Permutation.of((2, 3, 1))
-    bad = SignedPermElement(sigma, h, 1)
-    for other in (identity_element(3), generator(3, 2), SignedPermElement.of(sigma, 3, 1)):
+    for eps in (1, 0):
         with pytest.raises(ValueError, match=f"pivot {h} out of range 1..3"):
-            msih_mul(bad, other)
-        with pytest.raises(ValueError, match=f"pivot {h} out of range 1..3"):
-            msih_mul(other, bad)
+            SignedPermElement(sigma, h, eps)
     with pytest.raises(ValueError, match=f"pivot {h} out of range 1..3"):
-        msih_inverse(bad)
-    # an unflagged element's pivot plays no role
-    stray = SignedPermElement(sigma, h, 0)
-    assert msih_mul(stray, generator(3, 1)) == msih_mul(
-        SignedPermElement.of(sigma, 1, 0), generator(3, 1)
-    )
+        generator(3, h)
+
+
+def test_a_flag_outside_0_and_1_is_refused():
+    # msih_mul and msih_inverse read (2 3 1, 1, 2) as flagged and to_matrix
+    # as unflagged when the constructor let it through
+    with pytest.raises(ValueError, match="eps must be 0 or 1, got 2"):
+        SignedPermElement(Permutation.of((2, 3, 1)), 1, 2)
+    with pytest.raises(ValueError, match="eps must be 0 or 1, got -1"):
+        SignedPermElement.of(Permutation.of((2, 3, 1)), 1, -1)
+
+
+def test_the_constructors_refuse_what_is_not_a_permutation():
+    for images in ((1, 1, 3), (0, 1, 2), (1, 2, 4), (2,)):
+        with pytest.raises(ValueError, match="not a permutation of 1.."):
+            Permutation(images)
+    with pytest.raises(TypeError):
+        SignedPermElement((2, 1), 1, 0)
+    assert Permutation([2, 1]).images == (2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trusted_results_equal_their_checked_rebuilds(n):
+    # msih_mul, msih_inverse, the catalog and the isomorphism build their
+    # results unchecked; each must be what the checked constructors make
+    def rebuilt(e):
+        return SignedPermElement(Permutation(e.sigma.images), e.h, e.eps)
+
+    def exact(e):
+        fields = (e.h, e.eps) + e.sigma.images
+        return e == rebuilt(e) and all(type(v) is int for v in fields)
+
+    elements = catalog(n).elements
+    assert all(exact(e) for e in elements)
+    for a in elements:
+        assert exact(msih_inverse(a))
+        assert all(exact(msih_mul(a, b)) for b in elements)
+    for sigma in {e.sigma for e in elements}:
+        assert sigma.inverse() == Permutation(sigma.inverse().images)
+        assert sigma.then(sigma) == Permutation(sigma.then(sigma).images)
+    witness = verify_isomorphism(n)
+    for p in witness.forward.values():
+        assert p == Permutation(p.images) and all(type(v) is int for v in p.images)
 
 
 def test_oracle_all_pairs_n3():
@@ -217,9 +255,11 @@ def test_permutation_of_refuses_float_images():
     # float images were truncated: (1.7, 2.2) became (1, 2)
     with pytest.raises(TypeError):
         Permutation.of((1.7, 2.2))
-    sigma = Permutation.of(np.array([2, 3, 1]))
-    assert sigma == Permutation((2, 3, 1))
-    assert all(type(v) is int for v in sigma.images)
+    with pytest.raises(TypeError):
+        Permutation((1.7, 2.2))
+    for sigma in (Permutation.of(np.array([2, 3, 1])), Permutation(np.array([2, 3, 1]))):
+        assert sigma == Permutation((2, 3, 1))
+        assert all(type(v) is int for v in sigma.images)
 
 
 def test_element_of_refuses_float_pivot_and_flag():
@@ -229,6 +269,12 @@ def test_element_of_refuses_float_pivot_and_flag():
         SignedPermElement.of(sigma, 2.0, 1.0)
     with pytest.raises(TypeError):
         SignedPermElement.of(sigma, 2, 1.0)
-    e = SignedPermElement.of(sigma, np.int64(2), np.int64(1))
-    assert e == generator(3, 2)
-    assert format_element(e) == "M(sigma=[1,2,3];h=2;eps=1)"
+    with pytest.raises(TypeError):
+        SignedPermElement(sigma, 2, 1.0)
+    for e in (
+        SignedPermElement.of(sigma, np.int64(2), np.int64(1)),
+        SignedPermElement(sigma, np.int64(2), np.int64(1)),
+    ):
+        assert e == generator(3, 2)
+        assert type(e.h) is int and type(e.eps) is int
+        assert format_element(e) == "M(sigma=[1,2,3];h=2;eps=1)"
