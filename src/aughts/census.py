@@ -10,21 +10,22 @@ lexicographically largest node of its orbit inside the square iff it lies in
 the closed cone x/2 <= y <= 2x, where the orbit length is 4(x+y), so the
 census sums the cone's points per anti-diagonal in closed form.  A point
 other than the origin is diametral iff it or its negative lies in that cone,
-so each row contributes the interval intersection of its x-range with the
-cone.  The disk length statistics sum each row's orbit lengths in closed
-form.  The angular histogram counts rows too: a row's points lie in angle
-order, so it adds its x-range and its cone span to the bin of one end, and
-each bin boundary it crosses moves the points at or past that ray, a floor
-of y cot phi, up one bin; the bins are exact, with float floors checked
-against a proven margin and integer brackets of cos and sin inside it.  No
-count loops over rows in Python: rows come in chunks of up to 2^16 as int64
-arrays (Python ints for a rect beyond the 2^31 guard), ``Region.row_spans``
-gives their x-ranges, and numpy does the rest, so an int64 row costs tens
-of nanoseconds and ``ROW_LIMIT`` bounds the work.  Only the SVG renders
-scan points, in blocks of at most 2^15 int64 points built from the same
-x-ranges with ``cumsum`` and ``repeat``, behind a bounding-box budget.  The
-orbit length, the cone's row form and the cone test are defined once, in
-``aughts.orbits``, for ints and arrays alike.
+so a square, sym-square, hexagon or rect counts the cone's points in its
+bounding box by inclusion-exclusion over one quadrant count in closed form,
+visiting no row, and the disk counts each row's intersection with the cone.
+The disk length statistics sum each row's orbit lengths in closed form.  The
+angular histogram counts rows too: a row's points lie in angle order, so it
+adds its x-range and its cone span to the bin of one end, and each bin
+boundary it crosses moves the points at or past that ray, a floor of
+y cot phi, up one bin; the bins are exact, with float floors checked against
+a proven margin and integer brackets of cos and sin inside it.  No count
+loops over rows in Python: rows come in chunks of up to 2^16 as int64
+arrays, ``Region.row_spans`` gives their x-ranges, and numpy does the rest,
+so a row costs tens of nanoseconds and ``ROW_LIMIT`` bounds the disk's
+work.  Only the SVG renders scan points, in blocks of at most 2^15 int64
+points built from the same x-ranges with ``cumsum`` and ``repeat``, behind a
+bounding-box budget.  The orbit length, the cone's row form and the cone
+test are defined once, in ``aughts.orbits``, for ints and arrays alike.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ POINT_LIMIT = 10**8
 # Bins of an angular histogram: it brackets every boundary's cotangent once,
 # about 8 us a bin (0.5 s at the limit), and their float windows stay apart.
 BINS_LIMIT = 2**16
-# Rows a row count may visit, so a far-flung region stops at once instead of
-# running for days.  The disk lengths, the slower count, take about 100 ns a
+# Rows a disk count may visit, so a large radius stops at once instead of
+# running for hours.  The disk lengths, the slower count, take about 100 ns a
 # row in chunks of int64 rows: their worst case, r = 31,999,999, took 6.6 s
-# on a 2-vCPU VM.  Rects beyond the 2^31 guard count in Python ints, about
-# 1 us a row, and may visit an eighth as many rows (8.1 s for 8,000,000).
-# Kept below 2^29 so that no disk row's int64 length sum can wrap.
+# on a 2-vCPU VM.  Kept below 2^29 so that no disk row's int64 length sum can
+# wrap, and so every disk within it lies inside the 2^31 guard.
 ROW_LIMIT = 64_000_000
 # Largest modulus of a census: it builds and prints one count per residue.
 MODULUS_LIMIT = 2**16
@@ -157,8 +157,7 @@ class Region:
         """``row_span`` of each row of an int64 array, as two int64 arrays.
 
         Equal to ``row_span`` row by row for a region and rows within the
-        2^31 guard; the box kinds also take an object array of Python ints,
-        for rects beyond it.  The disk's half-width is an exact isqrt of
+        2^31 guard.  The disk's half-width is an exact isqrt of
         v = r^2 - y^2 <= 2^62 from the float sqrt, which is never below it:
         rounding is monotone and sqrt(fl(k^2)) rounds to k for k <= 2^31, as
         fl(k^2) is within k^2 2^-53 of k^2.  It exceeds sqrt(v) by at most
@@ -202,10 +201,10 @@ def _check_coords(region: Region) -> None:
         raise ValueError(f"region bounds {region.bounds()} exceed the 2^31 guard")
 
 
-def _row_chunks(ymin: int, ymax: int, dtype=np.int64) -> Iterator[np.ndarray]:
-    """The rows ymin..ymax, ascending, as arrays of at most _CHUNK_ROWS."""
+def _row_chunks(ymin: int, ymax: int) -> Iterator[np.ndarray]:
+    """The rows ymin..ymax, ascending, as int64 arrays of at most _CHUNK_ROWS."""
     for start in range(ymin, ymax + 1, _CHUNK_ROWS):
-        yield np.arange(start, min(start + _CHUNK_ROWS, ymax + 1), dtype=dtype)
+        yield np.arange(start, min(start + _CHUNK_ROWS, ymax + 1), dtype=np.int64)
 
 
 def _iter_blocks(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -447,35 +446,34 @@ def modular_census(m: int, d: int) -> CensusReport:
 def diametral_report(region: Region) -> CensusReport:
     """Count LATTICE POINTS of the region that are diametral in their orbit.
 
-    Each row adds its whole x-range to the total and its intersection with
-    the diametral cone to the hits; no point is visited.
+    A polygon's diametral points are the double cone's points in its
+    bounding box: the hexagon's cut corners hold none, as a cone point of
+    [-M,M]^2 has both coordinates of one sign and so |x - y| < M.  Each disk
+    row adds its x-range to the total and its intersection with the cone to
+    the hits.  No point is visited.
     """
     if region.kind != "rect" and region.size < 100:
         raise ValueError("diametral census requires region size >= 100")
-    rows = region
-    if region.kind == "rect":
-        x0, x1, y0, y1 = region.params
-        if y1 - y0 > x1 - x0:
-            # The cone is symmetric under swapping x and y, so a tall rect
-            # counts the same as its transpose, which has fewer rows.
-            rows = Region.rect(y0, y1, x0, x1)
-    _, _, ymin, ymax = rows.bounds()
-    # Within the 2^31 guard every span and count fits int64; only a rect can
-    # lie beyond it within the row limit, and it counts in Python ints.
-    beyond = max(map(abs, rows.bounds())) > COORD_LIMIT
-    limit = ROW_LIMIT // 8 if beyond else ROW_LIMIT
-    if ymax - ymin + 1 > limit:
-        raise ResourceLimitError(
-            f"diametral census needs {ymax - ymin + 1} rows, limit is {limit}"
-        )
-    dtype = object if beyond else np.int64
-    total = 0
-    hits = 0
-    for ys in _row_chunks(ymin, ymax, dtype):
-        lo, hi = rows.row_spans(ys)
-        a, b = _cone_span(ys)
-        total += int(np.maximum(hi - lo + 1, 0).sum())
-        hits += int(np.maximum(np.minimum(b, hi) - np.maximum(a, lo) + 1, 0).sum())
+    x0, x1, y0, y1 = region.bounds()
+    if region.kind == "disk":
+        if y1 - y0 + 1 > ROW_LIMIT:
+            raise ResourceLimitError(
+                f"diametral census needs {y1 - y0 + 1} rows, limit is {ROW_LIMIT}"
+            )
+        total = hits = 0
+        for ys in _row_chunks(y0, y1):
+            lo, hi = region.row_spans(ys)
+            a, b = _cone_span(ys)
+            total += int((hi - lo + 1).sum())
+            hits += int(np.maximum(np.minimum(b, hi) - np.maximum(a, lo) + 1, 0).sum())
+    elif x0 > x1 or y0 > y1:
+        total = hits = 0
+    else:
+        total = (x1 - x0 + 1) * (y1 - y0 + 1)
+        if region.kind == "hexagon_H":
+            total -= x1 * (x1 + 1)  # the two cut corners, M(M+1)/2 points each
+        # the lower cone is the upper one's negative
+        hits = _cone_points(x0, x1, y0, y1) + _cone_points(-x1, -x0, -y1, -y0)
     return CensusReport(
         region=region,
         basis="points",
@@ -486,6 +484,30 @@ def diametral_report(region: Region) -> CensusReport:
         diametral_points=hits,
         sum_perimeter=0,
     )
+
+
+def _cone_points(x0: int, x1: int, y0: int, y1: int) -> int:
+    """Points of the cone x/2 <= y <= 2x in the nonempty box [x0,x1] x [y0,y1],
+    by inclusion-exclusion over ``_quadrant``."""
+    return (
+        _quadrant(x1, y1) - _quadrant(x0 - 1, y1)
+        - _quadrant(x1, y0 - 1) + _quadrant(x0 - 1, y0 - 1)
+    )
+
+
+def _quadrant(x: int, y: int) -> int:
+    """Points (a, b) of the cone x/2 <= y <= 2x with a <= x and b <= y.
+
+    Every cone point has a, b >= 1.  Row b holds min(2b, x) - ceil(b/2) + 1
+    of them while ceil(b/2) <= x, so the rows 1..n, n = min(y, 2x), are the
+    nonempty ones; rows b <= k = min(n, x//2) end at 2b and the rest at x,
+    and the ceil(b/2) of rows 1..n sum to (n+1)^2 // 4.
+    """
+    n = min(y, 2 * x)
+    if n <= 0:
+        return 0
+    k = min(n, x // 2)
+    return k * (k + 1) + x * (n - k) + n - (n + 1) ** 2 // 4
 
 
 def diametral_census(region: Region) -> float:

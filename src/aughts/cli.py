@@ -236,18 +236,19 @@ def cmd_census(args) -> tuple[int, str]:
             raise UsageError("modular census is defined over --square M")
         m = region.params[0]
         report = census.modular_census(m, args.mod)
-        headline = ", ".join(
+        counts = ", ".join(
             f"{r}: {c} ({c / m**2:.6g} M^2)"
             for r, c in sorted(report.residue_counts.items())
             if c
         )
-        print(f"orbits by length mod {args.mod}: {headline}", file=sys.stderr)
+        headline = f"orbits by length mod {args.mod}: {counts}"
     else:
         report = census.diametral_report(region)
-        print(
-            f"diametral fraction: {report.diametral_fraction:.12g}", file=sys.stderr
-        )
-    return 0, json.dumps(report.to_json_dict(), indent=2)
+        headline = f"diametral fraction: {report.diametral_fraction:.12g}"
+    # the text first: a count too long for str() is then a one-line rejection
+    text = json.dumps(report.to_json_dict(), indent=2)
+    print(headline, file=sys.stderr)
+    return 0, text
 
 
 def cmd_render(args) -> tuple[int, str]:

@@ -20,7 +20,6 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from aughts.errors import ResourceLimitError
-from aughts.intmat import sign_pow
 
 Point = tuple[int, ...]
 
@@ -60,13 +59,12 @@ def _swap(z: Point, j: int) -> Point:
 
 
 def apply_k(x: Sequence[int], j: int) -> Point:
-    """Replace coordinate j with the alternating sum starting at -x_j."""
+    """Replace coordinate j with the alternating sum starting at -x_j, which
+    is the swap of entries 0 and j of Phi(x)."""
     pt = _check_point(x)
-    n = len(pt)
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range 1..{n}")
-    value = sum(sign_pow(j + k) * pt[k] for k in range(n))
-    return pt[: j - 1] + (value,) + pt[j:]
+    if not 1 <= j <= len(pt):
+        raise ValueError(f"index {j} out of range 1..{len(pt)}")
+    return _unstar(_swap(_star(pt), j))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from aughts.intmat import SmallIntMatrix, alternating_row, sign_pow
+from aughts.intmat import SmallIntMatrix, _check_dim, alternating_row, sign_pow
 
 
 class NotGroupElementError(ValueError):
@@ -56,6 +56,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _check_dim(n)
         return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod

@@ -40,6 +40,7 @@ from aughts.census import (
     modular_census,
     projection_histogram,
     square_orbit_averages,
+    square_orbit_sums,
 )
 from aughts.errors import ResourceLimitError
 from aughts.orbits import _in_cone, _semi_perimeter, orbit2d, orbit_rep, semi_perimeter
@@ -298,7 +299,7 @@ def test_diametral_census_small_sizes():
 
 
 # one region of each kind at sizes 100-130; the rects straddle both axes
-# asymmetrically, and the second is counted through its transpose
+# asymmetrically, and the second is taller than wide
 ORACLE_REGIONS = [
     Region.square(130),
     Region.sym_square(100),
@@ -510,9 +511,9 @@ def test_scan_blocks_join_pieces_across_chunks(monkeypatch, region, chunk_rows):
 @pytest.mark.parametrize(
     "region",
     [
-        Region.rect(-3, 40, -100000, 100000),  # tall: counted as its transpose
+        Region.rect(-3, 40, -100000, 100000),
         Region.rect(-70000, 70000, -(2**31), -(2**31) + 70000),
-        Region.rect(2**31 - 70000, 2**31 + 5, 2**31 - 69990, 2**31 + 9),  # Python ints
+        Region.rect(2**31 - 70000, 2**31 + 5, 2**31 - 69990, 2**31 + 9),
         Region.rect(-(2**64), 2**64, 2**63 - 5, 2**63 + 5),
         Region.square(70000),
         Region.hexagon(40000),
@@ -523,6 +524,72 @@ def test_scan_blocks_join_pieces_across_chunks(monkeypatch, region, chunk_rows):
 def test_diametral_report_matches_per_row_oracle(region):
     report = diametral_report(region)
     assert (report.total_points, report.diametral_points) == per_row_diametral_counts(region)
+
+
+# a rect corner near the origin, the 2^31 guard or 2^63, of either sign
+_corner = st.sampled_from([0, 2**31, -(2**31), 2**63, -(2**63)]).flatmap(
+    lambda v: st.integers(v - 40, v + 40)
+)
+
+
+@st.composite
+def _polygon_regions(draw):
+    kind = draw(st.sampled_from(["square", "sym_square", "hexagon", "rect", "rect", "rect"]))
+    if kind != "rect":
+        return getattr(Region, kind)(draw(st.integers(100, 260)))
+    x0 = draw(_corner)
+    # y0 near the axis, near the lines y = x, y = 2x and y = x/2 through x0,
+    # or at an independent corner; either parity, as the offset is drawn
+    y0 = draw(st.sampled_from([0, x0, 2 * x0, x0 // 2, -x0])) + draw(st.integers(-40, 40))
+    y0 = draw(st.one_of(st.just(y0), _corner))
+    # widths and heights below 1 give empty rects, 1 one column or one row
+    w, h = draw(st.integers(-2, 60)), draw(st.integers(-2, 60))
+    return Region.rect(x0, x0 + w - 1, y0, y0 + h - 1)
+
+
+@settings(max_examples=600, deadline=None)
+@given(region=_polygon_regions())
+def test_polygon_census_closed_form_matches_per_row_oracle(region):
+    report = diametral_report(region)
+    assert (report.total_points, report.diametral_points) == per_row_diametral_counts(region)
+
+
+@pytest.mark.parametrize("r", [100, 101, 102, 997, 1000, 2**20 + 1, 2**31 - 1, 2**31])
+def test_polygon_census_matches_antidiagonal_count(r):
+    # square_orbit_sums counts the cone's points of [0, r]^2 per anti-diagonal,
+    # the origin included; [-r, r]^2 and the hexagon hold them and their
+    # negatives
+    _, cone, _ = square_orbit_sums(r)
+    assert diametral_report(Region.square(r)).diametral_points == cone - 1
+    assert diametral_report(Region.sym_square(r)).diametral_points == 2 * (cone - 1)
+    assert diametral_report(Region.hexagon(r)).diametral_points == 2 * (cone - 1)
+
+
+def test_polygon_census_at_2_62():
+    # with s = 2^62, row b of the upper cone holds min(2b, s) - ceil(b/2) + 1
+    # points of [0, s]^2, s^2/2 + s in all; the lower cone holds as many in
+    # [-s, 0]^2, and the other two quadrants none
+    report = diametral_report(Region.rect(-(2**62), 2**62, -(2**62), 2**62))
+    assert report.diametral_points == 2**124 + 2**63
+    assert report.total_points == (2**63 + 1) ** 2
+    assert report.diametral_fraction == 0.25
+
+
+def test_polygon_census_visits_no_rows(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a polygon census visited rows")
+
+    monkeypatch.setattr(census, "_row_chunks", no_rows)
+    _, cone, _ = square_orbit_sums(10**6)
+    assert diametral_report(Region.square(10**6)).diametral_points == cone - 1
+    for region in (
+        Region.sym_square(10**6),
+        Region.hexagon(10**6),
+        Region.rect(-(2**40), 2**41, -(2**62), 2**63),
+    ):
+        assert 0 < diametral_report(region).diametral_fraction < 1
+    with pytest.raises(AssertionError):
+        diametral_report(Region.disk(100))
 
 
 @pytest.mark.parametrize("r", [100, 977, 40000])
@@ -585,18 +652,18 @@ def test_diametral_census_size_guard():
 
 
 def test_diametral_row_limit():
-    # the transpose does not help when both sides are long
+    # only the disk counts rows: far past the limit, and one row past it
     with pytest.raises(ResourceLimitError):
-        diametral_report(Region.rect(0, 2**40, 0, 2**40))
+        diametral_report(Region.disk(2**40))
     with pytest.raises(ResourceLimitError):
         diametral_report(Region.disk(census.ROW_LIMIT // 2))
 
 
 def test_diametral_row_limit_beyond_2_31():
-    # rows in Python ints cost more: an eighth of the limit, checked up front
+    # a disk beyond the 2^31 guard stops up front, before any int64 row
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
-        diametral_report(Region.rect(2**40, 2**41, 0, census.ROW_LIMIT // 8))
+        diametral_report(Region.disk(2**62))
     assert time.perf_counter() - start < 1
 
 

@@ -547,13 +547,32 @@ def test_census_mod_two_million_is_exact():
 
 def test_census_diametral_row_limit_exits_4():
     start = time.monotonic()
-    proc = run_cli_process(
-        "census", "--rect=0,1099511627776,0,1099511627776", "--diametral", timeout=30
-    )
+    proc = run_cli_process("census", "--disk", "1099511627776", "--diametral", timeout=30)
     assert proc.returncode == 4
     assert time.monotonic() - start < 10
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_census_diametral_far_rect_is_exact():
+    # 2^40 rows each way, counted in closed form; the cone holds half of
+    # [0, s]^2 and s more points
+    proc = run_cli_process("census", "--rect=0,1099511627776,0,1099511627776", "--diametral")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["total_points"] == (2**40 + 1) ** 2
+    assert payload["diametral_points"] == 2**79 + 2**40
+    assert payload["diametral_fraction"] == 0.5
+
+
+def test_census_count_too_long_to_print_exits_2():
+    # 4300 digits parse, but the count of 8600 digits cannot become a str;
+    # the rejection is the only stderr line, with no headline before it
+    proc = run_cli_process("census", "--square", "9" * 4300, "--diametral")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
 
 
@@ -793,8 +812,8 @@ def _region_args(draw, max_size):
         size = draw(st.one_of(st.integers(-3, max_size), _edge))
         return [f"--{kind}", str(size)]
     if draw(st.booleans()):
-        # each side is under 100 or beyond the row and cell limits, so no
-        # draw runs long
+        # each side is under 100 or beyond the cell limits, so no draw runs
+        # long; a census counts any rect in closed form
         corner = st.one_of(st.integers(-40, 40), _edge)
         corners = draw(st.lists(corner, min_size=4, max_size=4))
         return [f"--rect={_csv(corners)}"]

@@ -9,6 +9,7 @@ from brute_force import (
     bfs_reach_graph,
     brute_is_diametral,
     extents,
+    k_step,
     max_pairwise_dist_sq,
     node_is_diametral,
     orbit_nodes,
@@ -107,7 +108,8 @@ def _random_point(rng, n):
 
 
 def test_operators_swap_star_coordinates():
-    # Phi(apply_k(x, j)) is Phi(x) with entries 0 and j swapped
+    # Phi(apply_k(x, j)) is Phi(x) with entries 0 and j swapped, and
+    # apply_k is the paper's alternating sum
     rng = random.Random(2718)
     for n in range(1, 9):
         for _ in range(50):
@@ -118,6 +120,7 @@ def test_operators_swap_star_coordinates():
                 swapped = list(z)
                 swapped[0], swapped[j] = z[j], z[0]
                 assert _star(apply_k(x, j)) == _swap(z, j) == tuple(swapped), (x, j)
+                assert apply_k(x, j) == k_step(x, j), (x, j)
 
 
 def test_semi_perimeter_is_pairwise_star_spread():

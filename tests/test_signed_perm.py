@@ -123,6 +123,13 @@ def test_the_constructors_refuse_what_is_not_a_permutation():
     assert Permutation([2, 1]).images == (2, 1)
 
 
+def test_a_degree_below_1_is_refused_as_intmat_refuses_it():
+    # these once raised a pivot error from the empty permutation
+    for build, n in ((identity_element, 0), (identity_element, -2), (lambda n: generator(n, 1), 0)):
+        with pytest.raises(ValueError, match=f"^dimension must be >= 1, got {n}$"):
+            build(n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_trusted_results_equal_their_checked_rebuilds(n):
     # msih_mul, msih_inverse, the catalog and the isomorphism build their
