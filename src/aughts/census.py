@@ -19,13 +19,14 @@ adds its x-range and its cone span to the bin of one end, and each bin
 boundary it crosses moves the points at or past that ray, a floor of
 y cot phi, up one bin; the bins are exact, with float floors checked against
 a proven margin and integer brackets of cos and sin inside it.  No count
-loops over rows in Python: rows come in chunks of up to 2^16 as int64
-arrays, ``Region.row_spans`` gives their x-ranges, and numpy does the rest,
-so a row costs tens of nanoseconds and ``ROW_LIMIT`` bounds the disk's
-work.  Only the SVG renders scan points, in blocks of at most 2^15 int64
-points built from the same x-ranges with ``cumsum`` and ``repeat``, behind a
-bounding-box budget.  The orbit length, the cone's row form and the cone
-test are defined once, in ``aughts.orbits``, for ints and arrays alike.
+loops over rows in Python: ``_rows`` gives them in chunks of up to 2^16 as
+int64 arrays with their ``Region.row_spans`` x-ranges, and numpy does the
+rest, so a row costs tens of nanoseconds and ``ROW_LIMIT`` bounds the
+disk's work.  Only the SVG renders scan points: ``_runs`` cuts each chunk
+into blocks of at most 2^15 int64 points, as it cuts the histogram's
+crossed (row, ray) pairs into pieces, behind a bounding-box budget.  The
+orbit length, the cone's row form and the cone test are defined once, in
+``aughts.orbits``, for ints and arrays alike.
 """
 
 from __future__ import annotations
@@ -201,62 +202,36 @@ def _check_coords(region: Region) -> None:
         raise ValueError(f"region bounds {region.bounds()} exceed the 2^31 guard")
 
 
-def _row_chunks(ymin: int, ymax: int) -> Iterator[np.ndarray]:
-    """The rows ymin..ymax, ascending, as int64 arrays of at most _CHUNK_ROWS."""
-    for start in range(ymin, ymax + 1, _CHUNK_ROWS):
-        yield np.arange(start, min(start + _CHUNK_ROWS, ymax + 1), dtype=np.int64)
+def _rows(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The region's rows, ascending, in chunks of at most _CHUNK_ROWS: each
+    chunk as int64 arrays (ys, lo, hi) of the rows and their ``row_span``.
 
-
-def _iter_blocks(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the region's points as (x1, x2) arrays in row-major order.
-
-    Rows ascend in y and each row ascends in x over its ``row_span``; a block
-    holds up to _BLOCK_POINTS points, a wider row is split across blocks, and
-    no block is empty.  Coordinates are bounded by 2^31 so that the int64
-    kernels cannot wrap.  Each chunk of rows numbers its points row-major
-    from 0; a block takes the next run of those numbers, and the piece of a
-    chunk that ends a block started in the chunk before is joined to it.
+    Refuses a region beyond the 2^31 guard, so that no int64 kernel wraps,
+    and yields nothing for an empty box; the rows of a nonempty box are
+    nonempty.
     """
     _check_coords(region)
     xmin, xmax, ymin, ymax = region.bounds()
     if xmin > xmax:
         return
-    pieces: list[tuple[np.ndarray, np.ndarray]] = []  # of the pending block
-    room = _BLOCK_POINTS
-    for ys in _row_chunks(ymin, ymax):
-        lo, hi = region.row_spans(ys)
-        # rows of a nonempty box are nonempty; row i holds the chunk's points
-        # starts[i]..ends[i]-1, and point p of it has x = p + (lo - starts)[i]
-        widths = hi - lo + 1
-        ends = np.cumsum(widths)
-        starts = ends - widths
-        size = int(ends[-1])
-        done = 0
-        while done < size:
-            take = min(room, size - done)
-            stop = done + take
-            rows = slice(
-                int(np.searchsorted(ends, done, side="right")),
-                int(np.searchsorted(ends, stop - 1, side="right")) + 1,
-            )
-            counts = np.minimum(ends[rows], stop) - np.maximum(starts[rows], done)
-            pieces.append((
-                np.arange(done, stop, dtype=np.int64)
-                + np.repeat(lo[rows] - starts[rows], counts),
-                np.repeat(ys[rows], counts),
-            ))
-            done, room = stop, room - take
-            if room == 0:
-                yield _joined(pieces)
-                pieces, room = [], _BLOCK_POINTS
-    if pieces:
-        yield _joined(pieces)
+    for start in range(ymin, ymax + 1, _CHUNK_ROWS):
+        ys = np.arange(start, min(start + _CHUNK_ROWS, ymax + 1), dtype=np.int64)
+        yield (ys, *region.row_spans(ys))
 
 
-def _joined(pieces: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    if len(pieces) == 1:
-        return pieces[0]
-    return tuple(np.concatenate(column) for column in zip(*pieces))
+def _iter_blocks(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the region's points as (x1, x2) arrays in row-major order.
+
+    Rows ascend in y and each row ascends in x over its ``row_span``.  Each
+    chunk of ``_rows`` is cut by ``_runs`` into blocks of up to
+    _BLOCK_POINTS points, a wider row split across blocks; no block is empty
+    or spans two chunks.  A chunk of 2^16 box rows holds whole blocks, so
+    only a disk or hexagon of more than 2^16 rows has a short block before
+    its last.
+    """
+    for ys, lo, hi in _rows(region):
+        for rows, taken, rank in _runs(hi - lo + 1, _BLOCK_POINTS):
+            yield np.repeat(lo[rows], taken) + rank, np.repeat(ys[rows], taken)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +436,7 @@ def diametral_report(region: Region) -> CensusReport:
                 f"diametral census needs {y1 - y0 + 1} rows, limit is {ROW_LIMIT}"
             )
         total = hits = 0
-        for ys in _row_chunks(y0, y1):
-            lo, hi = region.row_spans(ys)
+        for ys, lo, hi in _rows(region):
             a, b = _cone_span(ys)
             total += int((hi - lo + 1).sum())
             hits += int(np.maximum(np.minimum(b, hi) - np.maximum(a, lo) + 1, 0).sum())
@@ -569,8 +543,7 @@ def disk_length_stats(r: int) -> DiskLengthStats:
     total = 0
     count = 0
     maximum = 0
-    for ys in _row_chunks(-r, r):
-        lo, hi = region.row_spans(ys)
+    for ys, lo, hi in _rows(region):
         count += int((hi - lo + 1).sum())
         lengths = 2 * (
             _abs_linear_sum(2, -ys, lo, hi)
@@ -660,26 +633,21 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
     if bins > BINS_LIMIT:
         raise ResourceLimitError(f"{bins} bins exceed the limit {BINS_LIMIT}")
     _check_cells(region, POINT_LIMIT, "angular histogram")
-    _check_coords(region)
-    xmin, xmax, ymin, ymax = region.bounds()
     total = np.zeros(bins, dtype=np.int64)
     dia = np.zeros(bins, dtype=np.int64)
     half = bins // 2
-    if xmin <= xmax:
+    for ys, lo, hi in _rows(region):
         even, odd = _rays(bins)
-        for ys in _row_chunks(ymin, ymax):
-            # rows of a nonempty box are nonempty
-            lo, hi = region.row_spans(ys)
-            below = int(np.searchsorted(ys, 0))
-            above = int(np.searchsorted(ys, 0, side="right"))
-            # the rows below the axis turned by pi, then those above
-            _add_rows(odd if bins % 2 else even, -ys[:below], -hi[:below], -lo[:below],
-                      total[half:], dia[half:])
-            _add_rows(even, ys[above:], lo[above:], hi[above:], total, dia)
-            if below < above:
-                x0, x1 = int(lo[below]), int(hi[below])
-                total[0] += max(0, x1 - max(x0, 1) + 1)
-                total[half] += max(0, min(x1, -1) - x0 + 1)
+        below = int(np.searchsorted(ys, 0))
+        above = int(np.searchsorted(ys, 0, side="right"))
+        # the rows below the axis turned by pi, then those above
+        _add_rows(odd if bins % 2 else even, -ys[:below], -hi[:below], -lo[:below],
+                  total[half:], dia[half:])
+        _add_rows(even, ys[above:], lo[above:], hi[above:], total, dia)
+        if below < above:
+            x0, x1 = int(lo[below]), int(hi[below])
+            total[0] += max(0, x1 - max(x0, 1) + 1)
+            total[half] += max(0, min(x1, -1) - x0 + 1)
     return ProjectionHistogram(
         bins, tuple(int(v) for v in dia), tuple(int(v) for v in total - dia)
     )
@@ -706,8 +674,8 @@ def _add_rows(rays: "_Rays", y, lo, hi, total, dia) -> None:
     total += _bin_sums(right, hi - lo + 1, size)
     dia += _bin_sums(right, np.maximum(cone_hi - cone_lo + 1, 0), size)
     crossing = np.flatnonzero(left > right)
-    for row, rank in _runs(left[crossing] - right[crossing], _PAIR_PIECE):
-        row = crossing[row]
+    for rows, taken, rank in _runs(left[crossing] - right[crossing], _PAIR_PIECE):
+        row = np.repeat(crossing[rows], taken)
         ray = right[row] + rank
         floors = rays.floors(y[row], ray)
         # ray i parts bin i from bin i + 1
@@ -726,19 +694,22 @@ def _bin_sums(index: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(index, weights=counts, minlength=size).astype(np.int64)
 
 
-def _runs(counts: np.ndarray, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _runs(counts: np.ndarray, limit: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The items counted per row, numbered row-major, in runs of at most
-    ``limit``: each run as (the row of each item, its rank within the row)."""
+    ``limit``: each run as (the slice of its rows, the items it takes of
+    each, each item's rank within its row).  Callers spread per-row values
+    over the items with ``np.repeat(values[rows], taken)``."""
     ends = np.cumsum(counts)
     starts = ends - counts
     size = int(ends[-1]) if ends.size else 0
     for done in range(0, size, limit):
         stop = min(done + limit, size)
-        first = int(np.searchsorted(ends, done, side="right"))
-        last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
-        taken = np.minimum(ends[first:last], stop) - np.maximum(starts[first:last], done)
-        row = np.repeat(np.arange(first, last), taken)
-        yield row, np.arange(done, stop) - starts[row]
+        rows = slice(
+            int(np.searchsorted(ends, done, side="right")),
+            int(np.searchsorted(ends, stop - 1, side="right")) + 1,
+        )
+        taken = np.minimum(ends[rows], stop) - np.maximum(starts[rows], done)
+        yield rows, taken, np.arange(done, stop) - np.repeat(starts[rows], taken)
 
 
 @dataclass(frozen=True)

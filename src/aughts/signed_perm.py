@@ -29,13 +29,14 @@ class Permutation:
 
     The constructor converts each image with ``operator.index`` (a numpy
     integer becomes an int, a float is refused) and refuses images that are
-    not a permutation of 1..n, so every ``Permutation`` is one.
+    not a permutation of 1..n, n >= 1, so every ``Permutation`` is one.
     """
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
         imgs = tuple(map(operator.index, self.images))
+        _check_dim(len(imgs))
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
         object.__setattr__(self, "images", imgs)

@@ -97,8 +97,9 @@ def _render_cells(spec: RenderSpec, colorizer) -> str:
     _check_cells(spec.region, PIXEL_BUDGET, "render")
     xmin, xmax, ymin, ymax = spec.region.bounds()
     s = spec.scale
-    width = (xmax - xmin + 1) * s
-    height = (ymax - ymin + 1) * s
+    # an empty rect has a side of 0, not a negative one
+    width = max(xmax - xmin + 1, 0) * s
+    height = max(ymax - ymin + 1, 0) * s
     parts = [_svg_open(width, height), "\n"]
     row_tail = f'" width="{s}" height="{s}" fill="'
     for x1, x2 in _iter_blocks(spec.region):

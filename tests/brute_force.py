@@ -567,8 +567,9 @@ def _per_cell_rects(spec):
     _check_cells(spec.region, PIXEL_BUDGET, "render")
     xmin, xmax, ymin, ymax = spec.region.bounds()
     s = spec.scale
-    width = (xmax - xmin + 1) * s
-    height = (ymax - ymin + 1) * s
+    # an empty rect has a side of 0, not a negative one
+    width = max(xmax - xmin + 1, 0) * s
+    height = max(ymax - ymin + 1, 0) * s
     lines = [_svg_open(width, height)]
     for x1, x2 in _iter_blocks(spec.region):
         if spec.mode == "mod_color":

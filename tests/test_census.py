@@ -1,5 +1,6 @@
 """Census formulas and region scans, with brute-force cross-checks."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -44,6 +45,7 @@ from aughts.census import (
 )
 from aughts.errors import ResourceLimitError
 from aughts.orbits import _in_cone, _semi_perimeter, orbit2d, orbit_rep, semi_perimeter
+from aughts.svg import RenderSpec, render_svg
 
 
 # -- independent brute-force oracle ----------------------------------------
@@ -494,18 +496,36 @@ def test_scan_blocks_match_per_row_oracle(region):
     assert_blocks_match_per_row_oracle(region)
 
 
+# each region with a render, of one of the three scanned modes
+CHUNK_CASES = [
+    (Region.disk(300), RenderSpec(Region.disk(300), "diametral")),
+    (Region.hexagon(150), RenderSpec(Region.hexagon(150), "mod_color", modulus=7)),
+    (Region.rect(-40000, 30000, -1, 1), RenderSpec(Region.disk(300), "projection")),
+]
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 7, 100])
 @pytest.mark.parametrize(
-    "region",
-    [Region.disk(300), Region.hexagon(150), Region.rect(-40000, 30000, -1, 1)],
-    ids=lambda r: f"{r.kind}{list(r.params)}",
+    "region, render", CHUNK_CASES, ids=[f"{r.kind}{list(r.params)}" for r, _ in CHUNK_CASES]
 )
-def test_scan_blocks_join_pieces_across_chunks(monkeypatch, region, chunk_rows):
+def test_scan_blocks_stay_within_chunks(monkeypatch, region, render, chunk_rows):
     # A chunk of 2^16 box rows holds whole blocks, so only a disk or a
-    # hexagon of more than 2^16 rows, billions of points, ends a block in a
-    # later chunk than it starts; smaller chunks make that happen here.
+    # hexagon of more than 2^16 rows, billions of points, ends a chunk on a
+    # short block; smaller chunks make that happen here.
+    digest = hashlib.sha256(render_svg(render).encode()).hexdigest()
     monkeypatch.setattr(census, "_CHUNK_ROWS", chunk_rows)
-    assert_blocks_match_per_row_oracle(region)
+    blocks = list(census._iter_blocks(region))
+    oracle = list(per_row_blocks(region))
+    for axis in (0, 1):
+        assert np.array_equal(
+            np.concatenate([b[axis] for b in blocks]), np.concatenate([b[axis] for b in oracle])
+        )
+    ymin = region.bounds()[2]
+    for _, x2 in blocks:
+        assert 1 <= x2.size <= census._BLOCK_POINTS
+        assert (x2[0] - ymin) // chunk_rows == (x2[-1] - ymin) // chunk_rows
+    # a render's bytes do not depend on where its blocks end
+    assert hashlib.sha256(render_svg(render).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -579,7 +599,7 @@ def test_polygon_census_visits_no_rows(monkeypatch):
     def no_rows(*args):
         raise AssertionError("a polygon census visited rows")
 
-    monkeypatch.setattr(census, "_row_chunks", no_rows)
+    monkeypatch.setattr(census, "_rows", no_rows)
     _, cone, _ = square_orbit_sums(10**6)
     assert diametral_report(Region.square(10**6)).diametral_points == cone - 1
     for region in (

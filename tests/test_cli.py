@@ -684,6 +684,15 @@ def test_render_stdout_digests(capsys, digest, command):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_render_empty_rect_writes_sides_of_0(capsys):
+    code, out, _ = run_cli(capsys, "render", "--rect=5,0,0,3", "--diametral")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="0" height="40" viewBox="0 0 0 40">',
+        "</svg>",
+    ]
+
+
 def test_render_diametral_and_projection(tmp_path, capsys):
     out = tmp_path / "d.svg"
     assert run_cli(capsys, "render", "--diametral", "--sym-square", "10", "--out", str(out))[0] == 0

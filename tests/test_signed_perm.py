@@ -130,6 +130,17 @@ def test_a_degree_below_1_is_refused_as_intmat_refuses_it():
             build(n)
 
 
+def test_the_empty_permutation_is_refused_as_degree_0():
+    # it once built, and failed later as "pivot 1 out of range 1..0"
+    for build in (
+        lambda: Permutation(()),
+        lambda: Permutation.of([]),
+        lambda: parse_element("M(sigma=[];h=1;eps=0)"),
+    ):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            build()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_trusted_results_equal_their_checked_rebuilds(n):
     # msih_mul, msih_inverse, the catalog and the isomorphism build their

@@ -95,6 +95,19 @@ def test_render_edge_rects_match_per_cell_oracle(region, mode):
     _assert_same_lines(render_svg(spec), per_cell_render(spec))
 
 
+@pytest.mark.parametrize(
+    "region, size", [(Region.rect(5, 0, 0, 3), (0, 40)), (Region.rect(0, 3, 5, 0), (40, 0))]
+)
+@pytest.mark.parametrize("mode", ["mod_color", "diametral"])
+def test_empty_rect_renders_with_a_side_of_0(region, size, mode):
+    # the side of an empty rect is 0 pixels, as SVG forbids a negative one
+    spec = RenderSpec(region=region, mode=mode, modulus=19 if mode == "mod_color" else None)
+    width, height = size
+    header = f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+    text = render_svg(spec)
+    assert header in text and "<rect" not in text
+
+
 def _fixed3(values):
     return [f"{t // 1000}.{t % 1000:03d}" for t in _thousandths(np.array(values)).tolist()]
 
