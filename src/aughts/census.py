@@ -26,7 +26,10 @@ disk's work.  Only the SVG renders scan points: ``_runs`` cuts each chunk
 into blocks of at most 2^15 int64 points, as it cuts the histogram's
 crossed (row, ray) pairs into pieces, behind a bounding-box budget.  The
 orbit length, the cone's row form and the cone test are defined once, in
-``aughts.orbits``, for ints and arrays alike.
+``aughts.orbits``, for ints and arrays alike.  Every census, average and
+length statistic is exact at every size >= 1, and each scalar argument
+enters through ``operator.index``, as a ``Region``'s params do, so a numpy
+integer becomes an int and no Python-int formula wraps in int64.
 """
 
 from __future__ import annotations
@@ -118,14 +121,6 @@ class Region:
     @classmethod
     def rect(cls, x0: int, x1: int, y0: int, y1: int) -> "Region":
         return cls("rect", (x0, x1, y0, y1))
-
-    @property
-    def size(self) -> int:
-        """Characteristic linear size (M or R); rects use the larger span."""
-        if self.kind == "rect":
-            x0, x1, y0, y1 = self.params
-            return max(x1 - x0, y1 - y0, 0)
-        return self.params[0]
 
     def bounds(self) -> tuple[int, int, int, int]:
         """(xmin, xmax, ymin, ymax) of the bounding box."""
@@ -263,7 +258,6 @@ class CensusReport:
         return self.diametral_points / self.total_points
 
     def to_json_dict(self) -> dict:
-        size = self.region.size
         out: dict = {
             "schema_version": 1,
             "kind": "census",
@@ -280,19 +274,16 @@ class CensusReport:
                 "perimeter": self.sum_perimeter,
                 "box_side": self.sum_box_side,
             }
-            ratios = {}
-            if size > 0:
-                for r, c in self.residue_counts.items():
-                    ratios[str(r)] = _sig12(c / size**2)
-            out["residue_ratio_of_size_sq"] = ratios
-            if self.total_orbits:
-                out["averages"] = {
-                    "diameter": _sig12(
-                        math.sqrt(2) * self.sum_diam_multiplier / self.total_orbits
-                    ),
-                    "perimeter": _sig12(self.sum_perimeter / self.total_orbits),
-                    "box_side": _sig12(self.sum_box_side / self.total_orbits),
-                }
+            # an orbit census covers [0,M]^2, M >= 1, and counts the origin's orbit
+            (m,) = self.region.params
+            out["residue_ratio_of_size_sq"] = {
+                str(r): _sig12(c / m**2) for r, c in self.residue_counts.items()
+            }
+            out["averages"] = {
+                "diameter": _sig12(math.sqrt(2) * self.sum_diam_multiplier / self.total_orbits),
+                "perimeter": _sig12(self.sum_perimeter / self.total_orbits),
+                "box_side": _sig12(self.sum_box_side / self.total_orbits),
+            }
         else:
             out["diametral_points"] = self.diametral_points
             out["diametral_fraction"] = _sig12(self.diametral_fraction)
@@ -309,11 +300,12 @@ def _sig12(value: float) -> float:
 
 def count_orbits_with_perimeter(x: int) -> int:
     """Number of distinct orbits in the whole plane with length exactly x."""
+    x = operator.index(x)
     if x < 1:
         raise ValueError(f"perimeter must be >= 1, got {x}")
     if x % 4 != 0:
         return 0
-    return x // 6 - math.ceil(x / 12) + 1
+    return x // 6 + (-x // 12) + 1  # -x // 12 is -ceil(x / 12), exactly
 
 
 @dataclass(frozen=True)
@@ -330,6 +322,7 @@ def cumulative_perimeter_stats(t: int) -> PerimeterStats:
     q + 1, q or q + 1 orbits for r = 0, 1 or 2, so each residue class sums
     in closed form over its range of q.
     """
+    t = operator.index(t)
     if t < 4:
         raise ValueError(f"threshold must be >= 4, got {t}")
     kmax = t // 4
@@ -372,6 +365,7 @@ def square_orbit_sums(m: int, d: int = 1) -> tuple[list[int], int, int]:
     each class s = c + 3d*j, n is linear in j and 4s mod d is fixed, so
     power sums over j count each class exactly.
     """
+    m, d = operator.index(m), operator.index(d)
     if not 1 <= m <= COORD_LIMIT:
         raise ValueError(f"m must be in 1..2^31, got {m}")
     if d < 1:
@@ -403,6 +397,7 @@ def modular_census(m: int, d: int) -> CensusReport:
     By the box law the diameter multiplier and the box side of an orbit are
     each a quarter of its length, and so are their sums.
     """
+    m, d = operator.index(m), operator.index(d)
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
     residues, count, length = square_orbit_sums(m, d)
@@ -427,8 +422,6 @@ def diametral_report(region: Region) -> CensusReport:
     row adds its x-range to the total and its intersection with the cone to
     the hits.  No point is visited.
     """
-    if region.kind != "rect" and region.size < 100:
-        raise ValueError("diametral census requires region size >= 100")
     x0, x1, y0, y1 = region.bounds()
     if region.kind == "disk":
         if y1 - y0 + 1 > ROW_LIMIT:
@@ -505,8 +498,9 @@ class OrbitAverages:
 
 
 def square_orbit_averages(m: int) -> OrbitAverages:
-    if m < 100:
-        raise ValueError(f"m must be >= 100 for the tolerance contract, got {m}")
+    """Averages over the distinct orbits meeting [0,m]^2, 1 <= m <= 2^31,
+    from the exact sums of ``square_orbit_sums``."""
+    m = operator.index(m)
     _, count, length = square_orbit_sums(m)
     return OrbitAverages(
         m=m,
@@ -533,8 +527,7 @@ def disk_length_stats(r: int) -> DiskLengthStats:
     row sums 2(|2x-y| + |x+y| + |2y-x|) over its x-range in closed form; the
     length is convex along a row, so the row's maximum is at one of its ends.
     """
-    if r < 100:
-        raise ValueError(f"r must be >= 100 for the tolerance contract, got {r}")
+    r = operator.index(r)
     region = Region.disk(r)
     if 2 * r + 1 > ROW_LIMIT:
         raise ResourceLimitError(
@@ -628,6 +621,7 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
     ``_at_or_past`` reaches a certain sign of x sin - y cos by doubling its
     brackets' bits.
     """
+    bins = operator.index(bins)
     if bins < 8:
         raise ValueError(f"need at least 8 bins, got {bins}")
     if bins > BINS_LIMIT:

@@ -81,6 +81,41 @@ def test_count_matches_brute_force_up_to_400():
         assert count_orbits_with_perimeter(x) == oracle.get(x, 0), x
 
 
+@pytest.mark.parametrize(
+    "x", [2**60, 10**30, 12 * (2**53 + 1)], ids=["2^60", "10^30", "12(2^53+1)"]
+)
+def test_count_is_exact_above_2_53(x):
+    # through a float, ceil(x / 12) is off by 4.2 * 10^12 at x = 10^30
+    for y in (x, x + 4):
+        exact = cumulative_perimeter_stats(y).count - cumulative_perimeter_stats(y - 4).count
+        assert count_orbits_with_perimeter(y) == exact, y
+
+
+def test_closed_forms_take_numpy_integers():
+    # each scalar becomes an int where it enters, so no int64 product wraps
+    def ints(*values):
+        return all(type(v) is int for v in values)
+
+    t, m = np.int64(10**8), np.int64(2**31)
+    assert count_orbits_with_perimeter(t) == count_orbits_with_perimeter(10**8)
+    assert ints(count_orbits_with_perimeter(t))
+    stats = cumulative_perimeter_stats(t)
+    assert stats == cumulative_perimeter_stats(10**8) and ints(stats.count, stats.total)
+    assert stats.total == 6944445277777777777776
+    residues, count, length = square_orbit_sums(m, np.int64(3))
+    assert (residues, count, length) == square_orbit_sums(2**31, 3)
+    assert ints(*residues, count, length)
+    report = modular_census(m, np.int64(3))
+    assert report.to_json_dict() == modular_census(2**31, 3).to_json_dict()
+    assert ints(report.modulus, report.total_points, report.sum_perimeter)
+    averages = square_orbit_averages(m)
+    assert averages == square_orbit_averages(2**31) and ints(averages.m)
+    lengths = disk_length_stats(np.int64(100))
+    assert lengths == disk_length_stats(100) and ints(lengths.r)
+    hist = projection_histogram(Region.disk(10), np.int64(8))
+    assert hist == projection_histogram(Region.disk(10), 8) and ints(hist.bins)
+
+
 def test_cumulative_stats_small():
     stats = cumulative_perimeter_stats(12)
     assert (stats.count, stats.total) == (3, 32)
@@ -556,7 +591,7 @@ _corner = st.sampled_from([0, 2**31, -(2**31), 2**63, -(2**63)]).flatmap(
 def _polygon_regions(draw):
     kind = draw(st.sampled_from(["square", "sym_square", "hexagon", "rect", "rect", "rect"]))
     if kind != "rect":
-        return getattr(Region, kind)(draw(st.integers(100, 260)))
+        return getattr(Region, kind)(draw(st.integers(1, 260)))
     x0 = draw(_corner)
     # y0 near the axis, near the lines y = x, y = 2x and y = x/2 through x0,
     # or at an independent corner; either parity, as the offset is drawn
@@ -574,7 +609,7 @@ def test_polygon_census_closed_form_matches_per_row_oracle(region):
     assert (report.total_points, report.diametral_points) == per_row_diametral_counts(region)
 
 
-@pytest.mark.parametrize("r", [100, 101, 102, 997, 1000, 2**20 + 1, 2**31 - 1, 2**31])
+@pytest.mark.parametrize("r", [1, 2, 3, 99, 100, 101, 102, 997, 1000, 2**20 + 1, 2**31 - 1, 2**31])
 def test_polygon_census_matches_antidiagonal_count(r):
     # square_orbit_sums counts the cone's points of [0, r]^2 per anti-diagonal,
     # the origin included; [-r, r]^2 and the hexagon hold them and their
@@ -666,9 +701,13 @@ def test_projection_histogram_point_limit():
         projection_histogram(Region.rect(0, census.POINT_LIMIT // 10**4, 1, 10**4), 8)
 
 
-def test_diametral_census_size_guard():
-    with pytest.raises(ValueError):
-        diametral_census(Region.square(50))
+def test_diametral_census_small_sizes_match_brute_force():
+    # every size is answered exactly, far below the asymptotic range
+    for r in range(1, 41):
+        for region in (Region.square(r), Region.sym_square(r), Region.hexagon(r), Region.disk(r)):
+            report = diametral_report(region)
+            assert (report.total_points, report.diametral_points) == diametral_count(region), region
+    assert diametral_census(Region.hexagon(1)) == 2 / 7
 
 
 def test_diametral_row_limit():
@@ -706,8 +745,13 @@ def test_orbit_averages_small():
     # doubling the region doubles the averages, within tolerance
     av2 = square_orbit_averages(800)
     assert abs(av2.diameter / av.diameter - 2) < 0.04
-    with pytest.raises(ValueError):
-        square_orbit_averages(50)
+    # below the asymptotic range the averages are exact over the distinct orbits
+    for m in range(1, 61):
+        reps = {orbit_rep((x, y)) for x in range(m + 1) for y in range(m + 1)}
+        lengths = [2 * semi_perimeter(rep) for rep in reps]
+        small = square_orbit_averages(m)
+        assert (small.m, small.orbit_count) == (m, len(reps))
+        assert small.perimeter == sum(lengths) / len(lengths)
 
 
 def test_orbit_averages_golden_repr():
@@ -757,7 +801,7 @@ def test_projection_histogram_golden_repr(name, region, bins):
     assert repr(projection_histogram(region, bins)) + "\n" == golden.read_text()
 
 
-@pytest.mark.parametrize("r", range(100, 116))
+@pytest.mark.parametrize("r", [*range(1, 41), *range(100, 116)])
 def test_disk_length_stats_matches_point_oracle(r):
     lengths = [
         2 * semi_perimeter((x, y))

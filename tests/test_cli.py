@@ -391,6 +391,19 @@ def test_orbit_usage_errors(capsys):
     assert run_cli(capsys, "orbit", "1,x")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["census", "--rect=1,2,3", "--diametral"], "a rect region takes 4 params, got 3"),
+        (["render", "--point=1,2,3"], "expected a 2D point, got dimension 3"),
+        (["orbit", "1,2,3,4,5,6,7"], "reachability exploration is limited to dimension <= 6"),
+    ],
+    ids=["rect", "point", "orbit"],
+)
+def test_library_refusals_exit_2_with_one_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_trace_word(capsys):
     code, out, _ = run_cli(capsys, "trace", "3,5", "--word", "1,2,1,2,1,2")
     assert code == 0
@@ -860,7 +873,13 @@ def _argv(draw):
         ))
         argv += [f"--word={word}", "--", draw(_point_text)]
     elif command == "census" and draw(st.booleans()):
-        argv += _small_rect(draw) + ["--diametral"]
+        # sizes the brute-force oracle can check
+        kind = draw(st.sampled_from(["square", "sym-square", "hexagon", "disk"] + ["rect"] * 4))
+        if kind == "rect":
+            argv += _small_rect(draw)
+        else:
+            argv += [f"--{kind}", str(draw(st.integers(1, 15)))]
+        argv.append("--diametral")
     elif command == "census":
         argv += draw(_region_args(300))
         argv += draw(st.one_of(
@@ -886,6 +905,14 @@ def _argv(draw):
         # accepted by orbit and render only
         argv[1:1] = ["--seed-order", draw(st.sampled_from(["k1-first", "k2-first"]))]
     return argv
+
+
+_REGIONS = {
+    "--square": Region.square,
+    "--sym-square": Region.sym_square,
+    "--hexagon": Region.hexagon,
+    "--disk": Region.disk,
+}
 
 
 def _check_against_oracle(argv, out):
@@ -915,16 +942,22 @@ def _check_against_oracle(argv, out):
         assert record["diametral"] == [node_is_diametral(p, nodes) for p in listed]
         event("orbit checked against the oracle")
         return
-    rect = [a.split("=")[1] for a in argv if a.startswith("--rect=")]
-    if argv[0] == "census" and "--diametral" in argv and rect:
-        region = Region.rect(*(int(v) for v in rect[0].split(",")))
-        xmin, xmax, ymin, ymax = region.bounds()
-        # both extents, not their product: an empty side times a 2^64 side
-        # would still be a loop over 2^64 rows
-        if 0 < xmax - xmin + 1 <= 15 and 0 < ymax - ymin + 1 <= 15:
+    if argv[0] == "census" and "--diametral" in argv:
+        # an accepted census names its region first
+        flag, _, rect = argv[1].partition("=")
+        if flag == "--rect":
+            region = Region.rect(*(int(v) for v in rect.split(",")))
+            xmin, xmax, ymin, ymax = region.bounds()
+            # both extents, not their product: an empty side times a 2^64
+            # side would still be a loop over 2^64 rows
+            small = 0 < xmax - xmin + 1 <= 15 and 0 < ymax - ymin + 1 <= 15
+        else:
+            region = _REGIONS[flag](int(argv[2]))
+            small = region.params[0] <= 15
+        if small:
             payload = json.loads(out)
             assert (payload["total_points"], payload["diametral_points"]) == diametral_count(region)
-            event("rect census checked against the oracle")
+            event(f"{region.kind} census checked against the oracle")
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
