@@ -12,13 +12,14 @@ census sums the cone's points per anti-diagonal in closed form.  A point
 other than the origin is diametral iff it or its negative lies in that cone,
 so a square, sym-square, hexagon or rect counts the cone's points in its
 bounding box by inclusion-exclusion over one quadrant count in closed form,
-visiting no row, and the disk counts each row's intersection with the cone.
-The disk length statistics sum each row's orbit lengths in closed form.  The
-angular histogram counts rows too: a row's points lie in angle order, so it
-adds its x-range and its cone span to the bin of one end, and each bin
-boundary it crosses moves the points at or past that ray, a floor of
-y cot phi, up one bin; the bins are exact, with float floors checked against
-a proven margin and integer brackets of cos and sin inside it.  No count
+visiting no row.  The disk, symmetric under x -> -x and y -> -y, reads its
+rows 0..R, a row y > 0 twice: it counts the row's points in the cone's span
+[ceil(y/2), 2y] and sums their orbit lengths in closed form.  The angular
+histogram counts rows too: a row's points lie in angle order, so it adds its
+x-range and its cone span to the bin of one end, and each bin boundary it
+crosses moves the points at or past that ray, a floor of y cot phi, up one
+bin; the bins are exact, with float floors checked against a proven margin
+and integer brackets of cos and sin inside it.  No count
 loops over rows in Python: ``_rows`` gives them in chunks of up to 2^16 as
 int64 arrays with their ``Region.row_spans`` x-ranges, and numpy does the
 rest, so a row costs tens of nanoseconds and ``ROW_LIMIT`` bounds the
@@ -57,11 +58,11 @@ POINT_LIMIT = 10**8
 # Bins of an angular histogram: it brackets every boundary's cotangent once,
 # about 8 us a bin (0.5 s at the limit), and their float windows stay apart.
 BINS_LIMIT = 2**16
-# Rows a disk count may visit, so a large radius stops at once instead of
-# running for hours.  The disk lengths, the slower count, take about 100 ns a
-# row in chunks of int64 rows: their worst case, r = 31,999,999, took 6.6 s
-# on a 2-vCPU VM.  Kept below 2^29 so that no disk row's int64 length sum can
-# wrap, and so every disk within it lies inside the 2^31 guard.
+# Rows of a disk count, 2R + 1, so a large radius stops at once instead of
+# running for hours.  The counts read rows 0..R; the lengths, the slower, take
+# about 100 ns a row read: their worst case, r = 31,999,999, took 3.2 s on a
+# 2-vCPU VM.  Kept below 2^29 so that no doubled int64 row sum of the lengths
+# can wrap, and so every disk within it lies inside the 2^31 guard.
 ROW_LIMIT = 64_000_000
 # Largest modulus of a census: it builds and prints one count per residue.
 MODULUS_LIMIT = 2**16
@@ -197,9 +198,10 @@ def _check_coords(region: Region) -> None:
         raise ValueError(f"region bounds {region.bounds()} exceed the 2^31 guard")
 
 
-def _rows(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The region's rows, ascending, in chunks of at most _CHUNK_ROWS: each
-    chunk as int64 arrays (ys, lo, hi) of the rows and their ``row_span``.
+def _rows(region: Region, first: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """The region's rows, ascending from ``first`` (by default its lowest), in
+    chunks of at most _CHUNK_ROWS: each chunk as int64 arrays (ys, lo, hi) of
+    the rows and their ``row_span``.
 
     Refuses a region beyond the 2^31 guard, so that no int64 kernel wraps,
     and yields nothing for an empty box; the rows of a nonempty box are
@@ -209,7 +211,7 @@ def _rows(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
     xmin, xmax, ymin, ymax = region.bounds()
     if xmin > xmax:
         return
-    for start in range(ymin, ymax + 1, _CHUNK_ROWS):
+    for start in range(ymin if first is None else first, ymax + 1, _CHUNK_ROWS):
         ys = np.arange(start, min(start + _CHUNK_ROWS, ymax + 1), dtype=np.int64)
         yield (ys, *region.row_spans(ys))
 
@@ -418,21 +420,20 @@ def diametral_report(region: Region) -> CensusReport:
 
     A polygon's diametral points are the double cone's points in its
     bounding box: the hexagon's cut corners hold none, as a cone point of
-    [-M,M]^2 has both coordinates of one sign and so |x - y| < M.  Each disk
-    row adds its x-range to the total and its intersection with the cone to
-    the hits.  No point is visited.
+    [-M,M]^2 has both coordinates of one sign and so |x - y| < M.  Over the
+    disk's rows 0..R, weighted by ``_disk_rows``, each row adds its x-range
+    to the total and each row y > 0 its points in the cone's span,
+    min(2y, h) - ceil(y/2) + 1 or none, to the hits.
     """
     x0, x1, y0, y1 = region.bounds()
     if region.kind == "disk":
-        if y1 - y0 + 1 > ROW_LIMIT:
-            raise ResourceLimitError(
-                f"diametral census needs {y1 - y0 + 1} rows, limit is {ROW_LIMIT}"
-            )
         total = hits = 0
-        for ys, lo, hi in _rows(region):
-            a, b = _cone_span(ys)
-            total += int((hi - lo + 1).sum())
-            hits += int(np.maximum(np.minimum(b, hi) - np.maximum(a, lo) + 1, 0).sum())
+        for ys, half, weight in _disk_rows(region, "diametral census needs"):
+            total += int((weight * (2 * half + 1)).sum())
+            # row 0 holds no diametral point; each row above it stands for two
+            above = int(ys[0] == 0)
+            a, b = _cone_span(ys[above:])
+            hits += 2 * int(np.maximum(np.minimum(b, half[above:]) - a + 1, 0).sum())
     elif x0 > x1 or y0 > y1:
         total = hits = 0
     else:
@@ -451,6 +452,18 @@ def diametral_report(region: Region) -> CensusReport:
         diametral_points=hits,
         sum_perimeter=0,
     )
+
+
+def _disk_rows(disk: Region, what: str) -> Iterator[tuple[np.ndarray, ...]]:
+    """The disk's rows 0..R as int64 chunks (ys, half-widths, weights), after
+    the disk counts' one ``ROW_LIMIT`` check, whose message ``what`` begins.
+    Row -y holds the negatives of row y's points, so a row y > 0 weighs 2,
+    for itself and row -y, and row 0 weighs 1."""
+    (r,) = disk.params
+    if 2 * r + 1 > ROW_LIMIT:
+        raise ResourceLimitError(f"{what} {2 * r + 1} rows, limit is {ROW_LIMIT}")
+    for ys, _, half in _rows(disk, 0):
+        yield ys, half, 2 - (ys == 0)
 
 
 def _cone_points(x0: int, x1: int, y0: int, y1: int) -> int:
@@ -524,32 +537,27 @@ def disk_length_stats(r: int) -> DiskLengthStats:
 
     Every lattice point contributes the length of its own orbit, so orbits
     are counted with multiplicity here, unlike the square averages.  Each
-    row sums 2(|2x-y| + |x+y| + |2y-x|) over its x-range in closed form; the
-    length is convex along a row, so the row's maximum is at one of its ends.
+    row (``_disk_rows``) sums 2(|2x-y| + |x+y| + |2y-x|) over its x-range in
+    closed form; the length is convex along a row, so the row's maximum is
+    at one of its ends.
     """
     r = operator.index(r)
-    region = Region.disk(r)
-    if 2 * r + 1 > ROW_LIMIT:
-        raise ResourceLimitError(
-            f"disk length stats need {2 * r + 1} rows, limit is {ROW_LIMIT}"
+    total = count = maximum = 0
+    for ys, half, weight in _disk_rows(Region.disk(r), "disk length stats need"):
+        count += int((weight * (2 * half + 1)).sum())
+        lo = -half
+        lengths = 2 * weight * (
+            _abs_linear_sum(2, -ys, lo, half)
+            + _abs_linear_sum(1, ys, lo, half)
+            + _abs_linear_sum(1, -2 * ys, lo, half)
         )
-    total = 0
-    count = 0
-    maximum = 0
-    for ys, lo, hi in _rows(region):
-        count += int((hi - lo + 1).sum())
-        lengths = 2 * (
-            _abs_linear_sum(2, -ys, lo, hi)
-            + _abs_linear_sum(1, ys, lo, hi)
-            + _abs_linear_sum(1, -2 * ys, lo, hi)
-        )
-        # each row's total is below 2^60 (r <= 2^28) but a chunk's sum need
-        # not be: add the high and low 32 bits apart, each sum within int64
+        # each doubled row total is below 2^61 (r <= 2^28) but a chunk's sum
+        # need not be: add the high and low 32 bits apart, each within int64
         total += (int((lengths >> 32).sum()) << 32) + int((lengths & 0xFFFFFFFF).sum())
         maximum = max(
             maximum,
             int(_semi_perimeter(lo, ys).max()) * 2,
-            int(_semi_perimeter(hi, ys).max()) * 2,
+            int(_semi_perimeter(half, ys).max()) * 2,
         )
     return DiskLengthStats(r, count, total / count, maximum)
 

@@ -167,17 +167,13 @@ def _in_cone(x1, x2):
 
 
 def _cone_span(y):
-    """Inclusive x-range of the diametral points on row y (empty on row 0).
+    """Inclusive x-range [ceil(y/2), 2y] of the diametral points on row y.
 
-    [ceil(y/2), 2y] above the x-axis, [2y, floor(y/2)] below it and [1, 0]
-    on it, each picked by multiplying with its row's sign test, so the same
-    code takes Python ints or integer arrays.
+    For rows y > 0 only, Python ints or integer arrays alike; callers pass
+    no other row.  The row -y holds the negatives of row y's, and row 0
+    holds none.
     """
-    above, below = y > 0, y < 0
-    return (
-        above * ((y + 1) // 2) + below * (2 * y) + (y == 0),
-        above * (2 * y) + below * (y // 2),
-    )
+    return (y + 1) // 2, 2 * y
 
 
 def semi_perimeter(x: Sequence[int]) -> int:

@@ -8,16 +8,18 @@ The scanned renders (residue colorings, diametral two-colorings, unit-circle
 projections) emit each scan block of ``census._iter_blocks`` as one string,
 made by one join over a table of string pieces; no per-cell string is built.
 A rect cell is three pieces, one per column, row and color: the table holds
-the block's own distinct columns and its rows, first to last, with pixel
-offsets in Python ints, so any scale is exact.  A projection point is five
-pieces: the integer part and the three decimals of cx, then of cy, then the
-color, with the decimals rounded exactly as ``format(v, ".3f")`` rounds
+the block's columns as one range, from its least to its greatest, at most
+the region's width, and its rows, first to last, with pixel offsets in
+Python ints, so any scale is exact.  A projection point is five pieces: the
+integer part and the three decimals of cx, then of cy, then the color, with
+the decimals rounded exactly as ``format(v, ".3f")`` rounds
 (``_thousandths``).  The cells pick their pieces by numpy index arithmetic.
 ``render_svg`` still returns the whole document as one string.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -52,6 +54,10 @@ class RenderSpec:
     first_generator: int = 1
 
     def __post_init__(self) -> None:
+        # integers only, as a Region's params: a numpy integer becomes an int
+        if self.modulus is not None:
+            object.__setattr__(self, "modulus", operator.index(self.modulus))
+        object.__setattr__(self, "scale", operator.index(self.scale))
         if self.mode not in RENDER_MODES:
             raise ValueError(f"unknown render mode {self.mode!r}")
         for color in self.palette:
@@ -104,16 +110,17 @@ def _render_cells(spec: RenderSpec, colorizer) -> str:
     row_tail = f'" width="{s}" height="{s}" fill="'
     for x1, x2 in _iter_blocks(spec.region):
         table, color = colorizer(spec, x1, x2)
-        # the block's distinct columns and the pixel offsets of its rows,
-        # first to last; Python ints, exact for any scale
-        cols, col = _distinct(x1)
+        # the block's columns, least to greatest, and the pixel offsets of
+        # its rows, first to last; Python ints, exact for any scale
+        x0 = int(x1.min())
+        cols = range(x0, int(x1.max()) + 1)
         y0 = int(x2[0])
         rows = range((ymax - y0) * s, (ymax - int(x2[-1])) * s - s, -s)
         pieces = [f'<rect x="{(x - xmin) * s}" y="' for x in cols]
         pieces += [str(py) + row_tail for py in rows]
         pieces += [f'{c}"/>\n' for c in table]
         seq = np.empty((len(x1), 3), dtype=np.int64)
-        seq[:, 0] = col
+        seq[:, 0] = x1 - x0
         seq[:, 1] = x2 - y0 + len(cols)
         seq[:, 2] = color + (len(cols) + len(rows))
         parts.append(_join(pieces, seq))
@@ -163,18 +170,6 @@ def _render_projection(spec: RenderSpec) -> str:
         parts.append(_join(pieces, seq))
     parts.append("</svg>\n")
     return "".join(parts)
-
-
-def _distinct(v: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The distinct values of ``v`` ascending, and the index of each entry
-    among them, as ``np.unique(v, return_inverse=True)`` gives but without a
-    sort: the values are marked in a table over their own least to greatest,
-    which for a scan block spans at most the region's width."""
-    lo = int(v.min())
-    offset = v - lo
-    seen = np.zeros(int(offset.max()) + 1, dtype=bool)
-    seen[offset] = True
-    return (np.flatnonzero(seen) + lo).tolist(), (np.cumsum(seen) - 1)[offset]
 
 
 def _join(pieces: list[str], seq: np.ndarray) -> str:

@@ -20,7 +20,8 @@ as the export was written before it joined per-rank piece tables.
 The region scans and counts visit one row at a time, in Python ints, as
 the census did before it read whole chunks of rows off ``Region.row_spans``:
 the scan blocks are filled with row segments, and each row adds its span,
-its intersection with the cone's row range and its closed-form length sum.
+its intersection with the double cone, found from the cone's inequalities,
+and its closed-form length sum.
 
 The scanned SVG renders are written one f-string per cell, as the emitter
 wrote them before it joined per-block piece tables.
@@ -57,7 +58,7 @@ from aughts import atlas, intmat, orbits, verify
 from aughts.atlas import ConsistencyError, psi
 from aughts.census import _BLOCK_POINTS, Region, _check_cells, _iter_blocks
 from aughts.intmat import INT64_MAX, SmallIntMatrix, _check_dim, _check_index
-from aughts.orbits import _cone_span, _in_cone, _semi_perimeter
+from aughts.orbits import _in_cone, _semi_perimeter
 from aughts.signed_perm import (
     Permutation,
     SignedPermElement,
@@ -206,7 +207,13 @@ def _segment_block(segments):
 
 def per_row_diametral_counts(region):
     """(total, hits) of the region, one row at a time in Python ints: each
-    row's ``row_span`` and its intersection with the cone's row range."""
+    row's ``row_span`` and its intersection with the double cone's points on
+    the row, found from the cone's inequalities, not from the library.
+
+    (x, y) or (-x, -y) lies in x/2 <= y <= 2x iff x lies between y/2 and
+    2y, both included; on row 0 that is the origin alone, which is not
+    diametral.
+    """
     _, _, ymin, ymax = region.bounds()
     total = hits = 0
     for y in range(ymin, ymax + 1):
@@ -214,8 +221,9 @@ def per_row_diametral_counts(region):
         if lo > hi:
             continue
         total += hi - lo + 1
-        a, b = _cone_span(y)
-        hits += max(0, min(b, hi) - max(a, lo) + 1)
+        if y:
+            a, b = sorted((Fraction(y, 2), Fraction(2 * y)))
+            hits += max(0, min(math.floor(b), hi) - max(math.ceil(a), lo) + 1)
     return total, hits
 
 

@@ -660,6 +660,21 @@ def test_disk_length_stats_add_rows_without_int64_wrap():
     assert big.average / small.average == pytest.approx(5, rel=1e-5)
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 7, 100])
+def test_disk_counts_match_per_row_oracles_at_any_chunk_size(monkeypatch, chunk_rows):
+    # the disk counts read rows 0..R only; small chunks put row 0 alone in
+    # its chunk, or R in a short last one
+    monkeypatch.setattr(census, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(chunk_rows)
+    for r in [*range(1, 61), *rng.integers(61, 401, size=8).tolist()]:
+        report = diametral_report(Region.disk(r))
+        assert (report.total_points, report.diametral_points) == per_row_diametral_counts(
+            Region.disk(r)
+        ), r
+        count, total, maximum = per_row_disk_length_stats(r)
+        assert disk_length_stats(r) == census.DiskLengthStats(r, count, total / count, maximum)
+
+
 def test_scan_rejects_bounds_beyond_2_31():
     # 2x wraps int64 at 2^62; the scan refuses any bound beyond 2^31
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from brute_force import per_cell_render
 
+from aughts import census
 from aughts.census import Region
 from aughts.orbits import COORD_LIMIT
 from aughts.svg import RenderSpec, _thousandths, render_svg
@@ -70,10 +71,18 @@ def _assert_same_lines(got, want):
         pytest.fail(f"first differing line (got, want): {first}")
 
 
-@pytest.mark.parametrize("seed", range(150))
-def test_render_matches_per_cell_oracle(seed):
+@pytest.mark.parametrize(
+    "seed, block_points",
+    [pytest.param(seed, census._BLOCK_POINTS, id=str(seed)) for seed in range(150)]
+    + [(seed, points) for seed in range(25) for points in (1, 7, 100)],
+)
+def test_render_matches_per_cell_oracle(monkeypatch, seed, block_points):
+    # small blocks start and end mid-row, so a block's columns need not
+    # fill the range from its least to its greatest
     spec = _random_spec(seed)
-    _assert_same_lines(render_svg(spec), per_cell_render(spec))
+    want = per_cell_render(spec)
+    monkeypatch.setattr(census, "_BLOCK_POINTS", block_points)
+    _assert_same_lines(render_svg(spec), want)
 
 
 @pytest.mark.parametrize(
@@ -106,6 +115,25 @@ def test_empty_rect_renders_with_a_side_of_0(region, size, mode):
     header = f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     text = render_svg(spec)
     assert header in text and "<rect" not in text
+
+
+@pytest.mark.parametrize("field", [{"modulus": 2.5}, {"scale": 2.5}, {"scale": np.float64(3)}])
+def test_render_spec_refuses_a_float_modulus_or_scale(field):
+    # a float modulus rendered truncated residues; a float scale is no
+    # whole number of pixels
+    with pytest.raises(TypeError):
+        RenderSpec(region=Region.square(3), mode="mod_color", **{"modulus": 5, **field})
+
+
+@pytest.mark.parametrize("mode", ["mod_color", "diametral"])
+def test_render_spec_takes_numpy_integers_as_ints(mode):
+    # 2^62 pixels per unit wrapped in int64 when the scale stayed np.int64
+    region = Region.disk(3)
+    for scale in (2**62, 7):
+        as_int = RenderSpec(region=region, mode=mode, modulus=5, scale=scale)
+        as_numpy = RenderSpec(region=region, mode=mode, modulus=np.int64(5), scale=np.int64(scale))
+        assert type(as_numpy.scale) is int and type(as_numpy.modulus) is int
+        assert render_svg(as_numpy) == render_svg(as_int) == per_cell_render(as_int)
 
 
 def _fixed3(values):
