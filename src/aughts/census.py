@@ -368,8 +368,8 @@ def square_orbit_sums(m: int, d: int = 1) -> tuple[list[int], int, int]:
     power sums over j count each class exactly.
     """
     m, d = operator.index(m), operator.index(d)
-    if not 1 <= m <= COORD_LIMIT:
-        raise ValueError(f"m must be in 1..2^31, got {m}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
     if d > MODULUS_LIMIT:
@@ -511,8 +511,8 @@ class OrbitAverages:
 
 
 def square_orbit_averages(m: int) -> OrbitAverages:
-    """Averages over the distinct orbits meeting [0,m]^2, 1 <= m <= 2^31,
-    from the exact sums of ``square_orbit_sums``."""
+    """Averages over the distinct orbits meeting [0,m]^2, m >= 1, from the
+    exact sums of ``square_orbit_sums``."""
     m = operator.index(m)
     _, count, length = square_orbit_sums(m)
     return OrbitAverages(
@@ -538,8 +538,10 @@ def disk_length_stats(r: int) -> DiskLengthStats:
     Every lattice point contributes the length of its own orbit, so orbits
     are counted with multiplicity here, unlike the square averages.  Each
     row (``_disk_rows``) sums 2(|2x-y| + |x+y| + |2y-x|) over its x-range in
-    closed form; the length is convex along a row, so the row's maximum is
-    at one of its ends.
+    closed form.  On a row y >= 0 of half-width h the left end -h holds the
+    row's maximum: its half-length 3h + 3y + |y - h| is 4h + 2y when h >= y
+    and 2h + 4y when h < y, and the right end's, |2h - y| + h + y + |2y - h|,
+    is then 3h + |2y - h| <= 4h + 2y or |2h - y| + 3y <= 2h + 4y.
     """
     r = operator.index(r)
     total = count = maximum = 0
@@ -554,11 +556,7 @@ def disk_length_stats(r: int) -> DiskLengthStats:
         # each doubled row total is below 2^61 (r <= 2^28) but a chunk's sum
         # need not be: add the high and low 32 bits apart, each within int64
         total += (int((lengths >> 32).sum()) << 32) + int((lengths & 0xFFFFFFFF).sum())
-        maximum = max(
-            maximum,
-            int(_semi_perimeter(lo, ys).max()) * 2,
-            int(_semi_perimeter(half, ys).max()) * 2,
-        )
+        maximum = max(maximum, int(_semi_perimeter(lo, ys).max()) * 2)
     return DiskLengthStats(r, count, total / count, maximum)
 
 

@@ -10,11 +10,16 @@ the suite as a failed check with the error as its counterexample, not as a
 traceback.
 
 The matrix suites build their matrices once as int64 stacks of shape
-(k, n, n) and check each whole family (all (j, l), all pairs of elements,
-all word prefixes) with one stacked product.  Their checks keep the order
-of the nested loops they replace, and a check that raises still ends the
-suite after the checks before it, so the check count and the first
-counterexample are those of a run that checks one at a time.
+(k, n, n) and compute each whole family (all (j, l), all pairs of elements,
+all word prefixes) with one stacked product.  The involution, braid,
+closed-form and rank-one suites then check its results one at a time, in
+the nesting order of the loops they replace, so the check count and the
+first counterexample are those of the loops, a check that raises included;
+each makes at most about 1,200 checks, so this costs nothing measurable.
+The oracle suite alone compares its results in one stacked check
+(``SuiteResult.check_all``): it has 14,400 pairs at n = 4, and checking
+them one at a time costs about 8 ms, 10-15 % of the suite.  A symbolic
+product that raises still ends it after the pairs before it.
 """
 
 from __future__ import annotations
@@ -105,10 +110,8 @@ def involution_suite(n_max: int) -> SuiteResult:
     res = SuiteResult("involutions")
     for n in range(1, n_max + 1):
         ks = _generators(n)
-        res.check_all(
-            _is_identity(intmat.stack_mul(ks, ks)),
-            lambda i: f"K({i + 1})^2 != Id at n={n}",
-        )
+        for j, square in enumerate(_is_identity(intmat.stack_mul(ks, ks)), 1):
+            res.check(square, f"K({j})^2 != Id at n={n}")
     rng = random.Random(1105)
     for _ in range(50):
         n = rng.randint(1, 6)
@@ -133,14 +136,9 @@ def braid_suite(n_max: int) -> SuiteResult:
         palindrome = _equal(
             intmat.stack_mul(prod, kj), intmat.stack_mul(intmat.stack_mul(kl, kj), kl)
         )
-        messages = (
-            "(K({j})K({l}))^3 != Id at n={n}",
-            "palindrome identity fails at n={n}, j={j}, l={l}",
-        )
-        res.check_all(
-            np.stack([_is_identity(cube), palindrome], axis=1),
-            lambda i: messages[i % 2].format(j=j[i // 2] + 1, l=ell[i // 2] + 1, n=n),
-        )
+        for a, b, cubed, swapped in zip(j + 1, ell + 1, _is_identity(cube), palindrome):
+            res.check(cubed, f"(K({a})K({b}))^3 != Id at n={n}")
+            res.check(swapped, f"palindrome identity fails at n={n}, j={a}, l={b}")
     return res
 
 
@@ -168,43 +166,25 @@ def closed_form_suite(n_max: int) -> SuiteResult:
             s = rng.randint(1, n)
             words.append((n, tuple(rng.sample(range(1, n + 1), s))))
 
-        # the brute-force products of all words of one size, one stacked
-        # product per word position
-        by_size: dict[int, list[int]] = {}
-        for i, (n, _) in enumerate(words):
-            by_size.setdefault(n, []).append(i)
-        unit = np.empty(len(words), dtype=bool)
-        products = {}
-        for n, idx in by_size.items():
-            products[n], unit[idx] = intmat.k_word_products(n, [words[i][1] for i in idx])
-
-        # one closed form per word, in order; a word whose product left the
-        # unit entries raises where its multiplication did, after its
-        # closed form; the words before it are checked either way
-        closed = []
-        try:
-            for i, (n, js) in enumerate(words):
-                m = intmat.product_closed_form(n, js)
-                if not unit[i]:
-                    raise UnitEntryError()
-                closed.append(m)
-        finally:
-            done = len(closed)
-            agree = np.empty(done, dtype=bool)
-            for n, idx in by_size.items():
-                idx = np.array(idx)
-                head = idx < done
-                agree[idx[head]] = _equal(
-                    intmat.stack(n, [closed[i] for i in idx[head]]), products[n][head]
-                )
-
-            def message(i: int) -> str:
-                n, js = words[i]
-                if i < pairs:
-                    return f"pair closed form fails at n={n}, ({js[0]},{js[1]})"
-                return f"closed form fails at n={n}, tuple {js}"
-
-            res.check_all(agree, message)
+        # the brute-force products of all words of one size in one stacked
+        # product per word position, handed out in word order
+        products = {
+            n: zip(*intmat.k_word_products(n, [js for size, js in words if size == n]))
+            for n in range(2, n_max + 1)
+        }
+        # per word, as the loop: its closed form, then its product, which
+        # raises where its multiplication left the unit entries
+        for i, (n, js) in enumerate(words):
+            closed = intmat.product_closed_form(n, js)
+            product, unit = next(products[n])
+            if not unit:
+                raise UnitEntryError()
+            res.check(
+                closed.entries == tuple(product.ravel().tolist()),
+                f"pair closed form fails at n={n}, ({js[0]},{js[1]})"
+                if i < pairs
+                else f"closed form fails at n={n}, tuple {js}",
+            )
         # full-cycle orders, both directions, matrix vs symmetric group
         for n in range(1, n_max + 1):
             down = intmat.matrix_order(intmat.full_cycle_matrix(n, "down"), limit=n + 2)
@@ -214,56 +194,35 @@ def closed_form_suite(n_max: int) -> SuiteResult:
     return res
 
 
-_RANK_ONE_MESSAGES = (
-    "r({j}).e({j}) != -1 at n={n}",
-    "r({j}).r({j})^T != n at n={n}",
-    "r({j}).e({x}) sign wrong at n={n}",
-    "e({x})r({x}) e({j})r({j}) != -e({x})r({x}) at n={n}",
-    "(e({j})r({j}))^{x} identity fails at n={n}",
-)
-
-
 def rank_one_suite(n_max: int) -> SuiteResult:
     res = SuiteResult("rank-one-identities")
     for n in range(1, n_max + 1):
         span = range(1, n + 1)
-        rows = np.array([intmat.alternating_row(n, j) for j in span], dtype=np.int64)
-        signs = np.array([[intmat.sign_pow(j + ell - 1) for ell in span] for j in span])
         pivots = intmat.stack(n, [intmat.pivot_outer(n, j) for j in span])
-        # products[l, j] = e(l)r(l) e(j)r(j)
+        # rank_one[l - 1, j - 1] is e(l)r(l) e(j)r(j) = -e(l)r(l)
         products = intmat.stack_mul(pivots[:, None], pivots[None, :])
-        powers = [pivots]
+        rank_one = _equal(products, -pivots[:, None])
+        # powers[k - 1][j - 1] is (e(j)r(j))^k = (-1)^(k+1) e(j)r(j)
+        stacked = [pivots]
         for _ in range(n - 1):
-            powers.append(intmat.stack_mul(powers[-1], pivots))
-
-        # per j, in the order of the nested loops: the two row checks, then
-        # for each l the sign check and (l != j) the rank-one product, then
-        # the n powers
-        width = 3 * n + 2
-        conditions = np.empty((n, width), dtype=bool)
-        conditions[:, 0] = np.diagonal(rows) == -1
-        conditions[:, 1] = (rows * rows).sum(axis=1) == n
-        conditions[:, 2 : 2 * n + 2 : 2] = rows == signs
-        conditions[:, 3 : 2 * n + 3 : 2] = _equal(products, -pivots[:, None]).T
-        conditions[:, 2 * n + 2 :] = np.stack(
-            [_equal(p, intmat.sign_pow(k + 1) * pivots) for k, p in enumerate(powers, 1)],
-            axis=1,
-        )
-        keep = np.ones((n, width), dtype=bool)
-        keep[np.arange(n), 3 + 2 * np.arange(n)] = False
-        j_of, col = np.nonzero(keep)
-
-        def message(i: int) -> str:
-            c = col[i]
-            if c < 2:
-                kind, x = c, 0
-            elif c < 2 * n + 2:
-                kind, x = 2 + c % 2, c // 2
-            else:
-                kind, x = 4, c - 2 * n - 1
-            return _RANK_ONE_MESSAGES[kind].format(j=j_of[i] + 1, x=x, n=n)
-
-        res.check_all(conditions[keep], message)
+            stacked.append(intmat.stack_mul(stacked[-1], pivots))
+        powers = [_equal(p, intmat.sign_pow(k + 1) * pivots) for k, p in enumerate(stacked, 1)]
+        for j in span:
+            row = intmat.alternating_row(n, j)
+            res.check(row[j - 1] == -1, f"r({j}).e({j}) != -1 at n={n}")
+            res.check(sum(v * v for v in row) == n, f"r({j}).r({j})^T != n at n={n}")
+            for ell in span:
+                res.check(
+                    row[ell - 1] == intmat.sign_pow(j + ell - 1),
+                    f"r({j}).e({ell}) sign wrong at n={n}",
+                )
+                if ell != j:
+                    res.check(
+                        rank_one[ell - 1, j - 1],
+                        f"e({ell})r({ell}) e({j})r({j}) != -e({ell})r({ell}) at n={n}",
+                    )
+            for k in span:
+                res.check(powers[k - 1][j - 1], f"(e({j})r({j}))^{k} identity fails at n={n}")
     return res
 
 

@@ -22,6 +22,9 @@ the census did before it read whole chunks of rows off ``Region.row_spans``:
 the scan blocks are filled with row segments, and each row adds its span,
 its intersection with the double cone, found from the cone's inequalities,
 and its closed-form length sum.
+The orbit census of [0,M]^2 counts the cone's points one anti-diagonal at a
+time; at sizes too large to walk, each of its counts is fitted as a
+polynomial in M on each class of M mod a period, through small sizes.
 
 The scanned SVG renders are written one f-string per cell, as the emitter
 wrote them before it joined per-block piece tables.
@@ -254,6 +257,53 @@ def abs_linear_sum(a, b, lo, hi):
 
     k = (-b) // a  # a*x + b <= 0 exactly for x <= k
     return linear(max(lo, k + 1), hi) - linear(lo, min(hi, k))
+
+
+def antidiagonal_census(m, d):
+    """Independent oracle for the census of [0,m]^2: on each anti-diagonal
+    x + y = s, count the cone points x/2 <= y <= 2x one s at a time, each
+    an orbit of length 4s, in Python ints."""
+    residues = [0] * d
+    count = length = 0
+    for s in range(2 * m + 1):
+        n = min(2 * s // 3, m) - max(-(-s // 3), s - m) + 1
+        residues[4 * s % d] += n
+        count += n
+        length += 4 * s * n
+    return residues, count, length
+
+
+def fitted_census(m, d, period):
+    """``antidiagonal_census(m, d)`` at any m, as (residues, count, length).
+
+    Each value is taken to be a polynomial of degree at most 3 in m on each
+    class of m mod period: it is fitted through the oracle at four small
+    sizes of m's class, in Fractions, checked at four more and evaluated
+    at m.
+    """
+    sizes = [m % period + period * k for k in range(1, 9)]
+    samples = []
+    for size in sizes:
+        residues, count, length = antidiagonal_census(size, d)
+        samples.append((*residues, count, length))
+
+    def at(x, column):
+        value = Fraction(0)
+        for i, xi in enumerate(sizes[:4]):
+            term = Fraction(samples[i][column])
+            for xj in sizes[:4]:
+                if xj != xi:
+                    term *= Fraction(x - xj, xi - xj)
+            value += term
+        return value
+
+    columns = range(d + 2)
+    for size, sample in zip(sizes[4:], samples[4:]):
+        assert [at(size, c) for c in columns] == list(sample), (size, period)
+    values = [at(m, c) for c in columns]
+    assert all(v.denominator == 1 for v in values)
+    *residues, count, length = map(int, values)
+    return residues, count, length
 
 
 # The eight directions on multiples of pi/4, (cos, sin) up to a positive factor.

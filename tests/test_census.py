@@ -13,11 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from brute_force import (
+    antidiagonal_census,
     brute_is_diametral,
     cos_sin_bracket,
     diametral_count,
     exact_histogram,
     extents,
+    fitted_census,
     max_pairwise_dist_sq,
     orbit_nodes,
     per_row_blocks,
@@ -159,25 +161,30 @@ def test_census_counts_monotone_in_region_size():
         prev = total
 
 
-def antidiagonal_census(m, d):
-    """Independent oracle for the census of [0,m]^2: on each anti-diagonal
-    x + y = s, count the cone points x/2 <= y <= 2x one s at a time, each
-    an orbit of length 4s, in Python ints."""
-    residues = [0] * d
-    count = length = 0
-    for s in range(2 * m + 1):
-        n = min(2 * s // 3, m) - max(-(-s // 3), s - m) + 1
-        residues[4 * s % d] += n
-        count += n
-        length += 4 * s * n
-    return residues, count, length
-
-
 def test_census_input_range():
-    with pytest.raises(ValueError):
-        modular_census(2**31 + 1, 8)
-    report = modular_census(2**31, 8)
-    assert report.total_points == (2**31 + 1) ** 2
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            modular_census(m, 8)
+        with pytest.raises(ValueError):
+            square_orbit_averages(m)
+    report = modular_census(2**31 + 1, 8)
+    assert report.total_points == (2**31 + 2) ** 2
+
+
+@pytest.mark.parametrize("m", [2**31 + 1, 2**40, 2**40 + 1, 10**30])
+def test_orbit_census_at_any_size(m):
+    # the orbits are the cone's points of [0,m]^2 and the origin's orbit, and
+    # the length sum is a cubic in m on each parity class
+    _, count, length = square_orbit_sums(m)
+    assert count == census._cone_points(0, m, 0, m) + 1
+    _, fitted_count, fitted_length = fitted_census(m, 1, 2)
+    assert (count, length) == (fitted_count, fitted_length)
+    for d in range(2, 17):
+        residues, count_d, length_d = square_orbit_sums(m, d)
+        assert sum(residues) == count_d == count and length_d == length
+    report = modular_census(m, 9)
+    assert (report.total_orbits, report.sum_perimeter) == (count, length)
+    assert square_orbit_averages(m).perimeter == length / count
 
 
 def test_census_at_two_million_has_no_int64_wrap():

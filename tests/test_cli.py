@@ -22,6 +22,7 @@ from brute_force import (
     catalog_records,
     diametral_count,
     extents,
+    fitted_census,
     k_step,
     node_is_diametral,
     orbit_nodes,
@@ -531,8 +532,22 @@ def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "orbit.json"]
 
 
-def test_census_mod_beyond_scan_guard_exits_2():
-    proc = run_cli_process("census", "--square", "2147483649", "--mod", "8")
+def test_census_mod_beyond_2_31_is_exact():
+    # the census has no size cap: at M = 2^31 + 1 it gives the counts of the
+    # anti-diagonal oracle, fitted per class of M mod 4
+    m = 2**31 + 1
+    proc = run_cli_process("census", "--square", str(m), "--mod", "8")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    residues, count, length = fitted_census(m, 8, 4)
+    assert payload["total_points"] == (m + 1) ** 2
+    assert payload["total_orbits"] == count
+    assert payload["residue_counts"] == {str(r): n for r, n in enumerate(residues)}
+    assert payload["sums"]["perimeter"] == length
+
+
+def test_census_square_zero_exits_2():
+    proc = run_cli_process("census", "--square", "0", "--mod", "8")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
