@@ -282,7 +282,7 @@ class CensusReport:
                 str(r): _sig12(c / m**2) for r, c in self.residue_counts.items()
             }
             out["averages"] = {
-                "diameter": _sig12(math.sqrt(2) * self.sum_diam_multiplier / self.total_orbits),
+                "diameter": _sig12(_diameter_average(self.sum_diam_multiplier, self.total_orbits)),
                 "perimeter": _sig12(self.sum_perimeter / self.total_orbits),
                 "box_side": _sig12(self.sum_box_side / self.total_orbits),
             }
@@ -290,6 +290,14 @@ class CensusReport:
             out["diametral_points"] = self.diametral_points
             out["diametral_fraction"] = _sig12(self.diametral_fraction)
         return out
+
+
+def _diameter_average(s: int, c: int) -> float:
+    """sqrt(2) * s / c for ints of any size: each is shifted below 2^1023
+    and the quotient scaled back, so both shifts are 0, and the float the
+    same, wherever the unshifted expression is finite."""
+    ks, kc = max(s.bit_length() - 1023, 0), max(c.bit_length() - 1023, 0)
+    return math.ldexp(math.sqrt(2) * (s >> ks) / (c >> kc), ks - kc)
 
 
 def _sig12(value: float) -> float:
@@ -518,7 +526,7 @@ def square_orbit_averages(m: int) -> OrbitAverages:
     return OrbitAverages(
         m=m,
         orbit_count=count,
-        diameter=math.sqrt(2) * (length // 4) / count,
+        diameter=_diameter_average(length // 4, count),
         box_side=(length // 4) / count,
         perimeter=length / count,
     )

@@ -187,6 +187,19 @@ def test_orbit_census_at_any_size(m):
     assert square_orbit_averages(m).perimeter == length / count
 
 
+def test_orbit_averages_beyond_a_double_sum():
+    # at m = 10^110 the diameter multipliers sum to more than a double holds,
+    # while their average does not
+    m = 10**110
+    _, count, length = square_orbit_sums(m)
+    assert length // 4 > 2**1024
+    averages = square_orbit_averages(m)
+    mean = Fraction(length // 4, count)
+    assert abs(Fraction(averages.diameter) ** 2 / (2 * mean**2) - 1) < 2e-15
+    assert averages.box_side == float(mean)
+    assert averages.perimeter == float(Fraction(length, count))
+
+
 def test_census_at_two_million_has_no_int64_wrap():
     m = 2_000_000
     residues, count, length = antidiagonal_census(m, 8)

@@ -546,6 +546,16 @@ def test_census_mod_beyond_2_31_is_exact():
     assert payload["sums"]["perimeter"] == length
 
 
+def test_census_mod_beyond_a_double_sum_exits_0():
+    # the length sum at M = 10^110 exceeds a double; the averages do not
+    m = 10**110
+    proc = run_cli_process("census", "--square", str(m), "--mod", "8")
+    assert proc.returncode == 0, proc.stderr
+    averages = json.loads(proc.stdout)["averages"]
+    assert averages["diameter"] == pytest.approx(7 * 2**0.5 / 6 * m, rel=1e-9)
+    assert averages["box_side"] == pytest.approx(7 / 6 * m, rel=1e-9)
+
+
 def test_census_square_zero_exits_2():
     proc = run_cli_process("census", "--square", "0", "--mod", "8")
     assert proc.returncode == 2

@@ -134,7 +134,8 @@ def test_semi_perimeter_is_pairwise_star_spread():
 
 
 def test_reach_graph_and_distance_match_bfs_oracle():
-    # about 1 s: the oracle walks up to 5040 nodes at n = 6
+    # about 1.5 s: the oracle walks up to 5040 nodes at n = 6, and every node
+    # of the orbit is a target for n <= 4
     rng = random.Random(619)
     for n in range(1, 7):
         for _ in range(16 if n < 6 else 5):
@@ -143,8 +144,42 @@ def test_reach_graph_and_distance_match_bfs_oracle():
             graph = reach_graph(x)
             assert graph.nodes == nodes and graph.edges == edges, x
             guarded = sorted(p for p in nodes if max(map(abs, p)) <= BIG)
-            for b in (rng.choice(guarded), _random_point(rng, n)):
+            targets = guarded if n <= 4 else [rng.choice(guarded)]
+            for b in targets + [_random_point(rng, n)]:
                 assert orbit_distance(x, b) == bfs_orbit_distance(x, b), (x, b)
+
+
+@pytest.mark.parametrize("pool", [range(-2, 3), range(-1000, 1001)], ids=["small", "wide"])
+def test_orbit_distance_is_the_length_of_a_shortest_walk(pool):
+    # d(b, b) = 0 and a change of at most 1 across each operator, checked at
+    # every node walked, would make d a lower bound on every walk to b;
+    # stepping to a neighbour at d - 1 until b is reached in exactly d steps
+    # makes it an upper bound.  These orbits are far beyond a search: up to
+    # 21! rearrangements at n = 20.
+    rng = random.Random(2307)
+    for n in range(7, 21):
+        for _ in range(2):
+            a = tuple(rng.choice(pool) for _ in range(n))
+            z = list(_star(a))
+            rng.shuffle(z)
+            b = _unstar(tuple(z))
+            assert orbit_distance(b, b) == 0
+            d = orbit_distance(a, b)
+            cur, steps = a, 0
+            while cur != b:
+                dist = orbit_distance(cur, b)
+                assert orbit_distance(b, cur) == dist == d - steps, (cur, b)
+                nearer = []
+                for j in range(1, n + 1):
+                    nxt = apply_k(cur, j)
+                    step = orbit_distance(nxt, b) - dist
+                    assert abs(step) <= 1, (cur, j, b)
+                    if step == -1:
+                        nearer.append(nxt)
+                assert nearer, (cur, b)
+                cur = rng.choice(nearer)
+                steps += 1
+            assert steps == d, (a, b)
 
 
 def test_orbit2d_examples():
