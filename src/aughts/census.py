@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from aughts.errors import ResourceLimitError
-from aughts.orbits import COORD_LIMIT, _cone_span, _semi_perimeter
+from aughts.orbits import _cone_span, _semi_perimeter
 
 # Points per scan block, so a block's arrays stay a few MB however wide the rows.
 _BLOCK_POINTS = 2**15
@@ -192,6 +192,10 @@ def _check_cells(region: Region, limit: int, what: str) -> None:
         raise ResourceLimitError(f"{what} needs {cells} cells, budget is {limit}")
 
 
+# Largest |coordinate| of a region: no int64 row, block or square here wraps.
+COORD_LIMIT = 2**31
+
+
 def _check_coords(region: Region) -> None:
     """Refuse a region beyond the 2^31 guard, so that no int64 kernel wraps."""
     if max(map(abs, region.bounds())) > COORD_LIMIT:
@@ -203,9 +207,8 @@ def _rows(region: Region, first: int | None = None) -> Iterator[tuple[np.ndarray
     chunks of at most _CHUNK_ROWS: each chunk as int64 arrays (ys, lo, hi) of
     the rows and their ``row_span``.
 
-    Refuses a region beyond the 2^31 guard, so that no int64 kernel wraps,
-    and yields nothing for an empty box; the rows of a nonempty box are
-    nonempty.
+    Refuses a region beyond ``COORD_LIMIT`` and yields nothing for an empty
+    box; the rows of a nonempty box are nonempty.
     """
     _check_coords(region)
     xmin, xmax, ymin, ymax = region.bounds()

@@ -106,14 +106,15 @@ def _add_region_flags(p: argparse.ArgumentParser, required: bool) -> None:
 
 def _parse_point(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(v.strip()) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise UsageError(f"malformed coordinates: {text!r}") from exc
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
+    """An all-blank text is the empty word; an empty entry is malformed."""
     try:
-        return tuple(int(v.strip()) for v in text.split(",") if v.strip())
+        return tuple(int(v) for v in text.split(",")) if text.strip() else ()
     except ValueError as exc:
         raise UsageError(f"malformed word: {text!r}") from exc
 
@@ -251,7 +252,7 @@ def cmd_census(args) -> tuple[int, str]:
 def cmd_render(args) -> tuple[int, str]:
     palette = svg.DEFAULT_PALETTE
     if args.palette:
-        palette = tuple(c.strip() for c in args.palette.split(",") if c.strip())
+        palette = tuple(c.strip() for c in args.palette.split(","))
     if args.point is not None:
         seed = _parse_point(args.point)
         region = census.Region.rect(0, 0, 0, 0)  # unused by single_orbit

@@ -415,7 +415,8 @@ def test_trace_word(capsys):
 
 
 def test_orbit_and_trace_nodes_beyond_the_guard(capsys):
-    # only the input is guarded; nodes reach -4294967299 and 4294967295
+    # the orbit layer has no size guard; nodes reach -4294967299 and
+    # 4294967295 from starts within 2^31, and any size from starts beyond it
     code, out, err = run_cli(capsys, "orbit", "2147483647,-2147483647,5")
     assert code == 0, err
     payload = json.loads(out)
@@ -427,6 +428,56 @@ def test_orbit_and_trace_nodes_beyond_the_guard(capsys):
     for j in (2, 1):
         path.append(k_step(path[-1], j))
     assert [tuple(p) for p in json.loads(out)["path"]] == path
+
+    seed = (3000000000, 1)
+    nodes = orbit_nodes(seed)
+    code, out, err = run_cli(capsys, "orbit", "3000000000,1")
+    assert code == 0, err
+    record = json.loads(out)
+    assert {tuple(p) for p in record["nodes"]} == nodes and len(record["nodes"]) == 6
+    assert 2 * record["semi_perimeter"] == walk_length(seed) == 2 * 11999999998
+    code, out, err = run_cli(capsys, "orbit", "3000000000,-7,5")
+    assert code == 0, err
+    nodes3, edges3 = bfs_reach_graph((3000000000, -7, 5))
+    record = json.loads(out)
+    assert (record["node_count"], record["edge_count"]) == (len(nodes3), len(edges3)) == (24, 36)
+    code, out, err = run_cli(capsys, "trace", "3000000000,1", "--word", "1,2")
+    assert code == 0, err
+    path = [seed, k_step(seed, 1), k_step(k_step(seed, 1), 2)]
+    assert [tuple(p) for p in json.loads(out)["path"]] == path
+    # one marker per node, at (x - xmin, ymax - y) * scale + 2 * scale
+    code, out, err = run_cli(capsys, "render", "--point", "3000000000,1")
+    assert code == 0, err
+    xmin = min(x for x, _ in nodes)
+    ymax = max(y for _, y in nodes)
+    markers = {f'<circle cx="{(x - xmin) * 10 + 20}" cy="{(ymax - y) * 10 + 20}"' for x, y in nodes}
+    assert {line.split(" r=")[0] for line in out.splitlines() if "<circle" in line} == markers
+
+
+def _refused_with_one_line(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    return (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_word_refuses_an_empty_entry(capsys):
+    # 1,,2 ran the word (1, 2), while the point 1,,2 was refused
+    for word in ("1,,2", "1,2,", ","):
+        assert _refused_with_one_line(capsys, "trace", "3,5", "--word", word), word
+    assert _refused_with_one_line(capsys, "orbit", "1,,2")
+    # an all-blank word is the empty word
+    for word in ("", " "):
+        code, out, _ = run_cli(capsys, "trace", "3,5", "--word", word)
+        assert code == 0 and json.loads(out)["path"] == [[3, 5]]
+
+
+def test_palette_refuses_an_empty_entry(capsys):
+    # #f00,,#00f rendered with two colors
+    for palette in ("#f00,,#00f", "#f00,#00f,"):
+        argv = ["render", "--square", "2", "--mod", "2", "--palette", palette]
+        assert _refused_with_one_line(capsys, *argv), palette
+    # an empty palette is the default one
+    default = run_cli(capsys, "render", "--square", "2", "--mod", "2")
+    assert run_cli(capsys, "render", "--square", "2", "--mod", "2", "--palette", "") == default
 
 
 def test_census_modular(tmp_path, capsys):
@@ -630,13 +681,12 @@ def test_census_mod_beyond_modulus_limit_exits_4():
         # 2x wraps int64 at 2^62, which once painted every cell non-diametral
         ["render", "--rect=4611686018427387904,4611686018427387907,"
          "4611686018427387903,4611686018427387907", "--diametral", "--scale", "1"],
-        ["orbit", "3000000000,1"],
         # range checks the library makes, not the CLI
         ["group", "--dim", "99"],
         ["group", "--dim", "8"],
         ["census", "--square", "100", "--mod", "1"],
     ],
-    ids=["render-2^62", "orbit-3e9", "group-dim", "group-dim-8", "census-mod-1"],
+    ids=["render-2^62", "group-dim", "group-dim-8", "census-mod-1"],
 )
 def test_library_value_errors_exit_2(argv):
     proc = run_cli_process(*argv)
@@ -824,7 +874,7 @@ def test_help_keeps_its_text_and_exit_0(capsys):
 
 # -- fuzzing main(argv) ---------------------------------------------------------
 
-# integers near the 2^31 input guard and the int64 edge 2^63, or small
+# integers near the census's 2^31 region guard and the int64 edge 2^63, or small
 _edge = st.sampled_from([2**31, 2**62, 2**63]).flatmap(
     lambda v: st.tuples(st.integers(v - 3, v + 3), st.sampled_from([1, -1]))
 ).map(lambda t: t[0] * t[1])

@@ -49,8 +49,8 @@ def test_apply_k_examples():
 def test_apply_k_errors():
     with pytest.raises(ValueError):
         apply_k((1, 2), 3)
-    with pytest.raises(OverflowError):
-        apply_k((2**31 + 1, 0), 1)
+    # exact beyond 2^31: the orbit layer has no size guard
+    assert apply_k((2**31 + 1, 0), 1) == (-(2**31) - 1, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,7 +102,7 @@ BIG = 2**31
 
 
 def _random_point(rng, n):
-    """Small values (many repeats in Phi), wide values, or values at the guard."""
+    """Small values (many repeats in Phi), wide values, or values near 2^31."""
     pool = rng.choice([range(-2, 3), range(-1000, 1001), (BIG, -BIG, BIG - 1, 0, 1)])
     return tuple(rng.choice(pool) for _ in range(n))
 
@@ -143,9 +143,42 @@ def test_reach_graph_and_distance_match_bfs_oracle():
             nodes, edges = bfs_reach_graph(x)
             graph = reach_graph(x)
             assert graph.nodes == nodes and graph.edges == edges, x
-            guarded = sorted(p for p in nodes if max(map(abs, p)) <= BIG)
-            targets = guarded if n <= 4 else [rng.choice(guarded)]
+            targets = sorted(nodes) if n <= 4 else [rng.choice(sorted(nodes))]
             for b in targets + [_random_point(rng, n)]:
+                assert orbit_distance(x, b) == bfs_orbit_distance(x, b), (x, b)
+
+
+def test_orbit_functions_are_exact_at_any_size():
+    # no size guard: 2D orbits, the cone test, words, reach graphs and
+    # distances agree with the oracles on points with coordinates up to
+    # 2^31 + 1, 2^40 and 10^30, and on every node of their orbits
+    start, node = (2**31, -(2**31), 2**31), (2**31, -(2**31), -3 * 2**31)
+    assert node in reach_graph(start).nodes and orbit_distance(start, node) == 1
+    for size in (2**31 + 1, 2**40, 10**30):
+        rng = random.Random(size)
+
+        def coord():
+            return rng.choice([size, -size, rng.randint(-size, size), rng.randint(-5, 5)])
+
+        for _ in range(100):
+            x = (coord(), coord())
+            nodes = orbit_nodes(x)
+            o = orbit2d(x)
+            assert set(o.nodes) == nodes and len(o.nodes) == len(nodes), x
+            for p in o.nodes:
+                assert is_diametral(p) == node_is_diametral(p, nodes), p
+            word = [rng.randint(1, 2) for _ in range(6)]
+            path = [x]
+            for j in word:
+                path.append(k_step(path[-1], j))
+            assert run_word(x, word).path == tuple(path), (x, word)
+        for n in (3, 4, 5):
+            x = tuple(coord() for _ in range(n))
+            nodes, edges = bfs_reach_graph(x)
+            graph = reach_graph(x)
+            assert graph.nodes == nodes and graph.edges == edges, x
+            targets = sorted(nodes) if n <= 4 else rng.sample(sorted(nodes), min(5, len(nodes)))
+            for b in targets:
                 assert orbit_distance(x, b) == bfs_orbit_distance(x, b), (x, b)
 
 
@@ -256,7 +289,7 @@ def test_diametral_flags_match_pointwise():
     flags = diametral_flags(o)
     assert [n for n, f in zip(o.nodes, flags) if f] == [(-1, -1), (1, 1)]
     assert diametral_flags(orbit2d((0, 0))) == (False,)
-    # nodes of seeds near 2^31 reach 2^32, beyond the scalar input guard
+    # nodes of seeds near 2^31 reach 2^32
     big = 2**31
     seeds = [(x1, x2) for x1 in range(-12, 13) for x2 in range(-12, 13)]
     seeds += [(big, -big), (-big, big), (big, big - 1), (big // 2, big), (big, 3)]
@@ -266,8 +299,7 @@ def test_diametral_flags_match_pointwise():
         flags = diametral_flags(o)
         assert flags == tuple(node_is_diametral(n, nodes) for n in o.nodes), seed
         for n, f in zip(o.nodes, flags):
-            if max(map(abs, n)) <= big:
-                assert is_diametral(n) == f, n
+            assert is_diametral(n) == f, n
 
 
 def test_diametral_double_cone_exhaustive():

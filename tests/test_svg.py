@@ -8,8 +8,7 @@ import pytest
 from brute_force import per_cell_render
 
 from aughts import census
-from aughts.census import Region
-from aughts.orbits import COORD_LIMIT
+from aughts.census import COORD_LIMIT, Region
 from aughts.svg import RenderSpec, _thousandths, render_svg
 
 
