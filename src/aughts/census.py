@@ -18,8 +18,10 @@ rows 0..R, a row y > 0 twice: it counts the row's points in the cone's span
 histogram counts rows too: a row's points lie in angle order, so it adds its
 x-range and its cone span to the bin of one end, and each bin boundary it
 crosses moves the points at or past that ray, a floor of y cot phi, up one
-bin; the bins are exact, with float floors checked against a proven margin
-and integer brackets of cos and sin inside it.  No count
+bin; the bins are exact, as each boundary's cotangent is correctly rounded,
+so a float quotient x/y below or above it is so for certain, and a float
+floor off its margin is exact, with integer brackets of cos and sin
+deciding the rest.  No count
 loops over rows in Python: ``_rows`` gives them in chunks of up to 2^16 as
 int64 arrays with their ``Region.row_spans`` x-ranges, and numpy does the
 rest, so a row costs tens of nanoseconds and ``ROW_LIMIT`` bounds the
@@ -53,10 +55,11 @@ _BLOCK_POINTS = 2**15
 _CHUNK_ROWS = 2**16
 # Bounding-box cells an angular histogram may cover.  It counts rows and
 # crossed (row, boundary) pairs, not points; its slowest case is one point
-# per row, about 80 ns a row (8 s for one column at the limit, 2-vCPU VM).
+# per row, about 70 ns a row at 64 bins and 100 ns at 4096 (7 to 10 s for
+# one column at the limit, 2-vCPU VM).
 POINT_LIMIT = 10**8
 # Bins of an angular histogram: it brackets every boundary's cotangent once,
-# about 8 us a bin (0.5 s at the limit), and their float windows stay apart.
+# about 8 us a bin (0.5 s at the limit).
 BINS_LIMIT = 2**16
 # Rows of a disk count, 2R + 1, so a large radius stops at once instead of
 # running for hours.  The counts read rows 0..R; the lengths, the slower, take
@@ -611,30 +614,21 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
     psi_j are those with x <= y cot psi_j.  A row's points all start in the
     bin of its right end, and each ray between its ends' bins then moves
     its floor(y cot psi_j) - lo + 1 points at or past it, and as many of its
-    cone span's, up one bin; an end's bin is the number of rays it is at or
-    past.  So the work is O(rows + crossed (row, ray) pairs), at most
-    O(points), and the pairs go in pieces of at most 2^16.
+    cone span's, up one bin.  So the work is O(rows + crossed (row, ray)
+    pairs), at most O(points), and the pairs go in pieces of at most 2^16.
 
-    The floors and the end bins are float with a proven margin; inside it
-    they are decided exactly.  For each ray, fl(cot) is the float nearest
-    c0/s0, from integer brackets of 2^k cos and 2^k sin at
-    k = 64 + 2 bitlen(bins) bits; from those brackets ``_rays`` bounds
-    |fl(cot) - cot| <= delta, about 2^-51 |cot| + 2^-k bins^2.  With
-    |x|, y <= 2^31 the integers are exact in float64 and each rounding is
-    within 2^-53 relative, so
-
-    - t = fl(y fl(cot)) is within y delta + 2^-52 |t| of y cot, and floor(t)
-      is taken for floor(y cot) when t's fractional part and its
-      complement both exceed 2 y delta + 2^-50 (|t| + 1), which is below
-      2^-17 for the pairs of a row within 2^31;
-    - fl(x / y) is within 2^-52 of x / y relative, so the rays whose fl(cot)
-      lies outside fl(x / y) +- (4 delta + 2^-48 (|fl(cot)| + 1)) are at or
-      past the end, or not, as the floats say.
-
-    Every other case is decided exactly.  On multiples of pi/4, cot is -1,
-    0 or 1: floor(y cot) is y cot in int64, and fl(x / y) <= cot iff
-    x / y <= cot.  Every other ray has an irrational tangent (Niven,
-    *Irrational Numbers*, 1956), so no lattice point lies on it and
+    The comparisons are float, and exact.  ``_rays`` stores fl(cot), the
+    cotangent correctly rounded, and as |x|, y <= 2^31 are exact in float64,
+    fl(x / y) is x / y correctly rounded.  Rounding is monotone (Goldberg,
+    1991), so fl(x / y) < fl(cot) proves x / y < cot and fl(x / y) > fl(cot)
+    proves x / y > cot; this bins a row's ends, and a ray tied with an end
+    in float is taken with the crossed ones, whose floors decide it: y cot
+    is then within y 2^-52 |cot| < 2^-6 of the end, so the floor is the end
+    or one less.  t = fl(y fl(cot)) is within 2^-52 |t| of y cot, so
+    floor(t) is floor(y cot) when t's fractional part and its complement
+    both exceed 2^-50 (|t| + 1).  On the multiples of pi/4, cot is -1, 0 or
+    1 and t is y cot itself.  Every other ray has an irrational tangent
+    (Niven, *Irrational Numbers*, 1956), so no lattice point lies on it and
     ``_at_or_past`` reaches a certain sign of x sin - y cos by doubling its
     brackets' bits.
     """
@@ -671,23 +665,26 @@ _PAIR_PIECE = 2**16
 
 def _add_rows(rays: "_Rays", y, lo, hi, total, dia) -> None:
     """Add rows y > 0 with nonempty spans [lo, hi] to the bins ``total`` and
-    ``dia``, which start with the bin before ray 0 of ``rays``."""
+    ``dia``, which start with the bin before ray 0 of ``rays``.  A row's
+    points are past each ray before ``first``, where fl(cot) > fl(hi / y),
+    and past none from ``stop`` on, where fl(cot) < fl(lo / y): the row goes
+    to bin ``first``, and each ray in between moves its points up one bin.
+    """
     if not y.size:
         return
     size = rays.cot.size + 1
     total, dia = total[:size], dia[:size]
-    left = rays.count_past(lo, y)
-    right = left.copy()
-    wide = np.flatnonzero(hi > lo)
-    right[wide] = rays.count_past(hi[wide], y[wide])
+    key = -rays.cot  # ascending
+    first = np.searchsorted(key, -(hi / y), "left")
+    stop = np.searchsorted(key, -(lo / y), "right")
     cone_lo, cone_hi = _cone_span(y)
     cone_lo, cone_hi = np.maximum(cone_lo, lo), np.minimum(cone_hi, hi)
-    total += _bin_sums(right, hi - lo + 1, size)
-    dia += _bin_sums(right, np.maximum(cone_hi - cone_lo + 1, 0), size)
-    crossing = np.flatnonzero(left > right)
-    for rows, taken, rank in _runs(left[crossing] - right[crossing], _PAIR_PIECE):
+    total += _bin_sums(first, hi - lo + 1, size)
+    dia += _bin_sums(first, np.maximum(cone_hi - cone_lo + 1, 0), size)
+    crossing = np.flatnonzero(stop > first)
+    for rows, taken, rank in _runs(stop[crossing] - first[crossing], _PAIR_PIECE):
         row = np.repeat(crossing[rows], taken)
-        ray = right[row] + rank
+        ray = first[row] + rank
         floors = rays.floors(y[row], ray)
         # ray i parts bin i from bin i + 1
         for out, moved in (
@@ -700,8 +697,10 @@ def _add_rows(rays: "_Rays", y, lo, hi, total, dia) -> None:
 
 
 def _bin_sums(index: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
-    """Sum of counts per index, in int64; each sum is a number of points
-    within ``POINT_LIMIT`` < 2^53, so the float sums of bincount are exact."""
+    """Sum of counts per index, in int64.  A call sums at most 2^16 counts,
+    a ``_CHUNK_ROWS`` chunk of rows or a ``_PAIR_PIECE`` of pairs, each at
+    most a row's width, 2^32 + 1 within ``COORD_LIMIT``, so every partial
+    sum is below 2^49 and the float sums of bincount are exact."""
     return np.bincount(index, weights=counts, minlength=size).astype(np.int64)
 
 
@@ -728,90 +727,65 @@ class _Rays:
     """The rays psi_j = pi j / bins, 0 < j < bins, of one parity of j, in
     ascending j: the bin boundaries of a half-plane turned above the axis.
 
-    ``cot`` holds fl(cot psi_j), within ``delta`` of cot psi_j, and
-    ``exact`` holds cot psi_j on the multiples of pi/4 (``on_quarter``) and
-    0 elsewhere.  ``edges`` holds, in ascending order, the ends of the
-    window -fl(cot) +- w of each ray, w = 4 delta + 2^-48 (|fl(cot)| + 1)
-    off the quarters and 0 on them.  The windows stay apart: two rays of
-    one parity differ in cot by at least sin(2 pi / bins) >= 4 / bins, and
-    as |cot| <= bins / pi, w is below 2^-45 bins, so two half-windows
-    together are narrower than 2^-44 bins, which is less than 4 / bins for
-    bins up to 2^22, beyond ``BINS_LIMIT``.
+    ``cot`` holds cot psi_j correctly rounded: as rounding is monotone, it
+    descends as cot psi_j does, and a float below or above it is below or
+    above cot psi_j.  ``on_quarter`` marks the multiples of pi/4, where it
+    is cot psi_j itself, 1, 0 or -1.
     """
 
     bins: int
     js: np.ndarray
     cot: np.ndarray
-    delta: np.ndarray
-    exact: np.ndarray
     on_quarter: np.ndarray
-    edges: np.ndarray
 
     def floors(self, y: np.ndarray, ray: np.ndarray) -> np.ndarray:
         """floor(y cot psi) of each row y > 0 and ray index, exactly."""
         t = y * self.cot[ray]
         out = np.floor(t)
         frac = t - out
-        margin = 2 * self.delta[ray] * y + 2.0**-50 * (np.abs(t) + 1)
+        margin = 2.0**-50 * (np.abs(t) + 1)
         out = out.astype(np.int64)
-        near = np.flatnonzero((frac <= margin) | (1 - frac <= margin))
-        if near.size:
-            quarter = self.on_quarter[ray[near]]
-            exact = near[quarter]
-            out[exact] = y[exact] * self.exact[ray[exact]]
-            for i in near[~quarter].tolist():
-                # floor(y cot) is round(t) or one less
-                m, j = round(t[i]), int(self.js[ray[i]])
-                out[i] = m if _at_or_past(m, int(y[i]), j, self.bins) else m - 1
+        # on a quarter ray t is the integer y cot itself
+        near = (frac <= margin) | (1 - frac <= margin)
+        for i in np.flatnonzero(near & ~self.on_quarter[ray]).tolist():
+            # floor(y cot) is round(t) or one less
+            m, j = round(t[i]), int(self.js[ray[i]])
+            out[i] = m if _at_or_past(m, int(y[i]), j, self.bins) else m - 1
         return out
-
-    def count_past(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """How many rays each point (x, y > 0) is at or past, exactly.
-
-        The point is at or past a ray iff x / y <= cot, that is iff the key
-        -x / y is at least -cot.  A key -fl(x / y) at or above a ray's
-        window is past it for certain, one below the window is not, and one
-        inside is settled by ``floors``.
-        """
-        where = np.searchsorted(self.edges, -(x / y), side="right")
-        count = where >> 1
-        inside = np.flatnonzero(where & 1)
-        if inside.size:
-            count[inside] += x[inside] <= self.floors(y[inside], count[inside])
-        return count
 
 
 @lru_cache(maxsize=8)
 def _rays(bins: int) -> tuple[_Rays, _Rays]:
     """The rays of even j and of odd j for a histogram of ``bins`` bins."""
-    k = 64 + 2 * bins.bit_length()
     cot = [0.0] * bins  # of psi_j, 0 < j < bins; cot psi_(bins-j) = -cot psi_j
-    delta = [0.0] * bins
     for j in range(1, bins // 2 + 1):
-        if 4 * j % bins == 0:
-            cot[j] = float(2 * j < bins)
-        else:
-            c0, c1, s0, s1 = _direction(j, bins, k)
-            cot[j] = c0 / s0
-            # |c0/s0 - cot| <= w (s1 + |c|) / s0^2 for brackets of width w;
-            # doubled, with fl's own 2^-53 |cot|, to cover the float sums
-            w, c = max(c1 - c0, s1 - s0), max(abs(c0), abs(c1))
-            delta[j] = 2 * (w * (s1 + c) / (s0 * s0) + 2.0**-52 * abs(cot[j]))
+        cot[j] = float(2 * j < bins) if 4 * j % bins == 0 else _cot(j, bins)
         if 2 * j < bins:
-            cot[bins - j], delta[bins - j] = -cot[j], delta[j]
-    cot, delta = np.array(cot), np.array(delta)
+            cot[bins - j] = -cot[j]
+    cot = np.array(cot)
     on_quarter = 4 * np.arange(bins) % bins == 0
-    exact = np.where(on_quarter, cot, 0).astype(np.int64)
-    width = np.where(on_quarter, 0.0, 4 * delta + 2.0**-48 * (np.abs(cot) + 1))
     halves = []
     for parity in (0, 1):
         js = np.arange(2 - parity, bins, 2)
-        edges = np.stack([-cot[js] - width[js], -cot[js] + width[js]], axis=1).ravel()
-        arrays = [js, cot[js], delta[js], exact[js], on_quarter[js], edges]
+        arrays = [js, cot[js], on_quarter[js]]
         for array in arrays:
             array.setflags(write=False)  # cached: shared by every caller
         halves.append(_Rays(bins, *arrays))
     return tuple(halves)
+
+
+def _cot(j: int, bins: int) -> float:
+    """cot psi, correctly rounded, for psi = pi j / bins off the multiples of
+    pi/4: the brackets' bits double until the corners c / s of their box,
+    each an int quotient and so correctly rounded, round to one float, which
+    ends as cot psi is irrational."""
+    k = 64 + 2 * bins.bit_length()
+    while True:
+        c0, c1, s0, s1 = _direction(j, bins, k)
+        cot = c0 / s0
+        if cot == c0 / s1 == c1 / s0 == c1 / s1:
+            return cot
+        k *= 2
 
 
 def _at_or_past(x: int, y: int, j: int, bins: int) -> bool:

@@ -299,14 +299,22 @@ def main(argv: list[str] | None = None) -> int:
         _emit(output, args.out)
         return code
     except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {exc}")
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 4
+        return _fail(4, f"resource limit: {exc}")
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"i/o error: {exc}")
+
+
+def _fail(code: int, line: str) -> int:
+    """Write the one error line to stderr and return ``code``.  If the line
+    cannot be written, stderr is pointed at the null device, so that the
+    flush at exit raises nothing either, and the code stands."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
 
 
 def run() -> None:

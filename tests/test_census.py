@@ -993,12 +993,30 @@ def test_direction_brackets_agree_with_the_oracle(bins):
 
 
 def test_projection_histogram_bins_limit():
-    # the float windows of the rays stay apart up to the limit
+    # up to the limit the rounded cotangents of one half descend strictly,
+    # so no two rays tie in float
     for rays in census._rays(census.BINS_LIMIT):
-        assert np.all(np.diff(rays.edges) >= 0)
-        assert np.all(rays.edges[2::2] > rays.edges[1:-1:2])
+        assert np.all(np.diff(rays.cot) < 0)
     with pytest.raises(ResourceLimitError):
         projection_histogram(Region.disk(1), census.BINS_LIMIT + 1)
+
+
+@pytest.mark.parametrize("bins", [9, 64, 360, 1000, census.BINS_LIMIT])
+def test_ray_cotangents_are_correctly_rounded(bins):
+    # psi_j = pi j / bins is the oracle's 2 pi j / (2 bins); where the four
+    # corners c / s of its 256-bit brackets round to one float, so does the
+    # cotangent, and the ray must hold that float
+    cot = {}
+    for rays in census._rays(bins):
+        cot.update(zip(rays.js.tolist(), rays.cot.tolist()))
+    checked = 0
+    for j in range(1, bins, max(1, bins // 64)):
+        c0, c1, s0, s1 = cos_sin_bracket(j, 2 * bins, 256)
+        corners = {float(Fraction(c, s)) for c in (c0, c1) for s in (s0, s1)}
+        if len(corners) == 1:
+            assert cot[j] == corners.pop(), j
+            checked += 1
+    assert checked >= min(bins - 1, 60)
 
 
 def test_many_bins_histogram_memory_is_bounded():

@@ -519,6 +519,28 @@ def run_cli_process(*argv, timeout=60, **kwargs):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "--max-n", "2"), 3),
+        (("group", "--dim", "99"), 2),
+        (("census", "--disk", "99999999", "--diametral"), 4),
+    ],
+    ids=["verify", "group-dim", "disk-limit"],
+)
+def test_exit_code_stands_when_stderr_is_closed(argv, code):
+    # stdout and stderr share a pipe whose reader closes at once, so neither
+    # the output nor the error line can be written
+    src = os.path.dirname(os.path.dirname(aughts.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aughts.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == code
+
+
 def _limit_file_size():
     # writes past 4 kB fail with EFBIG (Python ignores SIGXFSZ)
     resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
