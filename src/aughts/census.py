@@ -20,17 +20,16 @@ x-range and its cone span to the bin of one end, and each bin boundary it
 crosses moves the points at or past that ray, a floor of y cot phi, up one
 bin; the bins are exact, as each boundary's cotangent is correctly rounded,
 so a float quotient x/y below or above it is so for certain, and a float
-floor off its margin is exact, with integer brackets of cos and sin
-deciding the rest.  No count
-loops over rows in Python: ``_rows`` gives them in chunks of up to 2^16 as
-int64 arrays with their ``Region.row_spans`` x-ranges, and numpy does the
-rest, so a row costs tens of nanoseconds and ``ROW_LIMIT`` bounds the
-disk's work.  Only the SVG renders scan points: ``_runs`` cuts each chunk
-into blocks of at most 2^15 int64 points, as it cuts the histogram's
-crossed (row, ray) pairs into pieces, behind a bounding-box budget.  The
-orbit length, the cone's row form and the cone test are defined once, in
-``aughts.orbits``, for ints and arrays alike.  Every census, average and
-length statistic is exact at every size >= 1, and each scalar argument
+floor off its margin is exact, with integer brackets of cos and sin deciding
+the rest.  No count loops over rows in Python: ``_rows`` gives them in chunks
+of up to 2^16 as int64 arrays with their ``Region.row_spans`` x-ranges, and
+numpy does the rest, so a row costs tens of nanoseconds and ``ROW_LIMIT``
+bounds the disk's work.  Only the SVG renders scan points: ``_runs`` cuts
+each chunk into blocks of at most 2^15 int64 points, as it cuts the
+histogram's crossed (row, ray) pairs into pieces, behind a bounding-box
+budget.  The orbit length, the cone's row form and the cone test are defined
+once, in ``aughts.orbits``, for ints and arrays alike.  Every census, average
+and length statistic is exact at every size >= 1, and each scalar argument
 enters through ``operator.index``, as a ``Region``'s params do, so a numpy
 integer becomes an int and no Python-int formula wraps in int64.
 """
@@ -55,7 +54,7 @@ _BLOCK_POINTS = 2**15
 _CHUNK_ROWS = 2**16
 # Bounding-box cells an angular histogram may cover.  It counts rows and
 # crossed (row, boundary) pairs, not points; its slowest case is one point
-# per row, about 70 ns a row at 64 bins and 100 ns at 4096 (7 to 10 s for
+# per row, about 65 ns a row at 64 bins and 75 ns at 4096 (about 7 s for
 # one column at the limit, 2-vCPU VM).
 POINT_LIMIT = 10**8
 # Bins of an angular histogram: it brackets every boundary's cotangent once,
@@ -667,16 +666,19 @@ def _add_rows(rays: "_Rays", y, lo, hi, total, dia) -> None:
     """Add rows y > 0 with nonempty spans [lo, hi] to the bins ``total`` and
     ``dia``, which start with the bin before ray 0 of ``rays``.  A row's
     points are past each ray before ``first``, where fl(cot) > fl(hi / y),
-    and past none from ``stop`` on, where fl(cot) < fl(lo / y): the row goes
-    to bin ``first``, and each ray in between moves its points up one bin.
-    """
+    and past none from ``stop`` on, where fl(cot) < fl(lo / y): the row
+    goes to bin ``first``, and each ray in between moves its points up."""
     if not y.size:
         return
     size = rays.cot.size + 1
     total, dia = total[:size], dia[:size]
     key = -rays.cot  # ascending
-    first = np.searchsorted(key, -(hi / y), "left")
-    stop = np.searchsorted(key, -(lo / y), "right")
+    end = -(hi / y)
+    first = np.searchsorted(key, end, "left")
+    # cot descends strictly, so a one-point row ties with at most one ray
+    stop = first + (key.take(first, mode="clip") == end)
+    wide = np.flatnonzero(hi > lo)
+    stop[wide] = np.searchsorted(key, -(lo[wide] / y[wide]), "right")
     cone_lo, cone_hi = _cone_span(y)
     cone_lo, cone_hi = np.maximum(cone_lo, lo), np.minimum(cone_hi, hi)
     total += _bin_sums(first, hi - lo + 1, size)
@@ -743,10 +745,9 @@ class _Rays:
         t = y * self.cot[ray]
         out = np.floor(t)
         frac = t - out
-        margin = 2.0**-50 * (np.abs(t) + 1)
         out = out.astype(np.int64)
         # on a quarter ray t is the integer y cot itself
-        near = (frac <= margin) | (1 - frac <= margin)
+        near = np.minimum(frac, 1 - frac) <= 2.0**-50 * (np.abs(t) + 1)
         for i in np.flatnonzero(near & ~self.on_quarter[ray]).tolist():
             # floor(y cot) is round(t) or one less
             m, j = round(t[i]), int(self.js[ray[i]])

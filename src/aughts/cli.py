@@ -12,6 +12,7 @@ one place and with the same bytes on both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -140,6 +141,7 @@ def _emit(output: str | Iterable[str], out_path: str | None) -> None:
     chunks = [output] if isinstance(output, str) else output
     if out_path is None:
         _write(sys.stdout, chunks)
+        sys.stdout.flush()  # a failed write is an I/O error here, not at exit
         return
     target = os.path.realpath(out_path)
     if os.path.exists(target) and not os.path.isfile(target):
@@ -245,7 +247,7 @@ def cmd_census(args) -> tuple[int, str]:
         headline = f"diametral fraction: {report.diametral_fraction:.12g}"
     # the text first: a count too long for str() is then a one-line rejection
     text = json.dumps(report.to_json_dict(), indent=2)
-    print(headline, file=sys.stderr)
+    _note(headline)
     return 0, text
 
 
@@ -299,26 +301,35 @@ def main(argv: list[str] | None = None) -> int:
         _emit(output, args.out)
         return code
     except (ValueError, OverflowError) as exc:
-        return _fail(2, f"error: {exc}")
+        code, line = 2, f"error: {exc}"
     except ResourceLimitError as exc:
-        return _fail(4, f"resource limit: {exc}")
+        code, line = 4, f"resource limit: {exc}"
     except OSError as exc:
-        return _fail(3, f"i/o error: {exc}")
-
-
-def _fail(code: int, line: str) -> int:
-    """Write the one error line to stderr and return ``code``.  If the line
-    cannot be written, stderr is pointed at the null device, so that the
-    flush at exit raises nothing either, and the code stands."""
-    try:
-        print(line, file=sys.stderr, flush=True)
-    except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+        code, line = 3, f"i/o error: {exc}"
+    _note(line)
     return code
 
 
+def _note(line: str) -> None:
+    """Write one line to stderr; a line that cannot be written is dropped,
+    so it never changes the exit code."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr)
+
+
 def run() -> None:
-    raise SystemExit(main())
+    """Exit with ``main``'s code.  A stream whose reader has gone still
+    holds what it failed to write; it is pointed at the null device, so the
+    flush at exit raises nothing and the code stands."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, stream.fileno())
+            os.close(null)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -519,26 +519,53 @@ def run_cli_process(*argv, timeout=60, **kwargs):
     )
 
 
+def _closed_pipe_env(buffered):
+    # without PYTHONUNBUFFERED, as in most shells, stdout holds short output
+    # in its buffer until it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(aughts.__file__))
+    return env
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv, code",
     [
         (("verify", "--max-n", "2"), 3),
         (("group", "--dim", "99"), 2),
+        (("census", "--square", "5", "--disk", "5"), 2),
         (("census", "--disk", "99999999", "--diametral"), 4),
     ],
-    ids=["verify", "group-dim", "disk-limit"],
+    ids=["verify", "group-dim", "parser", "disk-limit"],
 )
-def test_exit_code_stands_when_stderr_is_closed(argv, code):
+def test_exit_code_stands_when_stderr_is_closed(argv, code, buffered):
     # stdout and stderr share a pipe whose reader closes at once, so neither
     # the output nor the error line can be written
-    src = os.path.dirname(os.path.dirname(aughts.__file__))
     proc = subprocess.Popen(
         [sys.executable, "-m", "aughts.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        env={**os.environ, "PYTHONPATH": src},
+        env=_closed_pipe_env(buffered),
     )
     proc.stdout.close()
     assert proc.wait(timeout=60) == code
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_census_headline_on_a_closed_stderr_keeps_the_output(buffered):
+    # only stderr's reader has gone: the headline is dropped, the JSON is not
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aughts.cli", "census", "--disk", "50", "--diametral"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_closed_pipe_env(buffered),
+    )
+    proc.stderr.close()
+    out = proc.communicate(timeout=60)[0]
+    assert proc.returncode == 0
+    payload = json.loads(out)
+    expected = diametral_count(Region.disk(50))
+    assert (payload["total_points"], payload["diametral_points"]) == expected
 
 
 def _limit_file_size():
