@@ -24,14 +24,17 @@ floor off its margin is exact, with integer brackets of cos and sin deciding
 the rest.  No count loops over rows in Python: ``_rows`` gives them in chunks
 of up to 2^16 as int64 arrays with their ``Region.row_spans`` x-ranges, and
 numpy does the rest, so a row costs tens of nanoseconds and ``ROW_LIMIT``
-bounds the disk's work.  Only the SVG renders scan points: ``_runs`` cuts
-each chunk into blocks of at most 2^15 int64 points, as it cuts the
-histogram's crossed (row, ray) pairs into pieces, behind a bounding-box
-budget.  The orbit length, the cone's row form and the cone test are defined
-once, in ``aughts.orbits``, for ints and arrays alike.  Every census, average
-and length statistic is exact at every size >= 1, and each scalar argument
-enters through ``operator.index``, as a ``Region``'s params do, so a numpy
-integer becomes an int and no Python-int formula wraps in int64.
+bounds the disk's work, as a bound on rows and crossings does the
+histogram's.  Only the SVG renders scan points: ``_runs`` cuts each chunk
+into blocks of at most 2^15 int64 points, as it cuts the histogram's crossed
+(row, ray) pairs into pieces.  The orbit length, the cone's row form and the
+cone test are defined once, in ``aughts.orbits``, for ints and arrays alike.
+Every census, average and length statistic is exact at every size >= 1, and
+each scalar argument enters through ``operator.index``, as a ``Region``'s
+params do, so a numpy integer becomes an int and no Python-int formula wraps
+in int64.  Each ratio and average of a census record is rounded once, to 12
+significant digits, from its exact ints, and the diameter average of
+``square_orbit_averages`` once to a double, by ``_root_digits``.
 """
 
 from __future__ import annotations
@@ -52,11 +55,13 @@ _BLOCK_POINTS = 2**15
 # Rows per chunk of the row counts and the scan, so a chunk's arrays stay a
 # few MB however many rows a region has.
 _CHUNK_ROWS = 2**16
-# Bounding-box cells an angular histogram may cover.  It counts rows and
-# crossed (row, boundary) pairs, not points; its slowest case is one point
-# per row, about 65 ns a row at 64 bins and 75 ns at 4096 (about 7 s for
-# one column at the limit, 2-vCPU VM).
-POINT_LIMIT = 10**8
+# Rows plus crossed (row, boundary) pairs an angular histogram may take, as
+# bounded by ``_histogram_work``.  A row costs 60-70 ns and a crossing 30-75
+# ns, so its slowest calls at the limit take about 7 s, as one column of 10^8
+# rows did under the old bounding-box budget: 2.25*10^7 rows crossing three
+# boundaries each at 8 bins take 6.9 s, and one column of 9*10^7 rows 5.7 s
+# (2-vCPU VM).
+_HISTOGRAM_WORK = 9 * 10**7
 # Bins of an angular histogram: it brackets every boundary's cotangent once,
 # about 8 us a bin (0.5 s at the limit).
 BINS_LIMIT = 2**16
@@ -283,30 +288,59 @@ class CensusReport:
             }
             # an orbit census covers [0,M]^2, M >= 1, and counts the origin's orbit
             (m,) = self.region.params
+            count, s = self.total_orbits, self.sum_diam_multiplier
             out["residue_ratio_of_size_sq"] = {
-                str(r): _sig12(c / m**2) for r, c in self.residue_counts.items()
+                str(r): _digits12(c * c, m * m) for r, c in self.residue_counts.items()
             }
             out["averages"] = {
-                "diameter": _sig12(_diameter_average(self.sum_diam_multiplier, self.total_orbits)),
-                "perimeter": _sig12(self.sum_perimeter / self.total_orbits),
-                "box_side": _sig12(self.sum_box_side / self.total_orbits),
+                "diameter": _digits12(2 * s * s, count),
+                "perimeter": _digits12(self.sum_perimeter**2, count),
+                "box_side": _digits12(self.sum_box_side**2, count),
             }
         else:
             out["diametral_points"] = self.diametral_points
-            out["diametral_fraction"] = _sig12(self.diametral_fraction)
+            out["diametral_fraction"] = _digits12(self.diametral_points**2, self.total_points)
         return out
 
 
-def _diameter_average(s: int, c: int) -> float:
-    """sqrt(2) * s / c for ints of any size: each is shifted below 2^1023
-    and the quotient scaled back, so both shifts are 0, and the float the
-    same, wherever the unshifted expression is finite."""
-    ks, kc = max(s.bit_length() - 1023, 0), max(c.bit_length() - 1023, 0)
-    return math.ldexp(math.sqrt(2) * (s >> ks) / (c >> kc), ks - kc)
+def _digits12(n: int, q: int) -> float:
+    """sqrt(n) / q for ints n >= 0 and q > 0, correctly rounded to 12
+    significant digits, half to even, as the float that prints them; a ratio
+    p / q is sqrt(p^2) / q.  The rounded decimal is an int times a power of
+    ten, so one int-to-float conversion or int quotient rounds it, and raises
+    OverflowError where the float would be infinite."""
+    if n == 0:
+        return 0.0
+    f, k, inexact = _root_digits(n, q, 10, 13)
+    digits, last = divmod(f, 10)
+    digits += last > 5 or last == 5 and (inexact or digits % 2)
+    return float(digits * 10 ** (1 - k)) if k <= 1 else digits / 10 ** (k - 1)
 
 
-def _sig12(value: float) -> float:
-    return float(f"{value:.12g}")
+def _root_double(n: int, q: int) -> float:
+    """sqrt(n) / q for ints n, q > 0, correctly rounded to a double in its
+    normal range: a 55-bit quotient whose last bit is set when it is short
+    (a sticky bit) rounds once, to 53 bits, in float()."""
+    f, k, inexact = _root_digits(n, q, 2, 55)
+    return math.ldexp(float(f | inexact), -k)
+
+
+def _root_digits(n: int, q: int, base: int, digits: int) -> tuple[int, int, bool]:
+    """(f, k, inexact) for ints n, q > 0: f = floor(sqrt(n) base^k / q) has
+    exactly ``digits`` digits in ``base``, and ``inexact`` says whether it
+    is short of that value.  floor(sqrt(N) / Q) = isqrt(N) // Q, which is
+    exact iff (fQ)^2 = N; a float estimate of k is off by one at most, and
+    each step towards the range moves f one digit without passing it."""
+    k = digits - 1 - math.floor((math.log(n) / 2 - math.log(q)) / math.log(base))
+    while True:
+        num, den = (n * base ** (2 * k), q) if k >= 0 else (n, q * base**-k)
+        f = math.isqrt(num) // den
+        if f < base ** (digits - 1):
+            k += 1
+        elif f >= base**digits:
+            k -= 1
+        else:
+            return f, k, (f * den) ** 2 != num
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +559,14 @@ class OrbitAverages:
 
 def square_orbit_averages(m: int) -> OrbitAverages:
     """Averages over the distinct orbits meeting [0,m]^2, m >= 1, from the
-    exact sums of ``square_orbit_sums``."""
+    exact sums of ``square_orbit_sums``, each correctly rounded: the diameter
+    sqrt(2) s / c as sqrt(2 s^2) / c."""
     m = operator.index(m)
     _, count, length = square_orbit_sums(m)
     return OrbitAverages(
         m=m,
         orbit_count=count,
-        diameter=_diameter_average(length // 4, count),
+        diameter=_root_double(2 * (length // 4) ** 2, count),
         box_side=(length // 4) / count,
         perimeter=length / count,
     )
@@ -636,12 +671,17 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
         raise ValueError(f"need at least 8 bins, got {bins}")
     if bins > BINS_LIMIT:
         raise ResourceLimitError(f"{bins} bins exceed the limit {BINS_LIMIT}")
-    _check_cells(region, POINT_LIMIT, "angular histogram")
+    _check_coords(region)
+    work = _histogram_work(region, bins)
+    if work > _HISTOGRAM_WORK:
+        raise ResourceLimitError(
+            f"angular histogram needs up to {work} rows and crossings, budget is {_HISTOGRAM_WORK}"
+        )
+    even, odd = _rays(bins)
     total = np.zeros(bins, dtype=np.int64)
     dia = np.zeros(bins, dtype=np.int64)
     half = bins // 2
     for ys, lo, hi in _rows(region):
-        even, odd = _rays(bins)
         below = int(np.searchsorted(ys, 0))
         above = int(np.searchsorted(ys, 0, side="right"))
         # the rows below the axis turned by pi, then those above
@@ -655,6 +695,33 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
     return ProjectionHistogram(
         bins, tuple(int(v) for v in dia), tuple(int(v) for v in total - dia)
     )
+
+
+def _histogram_work(region: Region, bins: int) -> int:
+    """The rows of the region's bounding box plus a bound on its crossed
+    (row, ray) pairs.  A row y > 0 crosses a ray only where y fl(cot) lies
+    in (lo - 1, hi + 1): fl(lo / y) <= fl(cot) <= fl(hi / y) puts it within
+    y 2^-52 |cot| < 2^-6 of the span.  So each ray crosses the rows of one
+    interval of y, found here from float quotients widened by a row; the ray
+    x = 0 crosses every row if the box holds x = 0, and none otherwise."""
+    x0, x1, y0, y1 = region.bounds()
+    if x0 > x1 or y0 > y1:
+        return 0
+    even, odd = _rays(bins)
+    work = y1 - y0 + 1
+    # the rows above the axis, then those below turned by pi
+    for rays, ya, yb, xa, xb in (
+        (even, max(y0, 1), y1, x0, x1),
+        (odd if bins % 2 else even, max(-y1, 1), -y0, -x1, -x0),
+    ):
+        if ya > yb:
+            continue
+        cot = rays.cot[rays.cot != 0]
+        ends = np.sort([(xa - 1) / cot, (xb + 1) / cot], axis=0)
+        first, last = np.maximum(np.floor(ends[0]), ya), np.minimum(np.ceil(ends[1]), yb)
+        work += int(np.maximum(last - first + 1, 0).sum())
+        work += (rays.cot.size - cot.size) * (xa <= 0 <= xb) * (yb - ya + 1)
+    return work
 
 
 # (row, ray) pairs per piece, so a piece's arrays stay a few MB however many

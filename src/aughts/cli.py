@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -32,7 +33,13 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     """Rejects an argument with one ``error:`` line and exit 2, without the
     usage line; ``add_subparsers`` makes the subcommand parsers of the same
-    class."""
+    class.  A comma list of integers that starts with ``-``, such as the
+    point ``-3,4``, is a value: argparse on Python 3.10 and 3.11 takes only
+    a lone negative number for one and reads the list as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,[-+]?\d+)*$|^-\d*\.\d+$")
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
@@ -234,20 +241,21 @@ def cmd_census(args) -> tuple[int, str]:
     if args.mod is not None:
         if region.kind != "square_0M":
             raise UsageError("modular census is defined over --square M")
-        m = region.params[0]
-        report = census.modular_census(m, args.mod)
-        counts = ", ".join(
-            f"{r}: {c} ({c / m**2:.6g} M^2)"
-            for r, c in sorted(report.residue_counts.items())
-            if c
-        )
-        headline = f"orbits by length mod {args.mod}: {counts}"
+        report = census.modular_census(region.params[0], args.mod)
     else:
         report = census.diametral_report(region)
-        headline = f"diametral fraction: {report.diametral_fraction:.12g}"
     # the text first: a count too long for str() is then a one-line rejection
-    text = json.dumps(report.to_json_dict(), indent=2)
-    _note(headline)
+    record = report.to_json_dict()
+    text = json.dumps(record, indent=2)
+    # the headline prints the record's own values
+    if args.mod is not None:
+        ratios = record["residue_ratio_of_size_sq"]
+        counts = ", ".join(
+            f"{r}: {c} ({ratios[r]} M^2)" for r, c in record["residue_counts"].items() if c
+        )
+        _note(f"orbits by length mod {args.mod}: {counts}")
+    else:
+        _note(f"diametral fraction: {record['diametral_fraction']}")
     return 0, text
 
 

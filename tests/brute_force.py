@@ -26,6 +26,11 @@ The orbit census of [0,M]^2 counts the cone's points one anti-diagonal at a
 time; at sizes too large to walk, each of its counts is fitted as a
 polynomial in M on each class of M mod a period, through small sizes.
 
+Each census ratio is rounded by the decimal module, whose division rounds
+its exact quotient once; a square root divided by an int is taken to 80
+digits, rounded, and checked in Fractions to lie nearer the result than
+either neighbour.
+
 The scanned SVG renders are written one f-string per cell, as the emitter
 wrote them before it joined per-block piece tables.
 
@@ -46,6 +51,7 @@ so a test that patches a module attribute breaks the oracle as it breaks
 the suite.
 """
 
+import decimal
 import functools
 import json
 import math
@@ -304,6 +310,44 @@ def fitted_census(m, d, period):
     assert all(v.denominator == 1 for v in values)
     *residues, count, length = map(int, values)
     return residues, count, length
+
+
+# Twelve significant digits, rounded half to even.
+_TWELVE = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
+# Enough digits that an irrational value lies visibly off every midpoint.
+_WIDE = decimal.Context(prec=80)
+
+
+def ratio12(p, q):
+    """p / q correctly rounded to 12 significant digits, half to even, as a
+    float: one division of the decimal module, which rounds its exact
+    quotient once."""
+    return float(_TWELVE.divide(decimal.Decimal(p), decimal.Decimal(q)))
+
+
+def root_ratio12(n, q):
+    """sqrt(n) / q, irrational, correctly rounded to 12 significant digits
+    as a float: an 80-digit decimal rounded to 12 digits, checked exactly,
+    in Fractions, to lie strictly between the midpoints to its neighbours."""
+    digits = _TWELVE.plus(_WIDE.divide(_WIDE.sqrt(n), q))
+    _assert_nearest(n, q, _TWELVE.next_minus(digits), digits, _TWELVE.next_plus(digits))
+    return float(digits)
+
+
+def root_double(n, q):
+    """sqrt(n) / q, irrational, correctly rounded to a double: the float of
+    an 80-digit decimal, checked exactly as in ``root_ratio12``."""
+    x = float(_WIDE.divide(_WIDE.sqrt(n), q))
+    _assert_nearest(n, q, math.nextafter(x, 0), x, math.nextafter(x, math.inf))
+    return x
+
+
+def _assert_nearest(n, q, below, value, above):
+    """sqrt(n) / q lies strictly between the midpoints of value, a positive
+    number, and its neighbours below and above."""
+    low = (Fraction(below) + Fraction(value)) / 2
+    high = (Fraction(value) + Fraction(above)) / 2
+    assert low * low < Fraction(n, q * q) < high * high, (n, q, value)
 
 
 # The eight directions on multiples of pi/4, (cos, sin) up to a positive factor.

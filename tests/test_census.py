@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -25,6 +26,9 @@ from brute_force import (
     per_row_blocks,
     per_row_diametral_counts,
     per_row_disk_length_stats,
+    ratio12,
+    root_double,
+    root_ratio12,
     walk_length,
 )
 from hypothesis import given, settings
@@ -725,15 +729,60 @@ def test_wide_scan_memory_is_bounded():
     assert int(proc.stdout) < 10 * 1024  # kB
 
 
-def test_projection_histogram_point_limit():
-    # 2^32 + 1 points, within the 2^31 coordinate guard: stops before scanning
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError):
-        projection_histogram(Region.rect(-(2**31), 2**31, 0, 0), 8)
-    assert time.perf_counter() - start < 1
-    # the budget counts bounding-box cells: one column of 10^4 over it
-    with pytest.raises(ResourceLimitError):
-        projection_histogram(Region.rect(0, census.POINT_LIMIT // 10**4, 1, 10**4), 8)
+def test_projection_histogram_work_limit():
+    # the budget counts rows and crossings, not points: one row of 2^32 + 1
+    # points and 10^4 rows of 10^4 + 1 points each are a few rows' work
+    assert projection_histogram(Region.rect(-(2**31), 2**31, 0, 0), 8).others == (
+        2**31, 0, 0, 0, 2**31, 0, 0, 0
+    )
+    rows = Region.rect(0, 10**4, 1, 10**4)
+    histogram = projection_histogram(rows, 8)
+    report = diametral_report(rows)
+    assert sum(histogram.diametral) == report.diametral_points
+    assert sum(histogram.diametral) + sum(histogram.others) == report.total_points
+    # past the budget in rows, in crossings and in both, each stops up front
+    for region, bins in (
+        (Region.rect(1, 1, 0, census._HISTOGRAM_WORK), 8),
+        (Region.rect(-(2**31), 2**31, 1, 10**5), 4096),
+        (Region.disk(10**6), 360),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            projection_histogram(region, bins)
+        assert time.perf_counter() - start < 1, region
+
+
+def test_projection_histogram_of_a_disk_past_the_cell_count():
+    # 1.6 * 10^9 bounding-box cells, 40001 rows and about 10^6 crossings
+    disk = Region.disk(20000)
+    histogram = projection_histogram(disk, 64)
+    report = diametral_report(disk)
+    assert sum(histogram.diametral) == report.diametral_points
+    assert sum(histogram.diametral) + sum(histogram.others) == report.total_points - 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_histogram_work_bounds_the_rows_and_crossings(monkeypatch, seed):
+    # every crossed (row, ray) pair goes through _Rays.floors once
+    crossed = []
+    floors = census._Rays.floors
+    monkeypatch.setattr(
+        census._Rays, "floors", lambda self, y, ray: crossed.append(y.size) or floors(self, y, ray)
+    )
+    rng = random.Random(seed)
+    for _ in range(40):
+        bins = rng.choice((8, 9, 12, 64, 97, 360, 1024))
+        x0, y0 = rng.randint(-300, 300), rng.randint(-300, 300)
+        region = rng.choice((
+            Region.rect(x0, x0 + rng.randint(0, 2), y0, y0 + rng.randint(0, 400)),
+            Region.rect(x0, x0 + rng.randint(0, 400), y0, y0 + rng.randint(0, 40)),
+            Region.disk(rng.randint(1, 200)),
+            Region.hexagon(rng.randint(1, 200)),
+        ))
+        crossed.clear()
+        projection_histogram(region, bins)
+        x0, x1, y0, y1 = region.bounds()
+        assert y1 - y0 + 1 + sum(crossed) <= census._histogram_work(region, bins), (region, bins)
 
 
 def test_diametral_census_small_sizes_match_brute_force():
@@ -792,6 +841,85 @@ def test_orbit_averages_small():
 def test_orbit_averages_golden_repr():
     golden = Path(__file__).parent / "golden" / "square_orbit_averages_2000.txt"
     assert repr(square_orbit_averages(2000)) + "\n" == golden.read_text()
+
+
+def _assert_rounded_once(record):
+    """Every ratio and average of an orbit census record is its exact value
+    correctly rounded to 12 significant digits."""
+    (m,) = record["region"]["params"]
+    ratios = record["residue_ratio_of_size_sq"]
+    for r, c in record["residue_counts"].items():
+        assert ratios[r] == ratio12(c, m * m), (m, r)
+    count, sums, averages = record["total_orbits"], record["sums"], record["averages"]
+    assert averages["perimeter"] == ratio12(sums["perimeter"], count), m
+    assert averages["box_side"] == ratio12(sums["box_side"], count), m
+    assert averages["diameter"] == root_ratio12(2 * sums["diam_multiplier"] ** 2, count), m
+
+
+def test_census_ratios_are_correctly_rounded():
+    # every ratio that census --square M --mod d prints, M <= 3000; the
+    # averages do not depend on d
+    for m in range(1, 3001):
+        _assert_rounded_once(modular_census(m, 2).to_json_dict())
+        for d in (8, 9, 16):
+            record = modular_census(m, d).to_json_dict()
+            ratios = record["residue_ratio_of_size_sq"]
+            for r, c in record["residue_counts"].items():
+                assert ratios[r] == ratio12(c, m * m), (m, d, r)
+
+
+def test_census_ratios_are_correctly_rounded_at_random_sizes():
+    rng = random.Random(26)
+    for _ in range(400):
+        m = rng.randint(1, 10 ** rng.randint(1, 40))
+        _assert_rounded_once(modular_census(m, rng.choice((2, 3, 8, 9, 16, 17))).to_json_dict())
+    _assert_rounded_once(modular_census(10**110, 8).to_json_dict())
+
+
+def test_census_rounding_at_ties_and_powers_of_ten():
+    # sqrt(p^2) / q on 13-digit decimals, half of them ties at 12 digits,
+    # and on values that round up to the next power of ten
+    rng = random.Random(5)
+    for _ in range(2000):
+        p = rng.randint(10**11, 10**12 - 1) * 10 + rng.choice((5, 5, 4, 6))
+        q = 10 ** rng.randint(0, 30)
+        t = rng.randint(1, 10**20)
+        assert census._digits12((p * t) ** 2, q * t) == ratio12(p, q), (p, q, t)
+    for p, q, value in (
+        (91164, 1280**2, 0.0556420898438),
+        (1, 8, 0.125),
+        (9999999999995, 10**13, 1.0),
+        (9999999999994999, 10**16, 0.999999999999),
+        (10**400 - 1, 10**400, 1.0),
+        (0, 7, 0.0),
+    ):
+        assert census._digits12(p * p, q) == value == ratio12(p, q), (p, q)
+
+
+def test_census_average_too_large_for_a_double_raises():
+    # the average length 14M/3 passes the largest double
+    with pytest.raises(OverflowError):
+        modular_census(4 * 10**307, 8).to_json_dict()
+    with pytest.raises(OverflowError):
+        census._digits12(10**618, 1)
+
+
+def test_diametral_fractions_are_correctly_rounded():
+    for size in range(1, 301):
+        for region in (
+            Region.square(size), Region.sym_square(size), Region.hexagon(size), Region.disk(size)
+        ):
+            record = diametral_report(region).to_json_dict()
+            fraction = ratio12(record["diametral_points"], record["total_points"])
+            assert record["diametral_fraction"] == fraction, region
+    assert diametral_report(Region.rect(1, 0, 0, 0)).to_json_dict()["diametral_fraction"] == 0.0
+
+
+def test_orbit_diameter_average_is_correctly_rounded():
+    # sqrt(2) s / c rounded once, to the nearest double
+    for m in [*range(1, 5001), 10**40 + 7, 10**110]:
+        _, count, length = square_orbit_sums(m)
+        assert square_orbit_averages(m).diameter == root_double(2 * (length // 4) ** 2, count), m
 
 
 def test_disk_length_stats_small():

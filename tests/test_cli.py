@@ -500,6 +500,71 @@ def test_census_diametral(capsys):
     assert 0.18 < payload["diametral_fraction"] < 0.23
 
 
+@pytest.mark.parametrize(
+    "m, d, line",
+    [
+        # 220891 / 1992^2 = 0.0556671969000499...
+        (1992, 9, '"3": 0.0556671969,'),
+        # 91164 / 1280^2 = 0.05564208984375, a tie, rounded to even
+        (1280, 9, '"2": 0.0556420898438,'),
+        (1280, 9, '"5": 0.0556420898438,'),
+        (3200, 9, '"2": 0.0555903320312,'),
+        # sqrt(2) 16676598114 / 4675682 = 5044.028064154999...
+        (3057, 2, '"diameter": 5044.02806415,'),
+    ],
+)
+def test_census_prints_each_ratio_rounded_once(capsys, m, d, line):
+    code, out, _ = run_cli(capsys, "census", "--square", str(m), "--mod", str(d))
+    assert code == 0
+    assert f"\n    {line}\n" in out
+
+
+def test_census_headline_prints_the_record(capsys):
+    code, out, err = run_cli(capsys, "census", "--square", "1992", "--mod", "9")
+    assert code == 0
+    assert "3: 220891 (0.0556671969 M^2), 4: 220449 (" in err
+    record = json.loads(out)
+    ratios = record["residue_ratio_of_size_sq"]
+    counts = ", ".join(f"{r}: {c} ({ratios[r]} M^2)" for r, c in record["residue_counts"].items())
+    assert err == f"orbits by length mod 9: {counts}\n"
+    code, out, err = run_cli(capsys, "census", "--hexagon", "1", "--diametral")
+    assert (code, err) == (0, "diametral fraction: 0.285714285714\n")
+    assert json.loads(out)["diametral_fraction"] == 0.285714285714
+
+
+def test_census_mod_past_a_double_average_exits_2():
+    # the average length, about 14M/3, passes the largest double
+    proc = run_cli_process("census", "--square", str(4 * 10**307), "--mod", "8")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "inf" not in proc.stderr.lower()
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        (["orbit", "-3,4"], ["orbit", "--", "-3,4"]),
+        (["trace", "-3,4", "--word", "1"], ["trace", "--word", "1", "--", "-3,4"]),
+        (["render", "--point", "-3,4"], ["render", "--point=-3,4"]),
+        (["census", "--rect", "-5,5,-5,5", "--diametral"], ["census", "--rect=-5,5,-5,5", "--diametral"]),
+    ],
+    ids=["orbit", "trace", "render", "census"],
+)
+def test_comma_lists_may_start_with_minus(capsys, argv, same):
+    result = run_cli(capsys, *argv)
+    assert result[0] == 0, result
+    assert result == run_cli(capsys, *same)
+
+
+def test_minus_lists_keep_help_and_rejections(capsys):
+    code, out, err = run_cli(capsys, "orbit", "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: aughts orbit")
+    for argv in (["orbit", "-x"], ["orbit", "-3"], ["orbit", "-3,x"], ["orbit", "-1,,2"],
+                 ["census", "--rect", "-5,5,-5", "--diametral"]):
+        assert _refused_with_one_line(capsys, *argv), argv
+
+
 def test_census_diametral_near_2_31(capsys):
     code, out, _ = run_cli(
         capsys, "census", "--rect=2147483348,2147483349,2147483348,2147483548", "--diametral"
