@@ -191,14 +191,6 @@ class Region:
         return {"kind": self.kind, "params": list(self.params)}
 
 
-def _check_cells(region: Region, limit: int, what: str) -> None:
-    """Stop before a scan whose bounding box has more than ``limit`` cells."""
-    xmin, xmax, ymin, ymax = region.bounds()
-    cells = max(xmax - xmin + 1, 0) * max(ymax - ymin + 1, 0)
-    if cells > limit:
-        raise ResourceLimitError(f"{what} needs {cells} cells, budget is {limit}")
-
-
 # Largest |coordinate| of a region: no int64 row, block or square here wraps.
 COORD_LIMIT = 2**31
 
@@ -292,11 +284,18 @@ class CensusReport:
             out["residue_ratio_of_size_sq"] = {
                 str(r): _digits12(c * c, m * m) for r, c in self.residue_counts.items()
             }
-            out["averages"] = {
-                "diameter": _digits12(2 * s * s, count),
-                "perimeter": _digits12(self.sum_perimeter**2, count),
-                "box_side": _digits12(self.sum_box_side**2, count),
-            }
+            try:
+                out["averages"] = {
+                    "diameter": _digits12(2 * s * s, count),
+                    "perimeter": _digits12(self.sum_perimeter**2, count),
+                    "box_side": _digits12(self.sum_box_side**2, count),
+                }
+            except OverflowError:
+                # the perimeter, the largest of the three, is the first to overflow
+                raise OverflowError(
+                    "the average perimeter, about 14M/3, exceeds the largest double;"
+                    " M up to about 3.8522e307 answers"
+                ) from None
         else:
             out["diametral_points"] = self.diametral_points
             out["diametral_fraction"] = _digits12(self.diametral_points**2, self.total_points)
@@ -677,7 +676,6 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
         raise ResourceLimitError(
             f"angular histogram needs up to {work} rows and crossings, budget is {_HISTOGRAM_WORK}"
         )
-    even, odd = _rays(bins)
     total = np.zeros(bins, dtype=np.int64)
     dia = np.zeros(bins, dtype=np.int64)
     half = bins // 2
@@ -685,9 +683,9 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
         below = int(np.searchsorted(ys, 0))
         above = int(np.searchsorted(ys, 0, side="right"))
         # the rows below the axis turned by pi, then those above
-        _add_rows(odd if bins % 2 else even, -ys[:below], -hi[:below], -lo[:below],
+        _add_rows(bins, bins % 2, -ys[:below], -hi[:below], -lo[:below],
                   total[half:], dia[half:])
-        _add_rows(even, ys[above:], lo[above:], hi[above:], total, dia)
+        _add_rows(bins, 0, ys[above:], lo[above:], hi[above:], total, dia)
         if below < above:
             x0, x1 = int(lo[below]), int(hi[below])
             total[0] += max(0, x1 - max(x0, 1) + 1)
@@ -707,20 +705,21 @@ def _histogram_work(region: Region, bins: int) -> int:
     x0, x1, y0, y1 = region.bounds()
     if x0 > x1 or y0 > y1:
         return 0
-    even, odd = _rays(bins)
+    cot, _ = _rays(bins)
     work = y1 - y0 + 1
     # the rows above the axis, then those below turned by pi
-    for rays, ya, yb, xa, xb in (
-        (even, max(y0, 1), y1, x0, x1),
-        (odd if bins % 2 else even, max(-y1, 1), -y0, -x1, -x0),
+    for parity, ya, yb, xa, xb in (
+        (0, max(y0, 1), y1, x0, x1),
+        (bins % 2, max(-y1, 1), -y0, -x1, -x0),
     ):
         if ya > yb:
             continue
-        cot = rays.cot[rays.cot != 0]
-        ends = np.sort([(xa - 1) / cot, (xb + 1) / cot], axis=0)
+        rays = cot[2 - parity :: 2]
+        slanted = rays[rays != 0]
+        ends = np.sort([(xa - 1) / slanted, (xb + 1) / slanted], axis=0)
         first, last = np.maximum(np.floor(ends[0]), ya), np.minimum(np.ceil(ends[1]), yb)
         work += int(np.maximum(last - first + 1, 0).sum())
-        work += (rays.cot.size - cot.size) * (xa <= 0 <= xb) * (yb - ya + 1)
+        work += (rays.size - slanted.size) * (xa <= 0 <= xb) * (yb - ya + 1)
     return work
 
 
@@ -729,17 +728,18 @@ def _histogram_work(region: Region, bins: int) -> int:
 _PAIR_PIECE = 2**16
 
 
-def _add_rows(rays: "_Rays", y, lo, hi, total, dia) -> None:
+def _add_rows(bins: int, parity: int, y, lo, hi, total, dia) -> None:
     """Add rows y > 0 with nonempty spans [lo, hi] to the bins ``total`` and
-    ``dia``, which start with the bin before ray 0 of ``rays``.  A row's
-    points are past each ray before ``first``, where fl(cot) > fl(hi / y),
-    and past none from ``stop`` on, where fl(cot) < fl(lo / y): the row
-    goes to bin ``first``, and each ray in between moves its points up."""
+    ``dia`` of a half-plane turned above the axis: bin i lies before ray i,
+    psi_j for j = 2i + 2 - parity < bins.  A row's points are past each ray
+    before ``first``, where fl(cot) > fl(hi / y), and past none from
+    ``stop`` on, where fl(cot) < fl(lo / y): the row goes to bin ``first``,
+    and each ray in between moves its points up.  Each row or crossing adds
+    at most 2^32 + 1 to a bin, and the work budget allows fewer than 2^27 of
+    them, so the int64 sums are exact."""
     if not y.size:
         return
-    size = rays.cot.size + 1
-    total, dia = total[:size], dia[:size]
-    key = -rays.cot  # ascending
+    key = -_rays(bins)[0][2 - parity :: 2]  # ascending
     end = -(hi / y)
     first = np.searchsorted(key, end, "left")
     # cot descends strictly, so a one-point row ties with at most one ray
@@ -748,29 +748,25 @@ def _add_rows(rays: "_Rays", y, lo, hi, total, dia) -> None:
     stop[wide] = np.searchsorted(key, -(lo[wide] / y[wide]), "right")
     cone_lo, cone_hi = _cone_span(y)
     cone_lo, cone_hi = np.maximum(cone_lo, lo), np.minimum(cone_hi, hi)
-    total += _bin_sums(first, hi - lo + 1, size)
-    dia += _bin_sums(first, np.maximum(cone_hi - cone_lo + 1, 0), size)
+    np.add.at(total, first, hi - lo + 1)
+    np.add.at(dia, first, np.maximum(cone_hi - cone_lo + 1, 0))
     crossing = np.flatnonzero(stop > first)
+    first_j = 2 * first + (2 - parity)
     for rows, taken, rank in _runs(stop[crossing] - first[crossing], _PAIR_PIECE):
         row = np.repeat(crossing[rows], taken)
-        ray = first[row] + rank
-        floors = rays.floors(y[row], ray)
-        # ray i parts bin i from bin i + 1
+        j = first_j[row]
+        j += 2 * rank
+        floors = _floors(bins, y[row], j)
         for out, moved in (
             (total, floors - lo[row] + 1),
             (dia, np.maximum(np.minimum(floors, cone_hi[row]) - cone_lo[row] + 1, 0)),
         ):
-            up = _bin_sums(ray, moved, size - 1)
-            out[1:] += up
-            out[:-1] -= up
-
-
-def _bin_sums(index: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
-    """Sum of counts per index, in int64.  A call sums at most 2^16 counts,
-    a ``_CHUNK_ROWS`` chunk of rows or a ``_PAIR_PIECE`` of pairs, each at
-    most a row's width, 2^32 + 1 within ``COORD_LIMIT``, so every partial
-    sum is below 2^49 and the float sums of bincount are exact."""
-    return np.bincount(index, weights=counts, minlength=size).astype(np.int64)
+            up = np.zeros(bins, dtype=np.int64)
+            np.add.at(up, j, moved)
+            # ray i parts bin i from bin i + 1
+            up = up[2 - parity :: 2]
+            out[1 : up.size + 1] += up
+            out[: up.size] -= up
 
 
 def _runs(counts: np.ndarray, limit: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
@@ -791,55 +787,39 @@ def _runs(counts: np.ndarray, limit: int) -> Iterator[tuple[slice, np.ndarray, n
         yield rows, taken, np.arange(done, stop) - np.repeat(starts[rows], taken)
 
 
-@dataclass(frozen=True)
-class _Rays:
-    """The rays psi_j = pi j / bins, 0 < j < bins, of one parity of j, in
-    ascending j: the bin boundaries of a half-plane turned above the axis.
-
-    ``cot`` holds cot psi_j correctly rounded: as rounding is monotone, it
-    descends as cot psi_j does, and a float below or above it is below or
-    above cot psi_j.  ``on_quarter`` marks the multiples of pi/4, where it
-    is cot psi_j itself, 1, 0 or -1.
-    """
-
-    bins: int
-    js: np.ndarray
-    cot: np.ndarray
-    on_quarter: np.ndarray
-
-    def floors(self, y: np.ndarray, ray: np.ndarray) -> np.ndarray:
-        """floor(y cot psi) of each row y > 0 and ray index, exactly."""
-        t = y * self.cot[ray]
-        out = np.floor(t)
-        frac = t - out
-        out = out.astype(np.int64)
-        # on a quarter ray t is the integer y cot itself
-        near = np.minimum(frac, 1 - frac) <= 2.0**-50 * (np.abs(t) + 1)
-        for i in np.flatnonzero(near & ~self.on_quarter[ray]).tolist():
-            # floor(y cot) is round(t) or one less
-            m, j = round(t[i]), int(self.js[ray[i]])
-            out[i] = m if _at_or_past(m, int(y[i]), j, self.bins) else m - 1
-        return out
+def _floors(bins: int, y: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """floor(y cot psi_j) of each row y > 0 and its ray's j, exactly."""
+    cot, quarter = _rays(bins)
+    t = y * cot[j]
+    out = np.floor(t)
+    frac = t - out
+    out = out.astype(np.int64)
+    # on a quarter ray t is the integer y cot itself
+    near = np.minimum(frac, 1 - frac) <= 2.0**-50 * (np.abs(t) + 1)
+    for i in np.flatnonzero(near & ~quarter[j]).tolist():
+        # floor(y cot) is round(t) or one less
+        m = round(t[i])
+        out[i] = m if _at_or_past(m, int(y[i]), int(j[i]), bins) else m - 1
+    return out
 
 
 @lru_cache(maxsize=8)
-def _rays(bins: int) -> tuple[_Rays, _Rays]:
-    """The rays of even j and of odd j for a histogram of ``bins`` bins."""
-    cot = [0.0] * bins  # of psi_j, 0 < j < bins; cot psi_(bins-j) = -cot psi_j
+def _rays(bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cot, quarter) of the rays psi_j = pi j / bins, indexed by j for
+    0 < j < bins: the bin boundaries of either half-plane turned above the
+    axis.  ``cot`` holds cot psi_j correctly rounded: as rounding is
+    monotone, it descends as cot psi_j does, and a float below or above it
+    is below or above cot psi_j.  ``quarter`` marks the multiples of pi/4,
+    where it is cot psi_j itself, 1, 0 or -1.  Entry 0 is unused."""
+    cot = [0.0] * bins  # cot psi_(bins-j) = -cot psi_j
     for j in range(1, bins // 2 + 1):
         cot[j] = float(2 * j < bins) if 4 * j % bins == 0 else _cot(j, bins)
         if 2 * j < bins:
             cot[bins - j] = -cot[j]
-    cot = np.array(cot)
-    on_quarter = 4 * np.arange(bins) % bins == 0
-    halves = []
-    for parity in (0, 1):
-        js = np.arange(2 - parity, bins, 2)
-        arrays = [js, cot[js], on_quarter[js]]
-        for array in arrays:
-            array.setflags(write=False)  # cached: shared by every caller
-        halves.append(_Rays(bins, *arrays))
-    return tuple(halves)
+    arrays = np.array(cot), 4 * np.arange(bins) % bins == 0
+    for array in arrays:
+        array.setflags(write=False)  # cached: shared by every caller
+    return arrays
 
 
 def _cot(j: int, bins: int) -> float:

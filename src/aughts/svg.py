@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aughts.census import Region, _check_cells, _iter_blocks
+from aughts.census import Region, _iter_blocks
+from aughts.errors import ResourceLimitError
 from aughts.orbits import Point, _in_cone, _semi_perimeter, orbit2d
 
 PIXEL_BUDGET = 1_500_000
@@ -77,13 +78,21 @@ class RenderSpec:
 
 
 def render_svg(spec: RenderSpec) -> str:
-    if spec.mode == "mod_color":
-        return _render_cells(spec, _mod_colors)
-    if spec.mode == "diametral":
-        return _render_cells(spec, _diametral_colors)
+    if spec.mode == "single_orbit":
+        return _render_single_orbit(spec)
+    _check_cells(spec.region)
     if spec.mode == "projection":
         return _render_projection(spec)
-    return _render_single_orbit(spec)
+    return _render_cells(spec, _mod_colors if spec.mode == "mod_color" else _diametral_colors)
+
+
+def _check_cells(region: Region) -> None:
+    """Stop before a scanned render whose bounding box has more than
+    ``PIXEL_BUDGET`` cells."""
+    xmin, xmax, ymin, ymax = region.bounds()
+    cells = max(xmax - xmin + 1, 0) * max(ymax - ymin + 1, 0)
+    if cells > PIXEL_BUDGET:
+        raise ResourceLimitError(f"render needs {cells} cells, budget is {PIXEL_BUDGET}")
 
 
 def _mod_colors(
@@ -100,7 +109,6 @@ def _diametral_colors(
 
 
 def _render_cells(spec: RenderSpec, colorizer) -> str:
-    _check_cells(spec.region, PIXEL_BUDGET, "render")
     xmin, xmax, ymin, ymax = spec.region.bounds()
     s = spec.scale
     # an empty rect has a side of 0, not a negative one
@@ -129,7 +137,6 @@ def _render_cells(spec: RenderSpec, colorizer) -> str:
 
 
 def _render_projection(spec: RenderSpec) -> str:
-    _check_cells(spec.region, PIXEL_BUDGET, "render")
     radius_px = 220
     margin = 20
     size = 2 * (radius_px + margin)

@@ -65,7 +65,7 @@ import numpy as np
 
 from aughts import atlas, intmat, orbits, verify
 from aughts.atlas import ConsistencyError, psi
-from aughts.census import _BLOCK_POINTS, Region, _check_cells, _iter_blocks
+from aughts.census import _BLOCK_POINTS, Region, _iter_blocks
 from aughts.intmat import INT64_MAX, SmallIntMatrix, _check_dim, _check_index
 from aughts.orbits import _in_cone, _semi_perimeter
 from aughts.signed_perm import (
@@ -76,7 +76,7 @@ from aughts.signed_perm import (
     identity_element,
     msih_mul,
 )
-from aughts.svg import DIAMETRAL_COLOR, OTHER_COLOR, PIXEL_BUDGET, _svg_open
+from aughts.svg import DIAMETRAL_COLOR, OTHER_COLOR, _check_cells, _svg_open
 
 
 def k_step(p, j):
@@ -666,7 +666,7 @@ def per_cell_render(spec):
 
 
 def _per_cell_rects(spec):
-    _check_cells(spec.region, PIXEL_BUDGET, "render")
+    _check_cells(spec.region)
     xmin, xmax, ymin, ymax = spec.region.bounds()
     s = spec.scale
     # an empty rect has a side of 0, not a negative one
@@ -690,7 +690,7 @@ def _per_cell_rects(spec):
 
 
 def _per_cell_projection(spec):
-    _check_cells(spec.region, PIXEL_BUDGET, "render")
+    _check_cells(spec.region)
     radius_px = 220
     margin = 20
     size = 2 * (radius_px + margin)

@@ -763,11 +763,11 @@ def test_projection_histogram_of_a_disk_past_the_cell_count():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_histogram_work_bounds_the_rows_and_crossings(monkeypatch, seed):
-    # every crossed (row, ray) pair goes through _Rays.floors once
+    # every crossed (row, ray) pair goes through _floors once
     crossed = []
-    floors = census._Rays.floors
+    floors = census._floors
     monkeypatch.setattr(
-        census._Rays, "floors", lambda self, y, ray: crossed.append(y.size) or floors(self, y, ray)
+        census, "_floors", lambda bins, y, j: crossed.append(y.size) or floors(bins, y, j)
     )
     rng = random.Random(seed)
     for _ in range(40):
@@ -1060,6 +1060,24 @@ def test_projection_histogram_rects_match_exact_oracle(x0, y0, w, h, bins):
     _assert_exact_bins(Region.rect(x0, x0 + w, y0, y0 + h), bins)
 
 
+@pytest.mark.parametrize("bins", [9, 64, 360])
+@pytest.mark.parametrize("chunk_rows", [1, 7])
+@pytest.mark.parametrize("pair_piece", [1, 3, 64])
+@pytest.mark.parametrize(
+    "region",
+    [Region.disk(10), Region.hexagon(7), Region.rect(-4, 5, -8, 2), Region.rect(0, 0, -30, 30)],
+    ids=lambda r: f"{r.kind}{list(r.params)}",
+)
+def test_projection_histogram_at_small_chunks_and_pieces(
+    monkeypatch, region, pair_piece, chunk_rows, bins
+):
+    # small pieces split a row's crossings across two of them, and small
+    # chunks put the rows of y < 0, y = 0 and y > 0 apart
+    monkeypatch.setattr(census, "_PAIR_PIECE", pair_piece)
+    monkeypatch.setattr(census, "_CHUNK_ROWS", chunk_rows)
+    _assert_exact_bins(region, bins)
+
+
 def _convergents(low, high):
     """The continued-fraction convergents p/q shared by all of [low, high]."""
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -1123,8 +1141,9 @@ def test_direction_brackets_agree_with_the_oracle(bins):
 def test_projection_histogram_bins_limit():
     # up to the limit the rounded cotangents of one half descend strictly,
     # so no two rays tie in float
-    for rays in census._rays(census.BINS_LIMIT):
-        assert np.all(np.diff(rays.cot) < 0)
+    cot, _ = census._rays(census.BINS_LIMIT)
+    for parity in (0, 1):
+        assert np.all(np.diff(cot[2 - parity :: 2]) < 0)
     with pytest.raises(ResourceLimitError):
         projection_histogram(Region.disk(1), census.BINS_LIMIT + 1)
 
@@ -1134,9 +1153,8 @@ def test_ray_cotangents_are_correctly_rounded(bins):
     # psi_j = pi j / bins is the oracle's 2 pi j / (2 bins); where the four
     # corners c / s of its 256-bit brackets round to one float, so does the
     # cotangent, and the ray must hold that float
-    cot = {}
-    for rays in census._rays(bins):
-        cot.update(zip(rays.js.tolist(), rays.cot.tolist()))
+    cot, _ = census._rays(bins)
+    assert cot.size == bins
     checked = 0
     for j in range(1, bins, max(1, bins // 64)):
         c0, c1, s0, s1 = cos_sin_bracket(j, 2 * bins, 256)

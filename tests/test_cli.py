@@ -533,12 +533,19 @@ def test_census_headline_prints_the_record(capsys):
 
 
 def test_census_mod_past_a_double_average_exits_2():
-    # the average length, about 14M/3, passes the largest double
-    proc = run_cli_process("census", "--square", str(4 * 10**307), "--mod", "8")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr and "inf" not in proc.stderr.lower()
+    # the average perimeter, about 14M/3, passes the largest double just
+    # past the largest M that answers, where it rounds to 1.79769313486e+308
+    largest = int("38521995747107" + "142857" * 49)
+    proc = run_cli_process("census", "--square", str(largest), "--mod", "8")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["averages"]["perimeter"] == 1.79769313486e308
+    for m in (largest + 1, 4 * 10**307):
+        proc = run_cli_process("census", "--square", str(m), "--mod", "8")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: the average perimeter, about 14M/3, exceeds the largest double;"
+            " M up to about 3.8522e307 answers\n"
+        )
 
 
 @pytest.mark.parametrize(
