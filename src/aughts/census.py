@@ -23,12 +23,12 @@ so a float quotient x/y below or above it is so for certain, and a float
 floor off its margin is exact, with integer brackets of cos and sin deciding
 the rest.  No count loops over rows in Python: ``_rows`` gives them in chunks
 of up to 2^16 as int64 arrays with their ``Region.row_spans`` x-ranges, and
-numpy does the rest, so a row costs tens of nanoseconds and ``ROW_LIMIT``
-bounds the disk's work, as a bound on rows and crossings does the
-histogram's.  Only the SVG renders scan points: ``_runs`` cuts each chunk
-into blocks of at most 2^15 int64 points, as it cuts the histogram's crossed
-(row, ray) pairs into pieces.  The orbit length, the cone's row form and the
-cone test are defined once, in ``aughts.orbits``, for ints and arrays alike.
+numpy does the rest, so a row costs tens of nanoseconds and ``WORK_LIMIT``
+bounds the rows and crossings that the disk counts and the histogram read.
+Only the SVG renders scan points: ``_runs`` cuts each chunk into blocks of
+at most ``_RUN`` int64 points, as it cuts the histogram's crossed (row, ray)
+pairs into pieces.  The orbit length, the cone's row form and the cone test
+are defined once, in ``aughts.orbits``, for ints and arrays alike.
 Every census, average and length statistic is exact at every size >= 1, and
 each scalar argument enters through ``operator.index``, as a ``Region``'s
 params do, so a numpy integer becomes an int and no Python-int formula wraps
@@ -50,27 +50,24 @@ import numpy as np
 from aughts.errors import ResourceLimitError
 from aughts.orbits import _cone_span, _semi_perimeter
 
-# Points per scan block, so a block's arrays stay a few MB however wide the rows.
-_BLOCK_POINTS = 2**15
 # Rows per chunk of the row counts and the scan, so a chunk's arrays stay a
 # few MB however many rows a region has.
 _CHUNK_ROWS = 2**16
-# Rows plus crossed (row, boundary) pairs an angular histogram may take, as
-# bounded by ``_histogram_work``.  A row costs 60-70 ns and a crossing 30-75
-# ns, so its slowest calls at the limit take about 7 s, as one column of 10^8
-# rows did under the old bounding-box budget: 2.25*10^7 rows crossing three
-# boundaries each at 8 bins take 6.9 s, and one column of 9*10^7 rows 5.7 s
-# (2-vCPU VM).
-_HISTOGRAM_WORK = 9 * 10**7
+# Items per run of ``_runs``: points per scan block and crossed (row, ray)
+# pairs per histogram piece, so a run's arrays stay a few MB however wide the
+# rows or however many rays they cross.
+_RUN = 2**15
+# Rows plus crossed (row, ray) pairs a row count may read: R + 1 rows for a
+# disk count, and for an angular histogram at most ``_histogram_work``, both
+# checked before any row is read.  The disk lengths, the slowest, take about
+# 120 ns a row, so about 11 s at the limit; a histogram row takes 60-70 ns and
+# a crossing 30-75 ns (2-vCPU VM).  Below 2^27, so no doubled int64 row sum of
+# the disk lengths and no int64 bin sum of a histogram wraps, and every disk
+# within it lies inside the 2^31 guard.
+WORK_LIMIT = 9 * 10**7
 # Bins of an angular histogram: it brackets every boundary's cotangent once,
 # about 8 us a bin (0.5 s at the limit).
 BINS_LIMIT = 2**16
-# Rows of a disk count, 2R + 1, so a large radius stops at once instead of
-# running for hours.  The counts read rows 0..R; the lengths, the slower, take
-# about 100 ns a row read: their worst case, r = 31,999,999, took 3.2 s on a
-# 2-vCPU VM.  Kept below 2^29 so that no doubled int64 row sum of the lengths
-# can wrap, and so every disk within it lies inside the 2^31 guard.
-ROW_LIMIT = 64_000_000
 # Largest modulus of a census: it builds and prints one count per residue.
 MODULUS_LIMIT = 2**16
 
@@ -222,14 +219,13 @@ def _iter_blocks(region: Region) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the region's points as (x1, x2) arrays in row-major order.
 
     Rows ascend in y and each row ascends in x over its ``row_span``.  Each
-    chunk of ``_rows`` is cut by ``_runs`` into blocks of up to
-    _BLOCK_POINTS points, a wider row split across blocks; no block is empty
-    or spans two chunks.  A chunk of 2^16 box rows holds whole blocks, so
-    only a disk or hexagon of more than 2^16 rows has a short block before
-    its last.
+    chunk of ``_rows`` is cut by ``_runs`` into blocks of up to ``_RUN``
+    points, a wider row split across blocks; no block is empty or spans two
+    chunks.  A chunk of 2^16 box rows holds whole blocks, so only a disk or
+    hexagon of more than 2^16 rows has a short block before its last.
     """
     for ys, lo, hi in _rows(region):
-        for rows, taken, rank in _runs(hi - lo + 1, _BLOCK_POINTS):
+        for rows, taken, rank in _runs(hi - lo + 1):
             yield np.repeat(lo[rows], taken) + rank, np.repeat(ys[rows], taken)
 
 
@@ -502,12 +498,12 @@ def diametral_report(region: Region) -> CensusReport:
 
 def _disk_rows(disk: Region, what: str) -> Iterator[tuple[np.ndarray, ...]]:
     """The disk's rows 0..R as int64 chunks (ys, half-widths, weights), after
-    the disk counts' one ``ROW_LIMIT`` check, whose message ``what`` begins.
-    Row -y holds the negatives of row y's points, so a row y > 0 weighs 2,
-    for itself and row -y, and row 0 weighs 1."""
+    the disk counts' one ``WORK_LIMIT`` check on those R + 1 rows, whose
+    message ``what`` begins.  Row -y holds the negatives of row y's points,
+    so a row y > 0 weighs 2, for itself and row -y, and row 0 weighs 1."""
     (r,) = disk.params
-    if 2 * r + 1 > ROW_LIMIT:
-        raise ResourceLimitError(f"{what} {2 * r + 1} rows, limit is {ROW_LIMIT}")
+    if r + 1 > WORK_LIMIT:
+        raise ResourceLimitError(f"{what} {r + 1} rows, budget is {WORK_LIMIT}")
     for ys, _, half in _rows(disk, 0):
         yield ys, half, 2 - (ys == 0)
 
@@ -648,7 +644,7 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
     bin of its right end, and each ray between its ends' bins then moves
     its floor(y cot psi_j) - lo + 1 points at or past it, and as many of its
     cone span's, up one bin.  So the work is O(rows + crossed (row, ray)
-    pairs), at most O(points), and the pairs go in pieces of at most 2^16.
+    pairs), at most O(points), and the pairs go in pieces of at most ``_RUN``.
 
     The comparisons are float, and exact.  ``_rays`` stores fl(cot), the
     cotangent correctly rounded, and as |x|, y <= 2^31 are exact in float64,
@@ -672,9 +668,9 @@ def projection_histogram(region: Region, bins: int) -> ProjectionHistogram:
         raise ResourceLimitError(f"{bins} bins exceed the limit {BINS_LIMIT}")
     _check_coords(region)
     work = _histogram_work(region, bins)
-    if work > _HISTOGRAM_WORK:
+    if work > WORK_LIMIT:
         raise ResourceLimitError(
-            f"angular histogram needs up to {work} rows and crossings, budget is {_HISTOGRAM_WORK}"
+            f"angular histogram needs up to {work} rows and crossings, budget is {WORK_LIMIT}"
         )
     total = np.zeros(bins, dtype=np.int64)
     dia = np.zeros(bins, dtype=np.int64)
@@ -723,11 +719,6 @@ def _histogram_work(region: Region, bins: int) -> int:
     return work
 
 
-# (row, ray) pairs per piece, so a piece's arrays stay a few MB however many
-# rays the rows cross.
-_PAIR_PIECE = 2**16
-
-
 def _add_rows(bins: int, parity: int, y, lo, hi, total, dia) -> None:
     """Add rows y > 0 with nonempty spans [lo, hi] to the bins ``total`` and
     ``dia`` of a half-plane turned above the axis: bin i lies before ray i,
@@ -752,7 +743,7 @@ def _add_rows(bins: int, parity: int, y, lo, hi, total, dia) -> None:
     np.add.at(dia, first, np.maximum(cone_hi - cone_lo + 1, 0))
     crossing = np.flatnonzero(stop > first)
     first_j = 2 * first + (2 - parity)
-    for rows, taken, rank in _runs(stop[crossing] - first[crossing], _PAIR_PIECE):
+    for rows, taken, rank in _runs(stop[crossing] - first[crossing]):
         row = np.repeat(crossing[rows], taken)
         j = first_j[row]
         j += 2 * rank
@@ -769,16 +760,16 @@ def _add_rows(bins: int, parity: int, y, lo, hi, total, dia) -> None:
             out[: up.size] -= up
 
 
-def _runs(counts: np.ndarray, limit: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+def _runs(counts: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The items counted per row, numbered row-major, in runs of at most
-    ``limit``: each run as (the slice of its rows, the items it takes of
-    each, each item's rank within its row).  Callers spread per-row values
-    over the items with ``np.repeat(values[rows], taken)``."""
+    ``_RUN``: each run as (the slice of its rows, the items it takes of each,
+    each item's rank within its row).  Callers spread per-row values over
+    the items with ``np.repeat(values[rows], taken)``."""
     ends = np.cumsum(counts)
     starts = ends - counts
     size = int(ends[-1]) if ends.size else 0
-    for done in range(0, size, limit):
-        stop = min(done + limit, size)
+    for done in range(0, size, _RUN):
+        stop = min(done + _RUN, size)
         rows = slice(
             int(np.searchsorted(ends, done, side="right")),
             int(np.searchsorted(ends, stop - 1, side="right")) + 1,

@@ -16,6 +16,7 @@ import contextlib
 import json
 import os
 import re
+import stat
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -150,15 +151,14 @@ def _emit(output: str | Iterable[str], out_path: str | None) -> None:
         _write(sys.stdout, chunks)
         sys.stdout.flush()  # a failed write is an I/O error here, not at exit
         return
-    target = os.path.realpath(out_path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        # a device, FIFO or other special file is written into, not replaced
-        with open(target, "w", encoding="utf-8") as handle:
+    if _writes_into(out_path):
+        with open(out_path, "a", encoding="utf-8") as handle:
             _write(handle, chunks)
         return
     # Write a temp file beside the target and rename it over the target, so
     # a failed write leaves the previous file whole and no partial file. The
     # target is the resolved path, so a symlink keeps pointing at it.
+    target = os.path.realpath(out_path)
     directory, name = os.path.split(target)
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     try:
@@ -171,6 +171,23 @@ def _emit(output: str | Iterable[str], out_path: str | None) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _writes_into(path: str) -> bool:
+    """Whether ``path`` is to be written into, not replaced: a FIFO, device or
+    other file that is not a regular file, or the file that this process's
+    stdout or stderr is open on, as ``/dev/stdout`` or a ``>>`` target is."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return False
+    if not stat.S_ISREG(info.st_mode):
+        return True
+    for fd in (1, 2):
+        with contextlib.suppress(OSError):  # a closed stream
+            if os.path.samestat(info, os.fstat(fd)):
+                return True
+    return False
 
 
 def _write(handle, chunks: Iterable[str]) -> None:

@@ -69,8 +69,8 @@ class Trajectory:
 
     @property
     def distinct_nodes(self) -> int:
-        interior = self.path[:-1] if self.closed and len(self.path) > 1 else self.path
-        return len(set(interior))
+        # a closed path ends on its start, which the set counts once
+        return len(set(self.path))
 
 
 def run_word(x: Sequence[int], word: Iterable[int]) -> Trajectory:

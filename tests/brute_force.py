@@ -65,7 +65,7 @@ import numpy as np
 
 from aughts import atlas, intmat, orbits, verify
 from aughts.atlas import ConsistencyError, psi
-from aughts.census import _BLOCK_POINTS, Region, _iter_blocks
+from aughts.census import _RUN, Region, _iter_blocks
 from aughts.intmat import INT64_MAX, SmallIntMatrix, _check_dim, _check_index
 from aughts.orbits import _in_cone, _semi_perimeter
 from aughts.signed_perm import (
@@ -190,10 +190,10 @@ def diametral_count(region):
 def per_row_blocks(region):
     """The scan blocks of ``census._iter_blocks``, built one row at a time:
     each row's ``row_span`` is cut into segments that fill blocks of
-    ``_BLOCK_POINTS`` points in row-major order."""
+    ``_RUN`` points in row-major order."""
     _, _, ymin, ymax = region.bounds()
     segments = []  # (first x, y, length) of each row segment of the block
-    room = _BLOCK_POINTS
+    room = _RUN
     for y in range(ymin, ymax + 1):
         lo, hi = region.row_span(y)
         while lo <= hi:
@@ -203,7 +203,7 @@ def per_row_blocks(region):
             room -= take
             if room == 0:
                 yield _segment_block(segments)
-                segments, room = [], _BLOCK_POINTS
+                segments, room = [], _RUN
     if segments:
         yield _segment_block(segments)
 

@@ -479,7 +479,7 @@ def test_scan_matches_independent_predicate_across_blocks(region):
     # row-major order, y ascending, then x, with rows wider than a block
     # split; every block but the last is full
     sizes = [x1.size for x1, _ in census._iter_blocks(region)]
-    assert all(n == census._BLOCK_POINTS for n in sizes[:-1])
+    assert all(n == census._RUN for n in sizes[:-1])
     points = scanned_points(region)
     assert points == sorted(points, key=lambda p: (p[1], p[0]))
     xmin, xmax, ymin, ymax = region.bounds()
@@ -538,7 +538,7 @@ def assert_blocks_match_per_row_oracle(region):
         assert x1.dtype == x2.dtype == np.int64
         assert np.array_equal(x1, u1) and np.array_equal(x2, u2)
         count += 1
-    assert count == -(-diametral_report(region).total_points // census._BLOCK_POINTS)
+    assert count == -(-diametral_report(region).total_points // census._RUN)
 
 
 @pytest.mark.parametrize(
@@ -581,7 +581,7 @@ def test_scan_blocks_stay_within_chunks(monkeypatch, region, render, chunk_rows)
         )
     ymin = region.bounds()[2]
     for _, x2 in blocks:
-        assert 1 <= x2.size <= census._BLOCK_POINTS
+        assert 1 <= x2.size <= census._RUN
         assert (x2[0] - ymin) // chunk_rows == (x2[-1] - ymin) // chunk_rows
     # a render's bytes do not depend on where its blocks end
     assert hashlib.sha256(render_svg(render).encode()).hexdigest() == digest
@@ -742,7 +742,7 @@ def test_projection_histogram_work_limit():
     assert sum(histogram.diametral) + sum(histogram.others) == report.total_points
     # past the budget in rows, in crossings and in both, each stops up front
     for region, bins in (
-        (Region.rect(1, 1, 0, census._HISTOGRAM_WORK), 8),
+        (Region.rect(1, 1, 0, census.WORK_LIMIT), 8),
         (Region.rect(-(2**31), 2**31, 1, 10**5), 4096),
         (Region.disk(10**6), 360),
     ):
@@ -799,7 +799,7 @@ def test_diametral_row_limit():
     with pytest.raises(ResourceLimitError):
         diametral_report(Region.disk(2**40))
     with pytest.raises(ResourceLimitError):
-        diametral_report(Region.disk(census.ROW_LIMIT // 2))
+        diametral_report(Region.disk(census.WORK_LIMIT))
 
 
 def test_diametral_row_limit_beyond_2_31():
@@ -812,7 +812,35 @@ def test_diametral_row_limit_beyond_2_31():
 
 def test_disk_length_stats_row_limit():
     with pytest.raises(ResourceLimitError):
-        disk_length_stats(census.ROW_LIMIT // 2)
+        disk_length_stats(census.WORK_LIMIT)
+
+
+def test_disk_counts_and_histogram_share_one_work_budget(monkeypatch):
+    # one row past the budget stops both disk counts up front
+    for count in (lambda r: diametral_report(Region.disk(r)), disk_length_stats):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"{census.WORK_LIMIT + 1} rows, budget is"):
+            count(census.WORK_LIMIT)
+        assert time.perf_counter() - start < 1
+    # at a small budget: R + 1 rows at it answer, one more row stops
+    monkeypatch.setattr(census, "WORK_LIMIT", 40)
+    report = diametral_report(Region.disk(39))
+    assert (report.total_points, report.diametral_points) == per_row_diametral_counts(
+        Region.disk(39)
+    )
+    count, total, maximum = per_row_disk_length_stats(39)
+    assert disk_length_stats(39) == census.DiskLengthStats(39, count, total / count, maximum)
+    with pytest.raises(ResourceLimitError, match="^diametral census needs 41 rows, budget is 40$"):
+        diametral_report(Region.disk(40))
+    with pytest.raises(ResourceLimitError, match="^disk length stats need 41 rows, budget is 40$"):
+        disk_length_stats(40)
+    # a column whose rows and crossings are the budget answers, one unit
+    # more stops
+    assert census._histogram_work(Region.rect(1, 1, 0, 37), 8) == 40
+    _assert_exact_bins(Region.rect(1, 1, 0, 37), 8)
+    assert census._histogram_work(Region.rect(1, 1, 0, 38), 8) == 41
+    with pytest.raises(ResourceLimitError, match="needs up to 41 rows and crossings, budget is 40$"):
+        projection_histogram(Region.rect(1, 1, 0, 38), 8)
 
 
 def test_modulus_limit():
@@ -866,6 +894,12 @@ def test_census_ratios_are_correctly_rounded():
             ratios = record["residue_ratio_of_size_sq"]
             for r, c in record["residue_counts"].items():
                 assert ratios[r] == ratio12(c, m * m), (m, d, r)
+    # just above a power of the base the float estimate of k is one too
+    # large, a digit too many, and _root_digits steps it down
+    p = 1992 * 10**12 + 1
+    assert census._digits12(p * p, 1992) == 1000000000000.0 == ratio12(p, 1992)
+    p = 1992 * 2**40 + 1
+    assert census._root_double(p * p, 1992) == float(Fraction(p, 1992))
 
 
 def test_census_ratios_are_correctly_rounded_at_random_sizes():
@@ -1073,7 +1107,7 @@ def test_projection_histogram_at_small_chunks_and_pieces(
 ):
     # small pieces split a row's crossings across two of them, and small
     # chunks put the rows of y < 0, y = 0 and y > 0 apart
-    monkeypatch.setattr(census, "_PAIR_PIECE", pair_piece)
+    monkeypatch.setattr(census, "_RUN", pair_piece)
     monkeypatch.setattr(census, "_CHUNK_ROWS", chunk_rows)
     _assert_exact_bins(region, bins)
 

@@ -704,6 +704,30 @@ def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "orbit.json"]
 
 
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+@pytest.mark.parametrize("into", ["pipe", "appended-file"])
+def test_out_to_its_own_stdout_or_stderr_writes_into_it(tmp_path, stream, into):
+    # /dev/stdout links to /proc/self/fd/1, whose target for a pipe,
+    # pipe:[N], is no path to replace; a file opened with >> keeps its
+    # earlier lines
+    want = run_cli_process("orbit", "1,2").stdout
+    log = tmp_path / "log.txt"
+    log.write_text("earlier\n")
+    other = "stderr" if stream == "stdout" else "stdout"
+    with open(log, "a") as appended:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aughts.cli", "orbit", "1,2", "--out", f"/dev/{stream}"],
+            text=True, env=_closed_pipe_env(buffered=True), timeout=60,
+            **{stream: subprocess.PIPE if into == "pipe" else appended, other: subprocess.PIPE},
+        )
+    assert (proc.returncode, getattr(proc, other)) == (0, "")
+    if into == "pipe":
+        assert getattr(proc, stream) == want
+    else:
+        assert log.read_text() == "earlier\n" + want
+    assert [p.name for p in tmp_path.iterdir()] == ["log.txt"]
+
+
 def test_census_mod_beyond_2_31_is_exact():
     # the census has no size cap: at M = 2^31 + 1 it gives the counts of the
     # anti-diagonal oracle, fitted per class of M mod 4
