@@ -18,10 +18,9 @@ import os
 import re
 import stat
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 
-from aughts import atlas, census, orbits, svg, verify
+from aughts import census, orbits
 from aughts.errors import ResourceLimitError
 
 SCHEMA_VERSION = 1
@@ -113,19 +112,34 @@ def _add_region_flags(p: argparse.ArgumentParser, required: bool) -> None:
     region.add_argument("--rect", default=None, metavar="X0,X1,Y0,Y1")
 
 
+# A decimal integer as int() reads it; one that int() refuses is longer than
+# Python's limit on the digits of an integer string.
+_INTEGER = re.compile(r"\s*[-+]?\d+(_\d+)*\s*")
+
+
 def _parse_point(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"malformed coordinates: {text!r}") from exc
+    return _parse_ints(text, "coordinates")
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
     """An all-blank text is the empty word; an empty entry is malformed."""
-    try:
-        return tuple(int(v) for v in text.split(",")) if text.strip() else ()
-    except ValueError as exc:
-        raise UsageError(f"malformed word: {text!r}") from exc
+    return _parse_ints(text, "word") if text.strip() else ()
+
+
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            if not _INTEGER.fullmatch(entry):
+                raise UsageError(f"malformed {what}: {text!r}") from None
+            digits = sum(map(str.isdecimal, entry))
+            raise UsageError(
+                f"{what} entry starting {entry.strip()[:20]!r} has {digits} digits, which exceeds"
+                f" Python's limit of {sys.get_int_max_str_digits()} for an integer string"
+            ) from None
+    return tuple(values)
 
 
 def _region_from_args(args) -> census.Region:
@@ -158,19 +172,24 @@ def _emit(output: str | Iterable[str], out_path: str | None) -> None:
     # Write a temp file beside the target and rename it over the target, so
     # a failed write leaves the previous file whole and no partial file. The
     # target is the resolved path, so a symlink keeps pointing at it.
+    import tempfile
     target = os.path.realpath(out_path)
     directory, name = os.path.split(target)
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # the mode open() would have given
-            _write(handle, chunks)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fd, 0o666 & ~umask)  # the mode open() would have given
+                _write(handle, chunks)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # the error names the path given, not the temp file
+        raise OSError(exc.errno, exc.strerror, out_path) from None
 
 
 def _writes_into(path: str) -> bool:
@@ -201,6 +220,7 @@ def _write(handle, chunks: Iterable[str]) -> None:
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    from aughts import verify
     suites = verify.run_all(args.max_n)
     lines = []
     for suite in suites:
@@ -217,6 +237,7 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def cmd_group(args) -> tuple[int, Iterator[str]]:
+    from aughts import atlas
     # the catalog is built here, so a rejected --dim exits before any output
     return 0, atlas.catalog_chunks(atlas.catalog(args.dim))
 
@@ -277,6 +298,7 @@ def cmd_census(args) -> tuple[int, str]:
 
 
 def cmd_render(args) -> tuple[int, str]:
+    from aughts import svg
     palette = svg.DEFAULT_PALETTE
     if args.palette:
         palette = tuple(c.strip() for c in args.palette.split(","))

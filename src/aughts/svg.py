@@ -5,7 +5,7 @@ is byte-identical across runs for identical inputs: iteration order is fixed
 and all numbers are formatted with explicit precision.
 
 The scanned renders (residue colorings, diametral two-colorings, unit-circle
-projections) emit each scan block of ``census._iter_blocks`` as one string,
+projections) emit each scan block of ``rows._iter_blocks`` as one string,
 made by one join over a table of string pieces; no per-cell string is built.
 A rect cell is three pieces, one per column, row and color: the table holds
 the block's columns as one range, from its least to its greatest, at most
@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aughts.census import Region, _iter_blocks
+from aughts.census import Region
 from aughts.errors import ResourceLimitError
 from aughts.orbits import Point, _in_cone, _semi_perimeter, orbit2d
+from aughts.rows import _iter_blocks
 
 PIXEL_BUDGET = 1_500_000
 

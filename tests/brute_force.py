@@ -18,7 +18,7 @@ word, and laid out field by field as ``json.dumps(indent=2)`` lays it out,
 as the export was written before it joined per-rank piece tables.
 
 The region scans and counts visit one row at a time, in Python ints, as
-the census did before it read whole chunks of rows off ``Region.row_spans``:
+the census did before it read whole chunks of rows off ``rows.row_spans``:
 the scan blocks are filled with row segments, and each row adds its span,
 its intersection with the double cone, found from the cone's inequalities,
 and its closed-form length sum.
@@ -65,9 +65,10 @@ import numpy as np
 
 from aughts import atlas, intmat, orbits, verify
 from aughts.atlas import ConsistencyError, psi
-from aughts.census import _RUN, Region, _iter_blocks
+from aughts.census import Region
 from aughts.intmat import INT64_MAX, SmallIntMatrix, _check_dim, _check_index
 from aughts.orbits import _in_cone, _semi_perimeter
+from aughts.rows import _RUN, _iter_blocks
 from aughts.signed_perm import (
     Permutation,
     SignedPermElement,
@@ -188,7 +189,7 @@ def diametral_count(region):
 
 
 def per_row_blocks(region):
-    """The scan blocks of ``census._iter_blocks``, built one row at a time:
+    """The scan blocks of ``rows._iter_blocks``, built one row at a time:
     each row's ``row_span`` is cut into segments that fill blocks of
     ``_RUN`` points in row-major order."""
     _, _, ymin, ymax = region.bounds()

@@ -35,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aughts
-from aughts import census
+from aughts import census, rows
 from aughts.census import (
     PerimeterStats,
     Region,
@@ -429,7 +429,7 @@ def test_row_span_agrees_with_contains(region):
     # contains and the block scan both read row_span, so the scanned set is
     # checked against the independent predicate
     scanned = set(scanned_points(region))
-    los, his = region.row_spans(np.arange(-12, 13, dtype=np.int64))
+    los, his = rows.row_spans(region, np.arange(-12, 13, dtype=np.int64))
     for y in range(-12, 13):
         lo, hi = region.row_span(y)
         assert (los[y + 12], his[y + 12]) == (lo, hi), y
@@ -458,7 +458,7 @@ def independent_member(region, x, y):
 
 def scanned_points(region):
     points = []
-    for x1, x2 in census._iter_blocks(region):
+    for x1, x2 in rows._iter_blocks(region):
         assert x1.size > 0
         points.extend(zip(x1.tolist(), x2.tolist()))
     return points
@@ -478,8 +478,8 @@ def scanned_points(region):
 def test_scan_matches_independent_predicate_across_blocks(region):
     # row-major order, y ascending, then x, with rows wider than a block
     # split; every block but the last is full
-    sizes = [x1.size for x1, _ in census._iter_blocks(region)]
-    assert all(n == census._RUN for n in sizes[:-1])
+    sizes = [x1.size for x1, _ in rows._iter_blocks(region)]
+    assert all(n == rows._RUN for n in sizes[:-1])
     points = scanned_points(region)
     assert points == sorted(points, key=lambda p: (p[1], p[0]))
     xmin, xmax, ymin, ymax = region.bounds()
@@ -525,7 +525,7 @@ def test_disk_row_spans_are_exact_at_2_31(r):
         np.arange(r - 2000, r + 1), np.arange(-2**31, -2**31 + 3), [2**31],
     ]).astype(np.int64)
     region = Region.disk(r)
-    lo, hi = region.row_spans(ys)
+    lo, hi = rows.row_spans(region, ys)
     assert lo.dtype == hi.dtype == np.int64
     assert list(zip(lo.tolist(), hi.tolist())) == [region.row_span(y) for y in ys.tolist()]
 
@@ -533,12 +533,12 @@ def test_disk_row_spans_are_exact_at_2_31(r):
 def assert_blocks_match_per_row_oracle(region):
     count = 0
     for (x1, x2), (u1, u2) in zip(
-        census._iter_blocks(region), per_row_blocks(region), strict=True
+        rows._iter_blocks(region), per_row_blocks(region), strict=True
     ):
         assert x1.dtype == x2.dtype == np.int64
         assert np.array_equal(x1, u1) and np.array_equal(x2, u2)
         count += 1
-    assert count == -(-diametral_report(region).total_points // census._RUN)
+    assert count == -(-diametral_report(region).total_points // rows._RUN)
 
 
 @pytest.mark.parametrize(
@@ -572,8 +572,8 @@ def test_scan_blocks_stay_within_chunks(monkeypatch, region, render, chunk_rows)
     # hexagon of more than 2^16 rows, billions of points, ends a chunk on a
     # short block; smaller chunks make that happen here.
     digest = hashlib.sha256(render_svg(render).encode()).hexdigest()
-    monkeypatch.setattr(census, "_CHUNK_ROWS", chunk_rows)
-    blocks = list(census._iter_blocks(region))
+    monkeypatch.setattr(rows, "_CHUNK_ROWS", chunk_rows)
+    blocks = list(rows._iter_blocks(region))
     oracle = list(per_row_blocks(region))
     for axis in (0, 1):
         assert np.array_equal(
@@ -581,7 +581,7 @@ def test_scan_blocks_stay_within_chunks(monkeypatch, region, render, chunk_rows)
         )
     ymin = region.bounds()[2]
     for _, x2 in blocks:
-        assert 1 <= x2.size <= census._RUN
+        assert 1 <= x2.size <= rows._RUN
         assert (x2[0] - ymin) // chunk_rows == (x2[-1] - ymin) // chunk_rows
     # a render's bytes do not depend on where its blocks end
     assert hashlib.sha256(render_svg(render).encode()).hexdigest() == digest
@@ -658,7 +658,7 @@ def test_polygon_census_visits_no_rows(monkeypatch):
     def no_rows(*args):
         raise AssertionError("a polygon census visited rows")
 
-    monkeypatch.setattr(census, "_rows", no_rows)
+    monkeypatch.setattr(rows, "_rows", no_rows)
     _, cone, _ = square_orbit_sums(10**6)
     assert diametral_report(Region.square(10**6)).diametral_points == cone - 1
     for region in (
@@ -688,7 +688,7 @@ def test_disk_length_stats_add_rows_without_int64_wrap():
 def test_disk_counts_match_per_row_oracles_at_any_chunk_size(monkeypatch, chunk_rows):
     # the disk counts read rows 0..R only; small chunks put row 0 alone in
     # its chunk, or R in a short last one
-    monkeypatch.setattr(census, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(rows, "_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(chunk_rows)
     for r in [*range(1, 61), *rng.integers(61, 401, size=8).tolist()]:
         report = diametral_report(Region.disk(r))
@@ -765,9 +765,9 @@ def test_projection_histogram_of_a_disk_past_the_cell_count():
 def test_histogram_work_bounds_the_rows_and_crossings(monkeypatch, seed):
     # every crossed (row, ray) pair goes through _floors once
     crossed = []
-    floors = census._floors
+    floors = rows._floors
     monkeypatch.setattr(
-        census, "_floors", lambda bins, y, j: crossed.append(y.size) or floors(bins, y, j)
+        rows, "_floors", lambda bins, y, j: crossed.append(y.size) or floors(bins, y, j)
     )
     rng = random.Random(seed)
     for _ in range(40):
@@ -782,7 +782,7 @@ def test_histogram_work_bounds_the_rows_and_crossings(monkeypatch, seed):
         crossed.clear()
         projection_histogram(region, bins)
         x0, x1, y0, y1 = region.bounds()
-        assert y1 - y0 + 1 + sum(crossed) <= census._histogram_work(region, bins), (region, bins)
+        assert y1 - y0 + 1 + sum(crossed) <= rows._histogram_work(region, bins), (region, bins)
 
 
 def test_diametral_census_small_sizes_match_brute_force():
@@ -836,9 +836,9 @@ def test_disk_counts_and_histogram_share_one_work_budget(monkeypatch):
         disk_length_stats(40)
     # a column whose rows and crossings are the budget answers, one unit
     # more stops
-    assert census._histogram_work(Region.rect(1, 1, 0, 37), 8) == 40
+    assert rows._histogram_work(Region.rect(1, 1, 0, 37), 8) == 40
     _assert_exact_bins(Region.rect(1, 1, 0, 37), 8)
-    assert census._histogram_work(Region.rect(1, 1, 0, 38), 8) == 41
+    assert rows._histogram_work(Region.rect(1, 1, 0, 38), 8) == 41
     with pytest.raises(ResourceLimitError, match="needs up to 41 rows and crossings, budget is 40$"):
         projection_histogram(Region.rect(1, 1, 0, 38), 8)
 
@@ -1107,8 +1107,8 @@ def test_projection_histogram_at_small_chunks_and_pieces(
 ):
     # small pieces split a row's crossings across two of them, and small
     # chunks put the rows of y < 0, y = 0 and y > 0 apart
-    monkeypatch.setattr(census, "_RUN", pair_piece)
-    monkeypatch.setattr(census, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(rows, "_RUN", pair_piece)
+    monkeypatch.setattr(rows, "_CHUNK_ROWS", chunk_rows)
     _assert_exact_bins(region, bins)
 
 
@@ -1165,7 +1165,7 @@ def test_direction_brackets_agree_with_the_oracle(bins):
         for j in range(1, bins, max(1, bins // 16)):
             if 4 * j % bins == 0:
                 continue
-            ours = census._direction(j, bins, k)
+            ours = rows._direction(j, bins, k)
             theirs = cos_sin_bracket(j, 2 * bins, k)
             for i in (0, 2):
                 assert max(ours[i], theirs[i]) <= min(ours[i + 1], theirs[i + 1])
@@ -1175,7 +1175,7 @@ def test_direction_brackets_agree_with_the_oracle(bins):
 def test_projection_histogram_bins_limit():
     # up to the limit the rounded cotangents of one half descend strictly,
     # so no two rays tie in float
-    cot, _ = census._rays(census.BINS_LIMIT)
+    cot, _ = rows._rays(census.BINS_LIMIT)
     for parity in (0, 1):
         assert np.all(np.diff(cot[2 - parity :: 2]) < 0)
     with pytest.raises(ResourceLimitError):
@@ -1187,7 +1187,7 @@ def test_ray_cotangents_are_correctly_rounded(bins):
     # psi_j = pi j / bins is the oracle's 2 pi j / (2 bins); where the four
     # corners c / s of its 256-bit brackets round to one float, so does the
     # cotangent, and the ray must hold that float
-    cot, _ = census._rays(bins)
+    cot, _ = rows._rays(bins)
     assert cot.size == bins
     checked = 0
     for j in range(1, bins, max(1, bins // 64)):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import resource
 import stat
 import subprocess
 import sys
+import textwrap
 import time
 from math import factorial
 from pathlib import Path
@@ -331,6 +333,90 @@ def test_group_dim_7_memory_is_bounded(tmp_path):
     # --out writes the stdout bytes
     digest = {command: d for d, command in CLI_DIGESTS}["aughts group --dim 7"]
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# Commands that compute in Python ints alone, and so never import numpy.
+NUMPY_FREE_COMMANDS = [
+    ["orbit", "10,8,15"],
+    ["trace", "3,5", "--word", "1,2"],
+    ["census", "--square", "1000", "--mod", "8"],
+    ["census", "--hexagon", "1999999", "--diametral"],
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS[::2], ids=" ".join)
+def test_numpy_free_command_memory_is_bounded(tmp_path, argv):
+    # Importing numpy and every module up front peaked at 30 MB.
+    target = tmp_path / "out.json"
+    exit_code, max_rss = _fresh_cli_max_rss(*argv, "--out", str(target))
+    assert exit_code == 0 and json.loads(target.read_text())
+    assert max_rss < 24 * 1024  # kB
+
+
+# Run in a fresh interpreter: what each step has imported, then the exit
+# codes of the commands that need numpy, in the same process.
+_IMPORT_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(argv)
+
+    numpy = {}
+    import aughts
+    numpy["import aughts"] = "numpy" in sys.modules
+    from aughts import orbit2d, Region, modular_census
+    numpy["from aughts import"] = "numpy" in sys.modules
+    from aughts import cli
+    codes = {}
+    for argv in json.loads(sys.argv[1]):
+        codes[" ".join(argv)] = run(argv)
+        numpy[" ".join(argv)] = "numpy" in sys.modules
+    tempfile = "tempfile" in sys.modules
+    unresolved = [name for name in aughts.__all__ if not hasattr(aughts, name)]
+    undirected = sorted(set(aughts.__all__) - set(dir(aughts)))
+    for argv in (
+        ["census", "--disk", "200", "--diametral"], ["group", "--dim", "3"],
+        ["verify", "--max-n", "2"], ["render", "--mod", "3", "--disk", "5"],
+    ):
+        codes[" ".join(argv)] = run(argv)
+    print(json.dumps([numpy, tempfile, unresolved, undirected, codes]))
+    """
+)
+
+
+def test_fresh_process_imports_numpy_only_where_used():
+    # Without site (-S), whose .pth hooks may import numpy or tempfile
+    # themselves; this process's sys.path stands in for it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, json.dumps(NUMPY_FREE_COMMANDS)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    numpy, tempfile, unresolved, undirected, codes = json.loads(proc.stdout)
+    assert not any(numpy.values()), numpy
+    assert len(numpy) == 2 + len(NUMPY_FREE_COMMANDS)
+    assert not tempfile  # no --out was given
+    assert unresolved == undirected == []
+    assert set(codes.values()) == {0}, codes
+
+
+def test_package_names_follow_their_module(monkeypatch):
+    # a name is looked up on its module at each use, so a rebound function
+    # (a patch, a tracer's wrapper) is what the package gives, and then the
+    # original again
+    from aughts import census
+
+    original = census.modular_census
+    monkeypatch.setattr(census, "modular_census", len)
+    assert aughts.modular_census is len
+    monkeypatch.undo()
+    assert aughts.modular_census is original
+    assert "modular_census" not in vars(aughts)
+    with pytest.raises(AttributeError):
+        aughts.no_such_name
 
 
 # sha256 of `aughts render --sym-square 611 --mod 7`, made by the per-cell emitter
@@ -676,6 +762,21 @@ def test_failed_group_out_write_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["group.json"]
 
 
+def test_failed_out_names_the_given_path(tmp_path, capsys):
+    # the temp file beside the target, .x.json.<random>.tmp, is never named
+    target = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(capsys, "group", "--dim", "2", "--out", target)
+    assert (code, out) == (3, "")
+    assert err == f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {target!r}\n"
+    # a write that fails part way names it too
+    target = str(tmp_path / "group.json")
+    proc = run_cli_process(
+        "group", "--dim", "6", "--out", target, preexec_fn=_limit_file_size
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"i/o error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {target!r}\n"
+
+
 def test_out_writes_into_a_fifo_without_replacing_it(tmp_path, capsys):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
@@ -958,6 +1059,37 @@ def test_render_usage_errors(capsys):
     # --point ignores one region flag, but two are rejected as in every mode
     assert run_cli(capsys, "render", "--point", "1,2", "--square", "3")[0] == 0
     assert run_cli(capsys, "render", "--point", "1,2", "--square", "3", "--disk", "4")[0] == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit on this Python"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "{n},2"],
+        ["trace", "3,5", "--word", "1,{n}"],
+        ["render", "--point", "-{n},1"],
+        ["census", "--rect", "1,2,3,{n}", "--diametral"],
+    ],
+    ids=["orbit", "word", "render-point", "rect"],
+)
+def test_integer_past_the_int_string_limit_names_the_limit(capsys, argv):
+    # a valid integer that int() refuses only for its length is not called
+    # malformed, and the line echoes no more than a short prefix of it
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 100)
+    code, out, err = run_cli(capsys, *(arg.replace("{n}", digits) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"has {limit + 100} digits" in err and f"limit of {limit} " in err, err
+    assert "malformed" not in err and len(err) < 200, err
+    # a malformed entry, of any length, keeps its line
+    assert run_cli(capsys, "orbit", "1,x") == (2, "", "error: malformed coordinates: '1,x'\n")
+    assert run_cli(capsys, "trace", "1,2", "--word", "1,a") == (
+        2, "", "error: malformed word: '1,a'\n"
+    )
+    assert "malformed coordinates" in run_cli(capsys, "orbit", digits + "x,2")[2]
 
 
 def test_render_custom_palette(tmp_path, capsys):

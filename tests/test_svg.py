@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from brute_force import per_cell_render
 
-from aughts import census
+from aughts import rows
 from aughts.census import COORD_LIMIT, Region
 from aughts.svg import RenderSpec, _thousandths, render_svg
 
@@ -72,7 +72,7 @@ def _assert_same_lines(got, want):
 
 @pytest.mark.parametrize(
     "seed, block_points",
-    [pytest.param(seed, census._RUN, id=str(seed)) for seed in range(150)]
+    [pytest.param(seed, rows._RUN, id=str(seed)) for seed in range(150)]
     + [(seed, points) for seed in range(25) for points in (1, 7, 100)],
 )
 def test_render_matches_per_cell_oracle(monkeypatch, seed, block_points):
@@ -80,7 +80,7 @@ def test_render_matches_per_cell_oracle(monkeypatch, seed, block_points):
     # fill the range from its least to its greatest
     spec = _random_spec(seed)
     want = per_cell_render(spec)
-    monkeypatch.setattr(census, "_RUN", block_points)
+    monkeypatch.setattr(rows, "_RUN", block_points)
     _assert_same_lines(render_svg(spec), want)
 
 
