@@ -130,9 +130,12 @@ def disk_diametral(disk: Region) -> tuple[int, int]:
 def disk_lengths(disk: Region) -> tuple[int, int, int]:
     """(points, orbit length sum, largest orbit length) of a disk.
 
-    Each row sums 2(|2x-y| + |x+y| + |2y-x|) over its x-range in closed
-    form.  On a row y >= 0 of half-width h the left end -h holds the row's
-    maximum: its half-length 3h + 3y + |y - h| is 4h + 2y when h >= y and
+    The lengths 2(|2x-y| + |x+y| + |2y-x|) sum as 2(2|2x-y| + |x+y|), each
+    row's in closed form: the disk is symmetric under x <-> y, so |2y-x|
+    sums over it as |2x-y| does, and the weighted rows of the upper half sum
+    each term over the whole disk, as each is even under (x, y) -> (-x, -y).
+    On a row y >= 0 of half-width h the left end -h holds the row's maximum:
+    its half-length 3h + 3y + |y - h| is 4h + 2y when h >= y and
     2h + 4y when h < y, and the right end's, |2h - y| + h + y + |2y - h|, is
     then 3h + |2y - h| <= 4h + 2y or |2h - y| + 3y <= 2h + 4y.
     """
@@ -141,9 +144,7 @@ def disk_lengths(disk: Region) -> tuple[int, int, int]:
         count += int((weight * (2 * half + 1)).sum())
         lo = -half
         lengths = 2 * weight * (
-            _abs_linear_sum(2, -ys, lo, half)
-            + _abs_linear_sum(1, ys, lo, half)
-            + _abs_linear_sum(1, -2 * ys, lo, half)
+            2 * _abs_linear_sum(2, -ys, lo, half) + _abs_linear_sum(1, ys, lo, half)
         )
         # each doubled row total is below 2^61 (r <= 2^28) but a chunk's sum
         # need not be: add the high and low 32 bits apart, each within int64

@@ -4,17 +4,18 @@ SVG keeps the lattice geometry exact (no antialiasing ambiguity) and output
 is byte-identical across runs for identical inputs: iteration order is fixed
 and all numbers are formatted with explicit precision.
 
-The scanned renders (residue colorings, diametral two-colorings, unit-circle
-projections) emit each scan block of ``rows._iter_blocks`` as one string,
-made by one join over a table of string pieces; no per-cell string is built.
-A rect cell is three pieces, one per column, row and color: the table holds
-the block's columns as one range, from its least to its greatest, at most
-the region's width, and its rows, first to last, with pixel offsets in
-Python ints, so any scale is exact.  A projection point is five pieces: the
-integer part and the three decimals of cx, then of cy, then the color, with
-the decimals rounded exactly as ``format(v, ".3f")`` rounds
-(``_thousandths``).  The cells pick their pieces by numpy index arithmetic.
-``render_svg`` still returns the whole document as one string.
+Each scanned render (residue colorings, diametral two-colorings, unit-circle
+projections) is a generator of strings: the header, one string per scan
+block of ``rows._iter_blocks``, and the closing tag, which ``render_svg``
+joins.  A block's string is one join over a table of string pieces; no
+per-cell string is built.  A rect cell is three pieces, one per column, row
+and color: the table holds the block's columns as one range, from its least
+to its greatest, at most the region's width, and its rows, first to last,
+with pixel offsets in Python ints, so any scale is exact.  A projection
+point is five pieces: the integer part and the three decimals of cx, then
+of cy, then the color, with the decimals rounded exactly as
+``format(v, ".3f")`` rounds (``_thousandths``); its table is fixed, built
+once per render.  The cells pick their pieces by numpy index arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -82,9 +84,8 @@ def render_svg(spec: RenderSpec) -> str:
     if spec.mode == "single_orbit":
         return _render_single_orbit(spec)
     _check_cells(spec.region)
-    if spec.mode == "projection":
-        return _render_projection(spec)
-    return _render_cells(spec, _mod_colors if spec.mode == "mod_color" else _diametral_colors)
+    render = _render_projection if spec.mode == "projection" else _render_cells
+    return "".join(render(spec))
 
 
 def _check_cells(region: Region) -> None:
@@ -96,29 +97,19 @@ def _check_cells(region: Region) -> None:
         raise ResourceLimitError(f"render needs {cells} cells, budget is {PIXEL_BUDGET}")
 
 
-def _mod_colors(
-    spec: RenderSpec, x1: np.ndarray, x2: np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """(color table, int64 index into it) of each cell: the length residue."""
-    return spec.palette, 2 * _semi_perimeter(x1, x2) % spec.modulus
-
-
-def _diametral_colors(
-    spec: RenderSpec, x1: np.ndarray, x2: np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray]:
-    return (OTHER_COLOR, DIAMETRAL_COLOR), _in_cone(x1, x2).astype(np.int64)
-
-
-def _render_cells(spec: RenderSpec, colorizer) -> str:
+def _render_cells(spec: RenderSpec) -> Iterator[str]:
     xmin, xmax, ymin, ymax = spec.region.bounds()
     s = spec.scale
     # an empty rect has a side of 0, not a negative one
     width = max(xmax - xmin + 1, 0) * s
     height = max(ymax - ymin + 1, 0) * s
-    parts = [_svg_open(width, height), "\n"]
+    yield _svg_open(width, height) + "\n"
     row_tail = f'" width="{s}" height="{s}" fill="'
+    mod = spec.mode == "mod_color"
+    colors = [f'{c}"/>\n' for c in (spec.palette if mod else (OTHER_COLOR, DIAMETRAL_COLOR))]
     for x1, x2 in _iter_blocks(spec.region):
-        table, color = colorizer(spec, x1, x2)
+        # the length residue, or whether the cell lies in the cone
+        color = 2 * _semi_perimeter(x1, x2) % spec.modulus if mod else _in_cone(x1, x2)
         # the block's columns, least to greatest, and the pixel offsets of
         # its rows, first to last; Python ints, exact for any scale
         x0 = int(x1.min())
@@ -127,57 +118,43 @@ def _render_cells(spec: RenderSpec, colorizer) -> str:
         rows = range((ymax - y0) * s, (ymax - int(x2[-1])) * s - s, -s)
         pieces = [f'<rect x="{(x - xmin) * s}" y="' for x in cols]
         pieces += [str(py) + row_tail for py in rows]
-        pieces += [f'{c}"/>\n' for c in table]
+        pieces += colors
         seq = np.empty((len(x1), 3), dtype=np.int64)
         seq[:, 0] = x1 - x0
         seq[:, 1] = x2 - y0 + len(cols)
         seq[:, 2] = color + (len(cols) + len(rows))
-        parts.append(_join(pieces, seq))
-    parts.append("</svg>\n")
-    return "".join(parts)
+        yield _join(pieces, seq)
+    yield "</svg>\n"
 
 
-def _render_projection(spec: RenderSpec) -> str:
+def _render_projection(spec: RenderSpec) -> Iterator[str]:
     radius_px = 220
     margin = 20
     size = 2 * (radius_px + margin)
     center = radius_px + margin
-    parts = [
-        _svg_open(size, size),
-        f'\n<circle cx="{center}" cy="{center}" r="{radius_px}" fill="none" '
-        f'stroke="#cccccc" stroke-width="1"/>\n',
-    ]
-    cx_frac = [f'{f:03d}" cy="' for f in range(1000)]
-    cy_frac = [f'{f:03d}" r="2" fill="' for f in range(1000)]
-    colors = [f'{c}"/>\n' for c in (OTHER_COLOR, DIAMETRAL_COLOR)]
+    yield (
+        _svg_open(size, size) + f'\n<circle cx="{center}" cy="{center}" r="{radius_px}" '
+        'fill="none" stroke="#cccccc" stroke-width="1"/>\n'
+    )
+    # |x|/norm is 1 within a few ulps, so cx and cy round into [20, 460]:
+    # one table serves every block, each column at a fixed offset
+    pieces = [f'<circle cx="{i}.' for i in range(size + 1)]
+    pieces += [f'{f:03d}" cy="' for f in range(1000)]
+    pieces += [f"{i}." for i in range(size + 1)]
+    pieces += [f'{f:03d}" r="2" fill="' for f in range(1000)]
+    pieces += [f'{c}"/>\n' for c in (OTHER_COLOR, DIAMETRAL_COLOR)]
+    offsets = np.cumsum([0, size + 1, 1000, size + 1, 1000])
     for x1, x2 in _iter_blocks(spec.region):
         nonzero = (x1 != 0) | (x2 != 0)
         x1, x2 = x1[nonzero], x2[nonzero]
-        if not len(x1):
-            continue
-        mask = _in_cone(x1, x2)
         # each square fits int64 (|x| <= 2^31) but their sum needs uint64
         norm = np.sqrt((x1 * x1).astype(np.uint64) + (x2 * x2).astype(np.uint64))
-        cx = _thousandths(center + radius_px * x1 / norm)
-        cy = _thousandths(center - radius_px * x2 / norm)
-        # integer parts from the block's own least to greatest
-        cx_int, cy_int = cx // 1000, cy // 1000
-        cx0, cy0 = int(cx_int.min()), int(cy_int.min())
-        pieces = [f'<circle cx="{i}.' for i in range(cx0, int(cx_int.max()) + 1)]
-        cx_frac0 = len(pieces)
-        pieces += cx_frac
-        pieces += [f"{i}." for i in range(cy0, int(cy_int.max()) + 1)]
-        cy_frac0 = len(pieces)
-        pieces += cy_frac + colors
         seq = np.empty((len(x1), 5), dtype=np.int64)
-        seq[:, 0] = cx_int - cx0
-        seq[:, 1] = cx % 1000 + cx_frac0
-        seq[:, 2] = cy_int - cy0 + (cx_frac0 + 1000)
-        seq[:, 3] = cy % 1000 + cy_frac0
-        seq[:, 4] = mask + (cy_frac0 + 1000)
-        parts.append(_join(pieces, seq))
-    parts.append("</svg>\n")
-    return "".join(parts)
+        seq[:, 0], seq[:, 1] = np.divmod(_thousandths(center + radius_px * x1 / norm), 1000)
+        seq[:, 2], seq[:, 3] = np.divmod(_thousandths(center - radius_px * x2 / norm), 1000)
+        seq[:, 4] = _in_cone(x1, x2)
+        yield _join(pieces, seq + offsets)
+    yield "</svg>\n"
 
 
 def _join(pieces: list[str], seq: np.ndarray) -> str:
