@@ -3,10 +3,11 @@
 Subcommands: verify, group, orbit, trace, census, render.
 Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O, 4 resource.
 Every rejected argument, whether argparse, the CLI or the library refuses it,
-ends with exit 2 and one ``error:`` line on stderr. Each subcommand accepts
-only the options it reads and returns its exit code with its output, a str or
-an iterable of str chunks; ``main`` writes it, to stdout or to ``--out``, in
-one place and with the same bytes on both.
+ends with exit 2 and one ``error:`` line on stderr. Each subparser carries its
+handler, which accepts only the options it reads and returns its exit code
+with its output, a str or an iterable of str chunks; ``main`` writes it, to
+stdout or to ``--out``, in one place and with the same bytes on both.
+``_REGIONS`` declares each sized region kind once, for its flag and its Region.
 """
 
 from __future__ import annotations
@@ -57,23 +58,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity/oracle suites")
     p_verify.add_argument("--max-n", type=int, default=3, dest="max_n")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_group = sub.add_parser("group", help="export the full group catalog")
     p_group.add_argument("--dim", type=int, required=True)
+    p_group.set_defaults(run=cmd_group)
 
     p_orbit = sub.add_parser("orbit", help="orbit of a lattice point")
     p_orbit.add_argument("point", help="comma-separated integer coordinates")
     _add_seed_order(p_orbit)
+    p_orbit.set_defaults(run=cmd_orbit)
 
     p_trace = sub.add_parser("trace", help="apply a word of operator indices")
     p_trace.add_argument("point", help="comma-separated integer coordinates")
     p_trace.add_argument("--word", required=True, help="comma-separated indices")
+    p_trace.set_defaults(run=cmd_trace)
 
     p_census = sub.add_parser("census", help="orbit/point census over a region")
     _add_region_flags(p_census, required=True)
     census_mode = p_census.add_mutually_exclusive_group(required=True)
     census_mode.add_argument("--mod", type=int, default=None)
     census_mode.add_argument("--diametral", action="store_true")
+    p_census.set_defaults(run=cmd_census)
 
     p_render = sub.add_parser("render", help="deterministic SVG renders")
     _add_region_flags(p_render, required=False)  # --point needs no region
@@ -85,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--palette", help="comma-separated hex colors")
     p_render.add_argument("--scale", type=int, default=10)
     _add_seed_order(p_render)
+    p_render.set_defaults(run=cmd_render)
 
     for p in sub.choices.values():
         p.add_argument("--out", help="output path (default: stdout)")
@@ -103,13 +110,15 @@ def _add_seed_order(p: argparse.ArgumentParser) -> None:
     )
 
 
+# Sized region kind (a ``census.Region`` constructor and a flag's dest) -> metavar.
+_REGIONS = {"square": "M", "sym_square": "R", "hexagon": "M", "disk": "R"}
+
+
 def _add_region_flags(p: argparse.ArgumentParser, required: bool) -> None:
     region = p.add_mutually_exclusive_group(required=required)
-    region.add_argument("--square", type=int, default=None, metavar="M")
-    region.add_argument("--sym-square", type=int, default=None, metavar="R")
-    region.add_argument("--hexagon", type=int, default=None, metavar="M")
-    region.add_argument("--disk", type=int, default=None, metavar="R")
-    region.add_argument("--rect", default=None, metavar="X0,X1,Y0,Y1")
+    for kind, metavar in _REGIONS.items():
+        region.add_argument("--" + kind.replace("_", "-"), type=int, metavar=metavar)
+    region.add_argument("--rect", metavar="X0,X1,Y0,Y1")
 
 
 # A decimal integer as int() reads it; one that int() refuses is longer than
@@ -144,14 +153,10 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _region_from_args(args) -> census.Region:
     """The region of the one region flag that argparse let through."""
-    if args.square is not None:
-        return census.Region.square(args.square)
-    if args.sym_square is not None:
-        return census.Region.sym_square(args.sym_square)
-    if args.hexagon is not None:
-        return census.Region.hexagon(args.hexagon)
-    if args.disk is not None:
-        return census.Region.disk(args.disk)
+    for kind in _REGIONS:
+        size = getattr(args, kind)
+        if size is not None:
+            return getattr(census.Region, kind)(size)
     if args.rect is None:
         raise UsageError("render needs a region flag unless --point is given")
     return census.Region("rect", _parse_point(args.rect))
@@ -242,36 +247,29 @@ def cmd_group(args) -> tuple[int, Iterator[str]]:
     return 0, atlas.catalog_chunks(atlas.catalog(args.dim))
 
 
+def _record(kind: str, fields: dict) -> tuple[int, str]:
+    """Exit 0 and the JSON record of ``kind``, under the schema header."""
+    return 0, json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **fields}, indent=2)
+
+
 def cmd_orbit(args) -> tuple[int, str]:
     point = _parse_point(args.point)
     if len(point) < 2:
         raise UsageError(f"orbit needs dimension >= 2, got {len(point)}")
     if len(point) == 2:
         first = _FIRST_GENERATOR[args.seed_order]
-        record = orbits.orbit_record(orbits.orbit2d(point, first))
-        record = {"schema_version": SCHEMA_VERSION, "kind": "orbit", **record}
-    else:
-        graph = orbits.reach_graph(point)
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "reach-graph",
-            "seed": list(point),
-            "node_count": len(graph.nodes),
-            "edge_count": len(graph.edges),
-        }
-    return 0, json.dumps(record, indent=2)
+        return _record("orbit", orbits.orbit_record(orbits.orbit2d(point, first)))
+    graph = orbits.reach_graph(point)
+    return _record(
+        "reach-graph",
+        {"seed": list(point), "node_count": len(graph.nodes), "edge_count": len(graph.edges)},
+    )
 
 
 def cmd_trace(args) -> tuple[int, str]:
     point = _parse_point(args.point)
     word = _parse_word(args.word)
-    traj = orbits.run_word(point, word)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "trajectory",
-        **orbits.trajectory_record(traj),
-    }
-    return 0, json.dumps(record, indent=2)
+    return _record("trajectory", orbits.trajectory_record(orbits.run_word(point, word)))
 
 
 def cmd_census(args) -> tuple[int, str]:
@@ -305,36 +303,22 @@ def cmd_render(args) -> tuple[int, str]:
     if args.point is not None:
         seed = _parse_point(args.point)
         region = census.Region.rect(0, 0, 0, 0)  # unused by single_orbit
-        mode, modulus = "single_orbit", None
+        mode = "single_orbit"
     else:
-        region = _region_from_args(args)
-        if args.mod is not None:
-            mode, modulus = "mod_color", args.mod
-        elif args.diametral:
-            mode, modulus = "diametral", None
-        else:
-            mode, modulus = "projection", None
         seed = None
+        region = _region_from_args(args)
+        mode = ("mod_color" if args.mod is not None
+                else "diametral" if args.diametral else "projection")
     spec = svg.RenderSpec(
         region=region,
         mode=mode,
-        modulus=modulus,
+        modulus=args.mod,  # None unless --mod is given
         palette=palette,
         scale=args.scale,
         seed=seed,
         first_generator=_FIRST_GENERATOR[args.seed_order],
     )
     return 0, svg.render_svg(spec)
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "group": cmd_group,
-    "orbit": cmd_orbit,
-    "trace": cmd_trace,
-    "census": cmd_census,
-    "render": cmd_render,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -344,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, output = _COMMANDS[args.command](args)
+        code, output = args.run(args)
         _emit(output, args.out)
         return code
     except (ValueError, OverflowError) as exc:

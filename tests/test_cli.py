@@ -34,7 +34,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import aughts
-from aughts.census import Region
+from aughts.census import Region, diametral_report
 from aughts.cli import build_parser, cmd_group, main
 from aughts.svg import DEFAULT_PALETTE, used_fill_colors
 
@@ -403,6 +403,43 @@ def test_fresh_process_imports_numpy_only_where_used():
     assert set(codes.values()) == {0}, codes
 
 
+# Run in a fresh interpreter: the exit code of a disk census past
+# WORK_LIMIT, whether the length stats past it raise ResourceLimitError,
+# and whether numpy was imported after each.
+_REFUSAL_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from aughts import census, cli
+    from aughts.errors import ResourceLimitError
+
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["census", "--disk", "99999999", "--diametral"])
+    numpy = ["numpy" in sys.modules]
+    try:
+        census.disk_length_stats(census.WORK_LIMIT)
+        raised = False
+    except ResourceLimitError:
+        raised = True
+    numpy.append("numpy" in sys.modules)
+    print(json.dumps([code, err.getvalue(), raised, numpy]))
+    """
+)
+
+
+def test_fresh_process_refuses_a_disk_past_the_budget_without_numpy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _REFUSAL_PROBE],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, err, raised, numpy = json.loads(proc.stdout)
+    assert code == 4
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert raised
+    assert numpy == [False, False]
+
+
 def test_package_names_follow_their_module(monkeypatch):
     # a name is looked up on its module at each use, so a rebound function
     # (a patch, a tracer's wrapper) is what the package gives, and then the
@@ -584,6 +621,22 @@ def test_census_diametral(capsys):
     assert "diametral fraction" in err
     payload = json.loads(out)
     assert 0.18 < payload["diametral_fraction"] < 0.23
+
+
+REGION_FLAGS = [
+    (("--square", "7"), Region.square(7)),
+    (("--sym-square", "5"), Region.sym_square(5)),
+    (("--hexagon", "6"), Region.hexagon(6)),
+    (("--disk", "9"), Region.disk(9)),
+    (("--rect=-3,4,-2,5",), Region.rect(-3, 4, -2, 5)),
+]
+
+
+@pytest.mark.parametrize("flag, region", REGION_FLAGS, ids=[" ".join(f) for f, _ in REGION_FLAGS])
+def test_census_region_flag_names_its_own_region(capsys, flag, region):
+    code, out, _ = run_cli(capsys, "census", *flag, "--diametral")
+    assert code == 0
+    assert out == json.dumps(diametral_report(region).to_json_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
