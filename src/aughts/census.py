@@ -45,8 +45,8 @@ from aughts.errors import ResourceLimitError
 # Rows plus crossed (row, ray) pairs a row count may read: R + 1 rows for a
 # disk count, and for an angular histogram at most ``rows._histogram_work``, both
 # checked before any row is read.  The disk lengths, the slowest, take about
-# 83 ns a row, so about 7.4 s at the limit; a histogram row takes 60-70 ns and
-# a crossing 30-75 ns (2-vCPU VM).  Below 2^27, so no doubled int64 row sum of
+# 83 ns a row, so about 7.4 s at the limit; a histogram row takes 35-70 ns and
+# a crossing 8-11 ns (2-vCPU VM).  Below 2^27, so no doubled int64 row sum of
 # the disk lengths and no int64 bin sum of a histogram wraps, and every disk
 # within it lies inside the 2^31 guard.
 WORK_LIMIT = 9 * 10**7

@@ -8,12 +8,18 @@ handler, which accepts only the options it reads and returns its exit code
 with its output, a str or an iterable of str chunks; ``main`` writes it, to
 stdout or to ``--out``, in one place and with the same bytes on both.
 ``_REGIONS`` declares each sized region kind once, for its flag and its Region.
+``build_parser`` builds the parser once per process and ``main`` reuses it: a
+parse makes a fresh namespace and leaves the parser as it was, so each call
+gives the bytes and code of a fresh run.  The handlers are bound when the
+parser is built, so a test patches the library functions they call, not
+``cli.cmd_*``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -46,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="aughts",

@@ -1109,7 +1109,7 @@ def test_projection_histogram_at_small_chunks_and_pieces(
 ):
     # small pieces split a row's crossings across two of them, and small
     # chunks put the rows of y < 0, y = 0 and y > 0 apart
-    monkeypatch.setattr(rows, "_RUN", pair_piece)
+    monkeypatch.setattr(rows, "_PIECE", pair_piece)
     monkeypatch.setattr(rows, "_CHUNK_ROWS", chunk_rows)
     _assert_exact_bins(region, bins)
 
@@ -1150,6 +1150,21 @@ def test_projection_histogram_at_convergents(bins, step):
             _assert_exact_bins(Region.rect(x, x, y - 1, y + 1), bins)
             checked += 1
     assert checked > 10 * (bins // step)
+
+
+def test_no_ray_cotangent_rounds_to_a_cone_edge():
+    # _add_rows moves a crossed row's cone points by fl(cot) against 1/2 and
+    # 2, the cone's edges.  fl(cot psi) = 2 needs |cot psi - 2| <= 2^-52, so
+    # |psi - atan(1/2)| <= 2^-54 as |cot'| >= 4 there, and j / bins within
+    # 2^-55 of a = atan(1/2) / pi; fl(cot psi) = 1/2 likewise needs j / bins
+    # near 1/2 - a.  Every bins up to the limit stays 2^-50 clear of both.
+    p = 256
+    a = (rows._atan_inverse(2, p)[0] << p) // rows._pi_fixed(p)[0]  # a 2^p
+    for target in (a, (1 << (p - 1)) - a):
+        for bins in range(8, census.BINS_LIMIT + 1):
+            x = target * bins
+            j = (x + (1 << (p - 1))) >> p
+            assert abs(x - (j << p)) > bins << (p - 50), bins
 
 
 def test_projection_histogram_near_boundary_point():

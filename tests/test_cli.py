@@ -238,6 +238,48 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
     assert sum(map(len, accepted.values())) == 31
 
 
+# the census whose golden file the reuse test reads back
+GOLDEN_CENSUS = ["census", "--square", "250", "--mod", "2"]
+# rejections, a budget stop, help and a negative point, then one valid call
+# of each subcommand
+REUSE_ARGVS = [
+    ["census", "--square", "5", "--disk", "5", "--diametral"],
+    ["group", "--help"],
+    ["census", "--square", "0", "--mod", "8"],
+    ["census", "--disk", "99999999", "--diametral"],
+    ["orbit", "-3,4"],
+    *({**BASE_ARGV, "census": GOLDEN_CENSUS}.values()),
+]
+
+
+def test_main_gives_the_same_result_on_every_call(capsys):
+    rounds = [[run_cli(capsys, *argv) for argv in REUSE_ARGVS] for _ in range(2)]
+    assert rounds[0] == rounds[1]
+    assert [code for code, _, _ in rounds[0][:5]] == [2, 0, 2, 4, 0]
+    assert {code for code, _, _ in rounds[0][5:]} == {0}
+    assert run_cli(capsys, *REUSE_ARGVS[0])[0] == 2
+    code, out, _ = run_cli(capsys, *GOLDEN_CENSUS)
+    assert code == 0
+    assert out == (GOLDEN / "census_square_250_mod_2.json").read_text()
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    from aughts import cli
+    run_cli(capsys, *BASE_ARGV["orbit"])
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv in (BASE_ARGV["orbit"], GOLDEN_CENSUS, REUSE_ARGVS[0]):
+        run_cli(capsys, *argv)
+    assert built == []
+    assert build_parser() is build_parser()
+
+
 @pytest.mark.parametrize("command", BASE_ARGV)
 def test_every_subcommand_rejects_format(capsys, command):
     assert run_cli(capsys, *BASE_ARGV[command])[0] == 0
