@@ -51,15 +51,6 @@ def _swap(z: Point, j: int) -> Point:
     return (z[j],) + z[1:j] + (z[0],) + z[j + 1 :]
 
 
-def apply_k(x: Sequence[int], j: int) -> Point:
-    """Replace coordinate j with the alternating sum starting at -x_j, which
-    is the swap of entries 0 and j of Phi(x)."""
-    pt = _check_point(x)
-    if not 1 <= j <= len(pt):
-        raise ValueError(f"index {j} out of range 1..{len(pt)}")
-    return _unstar(_swap(_star(pt), j))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     start: Point
@@ -86,6 +77,13 @@ def run_word(x: Sequence[int], word: Iterable[int]) -> Trajectory:
         z = _swap(z, j)
         path.append(_unstar(z))
     return Trajectory(start, word_t, tuple(path), closed=path[-1] == start)
+
+
+def apply_k(x: Sequence[int], j: int) -> Point:
+    """Replace coordinate j with the alternating sum starting at -x_j, which
+    is the swap of entries 0 and j of Phi(x): the one step of ``run_word``
+    on the word (j,), with its range check."""
+    return run_word(x, (j,)).path[1]
 
 
 @dataclass(frozen=True)
@@ -207,25 +205,18 @@ def orbit2d(x: Sequence[int], first_generator: int = 1) -> Orbit2D:
 def euclidean_diameter(o: Orbit2D) -> tuple[int, list[tuple[Point, Point]]]:
     """The diameter multiplier and the opposite node pairs attaining it.
 
-    The three opposite pairs of the cycle sit at squared distances
-    2*(x1+x2)^2, 2*(2x2-x1)^2 and 2*(2x1-x2)^2; the diameter is sqrt(2)
-    times the largest of the three absolute values.
+    Node i + 3 of ``cycle_points`` is node i = (a1, a2) reflected in the line
+    y = -x, so the pair lies sqrt(2) * |a1 + a2| apart; the pairs i = 0, 1, 2
+    whose value is the diameter multiplier attain the diameter, in that order.
     """
-    x1, x2 = o.seed
-    cycle = cycle_points(o.seed)
-    candidates = (
-        (abs(x1 + x2), (cycle[0], cycle[3])),
-        (abs(2 * x2 - x1), (cycle[1], cycle[4])),
-        (abs(2 * x1 - x2), (cycle[2], cycle[5])),
-    )
     m = o.diam_multiplier
-    pairs: list[tuple[Point, Point]] = []
-    for value, (a, b) in candidates:
-        if value == m and a != b:
-            pair = (min(a, b), max(a, b))
-            if pair not in pairs:
-                pairs.append(pair)
-    return m, pairs
+    cycle = cycle_points(o.seed)
+    pairs = dict.fromkeys(
+        (min(a, b), max(a, b))
+        for a, b in zip(cycle, cycle[3:])
+        if abs(a[0] + a[1]) == m and a != b
+    )
+    return m, list(pairs)
 
 
 def is_diametral(x: Sequence[int]) -> bool:

@@ -15,7 +15,7 @@ with pixel offsets in Python ints, so any scale is exact.  A projection
 point is five pieces: the integer part and the three decimals of cx, then
 of cy, then the color, with the decimals rounded exactly as
 ``format(v, ".3f")`` rounds (``_thousandths``); its table is fixed, built
-once per render.  The cells pick their pieces by numpy index arithmetic.
+once per process.  The cells pick their pieces by numpy index arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -128,6 +129,8 @@ def _render_cells(spec: RenderSpec) -> Iterator[str]:
 
 
 def _render_projection(spec: RenderSpec) -> Iterator[str]:
+    """Each nonzero point as a dot at its direction on a circle of 220 px,
+    from the piece table that ``_projection_pieces`` builds once per process."""
     radius_px = 220
     margin = 20
     size = 2 * (radius_px + margin)
@@ -138,11 +141,7 @@ def _render_projection(spec: RenderSpec) -> Iterator[str]:
     )
     # |x|/norm is 1 within a few ulps, so cx and cy round into [20, 460]:
     # one table serves every block, each column at a fixed offset
-    pieces = [f'<circle cx="{i}.' for i in range(size + 1)]
-    pieces += [f'{f:03d}" cy="' for f in range(1000)]
-    pieces += [f"{i}." for i in range(size + 1)]
-    pieces += [f'{f:03d}" r="2" fill="' for f in range(1000)]
-    pieces += [f'{c}"/>\n' for c in (OTHER_COLOR, DIAMETRAL_COLOR)]
+    pieces = _projection_pieces(size)
     offsets = np.cumsum([0, size + 1, 1000, size + 1, 1000])
     for x1, x2 in _iter_blocks(spec.region):
         nonzero = (x1 != 0) | (x2 != 0)
@@ -157,10 +156,24 @@ def _render_projection(spec: RenderSpec) -> Iterator[str]:
     yield "</svg>\n"
 
 
-def _join(pieces: list[str], seq: np.ndarray) -> str:
+@cache
+def _projection_pieces(size: int) -> np.ndarray:
+    """The pieces of a projection of side ``size``: cx's integer part and
+    decimals, cy's, then the color, as one read-only object array."""
+    pieces = [f'<circle cx="{i}.' for i in range(size + 1)]
+    pieces += [f'{f:03d}" cy="' for f in range(1000)]
+    pieces += [f"{i}." for i in range(size + 1)]
+    pieces += [f'{f:03d}" r="2" fill="' for f in range(1000)]
+    pieces += [f'{c}"/>\n' for c in (OTHER_COLOR, DIAMETRAL_COLOR)]
+    table = np.array(pieces, dtype=object)
+    table.setflags(write=False)  # cached: shared by every render
+    return table
+
+
+def _join(pieces: list[str] | np.ndarray, seq: np.ndarray) -> str:
     """The pieces that ``seq`` indexes, joined in row-major order."""
     # an object-array gather is about 3x faster than map(pieces.__getitem__)
-    return "".join(np.array(pieces, dtype=object)[seq].ravel().tolist())
+    return "".join(np.asarray(pieces, dtype=object)[seq].ravel().tolist())
 
 
 def _thousandths(v: np.ndarray) -> np.ndarray:
@@ -186,14 +199,12 @@ def _thousandths(v: np.ndarray) -> np.ndarray:
 
 def _render_single_orbit(spec: RenderSpec) -> str:
     orbit = orbit2d(spec.seed, spec.first_generator)
-    xs = [p[0] for p in orbit.nodes]
-    ys = [p[1] for p in orbit.nodes]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    # by the box law the nodes span box_side in x and in y
+    xmin = min(p[0] for p in orbit.nodes)
+    ymax = max(p[1] for p in orbit.nodes)
     s = spec.scale
     margin = 2 * s
-    width = (xmax - xmin) * s + 2 * margin
-    height = (ymax - ymin) * s + 2 * margin
+    side = orbit.box_side * s + 2 * margin
 
     def to_px(p: Point) -> tuple[int, int]:
         return (p[0] - xmin) * s + margin, (ymax - p[1]) * s + margin
@@ -201,7 +212,7 @@ def _render_single_orbit(spec: RenderSpec) -> str:
     points = [to_px(p) for p in orbit.nodes]
     path = "M " + " L ".join(f"{x} {y}" for x, y in points) + " Z"
     lines = [
-        _svg_open(width, height),
+        _svg_open(side, side),
         f'<path d="{path}" fill="none" stroke="{OTHER_COLOR}" stroke-width="2"/>',
     ]
     for x, y in points:

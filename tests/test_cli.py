@@ -1113,6 +1113,21 @@ def test_render_stdout_digests(capsys, digest, command):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `aughts orbit`, `aughts trace` and `aughts render
+# --point`: aughts of one to six nodes, both seed orders, seeds at and past
+# 2^31, orbits in 3 and 4 dimensions and the Hamiltonian word of a 3D orbit
+ORBIT_DIGESTS = [
+    line.split("  ", 1) for line in (GOLDEN / "orbit_stdout.sha256").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("digest, command", ORBIT_DIGESTS, ids=[c for _, c in ORBIT_DIGESTS])
+def test_orbit_stdout_digests(capsys, digest, command):
+    code, out, _ = run_cli(capsys, *command.split()[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_render_empty_rect_writes_sides_of_0(capsys):
     code, out, _ = run_cli(capsys, "render", "--rect=5,0,0,3", "--diametral")
     assert code == 0

@@ -302,6 +302,22 @@ def test_diametral_flags_match_pointwise():
             assert is_diametral(n) == f, n
 
 
+def test_diametral_nodes_end_the_diameter_pairs():
+    # two rules for one set: the pairs join a node to its reflection in
+    # y = -x, and the cone rule flags exactly the nodes that end them
+    big = 2**31
+    seeds = [(x1, x2) for x1 in range(-60, 61) for x2 in range(-60, 61)]
+    seeds += [(a, b) for a in (big - 1, -big) for b in (big - 1, -big, 0)]
+    seeds += [(big, big - 1), (big // 2, big), (big, 3), (-big, 1), (1, -big), (3 * 10**9, 1)]
+    for seed in seeds:
+        for first in (1, 2):
+            o = orbit2d(seed, first)
+            _, pairs = euclidean_diameter(o)
+            assert all(a in o.nodes and b == (-a[1], -a[0]) for a, b in pairs), seed
+            ends = {p for pair in pairs for p in pair}
+            assert ends == {n for n, f in zip(o.nodes, diametral_flags(o)) if f}, seed
+
+
 def test_diametral_double_cone_exhaustive():
     # away from the origin: diametral iff x or -x lies between y=x/2 and y=2x
     for x1 in range(-60, 61):

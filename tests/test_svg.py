@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from brute_force import per_cell_render
 
-from aughts import rows
+from aughts import rows, svg
 from aughts.census import COORD_LIMIT, Region
 from aughts.svg import RenderSpec, _thousandths, render_svg
 
@@ -133,6 +133,27 @@ def test_render_spec_takes_numpy_integers_as_ints(mode):
         as_numpy = RenderSpec(region=region, mode=mode, modulus=np.int64(5), scale=np.int64(scale))
         assert type(as_numpy.scale) is int and type(as_numpy.modulus) is int
         assert render_svg(as_numpy) == render_svg(as_int) == per_cell_render(as_int)
+
+
+def test_a_second_projection_render_builds_no_table(monkeypatch):
+    # the table of 2,964 pieces is built once per process: a later render
+    # neither rebuilds it nor turns a list of pieces into an object array
+    spec = RenderSpec(region=Region.sym_square(25), mode="projection")
+    first = render_svg(spec)
+    built = []
+    array = np.array
+
+    def spy(obj, *args, **kwargs):
+        if kwargs.get("dtype") is object:
+            built.append(len(obj))
+        return array(obj, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array", spy)
+    assert render_svg(spec) == first
+    assert built == []
+    # one side, 480 pixels, so one table in all
+    assert svg._projection_pieces.cache_info().misses == 1
+    assert not svg._projection_pieces(480).flags.writeable
 
 
 def _fixed3(values):
