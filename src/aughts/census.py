@@ -334,8 +334,8 @@ def square_orbit_sums(m: int, d: int = 1) -> tuple[list[int], int, int]:
     square.  The anti-diagonal x + y = s holds n(s) = min(2s//3, m) -
     max(ceil(s/3), s-m) + 1 of them, each of length 4s: for s <= 3m//2 that
     is (s - s%3)/3 + 1, less 1 when s%3 == 1, and above it 2m + 1 - s.  On
-    each class s = c + 3d*j, n is linear in j and 4s mod d is fixed, so
-    power sums over j count each class exactly.
+    each class s = c + period*j, period = lcm(3, d/gcd(d, 4)), n is linear in
+    j and 4s mod d is fixed, so power sums over j count each class exactly.
     """
     m, d = operator.index(m), operator.index(d)
     if m < 1:
@@ -344,14 +344,14 @@ def square_orbit_sums(m: int, d: int = 1) -> tuple[list[int], int, int]:
         raise ValueError(f"modulus must be >= 1, got {d}")
     if d > MODULUS_LIMIT:
         raise ResourceLimitError(f"modulus {d} exceeds the limit {MODULUS_LIMIT}")
-    period, split = 3 * d, 3 * m // 2
+    period, split = math.lcm(3, d // math.gcd(d, 4)), 3 * m // 2
     residues = [0] * d
     count = length = 0
     for c in range(min(period, 2 * m + 1)):
         r = c % 3
         # (n at j = 0, n's step per j, first s, last s) of both s-ranges
         for a, b, lo, hi in (
-            ((c - r) // 3 + (r != 1), d, 0, split),
+            ((c - r) // 3 + (r != 1), period // 3, 0, split),
             (2 * m + 1 - c, -period, split + 1, 2 * m),
         ):
             s0, s1, s2 = _power_sums((lo - c + period - 1) // period, (hi - c) // period)

@@ -283,7 +283,8 @@ def product_closed_form(n: int, js: Sequence[int]) -> SmallIntMatrix:
     if not 1 <= len(js) <= n:
         raise ValueError(f"tuple length must be in 1..{n}, got {len(js)}")
     for j in js:
-        _check_index(n, j)
+        if not 1 <= j <= n:
+            raise ValueError(f"index {j} out of range 1..{n}")
     if len(set(js)) != len(js):
         raise ValueError("indices must be distinct")
 
@@ -292,11 +293,9 @@ def product_closed_form(n: int, js: Sequence[int]) -> SmallIntMatrix:
     for j in js:
         entries[(j - 1) * (n + 1)] = 0
     for j, ell in zip(js, js[1:]):
-        entries[(j - 1) * n + ell - 1] += sign_pow(j + ell)
-    start = (js[-1] - 1) * n
-    for k, v in enumerate(alternating_row(n, js[-1])):
-        entries[start + k] += v
-    return assert_unit_entries(SmallIntMatrix(n, tuple(entries)))
+        entries[(j - 1) * n + ell - 1] = sign_pow(j + ell)
+    entries[(js[-1] - 1) * n : js[-1] * n] = [sign_pow(js[-1] + k) for k in range(n)]
+    return assert_unit_entries(SmallIntMatrix._of_ints(n, tuple(entries)))
 
 
 def full_cycle_matrix(

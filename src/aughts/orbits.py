@@ -94,19 +94,21 @@ class ReachGraph:
 
 def reach_graph(x: Sequence[int]) -> ReachGraph:
     """Closure of a point under all operators: the rearrangements of Phi(x),
-    at most (n+1)! <= 5040; edges join distinct points one swap apart."""
+    at most (n+1)! <= 5040; edges join distinct points one swap apart.  For
+    z0 < z_j the swap sets coordinate j - 1 of p = unstar(z) alone, to z0 for
+    odd j (a smaller point) or -z0 for even j (a larger one): no lookup."""
     start = _check_point(x)
     n = len(start)
     if n > 6:
         raise ValueError("reachability exploration is limited to dimension <= 6")
-    nodes = {z: _unstar(z) for z in set(permutations(_star(start)))}
-    edges = set()
-    for z, p in nodes.items():
+    nodes, edges = [], set()
+    for z in set(permutations(_star(start))):
+        nodes.append(p := _unstar(z))
         for j in range(1, n + 1):
             if z[0] < z[j]:
-                q = nodes[_swap(z, j)]
-                edges.add((min(p, q), max(p, q)))
-    return ReachGraph(frozenset(nodes.values()), frozenset(edges))
+                q = p[: j - 1] + (z[0] if j % 2 else -z[0],) + p[j:]
+                edges.add((q, p) if j % 2 else (p, q))
+    return ReachGraph(frozenset(nodes), frozenset(edges))
 
 
 def _check_dim2(x: Sequence[int]) -> tuple[int, int]:
@@ -192,14 +194,10 @@ class Orbit2D:
 
 
 def orbit2d(x: Sequence[int], first_generator: int = 1) -> Orbit2D:
-    seed = _check_dim2(x)
-    nodes: list[Point] = []
-    for p in cycle_points(seed, first_generator):
-        if p not in nodes:
-            nodes.append(p)
-    p = _semi_perimeter(*seed)
+    cycle = cycle_points(x, first_generator)
+    p = _semi_perimeter(*cycle[0])
     assert p % 2 == 0
-    return Orbit2D(seed=seed, nodes=tuple(nodes), semi_perimeter=p)
+    return Orbit2D(seed=cycle[0], nodes=tuple(dict.fromkeys(cycle)), semi_perimeter=p)
 
 
 def euclidean_diameter(o: Orbit2D) -> tuple[int, list[tuple[Point, Point]]]:
@@ -242,7 +240,8 @@ def canonical_rep(o: Orbit2D) -> Point:
 
 
 def orbit_rep(x: Sequence[int]) -> Point:
-    return canonical_rep(orbit2d(x))
+    """``canonical_rep(orbit2d(x))``, read off the six cycle points."""
+    return max(cycle_points(x))
 
 
 def orbit_distance(a: Sequence[int], b: Sequence[int]) -> int | None:

@@ -227,7 +227,8 @@ def rank_one_suite(n_max: int) -> SuiteResult:
 
 
 def oracle_suite(n_max: int) -> SuiteResult:
-    """Symbolic multiplication against the matrix product, all pairs."""
+    """Symbolic multiplication against the matrix product, all pairs; each
+    product is looked up by its plain triple (sigma.images, h, eps)."""
     with SuiteResult("matrix-symbol-oracle") as res:
         for n in range(1, min(n_max, 4) + 1):
             cat = atlas.catalog(n)
@@ -238,12 +239,13 @@ def oracle_suite(n_max: int) -> SuiteResult:
             # symbolic product in the table; the table holds every element
             # of degree n, so a product that is not one of its keys is wrong
             expected = intmat.stack_mul(table[:, None], table[None, :])
-            position = cat.index
+            position = {(e.sigma.images, e.h, e.eps): i for i, e in enumerate(elements)}
             found: list[int] = []
             try:
                 for a in elements:
                     for b in elements:
-                        found.append(position.get(msih_mul(a, b), -1))
+                        ab = msih_mul(a, b)
+                        found.append(position.get((ab.sigma.images, ab.h, ab.eps), -1))
             finally:
                 size = len(elements)
                 expected = expected.reshape(size * size, n, n)[: len(found)]

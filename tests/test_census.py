@@ -284,7 +284,7 @@ def test_census_matches_scalar_orbit_reps():
         box_sum = sum(extents(nodes)[0] for nodes in walked)
         diam_sum = sum(math.isqrt(max_pairwise_dist_sq(nodes) // 2) for nodes in walked)
         assert census.square_orbit_sums(m) == ([len(reps)], len(reps), sum(lengths))
-        for d in range(2, 17):
+        for d in range(2, 41):
             report = modular_census(m, d)
             tally = Counter(length % d for length in lengths)
             assert report.residue_counts == {r: tally[r] for r in range(d)}, (m, d)

@@ -331,12 +331,19 @@ def test_product_closed_form_displays():
 
 
 def test_product_closed_form_rejects_repeats():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^indices must be distinct$"):
         product_closed_form(4, [1, 2, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tuple length must be in 1\.\.4, got 0$"):
         product_closed_form(4, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^index 5 out of range 1\.\.4$"):
         product_closed_form(4, [5])
+    with pytest.raises(ValueError, match=r"^index 0 out of range 1\.\.4$"):
+        product_closed_form(4, [0])
+    with pytest.raises(ValueError, match=r"^tuple length must be in 1\.\.4, got 5$"):
+        product_closed_form(4, [1, 2, 3, 4, 1])
+    # the indices' range is checked before their distinctness
+    with pytest.raises(ValueError, match=r"^index 9 out of range 1\.\.4$"):
+        product_closed_form(4, [2, 9, 2])
 
 
 def test_full_cycle_order():
@@ -504,7 +511,7 @@ def test_unit_entry_guard():
 
 def test_product_closed_form_refuses_float_indices():
     # a float index was truncated: (1.5, 2.9) gave the product for (1, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         product_closed_form(3, (1.5, 2.9))
     product = product_closed_form(3, (np.int64(1), np.int64(2)))
     assert product == product_closed_form(3, (1, 2))

@@ -1,6 +1,8 @@
 """Lattice operators, 2D orbits, metrics, representatives, reachability."""
 
 import random
+from collections import Counter
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -96,6 +98,29 @@ def test_reach_graph_counts():
     small = reach_graph((1, 2))
     assert small.nodes == frozenset({(1, 2), (1, -1), (-2, -1)})
     assert len(small.edges) == 2
+
+
+def _star_closed_forms(x):
+    """(nodes, edges) of the orbit of x from the multiplicities m_v of Phi(x):
+    (n+1)!/prod m_v! rearrangements, each with sum m_v (n+1-m_v)/2 swaps of
+    unequal entries, every edge counted from both of its ends."""
+    size, counts = len(x) + 1, Counter(_star(x)).values()
+    nodes = factorial(size) // prod(map(factorial, counts))
+    return nodes, nodes * sum(m * (size - m) for m in counts) // (2 * size)
+
+
+def test_reach_graph_with_repeated_star_entries():
+    # a swap of two equal star entries fixes the point and adds no edge:
+    # Phi(1, 2, 3, 4, 5, 6) = (3, 1, -2, 3, -4, 5, -6) repeats 3
+    rng = random.Random(3407)
+    points = [(0,) * n for n in range(1, 7)] + [(1, 2, 3, 4, 5, 6)]
+    points += [tuple(rng.randint(-2, 2) for _ in range(n)) for n in range(2, 7) for _ in range(6)]
+    for x in points:
+        graph = reach_graph(x)
+        nodes, edges = bfs_reach_graph(x)
+        assert graph.nodes == nodes and graph.edges == edges, x
+        assert (len(nodes), len(edges)) == _star_closed_forms(x), x
+    assert _star_closed_forms((1, 2, 3, 4, 5, 6)) == (2520, 7200)
 
 
 BIG = 2**31
@@ -345,6 +370,24 @@ def test_canonical_rep_is_orbit_invariant(x1, x2):
     # the representative lands in the closed cone between y=x/2 and y=2x
     a, b = rep
     assert a >= 0 and 2 * b >= a and b <= 2 * a
+
+
+def test_orbit_rep_and_node_order_match_the_cycle():
+    # orbit_rep is the greatest cycle point, and orbit2d keeps the cycle's
+    # points in their first-occurrence order, from either first operator;
+    # the pairs of ``near`` hold the axes and the origin at every size
+    edge = (2**31, 2**31 - 1, 10**30, 10**30 + 1)
+    near = edge + tuple(-v for v in edge) + (-1, 0, 1)
+    points = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
+    points += [(a, b) for a in near for b in near]
+    for x in points:
+        assert orbit_rep(x) == canonical_rep(orbit2d(x)) == max(orbit_nodes(x)), x
+        for g in (1, 2):
+            first = []
+            for p in cycle_points(x, g):
+                if p not in first:
+                    first.append(p)
+            assert orbit2d(x, g).nodes == tuple(first), (x, g)
 
 
 def test_orbit_distance():
