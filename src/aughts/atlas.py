@@ -12,6 +12,10 @@ queue would visit, so an element found via parent p and generator j
 satisfies e = K(j) * p; reading the parent chain from the element up to the
 identity yields its word as a product taken left to right. The catalog keeps
 the search as arrays over BFS positions and decodes elements only on demand.
+Its JSON export (``catalog_chunks``) writes no element either: while n + 1 <= 9
+every entry of a record is one digit, so the records of a BFS level differ
+only in their digits, and each level is laid out from one byte template whose
+digit slots are written from the rank arrays.
 
 The isomorphism psi, the permutation e applies to the star coordinates of
 ``aughts.orbits``, is read off (sigma, h, eps): psi(j+1) = sigma(j)+1 and
@@ -48,6 +52,9 @@ from aughts.signed_perm import (
 
 ENUMERATION_MAX_N = 7
 
+# records laid out at once by ``catalog_chunks``
+_RUN = 2**9
+
 
 class ConsistencyError(RuntimeError):
     """An internal structural check failed; this must never fire."""
@@ -63,8 +70,8 @@ class GroupCatalog:
     """All (n+1)! group elements as arrays over BFS positions: the rank, the
     distance, the parent's position and the generator j with element =
     K(j) * parent (parent -1 and j 0 at the identity); ``position`` maps a
-    rank back to its BFS position. ``elements`` and ``index`` decode the
-    ranks into triples when first read."""
+    rank back to its BFS position. ``elements`` decodes the ranks into
+    triples when first read."""
 
     n: int
     rank: np.ndarray
@@ -84,10 +91,6 @@ class GroupCatalog:
             SignedPermElement._trusted(sigmas[s], h or 1, 1 if h else 0)
             for s, h in zip(lehmer.tolist(), pivot.tolist())
         ]
-
-    @cached_property
-    def index(self) -> dict[SignedPermElement, int]:
-        return dict(zip(self.elements, range(len(self))))
 
     def distance_of(self, e: SignedPermElement) -> int:
         return int(self.distance[self._position_of(e)])
@@ -324,48 +327,56 @@ def catalog_chunks(cat: GroupCatalog) -> Iterator[str]:
     """``json.dumps(catalog_json(cat), indent=2)`` in chunks: the header, one
     chunk per element record in BFS order, then the closing brackets.
 
-    A record is joined from pieces: the sigma block and the text prefix of
-    the Lehmer rank of its sigma, the h and eps lines of its pivot, the
-    distance, the word and the psi row. The records go out one BFS level at
-    a time; each word's lines are the generator that reached the element
-    followed by the word lines of its parent, kept from the level before.
+    Every sigma, h, eps, word and psi entry is one digit (n + 1 <= 9), and
+    the records of a BFS level share their distance and word length, so they
+    share one layout: the level's template, the record with a NUL byte in
+    each digit slot. A level goes out in runs of at most ``_RUN`` records:
+    the template is repeated as the rows of a uint8 matrix, the digit slots
+    of each run are written from arrays, and the run is decoded once and
+    handed out one record's width at a time. Each word is the generator that
+    reached the element followed by its parent's word, kept as a uint8
+    matrix from the level before.
     """
-    n, sep = cat.n, ",\n        "
+    n, sep, zero = cat.n, ",\n        ", ord("0")
+    if n + 1 > 9:
+        raise ConsistencyError(f"a catalog export lays out one-digit entries, so n <= 8, got {n}")
     yield (
         f'{{\n  "schema_version": 1,\n  "kind": "group-catalog",\n  "n": {n},\n'
         f'  "order": {len(cat)},\n  "elements": [\n'
     )
-    sigmas = [list(map(str, p)) for p in permutations(range(1, n + 1))]
-    sigma_block = [
-        f'    {{\n      "sigma": [\n        {sep.join(s)}\n      ],\n      "h": ' for s in sigmas
-    ]
-    text_prefix = [f',\n      "text": "M(sigma=[{",".join(s)}];h=' for s in sigmas]
-    flags = [(1, 0)] + [(h, 1) for h in range(1, n + 1)]
-    pivot_lines = [f'{h},\n      "eps": {eps}' for h, eps in flags]
-    pivot_text = [f'{h};eps={eps})",\n      "distance": ' for h, eps in flags]
     lehmer, pivot = np.divmod(cat.rank, n + 1)
-    rows = psi_table(n)[cat.rank]
-    previous, first, start = [], 0, 0
+    # per BFS position, the digits of sigma, h and eps, and of psi
+    head = np.column_stack((_permutations(n)[lehmer], np.maximum(pivot, 1), pivot > 0))
+    head = (head + zero).astype(np.uint8)
+    images = (psi_table(n)[cat.rank] + zero).astype(np.uint8)
+    letters = (cat.via + zero).astype(np.uint8)
+    slot = "\0"
+    sigma, text, images_line = sep.join(slot * n), ",".join(slot * n), sep.join(slot * (n + 1))
+    words, first, start = np.empty((1, 0), dtype=np.uint8), 0, 0
     for distance, stop in enumerate(np.cumsum(np.bincount(cat.distance)).tolist()):
         level = slice(start, stop)
+        if distance:
+            words = np.column_stack((letters[level], words[cat.parent[level] - first]))
+        word = f"[\n        {sep.join(slot * distance)}\n      ]" if distance else "[]"
         # the identity is the one record at distance 0, and the first
         lead = ",\n" if distance else ""
-        current = []
-        for s, p, parent, j, row in zip(
-            lehmer[level].tolist(), pivot[level].tolist(), cat.parent[level].tolist(),
-            cat.via[level].tolist(), rows[level].tolist(),
-        ):
-            # the identity (distance 0) has the empty word, and its children
-            # (parent position 0) the one-letter words
-            line = f"{j}{sep}{previous[parent - first]}" if parent > 0 else str(j)
-            current.append(line)
-            word = f"[\n        {line}\n      ]" if distance else "[]"
-            yield (
-                f"{lead}{sigma_block[s]}{pivot_lines[p]}{text_prefix[s]}{pivot_text[p]}"
-                f'{distance},\n      "word": {word},\n      "psi": [\n        '
-                f"{sep.join(map(str, row))}\n      ]\n    }}"
-            )
-        previous, first, start = current, start, stop
+        template = np.frombuffer(
+            f'{lead}    {{\n      "sigma": [\n        {sigma}\n      ],\n      "h": {slot},\n'
+            f'      "eps": {slot},\n      "text": "M(sigma=[{text}];h={slot};eps={slot})",\n'
+            f'      "distance": {distance},\n      "word": {word},\n      "psi": [\n'
+            f"        {images_line}\n      ]\n    }}".encode(),
+            dtype=np.uint8,
+        )
+        digits = np.column_stack((head[level], head[level], words, images[level]))
+        rows = np.tile(template, (min(stop - start, _RUN), 1))
+        slots, width = np.flatnonzero(template == 0), len(template)
+        for offset in range(0, stop - start, _RUN):
+            run = digits[offset : offset + _RUN]
+            rows[: len(run), slots] = run
+            block = str(rows[: len(run)], "ascii")
+            for i in range(0, len(block), width):
+                yield block[i : i + width]
+        first, start = start, stop
     yield "\n  ]\n}"
 
 

@@ -12,6 +12,7 @@ from brute_force import (
     coset_decomposition,
     element_order,
     embed_element,
+    json_fields,
     lehmer_rank,
     psi_of_word,
     random_word_element,
@@ -115,7 +116,7 @@ def test_catalog_lookups_refuse_elements_outside_it():
     # that names no element cannot be built
     cat = catalog(3)
     e = identity_element(4)
-    assert e not in cat.index
+    assert e not in cat.elements
     with pytest.raises(ValueError, match="not in catalog"):
         cat.distance_of(e)
     with pytest.raises(ValueError, match="not in catalog"):
@@ -367,7 +368,7 @@ def test_tower_embedding_homomorphism():
         lifted = embed_element(e)
         assert lifted.degree == 4
         assert (lifted.h, lifted.eps) == (e.h, e.eps)
-        assert lifted in catalog(4).index
+        assert lifted in catalog(4).elements
 
 
 def test_flag_free_subgroup_isomorphic_to_sym():
@@ -441,6 +442,49 @@ def test_catalog_records_match_the_parent_chain(n):
         "order": factorial(n + 1),
         "elements": expected,
     }
+
+
+def test_catalog_export_entries_are_one_digit():
+    # catalog_chunks lays out each sigma, h, eps, word and psi entry as one
+    # digit, and each is at most n + 1: the cap may rise to 8, no further,
+    # and a wider catalog is refused before any byte is written
+    assert atlas.ENUMERATION_MAX_N + 1 <= 9
+    wide = atlas.GroupCatalog(9, *(np.zeros(0, dtype=np.int32) for _ in range(5)))
+    with pytest.raises(ConsistencyError, match="n <= 8, got 9"):
+        next(atlas.catalog_chunks(wide))
+
+
+def test_catalog_records_at_distance_10():
+    # n = 7 is the one catalog whose diameter, 10, has two digits: each of
+    # its records at distance 10 is laid out field by field from its own
+    # element
+    cat = catalog(7)
+    chunks = list(atlas.catalog_chunks(cat))[1:-1]
+    far = np.flatnonzero(cat.distance == 10).tolist()
+    assert len(chunks) == len(cat) and len(far) == 315
+    for i in far:
+        e = cat.elements[i]
+        record = {
+            "sigma": list(e.sigma.images),
+            "h": e.h,
+            "eps": e.eps,
+            "text": format_element(e),
+            "distance": cat.distance_of(e),
+            "word": list(cat.word(e)),
+            "psi": list(psi(e, 7).images),
+        }
+        assert chunks[i] == f",\n    {{\n{json_fields(record, 2)}\n    }}"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_catalog_records_of_a_level_share_one_length(n):
+    cat = catalog(n)
+    chunks = list(atlas.catalog_chunks(cat))[1:-1]
+    lengths = {}
+    for distance, chunk in zip(cat.distance.tolist(), chunks, strict=True):
+        lengths.setdefault(distance, set()).add(len(chunk))
+    assert list(lengths) == list(range(len(lengths)))
+    assert all(len(sizes) == 1 for sizes in lengths.values())
 
 
 def test_consistency_error_is_runtime_error():
