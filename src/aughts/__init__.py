@@ -24,13 +24,13 @@ _EXPORTS = {
     ),
     "orbits": (
         "HAMILTONIAN_WORD_3D", "Orbit2D", "ReachGraph", "Trajectory", "apply_k",
-        "canonical_rep", "euclidean_diameter", "fundamental_triangles", "is_diametral",
-        "orbit2d", "orbit_distance", "orbit_rep", "reach_graph", "run_word", "semi_perimeter",
+        "euclidean_diameter", "fundamental_triangles", "is_diametral", "orbit2d",
+        "orbit_distance", "orbit_rep", "reach_graph", "run_word", "semi_perimeter",
     ),
     "signed_perm": (
         "NotGroupElementError", "Permutation", "SignedPermElement", "format_element",
         "generator", "identity_element", "matrix_to_msih", "msih_inverse", "msih_mul",
-        "parse_element", "to_matrix",
+        "to_matrix",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -130,10 +130,13 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be in 1..{ENUMERATION_MAX_N}, got {n}")
 
 
+@lru_cache(maxsize=8)
 def _permutations(n: int) -> np.ndarray:
     """The permutations of 1..n in lexicographic order, one per row, so row s
     is the permutation of Lehmer rank s."""
-    return np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
+    perms = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
+    perms.setflags(write=False)  # cached: shared by every caller
+    return perms
 
 
 def left_tables(n: int) -> np.ndarray:

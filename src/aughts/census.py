@@ -18,11 +18,12 @@ rows 0..R, a row y > 0 twice: it counts the row's points in the cone's span
 histogram counts rows too: a row's points lie in angle order, so it adds its
 x-range and its cone span to the bin of one end, and each bin boundary it
 crosses moves the points at or past that ray, a floor of y cot phi, up one
-bin; the bins are exact, as each boundary's cotangent is correctly rounded,
-so a float quotient x/y below or above it is so for certain, and a float
-floor off its margin is exact, with integer brackets of cos and sin deciding
-the rest.  Those row counts are int64 numpy kernels in ``aughts.rows``, which
-is imported only once a disk count or a histogram has passed its guards;
+bin; the bins are exact, as each boundary phi carries the largest fraction
+p/q <= cot phi with q <= COORD_LIMIT: on every row x <= y cot phi iff
+x q <= y p, each floor is floor(y p / q) in int64, and fl(x/y) below or above
+fl(p/q) puts a row's end x/y on that side for certain (monotone rounding).
+Those row counts are int64 numpy kernels in ``aughts.rows``, which is
+imported only once a disk count or a histogram has passed its guards;
 ``WORK_LIMIT`` bounds the rows and crossings that they read.  The orbit
 length, the cone's row form and the cone test are defined once, in
 ``aughts.orbits``, for ints and arrays alike.
@@ -46,12 +47,12 @@ from aughts.errors import ResourceLimitError
 # disk count, and for an angular histogram at most ``rows._histogram_work``, both
 # checked before any row is read.  The disk lengths, the slowest, take about
 # 83 ns a row, so about 7.4 s at the limit; a histogram row takes 35-70 ns and
-# a crossing 8-11 ns (2-vCPU VM).  Below 2^27, so no doubled int64 row sum of
+# a crossing 9-14 ns (2-vCPU VM).  Below 2^27, so no doubled int64 row sum of
 # the disk lengths and no int64 bin sum of a histogram wraps, and every disk
 # within it lies inside the 2^31 guard.
 WORK_LIMIT = 9 * 10**7
-# Bins of an angular histogram: it brackets every boundary's cotangent once,
-# about 8 us a bin (0.5 s at the limit).
+# Bins of an angular histogram: on first use it finds the Farey pair of every
+# boundary it reads, about 7 us a bin (0.44 s at the limit, 2-vCPU VM).
 BINS_LIMIT = 2**16
 # Largest modulus of a census: it builds and prints one count per residue.
 MODULUS_LIMIT = 2**16

@@ -230,17 +230,13 @@ def diametral_flags(o: Orbit2D) -> tuple[bool, ...]:
     return tuple(_in_cone(a, b) for a, b in o.nodes)
 
 
-def canonical_rep(o: Orbit2D) -> Point:
-    """Lexicographically maximal node; one representative per orbit.
+def orbit_rep(x: Sequence[int]) -> Point:
+    """The lexicographically largest node of x's orbit, one representative
+    per orbit, read off the six cycle points.
 
     The representative always lands in the closed first-quadrant cone
     between the two fixed lines y = x/2 and y = 2x.
     """
-    return max(o.nodes)
-
-
-def orbit_rep(x: Sequence[int]) -> Point:
-    """``canonical_rep(orbit2d(x))``, read off the six cycle points."""
     return max(cycle_points(x))
 
 

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from aughts.census import Region, _check_coords
+from aughts.census import COORD_LIMIT, Region, _check_coords
 from aughts.orbits import _cone_span, _semi_perimeter
 
 # Rows per chunk of the row counts and the scan, so a chunk's arrays stay a
@@ -188,20 +188,19 @@ def histogram(region: Region, bins: int) -> tuple[tuple[int, ...], tuple[int, ..
     (row, ray) pairs), at most O(points), and the pairs go in pieces of at
     most ``_PIECE``.
 
-    The comparisons are float, and exact.  ``_rays`` stores fl(cot), the
-    cotangent correctly rounded, and as |x|, y <= 2^31 are exact in float64,
-    fl(x / y) is x / y correctly rounded.  Rounding is monotone (Goldberg,
-    1991), so fl(x / y) < fl(cot) proves x / y < cot and fl(x / y) > fl(cot)
-    proves x / y > cot; this bins a row's ends, and a ray tied with an end
-    in float is taken with the crossed ones, whose floors decide it: y cot
-    is then within y 2^-52 |cot| < 2^-6 of the end, so the floor is the end
-    or one less.  t = fl(y fl(cot)) is within 2^-52 |t| of y cot, so
-    floor(t) is floor(y cot) when t's fractional part and its complement
-    both exceed 2^-50 (|t| + 1).  On the multiples of pi/4, cot is -1, 0 or
-    1 and t is y cot itself.  Every other ray has an irrational tangent
-    (Niven, *Irrational Numbers*, 1956), so no lattice point lies on it and
-    ``_at_or_past`` reaches a certain sign of x sin - y cos by doubling its
-    brackets' bits.
+    Every decision is exact.  ``_rays`` stores for each ray psi_j the
+    largest fraction p / q <= cot psi_j with q <= COORD_LIMIT.  A row's
+    x / y is a fraction of that order, and cot psi_j is irrational off the
+    multiples of pi/4 (Niven, *Irrational Numbers*, 1956), where p / q is
+    cot psi_j itself, so x <= y cot psi_j iff x q <= y p and floor(y cot
+    psi_j) = floor(y p / q), which is floored in int64.  A row's ends are
+    binned against the float keys fl(p / q): as |x|, y <= 2^31 and p, q are
+    exact in float64, fl(x / y) and fl(p / q) are correctly rounded, and
+    rounding is monotone (Goldberg, 1991), so fl(x / y) < fl(p / q) proves
+    x / y < p / q and fl(x / y) > fl(p / q) proves x / y > p / q.  A ray
+    tied with an end in float is taken with the crossed ones, whose floors
+    decide it: y p / q is then within 2^-52 |x| < 2^-20 of the end, so the
+    floor is the end or one less.
     """
     total = np.zeros(bins, dtype=np.int64)
     dia = np.zeros(bins, dtype=np.int64)
@@ -222,15 +221,15 @@ def histogram(region: Region, bins: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 def _histogram_work(region: Region, bins: int) -> int:
     """The rows of the region's bounding box plus a bound on its crossed
-    (row, ray) pairs.  A row y > 0 crosses a ray only where y fl(cot) lies
-    in (lo - 1, hi + 1): fl(lo / y) <= fl(cot) <= fl(hi / y) puts it within
-    y 2^-52 |cot| < 2^-6 of the span.  So each ray crosses the rows of one
-    interval of y, found here from float quotients widened by a row; the ray
-    x = 0 crosses every row if the box holds x = 0, and none otherwise."""
+    (row, ray) pairs.  A row y > 0 crosses a ray only where y fl(p / q) lies
+    in (lo - 1, hi + 1), as fl(lo / y) <= fl(p / q) <= fl(hi / y) puts it
+    within 2^-19 of the span.  So each ray crosses the rows of one interval
+    of y, found here from float quotients widened by a row; the ray x = 0
+    crosses every row if the box holds x = 0, and none otherwise."""
     x0, x1, y0, y1 = region.bounds()
     if x0 > x1 or y0 > y1:
         return 0
-    cot, _ = _rays(bins)
+    key = _rays(bins)[2]
     work = y1 - y0 + 1
     # the rows above the axis, then those below turned by pi
     for parity, ya, yb, xa, xb in (
@@ -239,7 +238,7 @@ def _histogram_work(region: Region, bins: int) -> int:
     ):
         if ya > yb:
             continue
-        rays = cot[2 - parity :: 2]
+        rays = key[2 - parity :: 2]
         slanted = rays[rays != 0]
         ends = np.sort([(xa - 1) / slanted, (xb + 1) / slanted], axis=0)
         first, last = np.maximum(np.floor(ends[0]), ya), np.minimum(np.ceil(ends[1]), yb)
@@ -252,24 +251,26 @@ def _add_rows(bins: int, parity: int, y, lo, hi, total, dia) -> None:
     """Add rows y > 0 with nonempty spans [lo, hi] to the bins ``total`` and
     ``dia`` of a half-plane turned above the axis: bin i lies before ray i,
     psi_j for j = 2i + 2 - parity < bins.  A row's points are past each ray
-    before ``first``, where fl(cot) > fl(hi / y), and past none from
-    ``stop`` on, where fl(cot) < fl(lo / y): the row goes to bin ``first``,
-    and each ray in between moves its f - lo + 1 points at or past it up,
-    with f = floor(y cot psi_j) in [lo - 1, hi] (see ``histogram``).  Of the
-    row's cone span [c0, c1] it moves f - c0 + 1 points where 1/2 < cot < 2,
-    as then c0 - 1 <= f <= c1; all where cot > 2, as f >= 2y >= c1; none
-    where cot < 1/2, as f < y/2 <= c0.  So each ray moves the sum of f over
-    the rows that cross it plus sums of per-row terms, which are added as
-    steps at each row's ``first`` and ``stop``.  Each row or crossing adds
-    at most 2^32 + 1 to a bin, and the work budget allows fewer than 2^27 of
-    them, so the int64 sums are exact."""
+    before ``first``, where fl(p / q) > fl(hi / y), and past none from
+    ``stop`` on, where fl(p / q) < fl(lo / y): the row goes to bin
+    ``first``, and each ray in between moves its f - lo + 1 points at or
+    past it up, with f = floor(y p / q) in [lo - 1, hi] (see
+    ``histogram``).  Of the row's cone span [c0, c1] it moves f - c0 + 1
+    points where 1/2 < cot < 2, as then c0 - 1 <= f <= c1; all where
+    cot > 2, as f >= 2y >= c1; none where cot < 1/2, as f < y/2 <= c0.  As
+    1/2 and 2 are fractions of the pairs' order, cot > 1/2 iff 2p >= q and
+    cot > 2 iff p >= 2q.  So each ray moves the sum of f over the rows that
+    cross it plus sums of per-row terms, which are added as steps at each
+    row's ``first`` and ``stop``.  Each row or crossing adds at most
+    2^32 + 1 to a bin, and the work budget allows fewer than 2^27 of them,
+    so the int64 sums are exact."""
     if not y.size:
         return
-    cot = _rays(bins)[0][2 - parity :: 2]  # ray i's, descending
-    key = -cot
+    p, q, key = (a[2 - parity :: 2] for a in _rays(bins))  # ray i's
+    key = -key  # ascending
     end = -(hi / y)
     first = np.searchsorted(key, end, "left")
-    # cot descends strictly, so a one-point row ties with at most one ray
+    # the keys descend strictly, so a one-point row ties with at most one ray
     stop = first + (key.take(first, mode="clip") == end)
     wide = np.flatnonzero(hi > lo)
     stop[wide] = np.searchsorted(key, -(lo[wide] / y[wide]), "right")
@@ -286,27 +287,24 @@ def _add_rows(bins: int, parity: int, y, lo, hi, total, dia) -> None:
 
     def crossed_sum(w):
         # per ray, the sum of w over the rows that cross it
-        steps = np.zeros(cot.size + 1, dtype=np.int64)
+        steps = np.zeros(key.size + 1, dtype=np.int64)
         np.add.at(steps, first, w)
         np.add.at(steps, stop, -w)
         return np.cumsum(steps[:-1])
 
     f = np.zeros(bins, dtype=np.int64)
-    first_j, y_float = 2 * first + (2 - parity), y.astype(float)
+    first_j = 2 * first + (2 - parity)
     for rows, taken, rank in _runs(stop - first, _PIECE):
         j = np.repeat(first_j[rows], taken)
         j += 2 * rank
         # exact in float: _PIECE floors below 2^32 in size sum below 2^53
-        f += np.bincount(j, _floors(bins, np.repeat(y_float[rows], taken), j),
+        f += np.bincount(j, _floors(bins, np.repeat(y[rows], taken), j),
                          bins).astype(np.int64)
     f = f[2 - parity :: 2]
-    # no ray of up to BINS_LIMIT bins has fl(cot) = 1/2 or 2 (see
-    # test_no_ray_cotangent_rounds_to_a_cone_edge), so fl(cot) and cot
-    # compare alike with both
-    middle = (cot > 0.5) & (cot < 2)
     for out, up in (
         (total, f + crossed_sum(1 - lo)),
-        (dia, np.where(middle, f + crossed_sum(1 - cone_lo), 0) + (cot > 2) * crossed_sum(cone)),
+        (dia, np.where((2 * p >= q) & (p < 2 * q), f + crossed_sum(1 - cone_lo), 0)
+              + (p >= 2 * q) * crossed_sum(cone)),
     ):
         # ray i parts bin i from bin i + 1
         out[1 : up.size + 1] += up
@@ -314,72 +312,75 @@ def _add_rows(bins: int, parity: int, y, lo, hi, total, dia) -> None:
 
 
 def _floors(bins: int, y: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """floor(y cot psi_j) of each crossed pair of a row y > 0 and a ray j,
-    exactly, as floats.  On a crossing |t| <= 2^31 + 1, so 2^-50 (|t| + 1)
-    is below 2^-18, and t's fractional part and its complement both exceed
-    it where they exceed 2^-18."""
-    cot, quarter = _rays(bins)
-    t = y * cot.take(j)
-    out = np.floor(t)
-    frac = t - out
-    near = np.flatnonzero((frac < 2.0**-18) | (frac > 1 - 2.0**-18))
-    # on a quarter ray t is the integer y cot itself
-    for i in near[~quarter.take(j[near])].tolist():
-        # floor(y cot) is round(t) or one less
-        m = round(t[i])
-        out[i] = m if _at_or_past(m, int(y[i]), int(j[i]), bins) else m - 1
-    return out
+    """floor(y cot psi_j) = floor(y p_j / q_j) of each crossed pair of a row
+    y > 0 and a ray j, in int64: on a crossing the floor lies in
+    [lo - 1, hi], so |y p_j| < (2^31 + 2) q_j <= (2^31 + 2) 2^31 < 2^63."""
+    p, q, _ = _rays(bins)
+    return y * p.take(j) // q.take(j)
 
 
 @lru_cache(maxsize=8)
-def _rays(bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cot, quarter) of the rays psi_j = pi j / bins, indexed by j for
+def _rays(bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q, key) of the rays psi_j = pi j / bins, indexed by j for
     0 < j < bins: the bin boundaries of either half-plane turned above the
-    axis.  ``cot`` holds cot psi_j correctly rounded: as rounding is
-    monotone, it descends as cot psi_j does, and a float below or above it
-    is below or above cot psi_j.  ``quarter`` marks the multiples of pi/4,
-    where it is cot psi_j itself, 1, 0 or -1.  Entry 0 is unused."""
-    cot = [0.0] * bins  # cot psi_(bins-j) = -cot psi_j
-    for j in range(1, bins // 2 + 1):
-        cot[j] = float(2 * j < bins) if 4 * j % bins == 0 else _cot(j, bins)
-        if 2 * j < bins:
-            cot[bins - j] = -cot[j]
-    arrays = np.array(cot), 4 * np.arange(bins) % bins == 0
+    axis.  p_j / q_j, in int64, is the largest fraction <= cot psi_j with
+    q_j <= COORD_LIMIT, its lower Farey neighbour, and cot psi_j itself on
+    the multiples of pi/4.  As cot(pi - psi) = -cot psi, a ray past pi/2
+    takes its mirror's upper neighbour, negated.  ``key`` holds fl(p / q),
+    correctly rounded as p and q are exact in float64.  Entry 0 is unused,
+    and so is every odd j of an even bins, as both halves read even j."""
+    p, q = [0] * bins, [1] * bins
+    step = 2 - bins % 2
+    for j in range(step, bins // 2 + 1, step):
+        if 4 * j % bins:
+            low, high = _farey_pair(j, bins)
+        else:  # cot psi_j is 1 or 0
+            low = high = (int(2 * j < bins), 1)
+        (p[j], q[j]), (p[bins - j], q[bins - j]) = low, (-high[0], high[1])
+    p, q = np.array(p, dtype=np.int64), np.array(q, dtype=np.int64)
+    arrays = p, q, p / q
     for array in arrays:
         array.setflags(write=False)  # cached: shared by every caller
     return arrays
 
 
-def _cot(j: int, bins: int) -> float:
-    """cot psi, correctly rounded, for psi = pi j / bins off the multiples of
-    pi/4: the brackets' bits double until the corners c / s of their box,
-    each an int quotient and so correctly rounded, round to one float, which
-    ends as cot psi is irrational."""
+def _farey_pair(j: int, bins: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The Farey neighbours p/q < cot psi < p'/q' of order COORD_LIMIT, as
+    (p, q) pairs, for psi = pi j / bins in (0, pi/2) off pi/4.  cot psi
+    lies in [c0 / s1, c1 / s0] by the brackets of ``_direction``, and the
+    neighbours of its low end are those of cot psi once its high end lies
+    below the upper one, as no fraction of the order lies between them.  The
+    brackets' bits double until it does, which ends as cot psi is
+    irrational."""
     k = 64 + 2 * bins.bit_length()
     while True:
         c0, c1, s0, s1 = _direction(j, bins, k)
-        cot = c0 / s0
-        if cot == c0 / s1 == c1 / s0 == c1 / s1:
-            return cot
+        low, high = _neighbours(c0, s1)
+        if c1 * high[1] < high[0] * s0:
+            return low, high
         k *= 2
 
 
-def _at_or_past(x: int, y: int, j: int, bins: int) -> bool:
-    """Whether x <= y cot psi for y > 0 and psi = pi j / bins off the
-    multiples of pi/4, from the sign of x sin psi - y cos psi; the brackets'
-    bits double until the sign is certain, which ends as the value is not 0.
-    """
-    k = 64
-    while True:
-        c0, c1, s0, s1 = _direction(j, bins, k)
-        # 2^k (x sin psi - y cos psi) lies in [low, high]
-        low = min(x * s0, x * s1) - y * c1
-        high = max(x * s0, x * s1) - y * c0
-        if high <= 0:
-            return True
-        if low > 0:
-            return False
-        k *= 2
+def _neighbours(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Fractions p/q <= a/b <= p'/q' adjacent in the Farey sequence of order
+    COORD_LIMIT, as (p, q) pairs, for b > 0: the last convergent of a/b with
+    a denominator of at most that order and the largest semiconvergent after
+    it (Graham, Knuth & Patashnik, *Concrete Mathematics*, 4.5).  Their
+    determinant is 1 and their denominators sum past the order.  a/b is
+    one of them exactly when its own denominator is within the order."""
+    h0, k0, h1, k1 = 0, 1, 1, 0  # the convergents -2 and -1
+    while b:
+        t, r = divmod(a, b)
+        k = t * k1 + k0
+        if k > COORD_LIMIT:
+            break
+        h0, h1 = h1, t * h1 + h0
+        k0, k1 = k1, k
+        a, b = b, r
+    s = (COORD_LIMIT - k0) // k1
+    semi = h0 + s * h1, k0 + s * k1
+    # convergent i lies above a/b for odd i, where h1 k0 - h0 k1 = 1
+    return (semi, (h1, k1)) if h1 * k0 > h0 * k1 else ((h1, k1), semi)
 
 
 def _direction(j: int, bins: int, k: int) -> tuple[int, int, int, int]:

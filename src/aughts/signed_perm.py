@@ -13,7 +13,6 @@ permutation of ``a`` acts first.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 
 from aughts.intmat import SmallIntMatrix, _check_dim, alternating_row, sign_pow
@@ -235,21 +234,6 @@ def matrix_to_msih(m: SmallIntMatrix) -> SignedPermElement:
     raise NotGroupElementError(f"not the matrix of a group element: {rows}")
 
 
-_ELEMENT_RE = re.compile(
-    r"M\((?:sigma|σ)=\[(?P<imgs>[0-9,\s]*)\];h=(?P<h>\d+);eps=(?P<eps>[01])\)"
-)
-
-
 def format_element(e: SignedPermElement) -> str:
     imgs = ",".join(str(v) for v in e.sigma.images)
     return f"M(sigma=[{imgs}];h={e.h};eps={e.eps})"
-
-
-def parse_element(text: str) -> SignedPermElement:
-    match = _ELEMENT_RE.fullmatch(text.strip())
-    if match is None:
-        raise ValueError(f"cannot parse element text: {text!r}")
-    images = [int(v) for v in match.group("imgs").split(",") if v.strip()]
-    return SignedPermElement(
-        Permutation(images), int(match.group("h")), int(match.group("eps"))
-    )

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -78,6 +79,18 @@ def test_left_tables_match_msih_mul(n):
     for j in range(1, n + 1):
         g = generator(n, j)
         assert tables[j - 1, ranks].tolist() == [rank_of[msih_mul(g, e)] for e in elements]
+
+
+def test_permutations_table_is_built_once_and_read_only():
+    # left_tables, psi_table and catalog_chunks share one table per n
+    atlas._permutations.cache_clear()
+    for n in (1, 4, 7):
+        perms = atlas._permutations(n)
+        assert perms is atlas._permutations(n) and not perms.flags.writeable
+        assert perms.tolist() == [list(p) for p in permutations(range(1, n + 1))]
+    atlas._permutations.cache_clear()
+    list(atlas.catalog_chunks(catalog(7)))
+    assert atlas._permutations.cache_info().misses == 1
 
 
 def test_cayley_distances_n3():

@@ -1152,21 +1152,6 @@ def test_projection_histogram_at_convergents(bins, step):
     assert checked > 10 * (bins // step)
 
 
-def test_no_ray_cotangent_rounds_to_a_cone_edge():
-    # _add_rows moves a crossed row's cone points by fl(cot) against 1/2 and
-    # 2, the cone's edges.  fl(cot psi) = 2 needs |cot psi - 2| <= 2^-52, so
-    # |psi - atan(1/2)| <= 2^-54 as |cot'| >= 4 there, and j / bins within
-    # 2^-55 of a = atan(1/2) / pi; fl(cot psi) = 1/2 likewise needs j / bins
-    # near 1/2 - a.  Every bins up to the limit stays 2^-50 clear of both.
-    p = 256
-    a = (rows._atan_inverse(2, p)[0] << p) // rows._pi_fixed(p)[0]  # a 2^p
-    for target in (a, (1 << (p - 1)) - a):
-        for bins in range(8, census.BINS_LIMIT + 1):
-            x = target * bins
-            j = (x + (1 << (p - 1))) >> p
-            assert abs(x - (j << p)) > bins << (p - 50), bins
-
-
 def test_projection_histogram_near_boundary_point():
     # at 0.99999999999999995 bins its angle is just short of the boundary
     # 2 pi / 64, where a float arctan2 rounds it across
@@ -1190,30 +1175,89 @@ def test_direction_brackets_agree_with_the_oracle(bins):
 
 
 def test_projection_histogram_bins_limit():
-    # up to the limit the rounded cotangents of one half descend strictly,
-    # so no two rays tie in float
-    cot, _ = rows._rays(census.BINS_LIMIT)
-    for parity in (0, 1):
-        assert np.all(np.diff(cot[2 - parity :: 2]) < 0)
+    # up to the limit the float keys of one half descend strictly, so no two
+    # rays tie in float
+    _, _, key = rows._rays(census.BINS_LIMIT)
+    for parity in {0, census.BINS_LIMIT % 2}:
+        assert np.all(np.diff(key[2 - parity :: 2]) < 0)
     with pytest.raises(ResourceLimitError):
         projection_histogram(Region.disk(1), census.BINS_LIMIT + 1)
 
 
 @pytest.mark.parametrize("bins", [9, 64, 360, 1000, census.BINS_LIMIT])
 def test_ray_cotangents_are_correctly_rounded(bins):
-    # psi_j = pi j / bins is the oracle's 2 pi j / (2 bins); where the four
-    # corners c / s of its 256-bit brackets round to one float, so does the
-    # cotangent, and the ray must hold that float
-    cot, _ = rows._rays(bins)
-    assert cot.size == bins
-    checked = 0
-    for j in range(1, bins, max(1, bins // 64)):
+    # psi_j = pi j / bins is the oracle's 2 pi j / (2 bins); each ray holds
+    # the lower Farey neighbour p / q of cot psi_j of order 2^31, so p / q
+    # lies below the cotangent's 256-bit bracket and the upper neighbour
+    # above it, and its key is p / q correctly rounded; an even bins reads
+    # no ray of odd j and leaves it 0/1
+    p, q, key = rows._rays(bins)
+    assert p.size == q.size == key.size == bins
+    n = census.COORD_LIMIT
+    for j in range(1, bins, max(1, bins // 64) | 1):  # an odd step: both parities
+        pj, qj = int(p[j]), int(q[j])
+        if j % 2 > bins % 2:
+            assert (pj, qj) == (0, 1)
+            continue
+        assert 1 <= qj <= n and math.gcd(pj, qj) == 1
+        assert key[j] == float(Fraction(pj, qj))
+        if 4 * j % bins == 0:
+            # cot psi_j is 1, 0 or -1 itself
+            assert (pj, qj) == ({1: 1, 2: 0, 3: -1}[4 * j // bins], 1)
+            continue
         c0, c1, s0, s1 = cos_sin_bracket(j, 2 * bins, 256)
-        corners = {float(Fraction(c, s)) for c in (c0, c1) for s in (s0, s1)}
-        if len(corners) == 1:
-            assert cot[j] == corners.pop(), j
-            checked += 1
-    assert checked >= min(bins - 1, 60)
+        assert 0 < s0 <= s1
+        low = min(Fraction(c0, s) for s in (s0, s1))
+        high = max(Fraction(c1, s) for s in (s0, s1))
+        # the upper neighbour: q p' - p q' = 1 with the largest q' <= n
+        q2 = pow(-pj, -1, qj) if qj > 1 else 0
+        q2 += (n - q2) // qj * qj
+        p2 = (1 + pj * q2) // qj
+        assert qj * p2 - pj * q2 == 1 and qj + q2 > n >= q2
+        assert Fraction(pj, qj) < low and high < Fraction(p2, q2), j
+
+
+def test_projection_histogram_at_the_int64_edge(monkeypatch):
+    # rows next to where the steepest ray of the upper half, j = 2, leaves
+    # the 2^31 guard: there y p_2 passes 2^61, and (y p) // q must still be
+    # exact in int64
+    p, q, _ = rows._rays(census.BINS_LIMIT)
+    p2, q2 = int(p[2]), int(q[2])
+    y = census.COORD_LIMIT * q2 // p2
+    x = y * p2 // q2
+    products = []
+    floors = rows._floors
+    monkeypatch.setattr(rows, "_floors", lambda bins, ys, j: products.extend(
+        int(a) * abs(int(p[b])) for a, b in zip(ys, j)) or floors(bins, ys, j))
+    _assert_exact_bins(Region.rect(x - 1, x + 2, y - 1, y + 1), census.BINS_LIMIT)
+    assert max(products) > 2**61
+
+
+def test_farey_pair_of_a_bracket_end_that_is_a_fraction(monkeypatch):
+    # a bracket end may be a fraction of order 2^31 itself: it is then one
+    # of its own two neighbours, with no division by zero
+    n = census.COORD_LIMIT
+    for a, b in ((3 << 80, 7 << 80), (5 << 70, 1 << 70), (0, 1), (n - 1, n), (1, n)):
+        (p, q), (p2, q2) = rows._neighbours(a, b)
+        assert Fraction(a, b) in (Fraction(p, q), Fraction(p2, q2))
+        assert Fraction(p, q) <= Fraction(a, b) <= Fraction(p2, q2)
+        assert q * p2 - p * q2 == 1 and q + q2 > n >= max(q, q2)
+    # a ray whose first bracket's low end is its own lower neighbour, or the
+    # integer below its cotangent, keeps its pair
+    bins = 360
+    first_k = 64 + 2 * bins.bit_length()
+    direction = rows._direction
+    for j in (1, 7, 44, 100, 179):
+        want = rows._farey_pair(j, bins)
+        for end in (want[0], (int(Fraction(*want[0])), 1)):
+
+            def low_end_at(j, bins, k, end=end):
+                c0, c1, s0, s1 = direction(j, bins, k)
+                return (end[0] * s1, c1, s0, end[1] * s1) if k == first_k else (c0, c1, s0, s1)
+
+            monkeypatch.setattr(rows, "_direction", low_end_at)
+            assert rows._farey_pair(j, bins) == want, (j, end)
+            monkeypatch.setattr(rows, "_direction", direction)
 
 
 def test_many_bins_histogram_memory_is_bounded():

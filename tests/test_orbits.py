@@ -25,7 +25,6 @@ from aughts.orbits import (
     _swap,
     _unstar,
     apply_k,
-    canonical_rep,
     cycle_points,
     diametral_flags,
     euclidean_diameter,
@@ -356,8 +355,8 @@ def test_diametral_double_cone_exhaustive():
 
 
 def test_canonical_rep():
-    assert canonical_rep(orbit2d((1, 0))) == (1, 1)
-    assert canonical_rep(orbit2d((0, 0))) == (0, 0)
+    assert orbit_rep((1, 0)) == (1, 1)
+    assert orbit_rep((0, 0)) == (0, 0)
     assert orbit_rep((-2, -1)) == (1, 2)
 
 
@@ -365,6 +364,7 @@ def test_canonical_rep():
 @given(coords, coords)
 def test_canonical_rep_is_orbit_invariant(x1, x2):
     rep = orbit_rep((x1, x2))
+    assert rep == max(orbit_nodes((x1, x2)))
     for node in orbit2d((x1, x2)).nodes:
         assert orbit_rep(node) == rep
     # the representative lands in the closed cone between y=x/2 and y=2x
@@ -381,7 +381,7 @@ def test_orbit_rep_and_node_order_match_the_cycle():
     points = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
     points += [(a, b) for a in near for b in near]
     for x in points:
-        assert orbit_rep(x) == canonical_rep(orbit2d(x)) == max(orbit_nodes(x)), x
+        assert orbit_rep(x) == max(orbit2d(x).nodes) == max(orbit_nodes(x)), x
         for g in (1, 2):
             first = []
             for p in cycle_points(x, g):

@@ -19,7 +19,6 @@ from aughts.signed_perm import (
     matrix_to_msih,
     msih_inverse,
     msih_mul,
-    parse_element,
     to_matrix,
 )
 
@@ -135,7 +134,6 @@ def test_the_empty_permutation_is_refused_as_degree_0():
     for build in (
         lambda: Permutation(()),
         lambda: Permutation.of([]),
-        lambda: parse_element("M(sigma=[];h=1;eps=0)"),
     ):
         with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
             build()
@@ -254,19 +252,6 @@ def test_element_order_small():
     assert element_order(identity_element(3)) == 1
     assert element_order(generator(3, 1)) == 2
     assert element_order(msih_mul(generator(3, 1), generator(3, 2))) == 3
-
-
-def test_format_parse_round_trip():
-    rng = random.Random(5)
-    for _ in range(20):
-        e = random_element(4, rng)
-        assert parse_element(format_element(e)) == e
-    assert format_element(generator(3, 2)) == "M(sigma=[1,2,3];h=2;eps=1)"
-    assert parse_element("M(σ=[2,1];h=1;eps=0)") == SignedPermElement.of(
-        Permutation.of([2, 1]), 1, 0
-    )
-    with pytest.raises(ValueError):
-        parse_element("not an element")
 
 
 def test_permutation_of_refuses_float_images():
