@@ -1,6 +1,8 @@
-"""The int64 row kernels of the disk counts and the angular histogram, which
-``aughts.census`` imports once a call has passed its guards and its
-``WORK_LIMIT``, and of the SVG renders' scan blocks.
+"""The int64 row kernels of the disk length statistics and the angular
+histogram, which ``aughts.census`` imports once a call has passed its guards
+and its ``WORK_LIMIT``, and of the SVG renders' scan blocks.  The disk's
+diametral count reads no rows: it walks the lattice hull of the disk's arc
+in Python ints (``census._disk_diametral``).
 
 No count loops over rows in Python: ``_rows`` gives a region's rows in
 chunks of up to 2^16 as int64 arrays with their ``row_spans`` x-ranges, and
@@ -110,28 +112,6 @@ def _runs(counts: np.ndarray, size: int) -> Iterator[tuple[slice, np.ndarray, np
         yield rows, taken, np.arange(done, stop) - np.repeat(starts[rows], taken)
 
 
-def _disk_rows(disk: Region) -> Iterator[tuple[np.ndarray, ...]]:
-    """The disk's rows 0..R as int64 chunks (ys, half-widths, weights).  Row
-    -y holds the negatives of row y's points, so a row y > 0 weighs 2, for
-    itself and row -y, and row 0 weighs 1."""
-    for ys, _, half in _rows(disk, 0):
-        yield ys, half, 2 - (ys == 0)
-
-
-def disk_diametral(disk: Region) -> tuple[int, int]:
-    """(points, diametral points) of a disk: each row adds its x-range to the
-    total and each row y > 0 its points in the cone's span, min(2y, h) -
-    ceil(y/2) + 1 or none, to the hits."""
-    total = hits = 0
-    for ys, half, weight in _disk_rows(disk):
-        total += int((weight * (2 * half + 1)).sum())
-        # row 0 holds no diametral point; each row above it stands for two
-        above = int(ys[0] == 0)
-        a, b = _cone_span(ys[above:])
-        hits += 2 * int(np.maximum(np.minimum(b, half[above:]) - a + 1, 0).sum())
-    return total, hits
-
-
 def disk_lengths(disk: Region) -> tuple[int, int, int]:
     """(points, orbit length sum, largest orbit length) of a disk.
 
@@ -145,7 +125,9 @@ def disk_lengths(disk: Region) -> tuple[int, int, int]:
     then 3h + |2y - h| <= 4h + 2y or |2h - y| + 3y <= 2h + 4y.
     """
     total = count = maximum = 0
-    for ys, half, weight in _disk_rows(disk):
+    for ys, _, half in _rows(disk, 0):
+        # row -y holds the negatives of row y's points: a row y > 0 weighs 2
+        weight = 2 - (ys == 0)
         count += int((weight * (2 * half + 1)).sum())
         lo = -half
         lengths = 2 * weight * (

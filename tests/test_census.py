@@ -655,8 +655,9 @@ def test_polygon_census_at_2_62():
 
 
 def test_polygon_census_visits_no_rows(monkeypatch):
+    # the disk's census too: it walks the hull of its arc
     def no_rows(*args):
-        raise AssertionError("a polygon census visited rows")
+        raise AssertionError("a diametral census visited rows")
 
     monkeypatch.setattr(rows, "_rows", no_rows)
     _, cone, _ = square_orbit_sums(10**6)
@@ -665,10 +666,92 @@ def test_polygon_census_visits_no_rows(monkeypatch):
         Region.sym_square(10**6),
         Region.hexagon(10**6),
         Region.rect(-(2**40), 2**41, -(2**62), 2**63),
+        Region.disk(10**6),
     ):
         assert 0 < diametral_report(region).diametral_fraction < 1
-    with pytest.raises(AssertionError):
-        diametral_report(Region.disk(100))
+
+
+def _direct_arc_sum(n, a, b):
+    return sum(math.isqrt(n - x * x) for x in range(a, b + 1))
+
+
+def test_arc_sums_match_direct_sums_on_every_range():
+    # every range a..b of every radius up to 60, alone and with stops below
+    # a, at a and twice at the middle
+    for r in range(61):
+        n = r * r
+        for a in range(r + 1):
+            for b in range(a, r + 1):
+                mid = (a + b) // 2
+                want = [_direct_arc_sum(n, a, s) for s in (a, mid, b)]
+                assert census._arc_sums(n, a, (b,)) == want[-1:], (r, a, b)
+                stops = (a - 1, a, mid, mid, b)
+                assert census._arc_sums(n, a, stops) == [0, *want[:2], *want[1:]], (r, a, b)
+
+
+def test_arc_sums_on_random_ranges():
+    # up to 3000 columns anywhere under arcs of radius up to 10^9, from the
+    # flat top to the near-vertical end, with a stop inside
+    rng = random.Random(2012)
+    for _ in range(2000):
+        r = rng.randint(1, 10**9)
+        a = rng.randint(0, r)
+        b = min(r, a + rng.randint(0, 3000))
+        mid = rng.randint(a, b)
+        want = [_direct_arc_sum(r * r, a, s) for s in (mid, b)]
+        assert census._arc_sums(r * r, a, (mid, b)) == want, (r, a, mid, b)
+
+
+def test_arc_sums_of_empty_ranges():
+    # a stop below a sums to nothing, however far below; the disk of radius 1
+    # stops at k = isqrt(1 // 2) = 0, below its first column
+    assert census._arc_sums(1, 1, (0,)) == [0]
+    assert census._arc_sums(1, 1, (0, 0, 0)) == [0, 0, 0]
+    assert census._arc_sums(100, 7, (0, 5, 6)) == [0, 0, 0]
+    assert census._arc_sums(100, 7, (6, 7)) == [0, 7]
+    assert census._arc_sums(100, 10, (9, 10)) == [0, 0]
+    assert census._disk_diametral(1) == (5, 0)
+
+
+def _row_diametral_counts(r):
+    """(total, hits) of the disk of radius r in Python ints, one row y >= 0
+    at a time, each standing for itself and row -y: the row holds 2h + 1
+    points, h = isqrt(r^2 - y^2), and the cone's x in [ceil(y/2), min(2y, h)]
+    for y > 0."""
+    total, hits = 2 * r + 1, 0
+    for y in range(1, r + 1):
+        h = math.isqrt(r * r - y * y)
+        total += 2 * (2 * h + 1)
+        hits += 2 * max(0, min(2 * y, h) - (y + 1) // 2 + 1)
+    return total, hits
+
+
+def test_disk_census_matches_per_row_oracles():
+    for r in range(1, 401):
+        report = diametral_report(Region.disk(r))
+        assert (report.total_points, report.diametral_points) == per_row_diametral_counts(
+            Region.disk(r)
+        ), r
+    # per_row_diametral_counts takes about 10 us a row, so the larger radii
+    # are checked against the same row rule in Python ints
+    rng = random.Random(1206)
+    for r in [rng.randint(401, 10**5) for _ in range(50)]:
+        report = diametral_report(Region.disk(r))
+        assert (report.total_points, report.diametral_points) == _row_diametral_counts(r), r
+
+
+@pytest.mark.parametrize(
+    "r, total, hits",
+    [
+        (31999999, 3216990676188661, 658945122841404),
+        # the largest disk within WORK_LIMIT
+        (89999999, 25446899928572625, 5212358945894462),
+    ],
+)
+def test_disk_census_at_large_radii(r, total, hits):
+    # pinned from the int64 row count that the hull walk replaced
+    report = diametral_report(Region.disk(r))
+    assert (report.total_points, report.diametral_points) == (total, hits)
 
 
 @pytest.mark.parametrize("r", [100, 977, 40000])
@@ -686,8 +769,8 @@ def test_disk_length_stats_add_rows_without_int64_wrap():
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 100])
 def test_disk_counts_match_per_row_oracles_at_any_chunk_size(monkeypatch, chunk_rows):
-    # the disk counts read rows 0..R only; small chunks put row 0 alone in
-    # its chunk, or R in a short last one
+    # the disk lengths read rows 0..R only; small chunks put row 0 alone in
+    # its chunk, or R in a short last one; the diametral count reads none
     monkeypatch.setattr(rows, "_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(chunk_rows)
     for r in [*range(1, 61), *rng.integers(61, 401, size=8).tolist()]:
@@ -795,7 +878,8 @@ def test_diametral_census_small_sizes_match_brute_force():
 
 
 def test_diametral_row_limit():
-    # only the disk counts rows: far past the limit, and one row past it
+    # only the disk is bounded, by its R + 1 rows: far past the limit, and
+    # one row past it
     with pytest.raises(ResourceLimitError):
         diametral_report(Region.disk(2**40))
     with pytest.raises(ResourceLimitError):

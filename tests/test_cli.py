@@ -383,6 +383,7 @@ NUMPY_FREE_COMMANDS = [
     ["trace", "3,5", "--word", "1,2"],
     ["census", "--square", "1000", "--mod", "8"],
     ["census", "--hexagon", "1999999", "--diametral"],
+    ["census", "--disk", "1999999", "--diametral"],
 ]
 
 
@@ -419,8 +420,8 @@ _IMPORT_PROBE = textwrap.dedent(
     unresolved = [name for name in aughts.__all__ if not hasattr(aughts, name)]
     undirected = sorted(set(aughts.__all__) - set(dir(aughts)))
     for argv in (
-        ["census", "--disk", "200", "--diametral"], ["group", "--dim", "3"],
-        ["verify", "--max-n", "2"], ["render", "--mod", "3", "--disk", "5"],
+        ["group", "--dim", "3"], ["verify", "--max-n", "2"],
+        ["render", "--mod", "3", "--disk", "5"],
     ):
         codes[" ".join(argv)] = run(argv)
     print(json.dumps([numpy, tempfile, unresolved, undirected, codes]))
