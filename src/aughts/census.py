@@ -13,14 +13,15 @@ other than the origin is diametral iff it or its negative lies in that cone,
 so a square, sym-square, hexagon or rect counts the cone's points in its
 bounding box by inclusion-exclusion over one quadrant count in closed form,
 visiting no row.  The disk, symmetric under x -> -x and y -> -y, counts
-its diametral points from sums of isqrt(R^2 - x^2) over ranges of columns,
-which it takes in Python ints by walking the lattice hull of its arc, a
-closed form per step; its length statistics read its rows 0..R, a row y > 0
-twice, and sum their orbit lengths in closed form.  The angular histogram
-counts rows too: a row's points lie in angle order, so it adds its
-x-range and its cone span to the bin of one end, and each bin boundary it
-crosses moves the points at or past that ray, a floor of y cot phi, up one
-bin; the bins are exact, as each boundary phi carries the largest fraction
+its diametral points from sums of isqrt(R^2 - x^2) over the columns
+x = 1..k, k = isqrt(R^2 // 2), the octant of its arc with slopes 0 to 1, as
+both the disk and the cone are symmetric in the diagonal; it takes them in
+Python ints by walking the lattice hull of that arc, a closed form per
+step; its length statistics read its rows 0..R, a row y > 0 twice, and sum
+their orbit lengths in closed form.  The angular histogram counts rows too:
+a row's points lie in angle order, so it adds its x-range and its cone span
+to the bin of one end, and each bin boundary it crosses moves the points at
+or past that ray, a floor of y cot phi, up one bin; the bins are exact, as each boundary phi carries the largest fraction
 p/q <= cot phi with q <= COORD_LIMIT: on every row x <= y cot phi iff
 x q <= y p, each floor is floor(y p / q) in int64, and fl(x/y) below or above
 fl(p/q) puts a row's end x/y on that side for certain (monotone rounding).
@@ -51,10 +52,10 @@ from aughts.errors import ResourceLimitError
 # checked before any row is read.  The disk lengths, the slowest, take about
 # 83 ns a row, so about 7.4 s at the limit; a histogram row takes 35-70 ns and
 # a crossing 9-14 ns (2-vCPU VM).  The disk's diametral count reads no row: it
-# walks the hull of its arc in Python ints, about 0.5-0.7 s at the limit, and
-# keeps its R + 1 rows as its size bound.  Below 2^27, so no doubled int64 row
-# sum of the disk lengths and no int64 bin sum of a histogram wraps, and every
-# disk within it lies inside the 2^31 guard.
+# walks the hull of one octant of its arc in Python ints, about 0.4 s at the
+# limit, and keeps its R + 1 rows as its size bound.  Below 2^27, so no
+# doubled int64 row sum of the disk lengths and no int64 bin sum of a
+# histogram wraps, and every disk within it lies inside the 2^31 guard.
 WORK_LIMIT = 9 * 10**7
 # Bins of an angular histogram: on first use it finds the Farey pair of every
 # boundary it reads, about 7 us a bin (0.44 s at the limit, 2-vCPU VM).
@@ -397,8 +398,9 @@ def diametral_report(region: Region) -> CensusReport:
     A polygon's diametral points are the double cone's points in its
     bounding box: the hexagon's cut corners hold none, as a cone point of
     [-M,M]^2 has both coordinates of one sign and so |x - y| < M.  A disk,
-    within its R + 1 rows of ``WORK_LIMIT``, sums the columns under its arc
-    in Python ints by walking their lattice hull (``_disk_diametral``).
+    within its R + 1 rows of ``WORK_LIMIT``, sums its columns under one
+    octant of its arc in Python ints by walking their lattice hull
+    (``_disk_diametral``).
     """
     x0, x1, y0, y1 = region.bounds()
     if region.kind == "disk":
@@ -435,61 +437,55 @@ def _check_disk_work(disk: Region, what: str) -> None:
 
 def _disk_diametral(r: int) -> tuple[int, int]:
     """(points, diametral points) of the disk x^2 + y^2 <= r^2, r >= 1, from
-    one hull walk over the arc's columns 1..t with stops at m and k.
+    two hull walks over the arc's columns 1..m and m + 1..k.
 
-    With h(x) = isqrt(r^2 - x^2) and S(a, b) the sum of h over a..b: the
-    axes hold 4r + 1 points, and the open quadrant 2 S(1, k) - k^2 for
-    k = isqrt(r^2 // 2), as its points past column k are, mirrored in the
-    diagonal, the points above row k of the columns 1..k.  Row y >= 1 holds
-    min(2y, h(y)) - ceil(y/2) + 1 points of the cone x/2 <= y <= 2x while
-    that is positive, up to t, the last y with ceil(y/2)^2 + y^2 <= r^2,
-    which is 2m or 2m + 1 for m = isqrt(r^2 // 5), the last y with
-    h(y) >= 2y.  So the rows 1..t hold m(m + 1) + S(m + 1, t) + t -
-    (t + 1)^2 // 4, the ceil(y/2) summing to (t + 1)^2 // 4, and the
-    cone's negative as many."""
+    With h(y) = isqrt(r^2 - y^2), S(a, b) the sum of h over a..b,
+    k = isqrt(r^2 // 2) and m = isqrt(r^2 // 5): the axes hold 4r + 1
+    points, and the open quadrant 2 S(1, k) - k^2, as its points past
+    column k are, mirrored in the diagonal, the points above row k of the
+    columns 1..k.  The cone x/2 <= y <= 2x is symmetric in the diagonal
+    too, so it holds twice its half y <= x <= 2y less the k diagonal
+    points.  Row y of that half holds min(2y, h(y)) - y + 1 points while
+    y <= k: y + 1 up to m, the last y with h(y) >= 2y, and h(y) - y + 1
+    after it, so the half holds m(m + 1) + S(m + 1, k) + k - k(k + 1)/2
+    and the cone 2 (m(m + 1) + S(m + 1, k)) - k^2, its negative as many."""
     n = r * r
     k, m = math.isqrt(n // 2), math.isqrt(n // 5)
-    t = 2 * m + ((m + 1) ** 2 + (2 * m + 1) ** 2 <= n)
-    arc_m, arc_k, arc_t = _arc_sums(n, 1, (m, k, t))  # m <= k <= t
-    total = 4 * r + 1 + 4 * (2 * arc_k - k * k)
-    hits = 2 * (m * (m + 1) + arc_t - arc_m + t - (t + 1) ** 2 // 4)
+    low, high = _arc_sum(n, 1, m), _arc_sum(n, m + 1, k)
+    total = 4 * r + 1 + 4 * (2 * (low + high) - k * k)
+    hits = 4 * (m * (m + 1) + high) - 2 * k * k
     return total, hits
 
 
-def _arc_sums(n: int, a: int, stops: tuple[int, ...]) -> list[int]:
-    """S(a, s), the sum of isqrt(n - x^2) over a <= x <= s, for each of the
-    ascending ``stops``, with a >= 0 and every stop at most isqrt(n); a stop
-    below a sums to 0.
+def _arc_sum(n: int, a: int, b: int) -> int:
+    """S(a, b), the sum of isqrt(n - x^2) over a <= x <= b, with a >= 0 and
+    b <= isqrt(n); 0 when b < a.
 
     The lattice points under the concave arc y = sqrt(n - x^2) are those
     under their own convex hull, which the walk follows rightwards from
     (a, isqrt(n - a^2)) with Stern-Brocot directions, as Sladkey's walk
     along the divisor hyperbola does (arXiv:1206.3369, 2012).  A direction
-    (p, q) steps x += p and y -= q, and fits where x + p <= b, the last
-    stop, and (x + p)^2 + (y - q)^2 <= n.  The stack holds directions, the
-    steepest at the bottom, each the Farey neighbour of the one below it.
-    At a vertex the directions that no longer fit are popped; the last
-    popped, L, and the top, H, bracket the next edge, whose direction is
-    refined through the mediants M = L + H: M becomes H, pushed, if it
-    fits; the search ends if M lies past b, as every direction between L
-    and H has p >= p_M; else M becomes L, unless the arc at M's column
-    u = x + p_M is already as steep as H, (u p_H)^2 >= q_H^2 (n - u^2),
-    when concavity keeps every direction between M and H outside.  Where
-    only the vertical sentinel (0, 1) is left, as at the start, the next
-    column's drop d gives H = (1, d) and L = (1, d - 1).  H is then walked
-    while it fits, each step adding its columns x + 1..x + p in closed
-    form, p y - ((p - 1)(q - 1)/2 + p - 1 + q) for a primitive (p, q); the
-    fewer than p columns from a step's start to a stop inside it are
-    summed by isqrt.
+    (p, q) steps x += p and y -= q, and fits where x + p <= b and
+    (x + p)^2 + (y - q)^2 <= n.  The stack holds directions, the steepest
+    at the bottom, each the Farey neighbour of the one below it.  At a
+    vertex the directions that no longer fit are popped; the last popped,
+    L, and the top, H, bracket the next edge, whose direction is refined
+    through the mediants M = L + H: M becomes H, pushed, if it fits; the
+    search ends if M lies past b, as every direction between L and H has
+    p >= p_M; else M becomes L, unless the arc at M's column u = x + p_M is
+    already as steep as H, (u p_H)^2 >= q_H^2 (n - u^2), when concavity
+    keeps every direction between M and H outside.  Where only the vertical
+    sentinel (0, 1) is left, as at the start, the next column's drop d
+    gives H = (1, d) and L = (1, d - 1).  H is then walked while it fits,
+    each step adding its columns x + 1..x + p in closed form,
+    p y - ((p - 1)(q - 1)/2 + p - 1 + q) for a primitive (p, q).
     """
-    out = [0] * sum(s < a for s in stops)
-    if len(out) == len(stops):
-        return out
-    b, s = stops[-1], stops[len(out)]
+    if b < a:
+        return 0
     x, y = a, math.isqrt(n - a * a)
     total = y
     stack = [(0, 1)]
-    while True:
+    while x < b:
         hp, hq = stack[-1]
         while hp:
             u, v = x + hp, y - hq
@@ -498,8 +494,6 @@ def _arc_sums(n: int, a: int, stops: tuple[int, ...]) -> list[int]:
             lp, lq = stack.pop()
             hp, hq = stack[-1]
         if not hp:
-            if x == b:  # only when a is the last stop
-                return out + [total] * (len(stops) - len(out))
             hp, hq = 1, y - math.isqrt(n - (x + 1) ** 2)
             lp, lq = 1, hq - 1
             stack.append((hp, hq))
@@ -518,20 +512,14 @@ def _arc_sums(n: int, a: int, stops: tuple[int, ...]) -> list[int]:
                 lp, lq = mp, mq
         step = hp * y - ((hp - 1) * (hq - 1) // 2 + hp - 1 + hq)
         while True:
-            u = x + hp
-            if u > s:
-                out.append(total + sum(math.isqrt(n - w * w) for w in range(x + 1, s + 1)))
-                if len(out) == len(stops):
-                    return out
-                s = stops[len(out)]
-                continue
-            v = y - hq
-            if u * u + v * v > n:
+            u, v = x + hp, y - hq
+            if u > b or u * u + v * v > n:
                 break
             total += step
             step -= hp * hq
             x, y = u, v
         lp, lq = stack.pop()  # H, which no longer fits
+    return total
 
 
 def _cone_points(x0: int, x1: int, y0: int, y1: int) -> int:

@@ -203,15 +203,21 @@ def histogram(region: Region, bins: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 def _histogram_work(region: Region, bins: int) -> int:
     """The rows of the region's bounding box plus a bound on its crossed
-    (row, ray) pairs.  A row y > 0 crosses a ray only where y fl(p / q) lies
-    in (lo - 1, hi + 1), as fl(lo / y) <= fl(p / q) <= fl(hi / y) puts it
-    within 2^-19 of the span.  So each ray crosses the rows of one interval
-    of y, found here from float quotients widened by a row; the ray x = 0
-    crosses every row if the box holds x = 0, and none otherwise."""
+    (row, ray) pairs, from float cotangents, so that a histogram that the
+    bound refuses finds no Farey pair.  A row y > 0 crosses a ray only
+    where y p / q lies within 2^-19 of its span [lo, hi], as fl(lo / y) <=
+    fl(p / q) <= fl(hi / y), and y |cot psi - p / q| < y / 2^31 <= 1, as
+    p / q and its upper Farey neighbour p' / q' (see ``_rays``) have
+    q + q' > 2^31 and so q q' >= 2^31.  So each ray crosses the rows of one
+    interval of y, found here from float quotients with x widened by one and
+    the ends rounded outwards, which absorbs the rest, less than a row; the
+    multiples of pi/4 take their exact cotangents, and the ray x = 0 crosses
+    every row if the box holds x = 0, and none otherwise."""
     x0, x1, y0, y1 = region.bounds()
     if x0 > x1 or y0 > y1:
         return 0
-    key = _rays(bins)[2]
+    j = np.arange(1, bins)
+    cot = np.where(4 * j % bins, 1 / np.tan(np.pi * j / bins), np.sign(bins - 2 * j))
     work = y1 - y0 + 1
     # the rows above the axis, then those below turned by pi
     for parity, ya, yb, xa, xb in (
@@ -220,7 +226,7 @@ def _histogram_work(region: Region, bins: int) -> int:
     ):
         if ya > yb:
             continue
-        rays = key[2 - parity :: 2]
+        rays = cot[1 - parity :: 2]  # ray j at j - 1
         slanted = rays[rays != 0]
         ends = np.sort([(xa - 1) / slanted, (xb + 1) / slanted], axis=0)
         first, last = np.maximum(np.floor(ends[0]), ya), np.minimum(np.ceil(ends[1]), yb)

@@ -676,41 +676,39 @@ def _direct_arc_sum(n, a, b):
 
 
 def test_arc_sums_match_direct_sums_on_every_range():
-    # every range a..b of every radius up to 60, alone and with stops below
-    # a, at a and twice at the middle
+    # every range a..b of every radius up to 60, and the empty one b = a - 1
     for r in range(61):
         n = r * r
         for a in range(r + 1):
-            for b in range(a, r + 1):
-                mid = (a + b) // 2
-                want = [_direct_arc_sum(n, a, s) for s in (a, mid, b)]
-                assert census._arc_sums(n, a, (b,)) == want[-1:], (r, a, b)
-                stops = (a - 1, a, mid, mid, b)
-                assert census._arc_sums(n, a, stops) == [0, *want[:2], *want[1:]], (r, a, b)
+            for b in range(a - 1, r + 1):
+                assert census._arc_sum(n, a, b) == _direct_arc_sum(n, a, b), (r, a, b)
 
 
 def test_arc_sums_on_random_ranges():
     # up to 3000 columns anywhere under arcs of radius up to 10^9, from the
-    # flat top to the near-vertical end, with a stop inside
+    # flat top to the near-vertical end, whole and split in two at mid
     rng = random.Random(2012)
     for _ in range(2000):
         r = rng.randint(1, 10**9)
         a = rng.randint(0, r)
         b = min(r, a + rng.randint(0, 3000))
         mid = rng.randint(a, b)
-        want = [_direct_arc_sum(r * r, a, s) for s in (mid, b)]
-        assert census._arc_sums(r * r, a, (mid, b)) == want, (r, a, mid, b)
+        n = r * r
+        want = _direct_arc_sum(n, a, b)
+        assert census._arc_sum(n, a, b) == want, (r, a, b)
+        assert census._arc_sum(n, a, mid) + census._arc_sum(n, mid + 1, b) == want, (r, a, mid, b)
 
 
 def test_arc_sums_of_empty_ranges():
-    # a stop below a sums to nothing, however far below; the disk of radius 1
-    # stops at k = isqrt(1 // 2) = 0, below its first column
-    assert census._arc_sums(1, 1, (0,)) == [0]
-    assert census._arc_sums(1, 1, (0, 0, 0)) == [0, 0, 0]
-    assert census._arc_sums(100, 7, (0, 5, 6)) == [0, 0, 0]
-    assert census._arc_sums(100, 7, (6, 7)) == [0, 7]
-    assert census._arc_sums(100, 10, (9, 10)) == [0, 0]
+    # a range with b < a sums to nothing, however far below; the disk of
+    # radius 1 walks 1..m and m + 1..k with m = k = 0, both empty, and that
+    # of radius 2 the empty 1..0 and 1..1
+    assert census._arc_sum(1, 1, 0) == 0
+    assert census._arc_sum(100, 7, 0) == census._arc_sum(100, 7, 6) == 0
+    assert census._arc_sum(100, 7, 7) == 7
+    assert census._arc_sum(100, 10, 9) == census._arc_sum(100, 10, 10) == 0
     assert census._disk_diametral(1) == (5, 0)
+    assert census._disk_diametral(2) == (13, 2)
 
 
 def _row_diametral_counts(r):
@@ -726,18 +724,47 @@ def _row_diametral_counts(r):
     return total, hits
 
 
+# The radii up to 10^6 with r^2 - 2k^2 = +-1 or r^2 - 5m^2 = +-1: there the
+# diagonal point (k, k) or the cone's edge point (m, 2m), or the next one
+# out, lies one unit of x^2 + y^2 from r^2, at the ends of the walks' ranges
+# 1..m and m + 1..k, k = isqrt(r^2 // 2) and m = isqrt(r^2 // 5).
+_SPLIT_EDGE_RADII = [
+    1, 2, 3, 7, 9, 17, 38, 41, 99, 161, 239, 577, 682, 1393, 2889, 3363, 8119,
+    12238, 19601, 47321, 51841, 114243, 219602, 275807, 665857, 930249,
+]
+
+
 def test_disk_census_matches_per_row_oracles():
     for r in range(1, 401):
         report = diametral_report(Region.disk(r))
         assert (report.total_points, report.diametral_points) == per_row_diametral_counts(
             Region.disk(r)
         ), r
-    # per_row_diametral_counts takes about 10 us a row, so the larger radii
-    # are checked against the same row rule in Python ints
+    # per_row_diametral_counts takes about 10 us a row, so the larger radii,
+    # the split's edges among them, are checked against the same row rule in
+    # Python ints
     rng = random.Random(1206)
-    for r in [rng.randint(401, 10**5) for _ in range(50)]:
+    for r in [rng.randint(401, 10**5) for _ in range(50)] + _SPLIT_EDGE_RADII:
         report = diametral_report(Region.disk(r))
         assert (report.total_points, report.diametral_points) == _row_diametral_counts(r), r
+
+
+def test_disk_census_walks_the_columns_1_to_k_once(monkeypatch):
+    # the count walks one octant of the arc: each walk's columns lie in
+    # 1..k, k = isqrt(r^2 // 2), and the walks cover 1..k once between them
+    ranges = []
+    arc_sum = census._arc_sum
+    monkeypatch.setattr(
+        census, "_arc_sum", lambda n, a, b: ranges.append((a, b)) or arc_sum(n, a, b)
+    )
+    for r in (1, 2, 3, 7, 9, 113, 1055, 10**6, 89999999):
+        ranges.clear()
+        diametral_report(Region.disk(r))
+        k = math.isqrt(r * r // 2)
+        spans = sorted((a, b) for a, b in ranges if a <= b)
+        assert all(1 <= a and b <= k for a, b in spans), (r, ranges)
+        assert all(b < a for (_, b), (a, _) in zip(spans, spans[1:])), (r, ranges)
+        assert sum(b - a + 1 for a, b in spans) == k, (r, ranges)
 
 
 @pytest.mark.parametrize(
@@ -866,6 +893,15 @@ def test_histogram_work_bounds_the_rows_and_crossings(monkeypatch, seed):
         projection_histogram(region, bins)
         x0, x1, y0, y1 = region.bounds()
         assert y1 - y0 + 1 + sum(crossed) <= rows._histogram_work(region, bins), (region, bins)
+
+
+def test_a_refused_histogram_finds_no_farey_pair():
+    # the work bound reads float cotangents, so a histogram past WORK_LIMIT
+    # is refused before its rays are computed
+    rows._rays.cache_clear()
+    with pytest.raises(ResourceLimitError):
+        projection_histogram(Region.square(10**9), 2**16)
+    assert rows._rays.cache_info().currsize == 0
 
 
 def test_diametral_census_small_sizes_match_brute_force():
