@@ -12,23 +12,23 @@ census sums the cone's points per anti-diagonal in closed form.  A point
 other than the origin is diametral iff it or its negative lies in that cone,
 so a square, sym-square, hexagon or rect counts the cone's points in its
 bounding box by inclusion-exclusion over one quadrant count in closed form,
-visiting no row.  The disk, symmetric under x -> -x and y -> -y, counts
-its diametral points from sums of isqrt(R^2 - x^2) over the columns
-x = 1..k, k = isqrt(R^2 // 2), the octant of its arc with slopes 0 to 1, as
-both the disk and the cone are symmetric in the diagonal; it takes them in
-Python ints by walking the lattice hull of that arc, a closed form per
-step; its length statistics read its rows 0..R, a row y > 0 twice, and sum
-their orbit lengths in closed form.  The angular histogram counts rows too:
-a row's points lie in angle order, so it adds its x-range and its cone span
-to the bin of one end, and each bin boundary it crosses moves the points at
-or past that ray, a floor of y cot phi, up one bin; the bins are exact, as each boundary phi carries the largest fraction
-p/q <= cot phi with q <= COORD_LIMIT: on every row x <= y cot phi iff
-x q <= y p, each floor is floor(y p / q) in int64, and fl(x/y) below or above
-fl(p/q) puts a row's end x/y on that side for certain (monotone rounding).
-Those row counts are int64 numpy kernels in ``aughts.rows``, which is
-imported only once the disk lengths or a histogram have passed their guards;
-``WORK_LIMIT`` bounds the rows and crossings that they read, and the disk's
-R + 1 rows stay the size bound of its diametral count too.  The orbit
+visiting no row.  The disk visits no row either.  Both its counts, the
+diametral points and the lengths 2(|2x-y| + |x+y| + |2y-x|), read one
+octant of its arc, the columns x = 1..k, k = isqrt(R^2 // 2), with slopes
+0 to 1, as the disk, the cone and the length are all symmetric in the
+diagonal: sums of h = isqrt(R^2 - x^2), h^2 and x h and the peak of 2h + x,
+taken in Python ints by walking the lattice hull of that arc, each step in
+closed form.  The angular histogram counts rows: a row's points lie in
+angle order, so it adds its x-range and its cone span to the bin of one
+end, and each bin boundary it crosses moves the points at or past that ray,
+a floor of y cot phi, up one bin; the bins are exact, as each boundary phi
+carries the largest fraction p/q <= cot phi with q <= COORD_LIMIT: on every
+row x <= y cot phi iff x q <= y p, each floor is floor(y p / q) in int64,
+and fl(x/y) below or above fl(p/q) puts a row's end x/y on that side for
+certain (monotone rounding).  Those row counts are int64 numpy kernels in
+``aughts.rows``, which is imported only once a histogram has passed its
+guards; ``WORK_LIMIT`` bounds the rows and crossings that it reads, and the
+disk's R + 1 rows stay the size bound of its two counts.  The orbit
 length, the cone's row form and the cone test are defined once, in
 ``aughts.orbits``, for ints and arrays alike.
 Every census, average and length statistic is exact at every size >= 1, and
@@ -48,14 +48,13 @@ from dataclasses import dataclass
 from aughts.errors import ResourceLimitError
 
 # Rows plus crossed (row, ray) pairs a row count may read: R + 1 rows for a
-# disk count, and for an angular histogram at most ``rows._histogram_work``, both
-# checked before any row is read.  The disk lengths, the slowest, take about
-# 83 ns a row, so about 7.4 s at the limit; a histogram row takes 35-70 ns and
-# a crossing 9-14 ns (2-vCPU VM).  The disk's diametral count reads no row: it
-# walks the hull of one octant of its arc in Python ints, about 0.4 s at the
-# limit, and keeps its R + 1 rows as its size bound.  Below 2^27, so no
-# doubled int64 row sum of the disk lengths and no int64 bin sum of a
-# histogram wraps, and every disk within it lies inside the 2^31 guard.
+# disk count, and for an angular histogram at most ``rows._histogram_work``,
+# both checked before any row is read.  A histogram row takes 35-70 ns and a
+# crossing 9-14 ns (2-vCPU VM), and no int64 bin sum of one wraps below
+# 2^27.  The disk counts read no row: they walk the hull of one octant of
+# the arc in Python ints, 0.36-0.38 s each at the limit (2-vCPU VM), and
+# keep their R + 1 rows as their size bound, within which every disk lies
+# inside the 2^31 guard.
 WORK_LIMIT = 9 * 10**7
 # Bins of an angular histogram: on first use it finds the Farey pair of every
 # boundary it reads, about 7 us a bin (0.44 s at the limit, 2-vCPU VM).
@@ -428,38 +427,46 @@ def diametral_report(region: Region) -> CensusReport:
 
 def _check_disk_work(disk: Region, what: str) -> None:
     """The disk counts' one ``WORK_LIMIT`` check, on the R + 1 rows 0..R that
-    the lengths read and the diametral count takes as its size bound, whose
-    message ``what`` begins."""
+    they take as their size bound, whose message ``what`` begins."""
     (r,) = disk.params
     if r + 1 > WORK_LIMIT:
         raise ResourceLimitError(f"{what} {r + 1} rows, budget is {WORK_LIMIT}")
 
 
-def _disk_diametral(r: int) -> tuple[int, int]:
-    """(points, diametral points) of the disk x^2 + y^2 <= r^2, r >= 1, from
-    two hull walks over the arc's columns 1..m and m + 1..k.
+def _disk_octant(r: int) -> tuple[int, int, int, tuple, tuple]:
+    """(points, k, m, low, high) of the disk x^2 + y^2 <= r^2, r >= 1, with
+    k = isqrt(r^2 // 2), m = isqrt(r^2 // 5) and ``low`` and ``high`` the
+    hull walks over the arc's columns 1..m and m + 1..k, one octant (slopes
+    0 to 1), which both disk counts read.
 
-    With h(y) = isqrt(r^2 - y^2), S(a, b) the sum of h over a..b,
-    k = isqrt(r^2 // 2) and m = isqrt(r^2 // 5): the axes hold 4r + 1
-    points, and the open quadrant 2 S(1, k) - k^2, as its points past
-    column k are, mirrored in the diagonal, the points above row k of the
-    columns 1..k.  The cone x/2 <= y <= 2x is symmetric in the diagonal
-    too, so it holds twice its half y <= x <= 2y less the k diagonal
-    points.  Row y of that half holds min(2y, h(y)) - y + 1 points while
-    y <= k: y + 1 up to m, the last y with h(y) >= 2y, and h(y) - y + 1
-    after it, so the half holds m(m + 1) + S(m + 1, k) + k - k(k + 1)/2
-    and the cone 2 (m(m + 1) + S(m + 1, k)) - k^2, its negative as many."""
+    With h(y) = isqrt(r^2 - y^2) and S(a, b) the sum of h over a..b, the
+    axes hold 4r + 1 points, and the open quadrant 2 S(1, k) - k^2, as its
+    points past column k are, mirrored in the diagonal, the points above
+    row k of the columns 1..k."""
     n = r * r
     k, m = math.isqrt(n // 2), math.isqrt(n // 5)
     low, high = _arc_sum(n, 1, m), _arc_sum(n, m + 1, k)
-    total = 4 * r + 1 + 4 * (2 * (low + high) - k * k)
-    hits = 4 * (m * (m + 1) + high) - 2 * k * k
-    return total, hits
+    return 4 * r + 1 + 4 * (2 * (low[0] + high[0]) - k * k), k, m, low, high
 
 
-def _arc_sum(n: int, a: int, b: int) -> int:
-    """S(a, b), the sum of isqrt(n - x^2) over a <= x <= b, with a >= 0 and
-    b <= isqrt(n); 0 when b < a.
+def _disk_diametral(r: int) -> tuple[int, int]:
+    """(points, diametral points) of the disk of radius r >= 1, from the
+    column sums of ``_disk_octant``.
+
+    The cone x/2 <= y <= 2x is symmetric in the diagonal, as the disk is,
+    so it holds twice its half y <= x <= 2y less the k diagonal points.
+    Row y of that half holds min(2y, h(y)) - y + 1 points while y <= k:
+    y + 1 up to m, the last y with h(y) >= 2y, and h(y) - y + 1 after it, so
+    the half holds m(m + 1) + S(m + 1, k) + k - k(k + 1)/2 and the cone
+    2 (m(m + 1) + S(m + 1, k)) - k^2, its negative as many."""
+    total, k, m, _, high = _disk_octant(r)
+    return total, 4 * (m * (m + 1) + high[0]) - 2 * k * k
+
+
+def _arc_sum(n: int, a: int, b: int) -> tuple[int, int, int, int]:
+    """(sum h, sum h^2, sum x h, the largest 2h + x) over the columns
+    a <= x <= b, h = isqrt(n - x^2), with a >= 0 and b <= isqrt(n); all 0
+    when b < a.
 
     The lattice points under the concave arc y = sqrt(n - x^2) are those
     under their own convex hull, which the walk follows rightwards from
@@ -476,50 +483,68 @@ def _arc_sum(n: int, a: int, b: int) -> int:
     already as steep as H, (u p_H)^2 >= q_H^2 (n - u^2), when concavity
     keeps every direction between M and H outside.  Where only the vertical
     sentinel (0, 1) is left, as at the start, the next column's drop d
-    gives H = (1, d) and L = (1, d - 1).  H is then walked while it fits,
-    each step adding its columns x + 1..x + p in closed form,
-    p y - ((p - 1)(q - 1)/2 + p - 1 + q) for a primitive (p, q).
+    gives H = (1, d) and L = (1, d - 1).  H is then walked while it fits.
+
+    A step from (x, y) along (p, q) takes the columns x + i, i = 1..p, at
+    h = y - c_i, c_i = ceil(i q / p), so each direction carries
+    (C1, C2, C3) = (sum c_i, sum c_i^2, sum i c_i), and a step adds
+    p y - C1, p y^2 - 2 y C1 + C2 and x (p y - C1) + y p(p + 1)/2 - C3.  The
+    seeds (1, d) carry (d, d^2, d).  As M and H are Farey neighbours, no
+    fraction of a denominator below p_M lies between them (Graham, Knuth &
+    Patashnik, *Concrete Mathematics*, 4.5), so M's c_i are H's, then L's
+    shifted by q_H: C1_M = C1_H + p_L q_H + C1_L,
+    C2_M = C2_H + (p_L q_H + 2 C1_L) q_H + C2_L and
+    C3_M = C3_H + p_H (p_L q_H + C1_L) + q_H p_L(p_L + 1)/2 + C3_L.  The
+    linear form 2h + x peaks at a hull vertex, each of which ends a run
+    of steps.
     """
     if b < a:
-        return 0
+        return 0, 0, 0, 0
     x, y = a, math.isqrt(n - a * a)
-    total = y
-    stack = [(0, 1)]
+    s1, s2, s3, peak = y, y * y, a * y, 2 * y + a
+    stack = [(0, 1, 0, 0, 0)]
     while x < b:
-        hp, hq = stack[-1]
+        hp, hq, h1, h2, h3 = stack[-1]
         while hp:
             u, v = x + hp, y - hq
             if u <= b and u * u + v * v <= n:
                 break
-            lp, lq = stack.pop()
-            hp, hq = stack[-1]
+            lp, lq, l1, l2, l3 = stack.pop()
+            hp, hq, h1, h2, h3 = stack[-1]
         if not hp:
-            hp, hq = 1, y - math.isqrt(n - (x + 1) ** 2)
-            lp, lq = 1, hq - 1
-            stack.append((hp, hq))
+            d = y - math.isqrt(n - (x + 1) ** 2)
+            hp, hq, h1, h2, h3 = 1, d, d, d * d, d
+            lp, lq, l1, l2, l3 = 1, d - 1, d - 1, (d - 1) ** 2, d - 1
+            stack.append((hp, hq, h1, h2, h3))
         while True:
             mp, mq = lp + hp, lq + hq
             u = x + mp
             if u > b:
                 break
             v = y - mq
+            t = lp * hq + l1
+            mid = (mp, mq, h1 + t, h2 + (t + l1) * hq + l2,
+                   h3 + hp * t + hq * lp * (lp + 1) // 2 + l3)
             if u * u + v * v <= n:
-                stack.append((mp, mq))
-                hp, hq = mp, mq
+                stack.append(mid)
+                hp, hq, h1, h2, h3 = mid
             elif (u * hp) ** 2 >= hq * hq * (n - u * u):
                 break
             else:
-                lp, lq = mp, mq
-        step = hp * y - ((hp - 1) * (hq - 1) // 2 + hp - 1 + hq)
+                lp, lq, l1, l2, l3 = mid
+        tri = hp * (hp + 1) // 2
         while True:
             u, v = x + hp, y - hq
             if u > b or u * u + v * v > n:
                 break
-            total += step
-            step -= hp * hq
+            step = hp * y - h1
+            s1 += step
+            s2 += (step - h1) * y + h2
+            s3 += x * step + y * tri - h3
             x, y = u, v
-        lp, lq = stack.pop()  # H, which no longer fits
-    return total
+        peak = max(peak, 2 * y + x)
+        lp, lq, l1, l2, l3 = stack.pop()  # H, which no longer fits
+    return s1, s2, s3, peak
 
 
 def _cone_points(x0: int, x1: int, y0: int, y1: int) -> int:
@@ -594,14 +619,25 @@ def disk_length_stats(r: int) -> DiskLengthStats:
 
     Every lattice point contributes the length of its own orbit, so orbits
     are counted with multiplicity here, unlike the square averages.  The
-    disk's rows 0..R are summed in closed form (``rows.disk_lengths``).
+    length is 2L, L = |2x-y| + |x+y| + |2y-x|, and L and the disk are both
+    invariant under x <-> y and under negation, so L sums over the disk to
+    4W + 10k(k + 1): the diagonals, where L(t, t) = 4|t| and
+    L(t, -t) = 6|t|, and four times the open wedge |y| < x.  Its row 0 adds
+    2r(r + 1), and its rows y = v and y = -v, at x = v+1..h(v), add
+    4h^2 + 4h - 3v^2 - 5v while h(v) >= 2v, that is v <= m, and
+    3h^2 + 3h + 4vh - 7v^2 - 3v for m < v <= k, summed from the hull walks
+    of ``_disk_octant``.  In the wedge L <= 4x + 2v, its value at (h(v), -v),
+    so the largest length is 4 (2h(v) + v) at its peak over 0 <= v <= k.
     """
     r = operator.index(r)
-    disk = Region.disk(r)
-    _check_disk_work(disk, "disk length stats need")
-    from aughts import rows
-    count, total, maximum = rows.disk_lengths(disk)
-    return DiskLengthStats(r, count, total / count, maximum)
+    _check_disk_work(Region.disk(r), "disk length stats need")
+    count, k, m, (a1, a2, _, a_peak), (b1, b2, b3, b_peak) = _disk_octant(r)
+    _, v1, v2 = _power_sums(1, m)
+    _, w1, w2 = _power_sums(m + 1, k)
+    wedge = (2 * r * (r + 1) + 4 * (a2 + a1) - 3 * v2 - 5 * v1
+             + 3 * (b2 + b1) + 4 * b3 - 7 * w2 - 3 * w1)
+    total = 2 * (4 * wedge + 10 * k * (k + 1))
+    return DiskLengthStats(r, count, total / count, 4 * max(2 * r, a_peak, b_peak))
 
 
 # ---------------------------------------------------------------------------

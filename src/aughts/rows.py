@@ -1,8 +1,8 @@
-"""The int64 row kernels of the disk length statistics and the angular
-histogram, which ``aughts.census`` imports once a call has passed its guards
-and its ``WORK_LIMIT``, and of the SVG renders' scan blocks.  The disk's
-diametral count reads no rows: it walks the lattice hull of the disk's arc
-in Python ints (``census._disk_diametral``).
+"""The int64 row kernels of the angular histogram, which ``aughts.census``
+imports once a histogram has passed its guards and its ``WORK_LIMIT``, and
+of the SVG renders' scan blocks.  Neither disk count reads rows: both walk
+the lattice hull of one octant of the disk's arc in Python ints
+(``census._disk_octant``).
 
 No count loops over rows in Python: ``_rows`` gives a region's rows in
 chunks of up to 2^16 as int64 arrays with their ``row_spans`` x-ranges, and
@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from aughts.census import COORD_LIMIT, Region, _check_coords
-from aughts.orbits import _cone_span, _semi_perimeter
+from aughts.orbits import _cone_span
 
 # Rows per chunk of the row counts and the scan, so a chunk's arrays stay a
 # few MB however many rows a region has.
@@ -63,10 +63,9 @@ def row_spans(region: Region, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _rows(region: Region, first: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
-    """The region's rows, ascending from ``first`` (by default its lowest), in
-    chunks of at most _CHUNK_ROWS: each chunk as int64 arrays (ys, lo, hi) of
-    the rows and their ``row_span``.
+def _rows(region: Region) -> Iterator[tuple[np.ndarray, ...]]:
+    """The region's rows, ascending, in chunks of at most _CHUNK_ROWS: each
+    chunk as int64 arrays (ys, lo, hi) of the rows and their ``row_span``.
 
     Refuses a region beyond ``COORD_LIMIT`` and yields nothing for an empty
     box; the rows of a nonempty box are nonempty.
@@ -75,7 +74,7 @@ def _rows(region: Region, first: int | None = None) -> Iterator[tuple[np.ndarray
     xmin, xmax, ymin, ymax = region.bounds()
     if xmin > xmax:
         return
-    for start in range(ymin if first is None else first, ymax + 1, _CHUNK_ROWS):
+    for start in range(ymin, ymax + 1, _CHUNK_ROWS):
         ys = np.arange(start, min(start + _CHUNK_ROWS, ymax + 1), dtype=np.int64)
         yield (ys, *row_spans(region, ys))
 
@@ -110,50 +109,6 @@ def _runs(counts: np.ndarray, size: int) -> Iterator[tuple[slice, np.ndarray, np
         )
         taken = np.minimum(ends[rows], stop) - np.maximum(starts[rows], done)
         yield rows, taken, np.arange(done, stop) - np.repeat(starts[rows], taken)
-
-
-def disk_lengths(disk: Region) -> tuple[int, int, int]:
-    """(points, orbit length sum, largest orbit length) of a disk.
-
-    The lengths 2(|2x-y| + |x+y| + |2y-x|) sum as 2(2|2x-y| + |x+y|), each
-    row's in closed form: the disk is symmetric under x <-> y, so |2y-x|
-    sums over it as |2x-y| does, and the weighted rows of the upper half sum
-    each term over the whole disk, as each is even under (x, y) -> (-x, -y).
-    On a row y >= 0 of half-width h the left end -h holds the row's maximum:
-    its half-length 3h + 3y + |y - h| is 4h + 2y when h >= y and
-    2h + 4y when h < y, and the right end's, |2h - y| + h + y + |2y - h|, is
-    then 3h + |2y - h| <= 4h + 2y or |2h - y| + 3y <= 2h + 4y.
-    """
-    total = count = maximum = 0
-    for ys, _, half in _rows(disk, 0):
-        # row -y holds the negatives of row y's points: a row y > 0 weighs 2
-        weight = 2 - (ys == 0)
-        count += int((weight * (2 * half + 1)).sum())
-        lo = -half
-        lengths = 2 * weight * (
-            2 * _abs_linear_sum(2, -ys, lo, half) + _abs_linear_sum(1, ys, lo, half)
-        )
-        # each doubled row total is below 2^61 (r <= 2^28) but a chunk's sum
-        # need not be: add the high and low 32 bits apart, each within int64
-        total += (int((lengths >> 32).sum()) << 32) + int((lengths & 0xFFFFFFFF).sum())
-        maximum = max(maximum, int(_semi_perimeter(lo, ys).max()) * 2)
-    return count, total, maximum
-
-
-def _abs_linear_sum(a: int, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sum of |a*x + b| over the integers lo <= x <= hi, per row, for a > 0.
-
-    int64 arrays of rows; on the rows of a disk of radius r <= 2^28, with
-    a <= 2 and |b| <= 2r, no term exceeds 2^60.
-    """
-
-    def linear(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        # sum of a*x + b over p <= x <= q; (p + q)(q - p + 1) is even
-        n = q - p + 1
-        return np.where(n > 0, a * (p + q) * n // 2 + b * n, 0)
-
-    k = (-b) // a  # a*x + b <= 0 exactly for x <= k
-    return linear(np.maximum(lo, k + 1), hi) - linear(lo, np.minimum(hi, k))
 
 
 def histogram(region: Region, bins: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -655,9 +655,9 @@ def test_polygon_census_at_2_62():
 
 
 def test_polygon_census_visits_no_rows(monkeypatch):
-    # the disk's census too: it walks the hull of its arc
+    # the disk's census and length stats too: they walk the hull of its arc
     def no_rows(*args):
-        raise AssertionError("a diametral census visited rows")
+        raise AssertionError("a disk or polygon count visited rows")
 
     monkeypatch.setattr(rows, "_rows", no_rows)
     _, cone, _ = square_orbit_sums(10**6)
@@ -669,10 +669,25 @@ def test_polygon_census_visits_no_rows(monkeypatch):
         Region.disk(10**6),
     ):
         assert 0 < diametral_report(region).diametral_fraction < 1
+    stats = disk_length_stats(10**6)
+    assert stats.point_count == diametral_report(Region.disk(10**6)).total_points
 
 
 def _direct_arc_sum(n, a, b):
-    return sum(math.isqrt(n - x * x) for x in range(a, b + 1))
+    """(sum h, sum h^2, sum x h, the largest 2h + x) over the columns a..b,
+    h = isqrt(n - x^2), one column at a time; all 0 for an empty range."""
+    columns = [(x, math.isqrt(n - x * x)) for x in range(a, b + 1)]
+    return (
+        sum(h for _, h in columns),
+        sum(h * h for _, h in columns),
+        sum(x * h for x, h in columns),
+        max((2 * h + x for x, h in columns), default=0),
+    )
+
+
+def _joined(left, right):
+    """The sums of two adjacent ranges added and their peaks joined."""
+    return (*(p + q for p, q in zip(left[:3], right[:3])), max(left[3], right[3]))
 
 
 def test_arc_sums_match_direct_sums_on_every_range():
@@ -696,17 +711,19 @@ def test_arc_sums_on_random_ranges():
         n = r * r
         want = _direct_arc_sum(n, a, b)
         assert census._arc_sum(n, a, b) == want, (r, a, b)
-        assert census._arc_sum(n, a, mid) + census._arc_sum(n, mid + 1, b) == want, (r, a, mid, b)
+        split = _joined(census._arc_sum(n, a, mid), census._arc_sum(n, mid + 1, b))
+        assert split == want, (r, a, mid, b)
 
 
 def test_arc_sums_of_empty_ranges():
     # a range with b < a sums to nothing, however far below; the disk of
     # radius 1 walks 1..m and m + 1..k with m = k = 0, both empty, and that
     # of radius 2 the empty 1..0 and 1..1
-    assert census._arc_sum(1, 1, 0) == 0
-    assert census._arc_sum(100, 7, 0) == census._arc_sum(100, 7, 6) == 0
-    assert census._arc_sum(100, 7, 7) == 7
-    assert census._arc_sum(100, 10, 9) == census._arc_sum(100, 10, 10) == 0
+    assert census._arc_sum(1, 1, 0) == (0, 0, 0, 0)
+    assert census._arc_sum(100, 7, 0) == census._arc_sum(100, 7, 6) == (0, 0, 0, 0)
+    assert census._arc_sum(100, 7, 7) == (7, 49, 49, 21)
+    assert census._arc_sum(100, 10, 9) == (0, 0, 0, 0)
+    assert census._arc_sum(100, 10, 10) == (0, 0, 0, 10)
     assert census._disk_diametral(1) == (5, 0)
     assert census._disk_diametral(2) == (13, 2)
 
@@ -781,23 +798,42 @@ def test_disk_census_at_large_radii(r, total, hits):
     assert (report.total_points, report.diametral_points) == (total, hits)
 
 
-@pytest.mark.parametrize("r", [100, 977, 40000])
+@pytest.mark.parametrize(
+    "r, count, total, maximum",
+    [
+        (31999999, 3216990676188661, 514357021066738554021680, 286216692),
+        # the largest disk within WORK_LIMIT
+        (89999999, 25446899928572625, 11443063080323781734642264, 804984460),
+    ],
+)
+def test_disk_length_stats_at_large_radii(r, count, total, maximum):
+    # pinned from the int64 row sums that the hull walk replaced
+    assert disk_length_stats(r) == census.DiskLengthStats(r, count, total / count, maximum)
+
+
+# with the split's edges up to 2 * 10^4, where the wedge's rows change form
+# at m and end at k, as the walks' ranges meet and end
+@pytest.mark.parametrize(
+    "r", [100, 977, 40000, *(r for r in _SPLIT_EDGE_RADII if r <= 2 * 10**4)]
+)
 def test_disk_length_stats_match_per_row_oracle(r):
     count, total, maximum = per_row_disk_length_stats(r)
     assert disk_length_stats(r) == census.DiskLengthStats(r, count, total / count, maximum)
 
 
 def test_disk_length_stats_add_rows_without_int64_wrap():
-    # a chunk of 2^16 rows of the disk of radius 5 * 10^6 sums to 1.56 * 2^63;
-    # a wrap would be off by a multiple of 2^64, about 1 % of the total
+    # the lengths of 2^16 rows of the disk of radius 5 * 10^6 sum to about
+    # 1.56 * 2^63, past int64, as its old row sums did; the walk's Python
+    # ints keep the mean scaling with the radius, where a wrap by a multiple
+    # of 2^64 would be off by about 1 %
     big, small = disk_length_stats(5 * 10**6), disk_length_stats(10**6)
     assert big.average / small.average == pytest.approx(5, rel=1e-5)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 100])
 def test_disk_counts_match_per_row_oracles_at_any_chunk_size(monkeypatch, chunk_rows):
-    # the disk lengths read rows 0..R only; small chunks put row 0 alone in
-    # its chunk, or R in a short last one; the diametral count reads none
+    # neither disk count reads rows, so no chunk size moves them, even one
+    # that would put row 0 alone in its chunk or R in a short last one
     monkeypatch.setattr(rows, "_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(chunk_rows)
     for r in [*range(1, 61), *rng.integers(61, 401, size=8).tolist()]:
@@ -1089,7 +1125,7 @@ def test_disk_length_stats_small():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-# at 5 * 10^6 a chunk's length sum passes 2^63, so the split sum is pinned
+# at 5 * 10^6 the lengths of 2^16 rows sum past 2^63, so the sum is pinned
 # exactly, not only to the ratio of the wrap test
 @pytest.mark.parametrize("r", [100, 977, 2000, 5 * 10**6])
 def test_disk_length_stats_golden_repr(r):

@@ -448,7 +448,8 @@ def test_fresh_process_imports_numpy_only_where_used():
 
 # Run in a fresh interpreter: the exit code of a disk census past
 # WORK_LIMIT, whether the length stats past it raise ResourceLimitError,
-# and whether numpy was imported after each.
+# the repr of the length stats of a disk within it, and whether numpy was
+# imported after each.
 _REFUSAL_PROBE = textwrap.dedent(
     """
     import contextlib, io, json, sys
@@ -464,7 +465,9 @@ _REFUSAL_PROBE = textwrap.dedent(
     except ResourceLimitError:
         raised = True
     numpy.append("numpy" in sys.modules)
-    print(json.dumps([code, err.getvalue(), raised, numpy]))
+    stats = repr(census.disk_length_stats(1999999))
+    numpy.append("numpy" in sys.modules)
+    print(json.dumps([code, err.getvalue(), raised, stats, numpy]))
     """
 )
 
@@ -476,11 +479,12 @@ def test_fresh_process_refuses_a_disk_past_the_budget_without_numpy():
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    code, err, raised, numpy = json.loads(proc.stdout)
+    code, err, raised, stats, numpy = json.loads(proc.stdout)
     assert code == 4
     assert err.startswith("resource limit: ") and err.count("\n") == 1
     assert raised
-    assert numpy == [False, False]
+    assert stats == repr(aughts.disk_length_stats(1999999))
+    assert numpy == [False, False, False]
 
 
 def test_package_names_follow_their_module(monkeypatch):
