@@ -13,9 +13,9 @@ _EXPORTS = {
         "full_cycle_order_via_sym", "order_spectrum", "psi", "verify_isomorphism",
     ),
     "census": (
-        "CensusReport", "Region", "count_orbits_with_perimeter", "cumulative_perimeter_stats",
-        "diametral_census", "disk_length_stats", "modular_census", "projection_histogram",
-        "square_orbit_averages",
+        "CensusReport", "DiametralReport", "Region", "count_orbits_with_perimeter",
+        "cumulative_perimeter_stats", "diametral_census", "disk_length_stats",
+        "modular_census", "projection_histogram", "square_orbit_averages",
     ),
     "errors": ("ResourceLimitError",),
     "intmat": (

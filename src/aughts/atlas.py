@@ -60,11 +60,6 @@ class ConsistencyError(RuntimeError):
     """An internal structural check failed; this must never fire."""
 
 
-def _gen_transposition(n: int, j: int) -> Permutation:
-    """Image of the generator K(j) in the symmetric group of degree n+1."""
-    return Permutation.transposition(n + 1, 1, j + 1)
-
-
 @dataclass(eq=False)
 class GroupCatalog:
     """All (n+1)! group elements as arrays over BFS positions: the rank, the
@@ -316,7 +311,7 @@ def full_cycle_order_via_sym(n: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     pi = Permutation.identity(n + 1)
     for j in range(1, n + 1):
-        pi = pi.then(_gen_transposition(n, j))
+        pi = pi.then(Permutation.transposition(n + 1, 1, j + 1))
     order = pi.order()
     mat_order = matrix_order(full_cycle_matrix(n, "up"), limit=order + 1)
     if mat_order != order:

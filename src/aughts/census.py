@@ -2,7 +2,8 @@
 
 Two counting bases never mix: modular censuses and the orbit averages count
 DISTINCT ORBITS, while diametral fractions and the disk length average count
-LATTICE POINTS with multiplicity.
+LATTICE POINTS with multiplicity.  Each basis has its own census record:
+``CensusReport`` for the orbits, ``DiametralReport`` for the points.
 
 Neither the distinct-orbit census of [0,M]^2 nor the diametral counts scan
 points; both are exact Python-int counts.  A point of [0,M]^2 is the
@@ -167,15 +168,21 @@ def _check_coords(region: Region) -> None:
 # reports
 
 
+def _header(region: Region, basis: str, total_points: int) -> dict:
+    """The fields that open a census record of either basis."""
+    return {"schema_version": 1, "kind": "census", "region": region.describe(),
+            "basis": basis, "total_points": total_points}
+
+
 @dataclass(frozen=True)
 class CensusReport:
+    """DISTINCT orbits meeting [0,M]^2, by orbit length mod ``modulus``."""
+
     region: Region
-    basis: str                       # "orbits" or "points"
-    modulus: int | None
+    modulus: int
     total_points: int
     total_orbits: int
     residue_counts: dict[int, int]
-    diametral_points: int
     sum_perimeter: int
 
     @property
@@ -185,6 +192,42 @@ class CensusReport:
 
     sum_diam_multiplier = sum_box_side
 
+    def to_json_dict(self) -> dict:
+        # an orbit census covers [0,M]^2, M >= 1, and counts the origin's orbit
+        (m,) = self.region.params
+        count, s, p = self.total_orbits, self.sum_box_side, self.sum_perimeter
+        try:
+            averages = {
+                "diameter": _digits12(2 * s * s, count),
+                "perimeter": _digits12(p * p, count),
+                "box_side": _digits12(s * s, count),
+            }
+        except OverflowError:
+            # the perimeter, the largest of the three, is the first to overflow
+            raise OverflowError(
+                "the average perimeter, about 14M/3, exceeds the largest double;"
+                " M up to about 3.8522e307 answers"
+            ) from None
+        residues = self.residue_counts.items()
+        return {
+            **_header(self.region, "orbits", self.total_points),
+            "modulus": self.modulus,
+            "total_orbits": count,
+            "residue_counts": {str(r): c for r, c in residues},
+            "sums": {"diam_multiplier": s, "perimeter": p, "box_side": s},
+            "residue_ratio_of_size_sq": {str(r): _digits12(c * c, m * m) for r, c in residues},
+            "averages": averages,
+        }
+
+
+@dataclass(frozen=True)
+class DiametralReport:
+    """LATTICE POINTS of a region, and those diametral in their orbit."""
+
+    region: Region
+    total_points: int
+    diametral_points: int
+
     @property
     def diametral_fraction(self) -> float:
         if self.total_points == 0:
@@ -192,44 +235,11 @@ class CensusReport:
         return self.diametral_points / self.total_points
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "schema_version": 1,
-            "kind": "census",
-            "region": self.region.describe(),
-            "basis": self.basis,
-            "total_points": self.total_points,
+        return {
+            **_header(self.region, "points", self.total_points),
+            "diametral_points": self.diametral_points,
+            "diametral_fraction": _digits12(self.diametral_points**2, self.total_points),
         }
-        if self.basis == "orbits":
-            out["modulus"] = self.modulus
-            out["total_orbits"] = self.total_orbits
-            out["residue_counts"] = {str(r): c for r, c in self.residue_counts.items()}
-            out["sums"] = {
-                "diam_multiplier": self.sum_diam_multiplier,
-                "perimeter": self.sum_perimeter,
-                "box_side": self.sum_box_side,
-            }
-            # an orbit census covers [0,M]^2, M >= 1, and counts the origin's orbit
-            (m,) = self.region.params
-            count, s = self.total_orbits, self.sum_diam_multiplier
-            out["residue_ratio_of_size_sq"] = {
-                str(r): _digits12(c * c, m * m) for r, c in self.residue_counts.items()
-            }
-            try:
-                out["averages"] = {
-                    "diameter": _digits12(2 * s * s, count),
-                    "perimeter": _digits12(self.sum_perimeter**2, count),
-                    "box_side": _digits12(self.sum_box_side**2, count),
-                }
-            except OverflowError:
-                # the perimeter, the largest of the three, is the first to overflow
-                raise OverflowError(
-                    "the average perimeter, about 14M/3, exceeds the largest double;"
-                    " M up to about 3.8522e307 answers"
-                ) from None
-        else:
-            out["diametral_points"] = self.diametral_points
-            out["diametral_fraction"] = _digits12(self.diametral_points**2, self.total_points)
-        return out
 
 
 def _digits12(n: int, q: int) -> float:
@@ -381,17 +391,15 @@ def modular_census(m: int, d: int) -> CensusReport:
     residues, count, length = square_orbit_sums(m, d)
     return CensusReport(
         region=Region.square(m),
-        basis="orbits",
         modulus=d,
         total_points=(m + 1) ** 2,
         total_orbits=count,
         residue_counts=dict(enumerate(residues)),
-        diametral_points=0,
         sum_perimeter=length,
     )
 
 
-def diametral_report(region: Region) -> CensusReport:
+def diametral_report(region: Region) -> DiametralReport:
     """Count LATTICE POINTS of the region that are diametral in their orbit.
 
     A polygon's diametral points are the double cone's points in its
@@ -413,16 +421,7 @@ def diametral_report(region: Region) -> CensusReport:
             total -= x1 * (x1 + 1)  # the two cut corners, M(M+1)/2 points each
         # the lower cone is the upper one's negative
         hits = _cone_points(x0, x1, y0, y1) + _cone_points(-x1, -x0, -y1, -y0)
-    return CensusReport(
-        region=region,
-        basis="points",
-        modulus=None,
-        total_points=total,
-        total_orbits=0,
-        residue_counts={},
-        diametral_points=hits,
-        sum_perimeter=0,
-    )
+    return DiametralReport(region, total, hits)
 
 
 def _check_disk_work(disk: Region, what: str) -> None:

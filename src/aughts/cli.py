@@ -281,24 +281,22 @@ def cmd_trace(args) -> tuple[int, str]:
 
 def cmd_census(args) -> tuple[int, str]:
     region = _region_from_args(args)
-    if args.mod is not None:
+    # the headline prints the record's own values
+    if args.mod is None:
+        record = census.diametral_report(region).to_json_dict()
+        headline = f"diametral fraction: {record['diametral_fraction']}"
+    else:
         if region.kind != "square_0M":
             raise UsageError("modular census is defined over --square M")
-        report = census.modular_census(region.params[0], args.mod)
-    else:
-        report = census.diametral_report(region)
-    # the text first: a count too long for str() is then a one-line rejection
-    record = report.to_json_dict()
-    text = json.dumps(record, indent=2)
-    # the headline prints the record's own values
-    if args.mod is not None:
+        record = census.modular_census(region.params[0], args.mod).to_json_dict()
         ratios = record["residue_ratio_of_size_sq"]
         counts = ", ".join(
             f"{r}: {c} ({ratios[r]} M^2)" for r, c in record["residue_counts"].items() if c
         )
-        _note(f"orbits by length mod {args.mod}: {counts}")
-    else:
-        _note(f"diametral fraction: {record['diametral_fraction']}")
+        headline = f"orbits by length mod {args.mod}: {counts}"
+    # the text first: a count too long for str() is then a one-line rejection
+    text = json.dumps(record, indent=2)
+    _note(headline)
     return 0, text
 
 

@@ -328,18 +328,13 @@ def _neighbours(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def _direction(j: int, bins: int, k: int) -> tuple[int, int, int, int]:
     """Integers c0 <= 2^k cos psi <= c1 and s0 <= 2^k sin psi <= s1 for
-    psi = pi j / bins in (0, pi), from the first octant by symmetry."""
-    turn = 2 * j > bins  # psi = pi - psi'
-    if turn:
-        j = bins - j
+    psi = pi j / bins in (0, pi/2), from the first octant by symmetry."""
     swap = 4 * j > bins  # psi = pi/2 - alpha
     # alpha = pi num / den, in lowest terms so that rays share brackets
     num, den = (bins - 2 * j, 2 * bins) if swap else (j, bins)
     g = math.gcd(num, den)
     c0, c1, s0, s1 = _cos_sin(num // g, den // g, k)
-    if swap:
-        c0, c1, s0, s1 = s0, s1, c0, c1
-    return (-c1, -c0, s0, s1) if turn else (c0, c1, s0, s1)
+    return (s0, s1, c0, c1) if swap else (c0, c1, s0, s1)
 
 
 @lru_cache(maxsize=4096)

@@ -331,6 +331,21 @@ def test_group_and_verify_stdout_digests(capsys, digest, command):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of the diametral censuses of a square, a sym-square
+# and rects, the empty one and one far past the 2^31 guard, whose counts are
+# closed forms
+CENSUS_DIGESTS = [
+    line.split("  ", 1) for line in (GOLDEN / "census_stdout.sha256").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("digest, command", CENSUS_DIGESTS, ids=[c for _, c in CENSUS_DIGESTS])
+def test_census_stdout_digests(capsys, digest, command):
+    code, out, _ = run_cli(capsys, *command.split()[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_group_streams_the_whole_document(capsys, n):
     # one chunk per record between the header and the closing brackets, each
@@ -384,6 +399,9 @@ NUMPY_FREE_COMMANDS = [
     ["census", "--square", "1000", "--mod", "8"],
     ["census", "--hexagon", "1999999", "--diametral"],
     ["census", "--disk", "1999999", "--diametral"],
+    ["census", "--square", "1000", "--diametral"],
+    ["census", "--sym-square", "1000", "--diametral"],
+    ["census", "--rect", "-5,5,-5,5", "--diametral"],
 ]
 
 
