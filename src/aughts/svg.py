@@ -5,15 +5,20 @@ is byte-identical across runs for identical inputs: iteration order is fixed
 and all numbers are formatted with explicit precision.
 
 Each scanned render (residue colorings, diametral two-colorings, unit-circle
-projections) is a generator of strings: the header, one string per scan
-block of ``rows._iter_blocks``, and the closing tag, which ``render_svg``
-joins.  A block's string is one join over a table of string pieces; no
-per-cell string is built.  A rect cell is three pieces, one per column, row
-and color: the table holds the block's columns as one range, from its least
-to its greatest, at most the region's width, and its rows, first to last,
-with pixel offsets in Python ints, so any scale is exact.  A projection
-point is five pieces: the integer part and the three decimals of cx, then
-of cy, then the color, with the decimals rounded exactly as
+projections) is a generator of lists of strings: the header, one list per
+scan block of ``rows._iter_blocks``, and the closing tag.  ``render_svg``
+extends one list with them all and joins it once, so no block string is
+built beside the document.  A block's list is gathered from a table of
+string pieces; no per-cell string is built.  A rect cell is three pieces,
+one per column, row and color: the table holds the block's columns as one
+range, from its least to its greatest, at most the region's width, and its
+rows, first to last, with pixel offsets in Python ints, so any scale is
+exact.  A one-column or one-row block has a row or column piece per cell,
+which would cost more while it waits than its text: such a block, whose
+table holds more than half as many pieces as it has cells, is joined when
+it is made.  A projection point is four pieces: the integer part and the
+three decimals of cx, the integer part of cy, then cy's decimals and the
+color as one piece, with the decimals rounded exactly as
 ``format(v, ".3f")`` rounds (``_thousandths``); its table is fixed, built
 once per process.  The cells pick their pieces by numpy index arithmetic.
 """
@@ -24,6 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cache
+from itertools import starmap
 from typing import Iterator
 
 import numpy as np
@@ -86,7 +92,10 @@ def render_svg(spec: RenderSpec) -> str:
         return _render_single_orbit(spec)
     _check_cells(spec.region)
     render = _render_projection if spec.mode == "projection" else _render_cells
-    return "".join(render(spec))
+    pieces: list[str] = []
+    for block in render(spec):
+        pieces += block
+    return "".join(pieces)
 
 
 def _check_cells(region: Region) -> None:
@@ -98,17 +107,19 @@ def _check_cells(region: Region) -> None:
         raise ResourceLimitError(f"render needs {cells} cells, budget is {PIXEL_BUDGET}")
 
 
-def _render_cells(spec: RenderSpec) -> Iterator[str]:
+def _render_cells(spec: RenderSpec) -> Iterator[list[str]]:
     xmin, xmax, ymin, ymax = spec.region.bounds()
     s = spec.scale
     # an empty rect has a side of 0, not a negative one
     width = max(xmax - xmin + 1, 0) * s
     height = max(ymax - ymin + 1, 0) * s
-    yield _svg_open(width, height) + "\n"
     row_tail = f'" width="{s}" height="{s}" fill="'
     mod = spec.mode == "mod_color"
     colors = [f'{c}"/>\n' for c in (spec.palette if mod else (OTHER_COLOR, DIAMETRAL_COLOR))]
-    for x1, x2 in _iter_blocks(spec.region):
+
+    def block(x1: np.ndarray, x2: np.ndarray) -> tuple[list[str], bool]:
+        """The block's pieces, and whether its table holds more than half
+        as many pieces as it has cells: a row or column piece per cell."""
         # the length residue, or whether the cell lies in the cone
         color = 2 * _semi_perimeter(x1, x2) % spec.modulus if mod else _in_cone(x1, x2)
         # the block's columns, least to greatest, and the pixel offsets of
@@ -124,56 +135,76 @@ def _render_cells(spec: RenderSpec) -> Iterator[str]:
         seq[:, 0] = x1 - x0
         seq[:, 1] = x2 - y0 + len(cols)
         seq[:, 2] = color + (len(cols) + len(rows))
-        yield _join(pieces, seq)
-    yield "</svg>\n"
+        return _gather(pieces, seq), 2 * len(pieces) > len(x1)
+
+    yield [_svg_open(width, height) + "\n"]
+    # starmap frees each block's arrays before its pieces are joined or
+    # passed on, so the heap reuses them for the text or the next block
+    for gathered, per_cell in starmap(block, _iter_blocks(spec.region)):
+        # a one-column or one-row block's own pieces would outweigh its
+        # text while they waited for the render's join
+        if per_cell:
+            gathered = ["".join(gathered)]
+        yield gathered
+    yield ["</svg>\n"]
 
 
-def _render_projection(spec: RenderSpec) -> Iterator[str]:
+def _render_projection(spec: RenderSpec) -> Iterator[list[str]]:
     """Each nonzero point as a dot at its direction on a circle of 220 px,
     from the piece table that ``_projection_pieces`` builds once per process."""
     radius_px = 220
     margin = 20
     size = 2 * (radius_px + margin)
     center = radius_px + margin
-    yield (
-        _svg_open(size, size) + f'\n<circle cx="{center}" cy="{center}" r="{radius_px}" '
-        'fill="none" stroke="#cccccc" stroke-width="1"/>\n'
-    )
     # |x|/norm is 1 within a few ulps, so cx and cy round into [20, 460]:
     # one table serves every block, each column at a fixed offset
     pieces = _projection_pieces(size)
-    offsets = np.cumsum([0, size + 1, 1000, size + 1, 1000])
-    for x1, x2 in _iter_blocks(spec.region):
+    offsets = np.cumsum([0, size + 1, 1000, size + 1])
+
+    def block(x1: np.ndarray, x2: np.ndarray) -> list[str]:
         nonzero = (x1 != 0) | (x2 != 0)
         x1, x2 = x1[nonzero], x2[nonzero]
         # each square fits int64 (|x| <= 2^31) but their sum needs uint64
         norm = np.sqrt((x1 * x1).astype(np.uint64) + (x2 * x2).astype(np.uint64))
-        seq = np.empty((len(x1), 5), dtype=np.int64)
+        seq = np.empty((len(x1), 4), dtype=np.int64)
         seq[:, 0], seq[:, 1] = np.divmod(_thousandths(center + radius_px * x1 / norm), 1000)
         seq[:, 2], seq[:, 3] = np.divmod(_thousandths(center - radius_px * x2 / norm), 1000)
-        seq[:, 4] = _in_cone(x1, x2)
-        yield _join(pieces, seq + offsets)
-    yield "</svg>\n"
+        seq[:, 3] += 1000 * _in_cone(x1, x2)
+        seq += offsets
+        # the table is shared, so the gathered pieces wait for the join
+        return _gather(pieces, seq)
+
+    yield [
+        _svg_open(size, size) + f'\n<circle cx="{center}" cy="{center}" r="{radius_px}" '
+        'fill="none" stroke="#cccccc" stroke-width="1"/>\n'
+    ]
+    # as for the cells, each block's arrays are freed before the next
+    yield from starmap(block, _iter_blocks(spec.region))
+    yield ["</svg>\n"]
 
 
 @cache
 def _projection_pieces(size: int) -> np.ndarray:
     """The pieces of a projection of side ``size``: cx's integer part and
-    decimals, cy's, then the color, as one read-only object array."""
-    pieces = [f'<circle cx="{i}.' for i in range(size + 1)]
-    pieces += [f'{f:03d}" cy="' for f in range(1000)]
-    pieces += [f"{i}." for i in range(size + 1)]
-    pieces += [f'{f:03d}" r="2" fill="' for f in range(1000)]
-    pieces += [f'{c}"/>\n' for c in (OTHER_COLOR, DIAMETRAL_COLOR)]
+    decimals, cy's integer part, then cy's decimals with each color, as one
+    read-only object array.  Each integer part and decimal is formatted once."""
+    ints = [f"{i}." for i in range(size + 1)]
+    decimals = [f"{f:03d}" for f in range(1000)]
+    pieces = ['<circle cx="' + i for i in ints]
+    pieces += [d + '" cy="' for d in decimals]
+    pieces += ints
+    for color in (OTHER_COLOR, DIAMETRAL_COLOR):
+        tail = f'" r="2" fill="{color}"/>\n'
+        pieces += [d + tail for d in decimals]
     table = np.array(pieces, dtype=object)
     table.setflags(write=False)  # cached: shared by every render
     return table
 
 
-def _join(pieces: list[str] | np.ndarray, seq: np.ndarray) -> str:
-    """The pieces that ``seq`` indexes, joined in row-major order."""
+def _gather(pieces: list[str] | np.ndarray, seq: np.ndarray) -> list[str]:
+    """The pieces that ``seq`` indexes, in row-major order."""
     # an object-array gather is about 3x faster than map(pieces.__getitem__)
-    return "".join(np.asarray(pieces, dtype=object)[seq].ravel().tolist())
+    return np.asarray(pieces, dtype=object)[seq].ravel().tolist()
 
 
 def _thousandths(v: np.ndarray) -> np.ndarray:

@@ -1123,9 +1123,14 @@ def test_render_golden_bytes(tmp_path, capsys, name, argv):
 # sha256 of the stdout of renders that span many scan blocks, with rows split
 # across blocks: the three scanned modes, #RGB and #RRGGBB palettes, scales
 # 1, 2, 10, 2^63 and 10^20, rects at the 2^31 corners and a column of
-# 1.5 M rows
+# 1.5 M rows; then the shapes whose blocks join differently, pinned apart:
+# a 1.5 M-cell column and row of --mod 19, whose one-column and one-row
+# blocks are joined when made, a 1.5 M-point projection column and a
+# hexagon's projection at scale 3
 RENDER_DIGESTS = [
-    line.split("  ", 1) for line in (GOLDEN / "render_stdout.sha256").read_text().splitlines()
+    line.split("  ", 1)
+    for name in ("render_stdout.sha256", "render_shapes_stdout.sha256")
+    for line in (GOLDEN / name).read_text().splitlines()
 ]
 
 

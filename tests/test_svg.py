@@ -2,6 +2,7 @@
 fixed-point decimals against Python's own formatting."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_render_spec_takes_numpy_integers_as_ints(mode):
 
 
 def test_a_second_projection_render_builds_no_table(monkeypatch):
-    # the table of 2,964 pieces is built once per process: a later render
+    # the table of 3,962 pieces is built once per process: a later render
     # neither rebuilds it nor turns a list of pieces into an object array
     spec = RenderSpec(region=Region.sym_square(25), mode="projection")
     first = render_svg(spec)
@@ -154,6 +155,31 @@ def test_a_second_projection_render_builds_no_table(monkeypatch):
     # one side, 480 pixels, so one table in all
     assert svg._projection_pieces.cache_info().misses == 1
     assert not svg._projection_pieces(480).flags.writeable
+    # cx's integer parts and decimals, cy's integer parts, then cy's
+    # decimals merged with each of the two colors
+    assert len(svg._projection_pieces(480)) == 2 * 481 + 3000
+
+
+@pytest.mark.parametrize(
+    "region, modulus, scale, bound",
+    [
+        (Region.sym_square(300), 12, 5, 1.5),
+        # each one-column block is joined when it is made, and the render
+        # joins their strings: the blocks and the document, and no more
+        (Region.rect(0, 0, 0, 4 * rows._RUN - 1), 19, 1, 2.0),
+    ],
+    ids=["sym_square_300", "column_of_4_blocks"],
+)
+def test_a_render_holds_less_than_twice_its_document(region, modulus, scale, bound):
+    spec = RenderSpec(region=region, mode="mod_color", modulus=modulus, scale=scale)
+    tracemalloc.start()  # numpy's buffers are traced as well
+    try:
+        out = render_svg(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # to two places: object headers add a few hundred bytes
+    assert round(peak / len(out), 2) <= bound
 
 
 def _fixed3(values):
