@@ -112,32 +112,37 @@ def reach_graph(x: Sequence[int]) -> ReachGraph:
 
 
 def _check_dim2(x: Sequence[int]) -> tuple[int, int]:
-    pt = _check_point(x)
-    if len(pt) != 2:
-        raise ValueError(f"expected a 2D point, got dimension {len(pt)}")
-    return pt  # type: ignore[return-value]
+    """One unpacking for a pair; anything else goes through ``_check_point``
+    for its refusal (a one-shot iterator of another length is consumed by
+    the unpacking first, so it is reported as empty)."""
+    try:
+        x1, x2 = x
+    except (TypeError, ValueError):
+        pt = _check_point(x)
+        raise ValueError(f"expected a 2D point, got dimension {len(pt)}") from None
+    return operator.index(x1), operator.index(x2)
 
 
 def cycle_points(x: Sequence[int], first_generator: int = 1) -> tuple[Point, ...]:
     """The six cycle points (with possible repeats), in traversal order.
 
     Starting with the second operator traverses the same cycle in the
-    opposite direction.
+    opposite direction.  With P0..P5 = (a, b), (b-a, b), (b-a, -a),
+    (-b, -a), (-b, a-b), (a, a-b), points meet only on three lines:
+    P0=P1, P2=P5 and P3=P4 iff b = 2a; P0=P3, P1=P2 and P4=P5 iff a = -b;
+    P0=P5, P1=P4 and P2=P3 iff a = 2b.  Each of the other six pairs holds
+    only where two of these lines cross (P0=P2 iff b = 2a and b = -a, say),
+    which is at the origin alone.
     """
     x1, x2 = _check_dim2(x)
-    forward = (
-        (x1, x2),
-        (x2 - x1, x2),
-        (x2 - x1, -x1),
-        (-x2, -x1),
-        (-x2, x1 - x2),
-        (x1, x1 - x2),
-    )
-    if first_generator == 1:
+    # each coordinate value is computed once: b - a, a - b, -a and -b
+    d, e, n1, n2 = x2 - x1, x1 - x2, -x1, -x2
+    forward = ((x1, x2), (d, x2), (d, n1), (n2, n1), (n2, e), (x1, e))
+    if first_generator not in (1, 2):
+        raise ValueError(f"first_generator must be 1 or 2, got {first_generator!r}")
+    if operator.index(first_generator) == 1:
         return forward
-    if first_generator == 2:
-        return (forward[0],) + tuple(reversed(forward[1:]))
-    raise ValueError(f"first_generator must be 1 or 2, got {first_generator}")
+    return (forward[0],) + tuple(reversed(forward[1:]))
 
 
 def _semi_perimeter(x1, x2):
@@ -178,13 +183,26 @@ def semi_perimeter(x: Sequence[int]) -> int:
 class Orbit2D:
     """Closed 2D orbit: deduplicated node cycle plus its exact semi-perimeter.
 
-    By the box law the side of the square bounding box and the diameter
+    By the three-line rule of ``cycle_points`` there are six nodes off the
+    lines b = 2a, a = 2b and a = -b, three on exactly one of them (each
+    point meets one other), and one at the origin, where they cross.  By
+    the box law the side of the square bounding box and the diameter
     multiplier m (Euclidean diameter sqrt(2) * m) both equal half of it.
     """
 
     seed: Point
     nodes: tuple[Point, ...]
     semi_perimeter: int
+
+    @classmethod
+    def _trusted(cls, seed: Point, nodes: tuple[Point, ...], p: int) -> "Orbit2D":
+        """An orbit whose fields are known to agree, built without the
+        dataclass ``__init__``: the fields go straight into the instance
+        dict, which skips the frozen dataclass's refusal."""
+        o = object.__new__(cls)
+        d = o.__dict__
+        d["seed"], d["nodes"], d["semi_perimeter"] = seed, nodes, p
+        return o
 
     @property
     def box_side(self) -> int:
@@ -194,10 +212,16 @@ class Orbit2D:
 
 
 def orbit2d(x: Sequence[int], first_generator: int = 1) -> Orbit2D:
+    """The orbit of x, its nodes in the order of ``cycle_points``.  Points
+    of the cycle meet only on the three lines b = 2a, a = 2b and a = -b
+    (see ``cycle_points``), so only there are repeats dropped."""
     cycle = cycle_points(x, first_generator)
-    p = _semi_perimeter(*cycle[0])
+    x1, x2 = seed = cycle[0]
+    p = _semi_perimeter(x1, x2)
     assert p % 2 == 0
-    return Orbit2D(seed=cycle[0], nodes=tuple(dict.fromkeys(cycle)), semi_perimeter=p)
+    if x2 == 2 * x1 or x1 == 2 * x2 or x1 == -x2:
+        return Orbit2D._trusted(seed, tuple(dict.fromkeys(cycle)), p)
+    return Orbit2D._trusted(seed, cycle, p)
 
 
 def euclidean_diameter(o: Orbit2D) -> tuple[int, list[tuple[Point, Point]]]:

@@ -69,6 +69,7 @@ class RenderSpec:
         if self.modulus is not None:
             object.__setattr__(self, "modulus", operator.index(self.modulus))
         object.__setattr__(self, "scale", operator.index(self.scale))
+        object.__setattr__(self, "first_generator", operator.index(self.first_generator))
         if self.mode not in RENDER_MODES:
             raise ValueError(f"unknown render mode {self.mode!r}")
         for color in self.palette:

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from math import factorial, prod
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from aughts.orbits import (
     HAMILTONIAN_WORD_3D,
+    Orbit2D,
     _star,
     _swap,
     _unstar,
@@ -545,3 +547,76 @@ def test_run_word_refuses_float_indices():
     traj = run_word((10, 8, 15), np.array([1, 2, 3]))
     assert traj == run_word((10, 8, 15), (1, 2, 3))
     assert all(type(j) is int for j in traj.word)
+
+
+def _lines_through(x1, x2):
+    """How many of the lines b = 2a, a = 2b and a = -b hold (a, b)."""
+    return (x2 == 2 * x1) + (x1 == 2 * x2) + (x1 == -x2)
+
+
+def test_orbit2d_drops_repeats_only_on_the_three_lines():
+    # the cycle's points meet only on b = 2a, a = 2b and a = -b, so the
+    # nodes are the cycle itself everywhere else; built without the
+    # dataclass __init__, the orbit is still equal to, hashed and shown as
+    # one from the public constructor, and still frozen
+    k = 2**31
+    pts = [(a, b) for a in range(-60, 61) for b in range(-60, 61)]
+    for t in (k - 2, k - 1, k, k + 1, -k - 1, -k, -k + 1):
+        pts += [(t, 2 * t), (2 * t, t), (t, -t), (t, 2 * t + 1), (2 * t - 1, t)]
+    fields = ("seed", "nodes", "semi_perimeter")
+    for i, x in enumerate(pts):
+        for g in (1, 2):
+            cycle = cycle_points(x, g)
+            o = orbit2d(x, g)
+            assert o.nodes == tuple(dict.fromkeys(cycle))
+            assert len(o.nodes) == {0: 6, 1: 3, 3: 1}[_lines_through(*x)]
+            public = Orbit2D(seed=cycle[0], nodes=o.nodes, semi_perimeter=semi_perimeter(x))
+            assert o == public and hash(o) == hash(public) and repr(o) == repr(public)
+            with pytest.raises(FrozenInstanceError):
+                setattr(o, fields[i % 3], None)
+
+
+# each refused point with the type and message the point check gave before
+# it unpacked a pair in one step
+REFUSED_POINTS = [
+    ((), ValueError, "point must have at least one coordinate"),
+    ((1,), ValueError, "expected a 2D point, got dimension 1"),
+    ((1, 2, 3), ValueError, "expected a 2D point, got dimension 3"),
+    ((1.5, 2), TypeError, "'float' object cannot be interpreted as an integer"),
+    ((1, 2, 3.5), TypeError, "'float' object cannot be interpreted as an integer"),
+    (5, TypeError, "'int' object is not iterable"),
+    ("ab", TypeError, "'str' object cannot be interpreted as an integer"),
+    ([1, 2.0], TypeError, "'float' object cannot be interpreted as an integer"),
+]
+
+
+@pytest.mark.parametrize("func", [cycle_points, orbit2d, orbit_rep, is_diametral, semi_perimeter])
+@pytest.mark.parametrize("point, error, message", REFUSED_POINTS)
+def test_2d_point_refusals_keep_their_type_and_message(func, point, error, message):
+    with pytest.raises(Exception) as refused:
+        func(point)
+    assert type(refused.value) is error and str(refused.value) == message
+
+
+def test_2d_points_of_numpy_ints_or_bools_come_back_as_ints():
+    for pair, plain in [((np.int64(3), np.int64(-7)), (3, -7)), ((True, False), (1, 0))]:
+        assert cycle_points(pair) == cycle_points(plain)
+        assert orbit2d(pair) == orbit2d(plain) and orbit_rep(pair) == orbit_rep(plain)
+        assert all(type(v) is int for p in cycle_points(pair) + orbit2d(pair).nodes for v in p)
+        assert all(type(v) is int for v in orbit_rep(pair))
+        assert type(semi_perimeter(pair)) is int
+
+
+def test_first_generator_is_an_integer():
+    # a float order was taken as the int it equals, and a string was shown
+    # unquoted, as if it were that int
+    for g in (1.0, 2.0):
+        with pytest.raises(TypeError):
+            cycle_points((2, 3), g)
+        with pytest.raises(TypeError):
+            orbit2d((2, 3), g)
+    assert orbit2d((2, 3), np.int64(2)) == orbit2d((2, 3), 2)
+    with pytest.raises(ValueError, match="^first_generator must be 1 or 2, got '1'$"):
+        orbit2d((2, 3), "1")
+    with pytest.raises(ValueError, match="^first_generator must be 1 or 2, got 3$"):
+        cycle_points((2, 3), 3)

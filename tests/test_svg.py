@@ -136,6 +136,17 @@ def test_render_spec_takes_numpy_integers_as_ints(mode):
         assert render_svg(as_numpy) == render_svg(as_int) == per_cell_render(as_int)
 
 
+def test_render_spec_takes_the_generator_order_as_an_int():
+    # a float order was passed on to the orbit and taken as the int it equals
+    region, seed = Region.square(5), (2, 3)
+    with pytest.raises(TypeError):
+        RenderSpec(region=region, mode="single_orbit", seed=seed, first_generator=2.0)
+    as_int = RenderSpec(region=region, mode="single_orbit", seed=seed, first_generator=2)
+    as_numpy = RenderSpec(region=region, mode="single_orbit", seed=seed, first_generator=np.int64(2))
+    assert type(as_numpy.first_generator) is int
+    assert render_svg(as_numpy) == render_svg(as_int)
+
+
 def test_a_second_projection_render_builds_no_table(monkeypatch):
     # the table of 3,962 pieces is built once per process: a later render
     # neither rebuilds it nor turns a list of pieces into an object array
