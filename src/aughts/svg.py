@@ -9,18 +9,22 @@ projections) is a generator of lists of strings: the header, one list per
 scan block of ``rows._iter_blocks``, and the closing tag.  ``render_svg``
 extends one list with them all and joins it once, so no block string is
 built beside the document.  A block's list is gathered from a table of
-string pieces; no per-cell string is built.  A rect cell is three pieces,
-one per column, row and color: the table holds the block's columns as one
-range, from its least to its greatest, at most the region's width, and its
-rows, first to last, with pixel offsets in Python ints, so any scale is
-exact.  A one-column or one-row block has a row or column piece per cell,
-which would cost more while it waits than its text: such a block, whose
-table holds more than half as many pieces as it has cells, is joined when
-it is made.  A projection point is four pieces: the integer part and the
-three decimals of cx, the integer part of cy, then cy's decimals and the
-color as one piece, with the decimals rounded exactly as
-``format(v, ".3f")`` rounds (``_thousandths``); its table is fixed, built
-once per process.  The cells pick their pieces by numpy index arithmetic.
+string pieces; no per-cell string is built.  The table holds the block's
+columns as one range, from its least to its greatest, at most the region's
+width, and its rows, first to last, with pixel offsets in Python ints, so
+any scale is exact.  A rect cell of a wide block, one with at least eight
+cells per (row, color) pair, is two pieces: its column, and its row with
+its color, one piece per pair.  A cell of any other block is three pieces,
+one per column, row and color: there, formatting a piece per pair would
+cost more than the third piece per cell it saves.  A one-column or one-row
+block has a row or column piece per cell, which would cost more while it
+waits than its text: such a block, whose table holds more than half as many
+pieces as it has cells, is joined when it is made.  A projection point is
+four pieces: the integer part and the three decimals of cx, the integer
+part of cy, then cy's decimals and the color as one piece, with the
+decimals rounded exactly as ``format(v, ".3f")`` rounds (``_thousandths``);
+its table is fixed, built once per process.  The cells pick their pieces
+by numpy index arithmetic.
 """
 
 from __future__ import annotations
@@ -78,10 +82,10 @@ class RenderSpec:
         if self.mode == "mod_color":
             if self.modulus is None or self.modulus < 2:
                 raise ValueError("mod_color requires a modulus >= 2")
-            if self.modulus > len(self.palette):
-                raise ValueError(
-                    f"palette has {len(self.palette)} colors, need {self.modulus}"
-                )
+            have = len(self.palette)
+            if self.modulus > have:
+                plural = "" if have == 1 else "s"
+                raise ValueError(f"palette has {have} color{plural}, need {self.modulus}")
         if self.mode == "single_orbit" and self.seed is None:
             raise ValueError("single_orbit requires a seed point")
         if self.scale < 1:
@@ -116,7 +120,9 @@ def _render_cells(spec: RenderSpec) -> Iterator[list[str]]:
     height = max(ymax - ymin + 1, 0) * s
     row_tail = f'" width="{s}" height="{s}" fill="'
     mod = spec.mode == "mod_color"
-    colors = [f'{c}"/>\n' for c in (spec.palette if mod else (OTHER_COLOR, DIAMETRAL_COLOR))]
+    # only the colors a cell can take: a residue is below the modulus
+    used = spec.palette[: spec.modulus] if mod else (OTHER_COLOR, DIAMETRAL_COLOR)
+    colors = [f'{c}"/>\n' for c in used]
 
     def block(x1: np.ndarray, x2: np.ndarray) -> tuple[list[str], bool]:
         """The block's pieces, and whether its table holds more than half
@@ -130,12 +136,19 @@ def _render_cells(spec: RenderSpec) -> Iterator[list[str]]:
         y0 = int(x2[0])
         rows = range((ymax - y0) * s, (ymax - int(x2[-1])) * s - s, -s)
         pieces = [f'<rect x="{(x - xmin) * s}" y="' for x in cols]
-        pieces += [str(py) + row_tail for py in rows]
-        pieces += colors
-        seq = np.empty((len(x1), 3), dtype=np.int64)
+        if 8 * len(rows) * len(colors) <= len(x1):
+            # a wide block: each row's piece carries the color, one piece
+            # per (row, color), so a cell is two pieces
+            pieces += [f"{py}{row_tail}{c}" for py in rows for c in colors]
+            seq = np.empty((len(x1), 2), dtype=np.int64)
+            seq[:, 1] = (x2 - y0) * len(colors) + color + len(cols)
+        else:
+            pieces += [str(py) + row_tail for py in rows]
+            pieces += colors
+            seq = np.empty((len(x1), 3), dtype=np.int64)
+            seq[:, 1] = x2 - y0 + len(cols)
+            seq[:, 2] = color + (len(cols) + len(rows))
         seq[:, 0] = x1 - x0
-        seq[:, 1] = x2 - y0 + len(cols)
-        seq[:, 2] = color + (len(cols) + len(rows))
         return _gather(pieces, seq), 2 * len(pieces) > len(x1)
 
     yield [_svg_open(width, height) + "\n"]

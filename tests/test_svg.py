@@ -104,6 +104,65 @@ def test_render_edge_rects_match_per_cell_oracle(region, mode):
     _assert_same_lines(render_svg(spec), per_cell_render(spec))
 
 
+def _spy_layouts(monkeypatch):
+    """The pieces per cell of each block that ``svg._gather`` gathers."""
+    layouts = []
+    gather = svg._gather
+
+    def spy(pieces, seq):
+        layouts.append(seq.shape[1])
+        return gather(pieces, seq)
+
+    monkeypatch.setattr(svg, "_gather", spy)
+    return layouts
+
+
+@pytest.mark.parametrize("block_points", [1, 7, 100, rows._RUN])
+@pytest.mark.parametrize(
+    "mode, colors", [("mod_color", 2), ("mod_color", 3), ("mod_color", 7), ("diametral", 2)]
+)
+def test_render_at_the_two_piece_rule_matches_per_cell_oracle(
+    monkeypatch, mode, colors, block_points
+):
+    # a block is two pieces per cell where 8 * rows * colors <= cells, so a
+    # block of whole rows is two exactly when it is 8 * colors wide or more;
+    # a small block starts and ends mid-row and may fall on either side
+    rng = random.Random(f"two-piece-rule:{mode}:{colors}")
+    palette = _random_palette(rng, colors + 5)
+    for width in (8 * colors - 1, 8 * colors, 8 * colors + 1):
+        for height in (1, 3, 40):
+            spec = RenderSpec(
+                region=Region.rect(-(width // 2), width - width // 2 - 1, -1, height - 2),
+                mode=mode,
+                modulus=colors if mode == "mod_color" else None,
+                palette=palette,
+                scale=rng.choice((1, 3, 10**20)),
+            )
+            want = per_cell_render(spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(rows, "_RUN", block_points)
+                layouts = _spy_layouts(patch)
+                _assert_same_lines(render_svg(spec), want)
+            if block_points == rows._RUN:
+                # one block of whole rows
+                assert layouts == [2 if width >= 8 * colors else 3]
+
+
+@pytest.mark.parametrize(
+    "region, modulus, scale, pieces",
+    [
+        (Region.sym_square(300), 12, 5, 2),
+        (Region.rect(-50_000, 49_999, -1, 1), 5, 1, 2),
+        (Region.rect(0, 0, 0, 4 * rows._RUN - 1), 19, 1, 3),
+    ],
+    ids=["sym_square_300", "rect_of_3_rows", "column_of_4_blocks"],
+)
+def test_wide_blocks_gather_two_pieces_per_cell(monkeypatch, region, modulus, scale, pieces):
+    layouts = _spy_layouts(monkeypatch)
+    render_svg(RenderSpec(region=region, mode="mod_color", modulus=modulus, scale=scale))
+    assert layouts and set(layouts) == {pieces}
+
+
 @pytest.mark.parametrize(
     "region, size", [(Region.rect(5, 0, 0, 3), (0, 40)), (Region.rect(0, 3, 5, 0), (40, 0))]
 )
@@ -134,6 +193,15 @@ def test_render_spec_takes_numpy_integers_as_ints(mode):
         as_numpy = RenderSpec(region=region, mode=mode, modulus=np.int64(5), scale=np.int64(scale))
         assert type(as_numpy.scale) is int and type(as_numpy.modulus) is int
         assert render_svg(as_numpy) == render_svg(as_int) == per_cell_render(as_int)
+
+
+@pytest.mark.parametrize(
+    "colors, message", [(1, "palette has 1 color, need 2"), (2, "palette has 2 colors, need 3")]
+)
+def test_render_spec_counts_the_palette_colors(colors, message):
+    palette = svg.DEFAULT_PALETTE[:colors]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RenderSpec(region=Region.square(2), mode="mod_color", modulus=colors + 1, palette=palette)
 
 
 def test_render_spec_takes_the_generator_order_as_an_int():
@@ -191,6 +259,19 @@ def test_a_render_holds_less_than_twice_its_document(region, modulus, scale, bou
         tracemalloc.stop()
     # to two places: object headers add a few hundred bytes
     assert round(peak / len(out), 2) <= bound
+
+
+def test_a_wide_render_holds_at_most_1_35_times_its_document():
+    # two pieces per cell: each block of sym_square(300) waits for the join
+    # as two gathered pieces per cell, not three
+    spec = RenderSpec(region=Region.sym_square(300), mode="mod_color", modulus=12, scale=5)
+    tracemalloc.start()
+    try:
+        out = render_svg(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert round(peak / len(out), 2) <= 1.35
 
 
 def _fixed3(values):
