@@ -44,20 +44,26 @@ def sign_pow(exponent: int) -> int:
     return -1 if exponent & 1 else 1
 
 
-def _check_dim(n: int) -> None:
+def _check_dim(n: int) -> int:
+    """The dimension as an int, through ``operator.index`` (a numpy integer
+    becomes an int, a float is refused); ValueError below 1."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    return n
 
 
-def _check_index(n: int, j: int) -> None:
-    _check_dim(n)
+def _check_index(n: int, j: int) -> tuple[int, int]:
+    """The dimension and a 1-based index into it, both as ints."""
+    n, j = _check_dim(n), operator.index(j)
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range 1..{n}")
+    return n, j
 
 
 def alternating_row(n: int, j: int) -> tuple[int, ...]:
     """The +/-1 row of length ``n`` starting with (-1)^j at column 1."""
-    _check_index(n, j)
+    n, j = _check_index(n, j)
     return tuple(sign_pow(j + k) for k in range(n))
 
 
@@ -74,21 +80,22 @@ class SmallIntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_dim(self.n)
-        if len(self.entries) != self.n * self.n:
-            raise ValueError(
-                f"expected {self.n * self.n} entries, got {len(self.entries)}"
-            )
+        n = _check_dim(self.n)
+        object.__setattr__(self, "n", n)
+        if len(self.entries) != n * n:
+            raise ValueError(f"expected {n * n} entries, got {len(self.entries)}")
         if set(map(type, self.entries)) != {int}:
             raise TypeError("matrix entries must be Python ints")
 
     @classmethod
     def _of_ints(cls, n: int, entries: tuple[int, ...]) -> "SmallIntMatrix":
         """A matrix of n * n entries known to be Python ints, as ``tolist()``
-        returns them, built without the checks."""
+        returns them, built without the checks.  The fields go straight into
+        the instance dict, as ``signed_perm``'s ``_trusted`` constructors
+        write theirs."""
         m = object.__new__(cls)
-        object.__setattr__(m, "n", n)
-        object.__setattr__(m, "entries", entries)
+        fields = m.__dict__
+        fields["n"], fields["entries"] = n, entries
         return m
 
     @classmethod
@@ -102,9 +109,9 @@ class SmallIntMatrix:
         return cls(n, tuple(flat))
 
     def row(self, row: int) -> tuple[int, ...]:
-        _check_index(self.n, row)
-        start = (row - 1) * self.n
-        return self.entries[start : start + self.n]
+        n, row = _check_index(self.n, row)
+        start = (row - 1) * n
+        return self.entries[start : start + n]
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.row(i) for i in range(1, self.n + 1))
@@ -120,7 +127,7 @@ class SmallIntMatrix:
 
 
 def identity_matrix(n: int) -> SmallIntMatrix:
-    _check_dim(n)
+    n = _check_dim(n)
     return SmallIntMatrix(
         n, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
     )
@@ -128,6 +135,7 @@ def identity_matrix(n: int) -> SmallIntMatrix:
 
 def pivot_outer(n: int, j: int) -> SmallIntMatrix:
     """Rank-one matrix e_j r_j: the zero matrix with row j set to r_j."""
+    n, j = _check_index(n, j)
     entries = [0] * (n * n)
     entries[(j - 1) * n : j * n] = alternating_row(n, j)
     return SmallIntMatrix(n, tuple(entries))
@@ -135,7 +143,7 @@ def pivot_outer(n: int, j: int) -> SmallIntMatrix:
 
 def make_k(n: int, j: int) -> SmallIntMatrix:
     """Generator K(j): identity with row j replaced by the alternating row."""
-    _check_index(n, j)
+    n, j = _check_index(n, j)
     entries = [0] * (n * n)
     entries[:: n + 1] = [1] * n
     entries[(j - 1) * n : j * n] = alternating_row(n, j)
@@ -178,7 +186,7 @@ def mat_mul(a: SmallIntMatrix, b: SmallIntMatrix) -> SmallIntMatrix:
 def stack(n: int, matrices: Sequence[SmallIntMatrix]) -> np.ndarray:
     """The n x n matrices as one (k, n, n) array: int64 when every entry lies
     within +-(2^63 - 1), Python ints (``dtype=object``) otherwise."""
-    _check_dim(n)
+    n = _check_dim(n)
     if any(m.n != n for m in matrices):
         raise ValueError(f"dimension mismatch: expected {n} x {n} matrices")
     wide = max((m.max_abs() for m in matrices), default=0) > INT64_MAX
@@ -221,13 +229,6 @@ def matrix_order(m: SmallIntMatrix, limit: int = 10_000) -> int:
     raise ValueError(f"no multiplicative order found up to {limit}")
 
 
-def assert_unit_entries(m: SmallIntMatrix) -> SmallIntMatrix:
-    """Enforce the group invariant that entries stay in {-1, 0, 1}."""
-    if m.max_abs() > 1:
-        raise UnitEntryError()
-    return m
-
-
 def k_word_products(
     n: int, words: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +241,7 @@ def k_word_products(
     further and its slot holds no product.  These are the oracle against
     which every closed-form product is checked.
     """
-    _check_dim(n)
+    n = _check_dim(n)
     used = sorted({operator.index(j) for word in words for j in word})
     generators = stack(n, [make_k(n, j) for j in used])
     slot = {j: i for i, j in enumerate(used)}
@@ -277,14 +278,19 @@ def product_closed_form(n: int, js: Sequence[int]) -> SmallIntMatrix:
     For a tuple (j1, ..., js) of distinct indices: zero out the diagonal at
     every listed index, put (-1)^(j+l) at position (j, l) for each adjacent
     pair (j, l), and replace row js with the alternating row r(js).
+
+    Every entry written is 0 or +-1, so the result lies in the unit entries
+    {-1, 0, 1} by construction and is not scanned for them; it is built
+    once, unchecked, through ``SmallIntMatrix._of_ints``.  The tests hold
+    it to ``k_word_product`` on every tuple up to n = 5.
     """
-    _check_dim(n)
+    n = _check_dim(n)
     js = tuple(map(operator.index, js))
     if not 1 <= len(js) <= n:
         raise ValueError(f"tuple length must be in 1..{n}, got {len(js)}")
-    for j in js:
-        if not 1 <= j <= n:
-            raise ValueError(f"index {j} out of range 1..{n}")
+    if min(js) < 1 or max(js) > n:
+        j = next(j for j in js if not 1 <= j <= n)
+        raise ValueError(f"index {j} out of range 1..{n}")
     if len(set(js)) != len(js):
         raise ValueError("indices must be distinct")
 
@@ -293,9 +299,10 @@ def product_closed_form(n: int, js: Sequence[int]) -> SmallIntMatrix:
     for j in js:
         entries[(j - 1) * (n + 1)] = 0
     for j, ell in zip(js, js[1:]):
-        entries[(j - 1) * n + ell - 1] = sign_pow(j + ell)
-    entries[(js[-1] - 1) * n : js[-1] * n] = [sign_pow(js[-1] + k) for k in range(n)]
-    return assert_unit_entries(SmallIntMatrix._of_ints(n, tuple(entries)))
+        entries[(j - 1) * n + ell - 1] = -1 if (j + ell) & 1 else 1
+    last = js[-1]
+    entries[(last - 1) * n : last * n] = ([1, -1] * (n // 2 + 1))[last & 1 : (last & 1) + n]
+    return SmallIntMatrix._of_ints(n, tuple(entries))
 
 
 def full_cycle_matrix(
@@ -305,7 +312,7 @@ def full_cycle_matrix(
 
     Either product has multiplicative order exactly n + 1.
     """
-    _check_dim(n)
+    n = _check_dim(n)
     if direction == "down":
         js: Iterable[int] = range(n, 0, -1)
     elif direction == "up":

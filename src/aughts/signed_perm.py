@@ -56,7 +56,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        _check_dim(n)
+        n = _check_dim(n)
         return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
@@ -170,23 +170,35 @@ def msih_mul(a: SignedPermElement, b: SignedPermElement) -> SignedPermElement:
     j -> tau(sigma(j)).  An unflagged b keeps a's pivot and flag (both
     normalized); when both flags are set and the pivots collide
     (sigma^-1(b.h) == a.h) the flags cancel, otherwise the composite
-    permutation is additionally patched at the two pivots.  The result is
-    read straight off the image tuples.
+    permutation is additionally patched at the two pivots.
+
+    The branches only choose (h, eps) and patch the images, read straight
+    off the image tuples; the result is then built once, below, by the
+    instance-dict writes of ``Permutation._trusted`` and
+    ``SignedPermElement._trusted``, inlined.  It needs no check: the images
+    compose two permutations of 1..n (the patch swaps two of them), the
+    pivot is an index into them and eps = 0 comes with h = 1.
     """
     sigma, tau = a.sigma.images, b.sigma.images
     if len(sigma) != len(tau):
         raise ValueError(f"degree mismatch: {len(sigma)} vs {len(tau)}")
     images = [tau[v - 1] for v in sigma]
     if b.eps == 0:
-        return SignedPermElement._trusted(Permutation._trusted(tuple(images)), a.h, a.eps)
-    sv = sigma.index(b.h) + 1
-    if a.eps == 0:
-        return SignedPermElement._trusted(Permutation._trusted(tuple(images)), sv, 1)
-    u = a.h
-    if sv == u:
-        return SignedPermElement._trusted(Permutation._trusted(tuple(images)), 1, 0)
-    images[u - 1], images[sv - 1] = images[sv - 1], images[u - 1]
-    return SignedPermElement._trusted(Permutation._trusted(tuple(images)), sv, 1)
+        h, eps = a.h, a.eps
+    else:
+        h, eps = sigma.index(b.h) + 1, 1
+        if a.eps:
+            u = a.h
+            if h == u:
+                h, eps = 1, 0
+            else:
+                images[u - 1], images[h - 1] = images[h - 1], images[u - 1]
+    p = object.__new__(Permutation)
+    p.__dict__["images"] = tuple(images)
+    e = object.__new__(SignedPermElement)
+    fields = e.__dict__
+    fields["sigma"], fields["h"], fields["eps"] = p, h, eps
+    return e
 
 
 def msih_inverse(a: SignedPermElement) -> SignedPermElement:

@@ -745,7 +745,9 @@ def loop_k_word_product(n, js):
     after each step."""
     acc = intmat.identity_matrix(n)
     for j in js:
-        acc = intmat.assert_unit_entries(intmat.mat_mul(acc, intmat.make_k(n, j)))
+        acc = intmat.mat_mul(acc, intmat.make_k(n, j))
+        if acc.max_abs() > 1:
+            raise intmat.UnitEntryError()
     return acc
 
 

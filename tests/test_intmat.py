@@ -1,6 +1,7 @@
 """Generator matrices: construction, closed-form products, identities."""
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -344,6 +345,11 @@ def test_product_closed_form_rejects_repeats():
     # the indices' range is checked before their distinctness
     with pytest.raises(ValueError, match=r"^index 9 out of range 1\.\.4$"):
         product_closed_form(4, [2, 9, 2])
+    # the first index out of range is the one named
+    with pytest.raises(ValueError, match=r"^index 0 out of range 1\.\.3$"):
+        product_closed_form(3, (2, 0, 5))
+    with pytest.raises(ValueError, match=r"^index 5 out of range 1\.\.3$"):
+        product_closed_form(3, (2, 5, 0))
 
 
 def test_full_cycle_order():
@@ -503,10 +509,58 @@ def test_closed_form_matches_brute_force(data):
     assert product_closed_form(n, js) == k_word_product(n, js)
 
 
-def test_unit_entry_guard():
-    twos = SmallIntMatrix.from_rows([[2, 0], [0, 2]])
-    with pytest.raises(intmat.UnitEntryError):
-        intmat.assert_unit_entries(twos)
+def _assert_closed_form_is_the_word_product(n, js):
+    closed = product_closed_form(n, js)
+    assert closed == k_word_product(n, js)
+    assert set(closed.entries) <= {-1, 0, 1}
+
+
+def test_closed_form_is_the_word_product_on_every_tuple_up_to_n5():
+    # the closed form writes only 0 and +-1 and is not scanned for them
+    # afterwards; this holds it to the word product on every tuple instead
+    for n in range(1, 6):
+        for s in range(1, n + 1):
+            for js in permutations(range(1, n + 1), s):
+                _assert_closed_form_is_the_word_product(n, js)
+
+
+def test_closed_form_is_the_word_product_on_random_tuples_at_n8():
+    rng = random.Random(4708)
+    for _ in range(500):
+        js = tuple(rng.sample(range(1, 9), rng.randint(1, 8)))
+        _assert_closed_form_is_the_word_product(8, js)
+
+
+def test_a_non_integer_dimension_is_refused():
+    # a float dimension once built a matrix that failed later in str(),
+    # rows() and mat_mul, or failed as "can't multiply sequence by non-int"
+    float_index = "'float' object cannot be interpreted as an integer"
+    for build in (
+        lambda: SmallIntMatrix(2.0, (1, 0, 0, 1)),
+        lambda: product_closed_form(3.0, (1, 2)),
+        lambda: make_k(3.0, 1),
+        lambda: alternating_row(3, 1.0),
+        lambda: alternating_row(3.0, 1),
+        lambda: pivot_outer(3.0, 1),
+        lambda: identity_matrix(2.0),
+        lambda: full_cycle_matrix(3.0),
+        lambda: k_word_product(3.0, (1,)),
+        lambda: intmat.stack(3.0, []),
+        lambda: identity_matrix(2).row(1.0),
+    ):
+        with pytest.raises(TypeError, match=float_index):
+            build()
+    # a numpy integer dimension is taken as the exact int
+    for m in (
+        product_closed_form(np.int64(3), (1, 2)),
+        SmallIntMatrix(np.int64(2), (1, 0, 0, 1)),
+        make_k(np.int32(3), np.int64(2)),
+        identity_matrix(np.uint8(2)),
+    ):
+        assert type(m.n) is int
+        assert mat_mul(m, m).n == m.n and str(m)
+    assert product_closed_form(np.int64(3), (1, 2)) == product_closed_form(3, (1, 2))
+    assert alternating_row(np.int64(3), np.int64(1)) == (-1, 1, -1)
 
 
 def test_product_closed_form_refuses_float_indices():

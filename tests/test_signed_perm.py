@@ -5,10 +5,16 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from brute_force import element_order, zero_matrix
+from brute_force import element_order, loop_msih_mul, zero_matrix
 
 from aughts.atlas import catalog, verify_isomorphism
-from aughts.intmat import SmallIntMatrix, identity_matrix, make_k, mat_mul
+from aughts.intmat import (
+    SmallIntMatrix,
+    identity_matrix,
+    make_k,
+    mat_mul,
+    product_closed_form,
+)
 from aughts.signed_perm import (
     NotGroupElementError,
     Permutation,
@@ -161,6 +167,33 @@ def test_trusted_results_equal_their_checked_rebuilds(n):
     witness = verify_isomorphism(n)
     for p in witness.forward.values():
         assert p == Permutation(p.images) and all(type(v) is int for v in p.images)
+    # product_closed_form builds its matrix unchecked too
+    for s in range(1, n + 1):
+        for js in permutations(range(1, n + 1), s):
+            m = product_closed_form(n, js)
+            assert m == SmallIntMatrix(n, m.entries) and type(m.n) is int
+
+
+def _branch(a, b):
+    if b.eps == 0:
+        return "b unflagged"
+    if a.eps == 0:
+        return "a unflagged"
+    return "pivots collide" if a.sigma.images.index(b.h) + 1 == a.h else "pivots patched"
+
+
+def test_msih_mul_matches_the_loop_on_every_branch_at_n8():
+    # msih_mul builds every branch's result at one unchecked site
+    rng = random.Random(4780)
+    branches = set()
+    for _ in range(2000):
+        a, b = random_element(8, rng), random_element(8, rng)
+        got = msih_mul(a, b)
+        assert got == loop_msih_mul(a, b)
+        assert got == SignedPermElement(Permutation(got.sigma.images), got.h, got.eps)
+        assert all(type(v) is int for v in (got.h, got.eps, *got.sigma.images))
+        branches.add(_branch(a, b))
+    assert branches == {"b unflagged", "a unflagged", "pivots collide", "pivots patched"}
 
 
 def test_oracle_all_pairs_n3():
