@@ -28,14 +28,14 @@ row x <= y cot phi iff x q <= y p, each floor is floor(y p / q) in int64,
 and fl(x/y) below or above fl(p/q) puts a row's end x/y on that side for
 certain (monotone rounding).  Those row counts are int64 numpy kernels in
 ``aughts.rows``, which is imported only once a histogram has passed its
-guards; ``WORK_LIMIT`` bounds the rows and crossings that it reads, and the
-disk's R + 1 rows stay the size bound of its two counts.  The orbit
-length, the cone's row form and the cone test are defined once, in
-``aughts.orbits``, for ints and arrays alike.
-Every census, average and length statistic is exact at every size >= 1, and
-each scalar argument enters through ``operator.index``, as a ``Region``'s
-params do, so a numpy integer becomes an int and no Python-int formula wraps
-in int64.  Each ratio and average of a census record is rounded once, to 12
+guards; ``WORK_LIMIT`` bounds the rows and crossings that it reads, and
+nothing else.  The orbit length, the cone's row form and the cone test are
+defined once, in ``aughts.orbits``, for ints and arrays alike.
+Every census, average and length statistic is exact at every size >= 1,
+but the disk's two counts, like the histograms and renders, take the 2^31
+guard as their size bound.  Each scalar argument enters through
+``operator.index``, as a ``Region``'s params do, so a numpy integer becomes
+an int and no Python-int formula wraps in int64.  Each ratio and average of a census record is rounded once, to 12
 significant digits, from its exact ints, and the diameter average of
 ``square_orbit_averages`` once to a double, by ``_root_digits``.
 """
@@ -48,14 +48,10 @@ from dataclasses import dataclass
 
 from aughts.errors import ResourceLimitError
 
-# Rows plus crossed (row, ray) pairs a row count may read: R + 1 rows for a
-# disk count, and for an angular histogram at most ``rows._histogram_work``,
-# both checked before any row is read.  A histogram row takes 35-70 ns and a
-# crossing 9-14 ns (2-vCPU VM), and no int64 bin sum of one wraps below
-# 2^27.  The disk counts read no row: they walk the hull of one octant of
-# the arc in Python ints, 0.36-0.38 s each at the limit (2-vCPU VM), and
-# keep their R + 1 rows as their size bound, within which every disk lies
-# inside the 2^31 guard.
+# Rows plus crossed (row, ray) pairs an angular histogram may read, at most
+# ``rows._histogram_work``, checked before any row is read: the histogram's
+# budget alone.  A row takes 35-70 ns and a crossing 9-14 ns (2-vCPU VM),
+# and no int64 bin sum of one wraps below 2^27.
 WORK_LIMIT = 9 * 10**7
 # Bins of an angular histogram: on first use it finds the Farey pair of every
 # boundary it reads, about 7 us a bin (0.44 s at the limit, 2-vCPU VM).
@@ -159,7 +155,8 @@ COORD_LIMIT = 2**31
 
 
 def _check_coords(region: Region) -> None:
-    """Refuse a region beyond the 2^31 guard, so that no int64 kernel wraps."""
+    """Refuse a region beyond the 2^31 guard.  Within it no int64 kernel
+    wraps, and the disks' hull walk answers in about 4 s (2-vCPU VM)."""
     if max(map(abs, region.bounds())) > COORD_LIMIT:
         raise ValueError(f"region bounds {region.bounds()} exceed the 2^31 guard")
 
@@ -405,13 +402,12 @@ def diametral_report(region: Region) -> DiametralReport:
     A polygon's diametral points are the double cone's points in its
     bounding box: the hexagon's cut corners hold none, as a cone point of
     [-M,M]^2 has both coordinates of one sign and so |x - y| < M.  A disk,
-    within its R + 1 rows of ``WORK_LIMIT``, sums its columns under one
-    octant of its arc in Python ints by walking their lattice hull
-    (``_disk_diametral``).
+    within the 2^31 guard, sums its columns under one octant of its arc in
+    Python ints by walking their lattice hull (``_disk_diametral``).
     """
     x0, x1, y0, y1 = region.bounds()
     if region.kind == "disk":
-        _check_disk_work(region, "diametral census needs")
+        _check_coords(region)
         total, hits = _disk_diametral(x1)
     elif x0 > x1 or y0 > y1:
         total = hits = 0
@@ -422,14 +418,6 @@ def diametral_report(region: Region) -> DiametralReport:
         # the lower cone is the upper one's negative
         hits = _cone_points(x0, x1, y0, y1) + _cone_points(-x1, -x0, -y1, -y0)
     return DiametralReport(region, total, hits)
-
-
-def _check_disk_work(disk: Region, what: str) -> None:
-    """The disk counts' one ``WORK_LIMIT`` check, on the R + 1 rows 0..R that
-    they take as their size bound, whose message ``what`` begins."""
-    (r,) = disk.params
-    if r + 1 > WORK_LIMIT:
-        raise ResourceLimitError(f"{what} {r + 1} rows, budget is {WORK_LIMIT}")
 
 
 def _disk_octant(r: int) -> tuple[int, int, int, tuple, tuple]:
@@ -629,7 +617,7 @@ def disk_length_stats(r: int) -> DiskLengthStats:
     so the largest length is 4 (2h(v) + v) at its peak over 0 <= v <= k.
     """
     r = operator.index(r)
-    _check_disk_work(Region.disk(r), "disk length stats need")
+    _check_coords(Region.disk(r))
     count, k, m, (a1, a2, _, a_peak), (b1, b2, b3, b_peak) = _disk_octant(r)
     _, v1, v2 = _power_sums(1, m)
     _, w1, w2 = _power_sums(m + 1, k)

@@ -1,8 +1,8 @@
 """The int64 row kernels of the angular histogram, which ``aughts.census``
-imports once a histogram has passed its guards and its ``WORK_LIMIT``, and
-of the SVG renders' scan blocks.  Neither disk count reads rows: both walk
-the lattice hull of one octant of the disk's arc in Python ints
-(``census._disk_octant``).
+imports once a histogram has passed its guards and ``WORK_LIMIT``, the
+budget of histograms alone, and of the SVG renders' scan blocks.  Neither
+disk count reads rows: both walk the lattice hull of one octant of the
+disk's arc in Python ints (``census._disk_octant``), within the 2^31 guard.
 
 No count loops over rows in Python: ``_rows`` gives a region's rows in
 chunks of up to 2^16 as int64 arrays with their ``row_spans`` x-ranges, and

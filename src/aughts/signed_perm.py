@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from aughts.intmat import SmallIntMatrix, _check_dim, alternating_row, sign_pow
+from aughts.intmat import SmallIntMatrix, _check_dim, _check_index, alternating_row, sign_pow
 
 
 class NotGroupElementError(ValueError):
@@ -61,16 +61,18 @@ class Permutation:
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
+        n, a = _check_index(n, a)
+        _, b = _check_index(n, b)
         imgs = list(range(1, n + 1))
         imgs[a - 1], imgs[b - 1] = b, a
-        return cls(tuple(imgs))
+        return cls._trusted(tuple(imgs))
 
     @property
     def degree(self) -> int:
         return len(self.images)
 
     def apply(self, j: int) -> int:
-        return self.images[j - 1]
+        return self.images[_check_index(self.degree, j)[1] - 1]
 
     def then(self, other: "Permutation") -> "Permutation":
         """Composite j -> other(self(j)): self acts first."""
@@ -205,7 +207,7 @@ def msih_inverse(a: SignedPermElement) -> SignedPermElement:
     inv = a.sigma.inverse()
     if a.eps == 0:
         return SignedPermElement._trusted(inv, 1, 0)
-    return SignedPermElement._trusted(inv, a.sigma.apply(a.h), 1)
+    return SignedPermElement._trusted(inv, a.sigma.images[a.h - 1], 1)
 
 
 def to_matrix(e: SignedPermElement) -> SmallIntMatrix:
@@ -217,7 +219,7 @@ def to_matrix(e: SignedPermElement) -> SmallIntMatrix:
         if e.eps == 1 and j == e.h:
             entries[(j - 1) * n : j * n] = alternating_row(n, j)
         else:
-            k = e.sigma.apply(j)
+            k = e.sigma.images[j - 1]
             entries[(j - 1) * n + (k - 1)] = sign_pow(j + k)
     return SmallIntMatrix(n, tuple(entries))
 

@@ -789,7 +789,7 @@ def test_disk_census_walks_the_columns_1_to_k_once(monkeypatch):
     "r, total, hits",
     [
         (31999999, 3216990676188661, 658945122841404),
-        # the largest disk within WORK_LIMIT
+        # the largest disk within the former budget of R + 1 rows
         (89999999, 25446899928572625, 5212358945894462),
     ],
 )
@@ -803,13 +803,26 @@ def test_disk_census_at_large_radii(r, total, hits):
     "r, count, total, maximum",
     [
         (31999999, 3216990676188661, 514357021066738554021680, 286216692),
-        # the largest disk within WORK_LIMIT
+        # the largest disk within the former budget of R + 1 rows
         (89999999, 25446899928572625, 11443063080323781734642264, 804984460),
     ],
 )
 def test_disk_length_stats_at_large_radii(r, count, total, maximum):
     # pinned from the int64 row sums that the hull walk replaced
     assert disk_length_stats(r) == census.DiskLengthStats(r, count, total / count, maximum)
+
+
+def test_disk_counts_past_the_former_row_budget():
+    # R + 1 = 10^8 + 1 rows, once refused; pinned from a chunked numpy sum
+    # over the rows 0..R, each h = isqrt(R^2 - y^2) exact, its lengths and
+    # its cone span in closed form
+    r = 10**8
+    report = diametral_report(Region.disk(r))
+    assert (report.total_points, report.diametral_points) == (
+        31415926535867961, 6435011177375896
+    )
+    count, total = 31415926535867961, 15696932046303348971180088
+    assert disk_length_stats(r) == census.DiskLengthStats(r, count, total / count, 894427188)
 
 
 # with the split's edges up to 2 * 10^4, where the wedge's rows change form
@@ -951,46 +964,49 @@ def test_diametral_census_small_sizes_match_brute_force():
 
 
 def test_diametral_row_limit():
-    # only the disk is bounded, by its R + 1 rows: far past the limit, and
-    # one row past it
-    with pytest.raises(ResourceLimitError):
+    # only the disk is bounded, by the 2^31 guard: far past it, and one past
+    with pytest.raises(ValueError):
         diametral_report(Region.disk(2**40))
-    with pytest.raises(ResourceLimitError):
-        diametral_report(Region.disk(census.WORK_LIMIT))
+    with pytest.raises(ValueError):
+        diametral_report(Region.disk(2**31 + 1))
 
 
 def test_diametral_row_limit_beyond_2_31():
-    # a disk beyond the 2^31 guard stops up front, before any int64 row
+    # a disk beyond the 2^31 guard stops up front, before any hull step
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ValueError):
         diametral_report(Region.disk(2**62))
     assert time.perf_counter() - start < 1
 
 
 def test_disk_length_stats_row_limit():
-    with pytest.raises(ResourceLimitError):
-        disk_length_stats(census.WORK_LIMIT)
+    with pytest.raises(ValueError):
+        disk_length_stats(2**31 + 1)
 
 
 def test_disk_counts_and_histogram_share_one_work_budget(monkeypatch):
-    # one row past the budget stops both disk counts up front
+    # one past the 2^31 guard stops both disk counts up front
     for count in (lambda r: diametral_report(Region.disk(r)), disk_length_stats):
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match=f"{census.WORK_LIMIT + 1} rows, budget is"):
-            count(census.WORK_LIMIT)
+        with pytest.raises(ValueError, match=r"exceed the 2\^31 guard$"):
+            count(census.COORD_LIMIT + 1)
         assert time.perf_counter() - start < 1
-    # at a small budget: R + 1 rows at it answer, one more row stops
-    monkeypatch.setattr(census, "WORK_LIMIT", 40)
+    # at a small guard: a disk at it answers, one more stops
+    monkeypatch.setattr(census, "COORD_LIMIT", 39)
     report = diametral_report(Region.disk(39))
     assert (report.total_points, report.diametral_points) == per_row_diametral_counts(
         Region.disk(39)
     )
     count, total, maximum = per_row_disk_length_stats(39)
     assert disk_length_stats(39) == census.DiskLengthStats(39, count, total / count, maximum)
-    with pytest.raises(ResourceLimitError, match="^diametral census needs 41 rows, budget is 40$"):
+    refusal = r"^region bounds \(-40, 40, -40, 40\) exceed the 2\^31 guard$"
+    with pytest.raises(ValueError, match=refusal):
         diametral_report(Region.disk(40))
-    with pytest.raises(ResourceLimitError, match="^disk length stats need 41 rows, budget is 40$"):
+    with pytest.raises(ValueError, match=refusal):
         disk_length_stats(40)
+    monkeypatch.undo()
+    # at a small budget, which only the histogram reads
+    monkeypatch.setattr(census, "WORK_LIMIT", 40)
     # a column whose rows and crossings are the budget answers, one unit
     # more stops
     assert rows._histogram_work(Region.rect(1, 1, 0, 37), 8) == 40

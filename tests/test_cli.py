@@ -246,7 +246,7 @@ REUSE_ARGVS = [
     ["census", "--square", "5", "--disk", "5", "--diametral"],
     ["group", "--help"],
     ["census", "--square", "0", "--mod", "8"],
-    ["census", "--disk", "99999999", "--diametral"],
+    ["census", "--square", "100", "--mod", "1000000000000"],
     ["orbit", "-3,4"],
     *({**BASE_ARGV, "census": GOLDEN_CENSUS}.values()),
 ]
@@ -464,23 +464,22 @@ def test_fresh_process_imports_numpy_only_where_used():
     assert set(codes.values()) == {0}, codes
 
 
-# Run in a fresh interpreter: the exit code of a disk census past
-# WORK_LIMIT, whether the length stats past it raise ResourceLimitError,
-# the repr of the length stats of a disk within it, and whether numpy was
-# imported after each.
+# Run in a fresh interpreter: the exit code of a disk census past the 2^31
+# guard, whether the length stats past it raise ValueError, the repr of the
+# length stats of a disk within it, and whether numpy was imported after
+# each.
 _REFUSAL_PROBE = textwrap.dedent(
     """
     import contextlib, io, json, sys
     from aughts import census, cli
-    from aughts.errors import ResourceLimitError
 
     with contextlib.redirect_stderr(io.StringIO()) as err:
-        code = cli.main(["census", "--disk", "99999999", "--diametral"])
+        code = cli.main(["census", "--disk", "2147483649", "--diametral"])
     numpy = ["numpy" in sys.modules]
     try:
-        census.disk_length_stats(census.WORK_LIMIT)
+        census.disk_length_stats(2**31 + 1)
         raised = False
-    except ResourceLimitError:
+    except ValueError:
         raised = True
     numpy.append("numpy" in sys.modules)
     stats = repr(census.disk_length_stats(1999999))
@@ -498,8 +497,8 @@ def test_fresh_process_refuses_a_disk_past_the_budget_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     code, err, raised, stats, numpy = json.loads(proc.stdout)
-    assert code == 4
-    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert raised
     assert stats == repr(aughts.disk_length_stats(1999999))
     assert numpy == [False, False, False]
@@ -812,9 +811,9 @@ def _closed_pipe_env(buffered):
         (("verify", "--max-n", "2"), 3),
         (("group", "--dim", "99"), 2),
         (("census", "--square", "5", "--disk", "5"), 2),
-        (("census", "--disk", "99999999", "--diametral"), 4),
+        (("census", "--square", "100", "--mod", "1000000000000"), 4),
     ],
-    ids=["verify", "group-dim", "parser", "disk-limit"],
+    ids=["verify", "group-dim", "parser", "modulus-limit"],
 )
 def test_exit_code_stands_when_stderr_is_closed(argv, code, buffered):
     # stdout and stderr share a pipe whose reader closes at once, so neither
@@ -998,13 +997,13 @@ def test_census_mod_two_million_is_exact():
     }
 
 
-def test_census_diametral_row_limit_exits_4():
+def test_census_diametral_past_the_guard_exits_2():
     start = time.monotonic()
     proc = run_cli_process("census", "--disk", "1099511627776", "--diametral", timeout=30)
-    assert proc.returncode == 4
+    assert proc.returncode == 2
     assert time.monotonic() - start < 10
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
 
 

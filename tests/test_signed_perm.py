@@ -57,6 +57,19 @@ def test_permutation_basics():
         Permutation.of([1, 1, 2])
 
 
+def test_permutation_refuses_an_index_out_of_range():
+    p = Permutation.of([2, 1, 3])
+    for j in (0, 4, -1):
+        with pytest.raises(ValueError, match=f"^index {j} out of range 1..3$"):
+            p.apply(j)
+    assert [p.apply(j) for j in (1, 2, 3)] == [2, 1, 3]
+    for a, b, j in ((1, 5, 5), (0, 2, 0), (4, 1, 4)):
+        with pytest.raises(ValueError, match=f"^index {j} out of range 1..3$"):
+            Permutation.transposition(3, a, b)
+    assert Permutation.transposition(3, 2, 2) == Permutation.identity(3)
+    assert Permutation.transposition(np.int64(3), np.int8(3), 1).images == (3, 2, 1)
+
+
 def test_composition_convention():
     # in a.then(b) the permutation a acts first
     a = Permutation.of([2, 1, 3])
