@@ -8,8 +8,10 @@ LATTICE POINTS with multiplicity.  Each basis has its own census record:
 Neither the distinct-orbit census of [0,M]^2 nor the diametral counts scan
 points; both are exact Python-int counts.  A point of [0,M]^2 is the
 lexicographically largest node of its orbit inside the square iff it lies in
-the closed cone x/2 <= y <= 2x, where the orbit length is 4(x+y), so the
-census sums the cone's points per anti-diagonal in closed form.  A point
+the closed cone x/2 <= y <= 2x, where the orbit length is 4(x+y).  One
+closed-form sum over the anti-diagonals x + y = s, ``_antidiagonal_sums``,
+counts those cone points for the square census, the cumulative perimeter
+stats and the per-length count alike.  A point
 other than the origin is diametral iff it or its negative lies in that cone,
 so a square, sym-square, hexagon or rect counts the cone's points in its
 bounding box by inclusion-exclusion over one quadrant count in closed form,
@@ -288,9 +290,7 @@ def count_orbits_with_perimeter(x: int) -> int:
     x = operator.index(x)
     if x < 1:
         raise ValueError(f"perimeter must be >= 1, got {x}")
-    if x % 4 != 0:
-        return 0
-    return x // 6 + (-x // 12) + 1  # -x // 12 is -ceil(x / 12), exactly
+    return _ramp(x // 4) if x % 4 == 0 else 0
 
 
 @dataclass(frozen=True)
@@ -301,38 +301,49 @@ class PerimeterStats:
 
 
 def cumulative_perimeter_stats(t: int) -> PerimeterStats:
-    """Exact count/sum/average of orbits with length in [4, t].
-
-    Only lengths 4k carry orbits.  Writing k = 3q + r, length 4k carries
-    q + 1, q or q + 1 orbits for r = 0, 1 or 2, so each residue class sums
-    in closed form over its range of q.
-    """
+    """Exact count/sum/average of orbits with length in [4, t]: the ramp
+    on the anti-diagonals 1 <= s <= t // 4, as only lengths 4s carry orbits."""
     t = operator.index(t)
     if t < 4:
         raise ValueError(f"threshold must be >= 4, got {t}")
-    kmax = t // 4
-    count = 0
-    total = 0
-    for r, extra in ((0, 1), (1, 0), (2, 1)):
-        # terms k = 3q + r with 1 <= k <= kmax, each carrying q + extra orbits
-        qlo, qhi = (1 if r == 0 else 0), (kmax - r) // 3
-        s0, s1, s2 = _power_sums(qlo, qhi)
-        count += s1 + extra * s0
-        total += 4 * (3 * s2 + (r + 3 * extra) * s1 + r * extra * s0)
+    _, count, total = _antidiagonal_sums(((1, t // 4, None),), 1)
     return PerimeterStats(count, total, total / count if count else 0.0)
 
 
+def _ramp(s: int) -> int:
+    """n(s) = floor(2s/3) - ceil(s/3) + 1 orbits have length 4s, s >= 0: each
+    has one node in the cone x/2 <= y <= 2x on the anti-diagonal x + y = s."""
+    return 2 * s // 3 + (-s // 3) + 1  # -s // 3 is -ceil(s / 3), exactly
+
+
+def _antidiagonal_sums(pieces: tuple, d: int) -> tuple[list[int], int, int]:
+    """(orbits per length residue mod d, orbit count, length sum) of n(s)
+    orbits of length 4s on each anti-diagonal lo <= s <= hi of the pieces
+    (lo, hi, top), 0 <= lo <= hi + 1, the last one ending at the largest s:
+    n(s) = ``_ramp(s)`` if top is None, else top - s.  On each class
+    s = c + period*j, period = lcm(3, d/gcd(d, 4)), 4s mod d is fixed and
+    n is linear in j, _ramp(c) + j period/3 as s mod 3 is fixed, or
+    top - c - j period, so power sums over j count each class exactly."""
+    period = math.lcm(3, d // math.gcd(d, 4))
+    residues = [0] * d
+    count = length = 0
+    for c in range(min(period, pieces[-1][1] + 1)):
+        for lo, hi, top in pieces:
+            a, b = (_ramp(c), period // 3) if top is None else (top - c, -period)
+            s0, s1, s2 = _power_sums((lo - c + period - 1) // period, (hi - c) // period)
+            n = a * s0 + b * s1
+            residues[4 * c % d] += n
+            count += n
+            # sum over j of 4(c + period*j)(a + b*j)
+            length += 4 * (c * a * s0 + (c * b + period * a) * s1 + period * b * s2)
+    return residues, count, length
+
+
 def _power_sums(lo: int, hi: int) -> tuple[int, int, int]:
-    """(sum 1, sum q, sum q^2) over the integers lo <= q <= hi.
-
-    Needs 0 <= lo <= hi + 1; an empty range (hi = lo - 1) sums to zeros.
-    """
-
-    def upto(n: int) -> tuple[int, int, int]:
-        return n + 1, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
-
-    top, below = upto(hi), upto(lo - 1)
-    return tuple(a - b for a, b in zip(top, below))
+    """(sum 1, sum q, sum q^2) over the integers lo <= q <= hi, for
+    0 <= lo <= hi + 1; an empty range (hi = lo - 1) sums to zeros."""
+    a, b = lo * (lo - 1), hi * (hi + 1)  # twice the sums of q up to lo - 1 and hi
+    return hi - lo + 1, (b - a) // 2, (b * (2 * hi + 1) - a * (2 * lo - 1)) // 6
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +355,8 @@ def square_orbit_sums(m: int, d: int = 1) -> tuple[list[int], int, int]:
 
     The orbits meeting [0,m]^2 correspond one to one with the square's points
     in the cone x/2 <= y <= 2x, the largest node of each orbit inside the
-    square.  The anti-diagonal x + y = s holds n(s) = min(2s//3, m) -
-    max(ceil(s/3), s-m) + 1 of them, each of length 4s: for s <= 3m//2 that
-    is (s - s%3)/3 + 1, less 1 when s%3 == 1, and above it 2m + 1 - s.  On
-    each class s = c + period*j, period = lcm(3, d/gcd(d, 4)), n is linear in
-    j and 4s mod d is fixed, so power sums over j count each class exactly.
+    square.  The anti-diagonal x + y = s holds ``_ramp(s)`` of them for
+    s <= 3m//2, and 2m + 1 - s above it.
     """
     m, d = operator.index(m), operator.index(d)
     if m < 1:
@@ -357,31 +365,12 @@ def square_orbit_sums(m: int, d: int = 1) -> tuple[list[int], int, int]:
         raise ValueError(f"modulus must be >= 1, got {d}")
     if d > MODULUS_LIMIT:
         raise ResourceLimitError(f"modulus {d} exceeds the limit {MODULUS_LIMIT}")
-    period, split = math.lcm(3, d // math.gcd(d, 4)), 3 * m // 2
-    residues = [0] * d
-    count = length = 0
-    for c in range(min(period, 2 * m + 1)):
-        r = c % 3
-        # (n at j = 0, n's step per j, first s, last s) of both s-ranges
-        for a, b, lo, hi in (
-            ((c - r) // 3 + (r != 1), period // 3, 0, split),
-            (2 * m + 1 - c, -period, split + 1, 2 * m),
-        ):
-            s0, s1, s2 = _power_sums((lo - c + period - 1) // period, (hi - c) // period)
-            n = a * s0 + b * s1
-            residues[4 * c % d] += n
-            count += n
-            # sum over j of 4(c + period*j)(a + b*j)
-            length += 4 * (c * a * s0 + (c * b + period * a) * s1 + period * b * s2)
-    return residues, count, length
+    split = 3 * m // 2
+    return _antidiagonal_sums(((0, split, None), (split + 1, 2 * m, 2 * m + 1)), d)
 
 
 def modular_census(m: int, d: int) -> CensusReport:
-    """Tally DISTINCT orbits seeded from [0,m]^2 by orbit length mod d.
-
-    By the box law the diameter multiplier and the box side of an orbit are
-    each a quarter of its length, and so are their sums.
-    """
+    """Tally DISTINCT orbits seeded from [0,m]^2 by orbit length mod d."""
     m, d = operator.index(m), operator.index(d)
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import cycle, permutations
 from typing import Iterable, Sequence
 
 Point = tuple[int, ...]
@@ -35,15 +35,20 @@ def _check_point(x: Sequence[int]) -> Point:
     return pt
 
 
+def _alternate(v: Sequence[int]) -> Point:
+    """(v_1, -v_2, v_3, ...): y_k = (-1)^(k+1) v_k, its own inverse."""
+    return tuple(map(operator.mul, v, cycle((1, -1))))
+
+
 def _star(x: Point) -> Point:
-    """Phi(x) = (-sum(y), y_1, ..., y_n) with y_k = (-1)^(k+1) x_k."""
-    y = tuple(v if k % 2 == 0 else -v for k, v in enumerate(x))
+    """Phi(x) = (-sum(y), y_1, ..., y_n) with y = ``_alternate(x)``."""
+    y = _alternate(x)
     return (-sum(y),) + y
 
 
 def _unstar(z: Point) -> Point:
     """Inverse of ``_star`` on the sum-zero lattice."""
-    return tuple(v if k % 2 == 0 else -v for k, v in enumerate(z[1:]))
+    return _alternate(z[1:])
 
 
 def _swap(z: Point, j: int) -> Point:

@@ -280,6 +280,12 @@ def antidiagonal_census(m, d):
     return residues, count, length
 
 
+def cone_points_per_antidiagonal(smax):
+    """Distinct orbits of length 4s in the whole plane, for s = 0..smax: the
+    points (x, s - x) of the cone x/2 <= y <= 2x, tested one x at a time."""
+    return [sum(x <= 2 * (s - x) <= 4 * x for x in range(s + 1)) for s in range(smax + 1)]
+
+
 def fitted_census(m, d, period):
     """``antidiagonal_census(m, d)`` at any m, as (residues, count, length).
 

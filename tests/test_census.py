@@ -16,6 +16,7 @@ import pytest
 from brute_force import (
     antidiagonal_census,
     brute_is_diametral,
+    cone_points_per_antidiagonal,
     cos_sin_bracket,
     diametral_count,
     exact_histogram,
@@ -134,20 +135,45 @@ def test_cumulative_stats_small():
         cumulative_perimeter_stats(3)
 
 
-def loop_perimeter_stats(t):
-    """Per-length oracle: sum count_orbits_with_perimeter over x = 4, 8, ..., t."""
+def loop_perimeter_stats(t, per_s):
+    """Per-length oracle: per_s[s] orbits of length 4s for s = 1..t // 4."""
     count = 0
     total = 0
-    for x in range(4, t + 1, 4):
-        n = count_orbits_with_perimeter(x)
-        count += n
-        total += n * x
+    for s in range(1, t // 4 + 1):
+        count += per_s[s]
+        total += 4 * s * per_s[s]
     return PerimeterStats(count, total, total / count if count else 0.0)
 
 
 def test_cumulative_closed_form_matches_loop():
-    for t in list(range(4, 3000)) + [100_003, 1_234_567]:
-        assert cumulative_perimeter_stats(t) == loop_perimeter_stats(t), t
+    brute = cone_points_per_antidiagonal(750)
+    for t in range(4, 3001):
+        assert cumulative_perimeter_stats(t) == loop_perimeter_stats(t, brute), t
+    for x in range(1, 3001):
+        assert count_orbits_with_perimeter(x) == (0 if x % 4 else brute[x // 4]), x
+    # past the brute force, each anti-diagonal's cone points by their x-range
+    x_range = [2 * s // 3 - -(-s // 3) + 1 for s in range(1_234_567 // 4 + 1)]
+    for t in (100_003, 1_234_567):
+        assert cumulative_perimeter_stats(t) == loop_perimeter_stats(t, x_range), t
+
+
+def test_perimeter_closed_forms_at_10_100():
+    stats = cumulative_perimeter_stats(10**100)
+    assert stats.count == int(
+        "1041666666666666666666666666666666666666666666666666666666666666666666"
+        "6666666666666666666666666666679166666666666666666666666666666666666666"
+        "66666666666666666666666666666666666666666666666666666666666"
+    )
+    assert stats.total == int(
+        "6944444444444444444444444444444444444444444444444444444444444444444444"
+        "4444444444444444444444444444527777777777777777777777777777777777777777"
+        "7777777777777777777777777777777777777777777777777777777777777777777777"
+        "7777777777777777777777777777777777777777777777777777777777777777777777"
+        "777777777777777776"
+    )
+    assert stats.average == 6.666666666666666e99
+    for k, last in enumerate("345"):
+        assert count_orbits_with_perimeter(4 * 10**100 + 4 * k) == int("3" * 99 + last)
 
 
 def test_cumulative_monotone():
@@ -963,7 +989,7 @@ def test_diametral_census_small_sizes_match_brute_force():
     assert diametral_census(Region.hexagon(1)) == 2 / 7
 
 
-def test_diametral_row_limit():
+def test_diametral_report_refuses_a_disk_past_the_2_31_guard():
     # only the disk is bounded, by the 2^31 guard: far past it, and one past
     with pytest.raises(ValueError):
         diametral_report(Region.disk(2**40))
@@ -971,7 +997,7 @@ def test_diametral_row_limit():
         diametral_report(Region.disk(2**31 + 1))
 
 
-def test_diametral_row_limit_beyond_2_31():
+def test_a_disk_far_past_the_2_31_guard_stops_before_any_hull_step():
     # a disk beyond the 2^31 guard stops up front, before any hull step
     start = time.perf_counter()
     with pytest.raises(ValueError):
@@ -979,12 +1005,12 @@ def test_diametral_row_limit_beyond_2_31():
     assert time.perf_counter() - start < 1
 
 
-def test_disk_length_stats_row_limit():
+def test_disk_length_stats_refuses_a_disk_past_the_2_31_guard():
     with pytest.raises(ValueError):
         disk_length_stats(2**31 + 1)
 
 
-def test_disk_counts_and_histogram_share_one_work_budget(monkeypatch):
+def test_both_disk_counts_take_the_2_31_guard_and_the_histogram_its_budget(monkeypatch):
     # one past the 2^31 guard stops both disk counts up front
     for count in (lambda r: diametral_report(Region.disk(r)), disk_length_stats):
         start = time.perf_counter()

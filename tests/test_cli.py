@@ -489,7 +489,7 @@ _REFUSAL_PROBE = textwrap.dedent(
 )
 
 
-def test_fresh_process_refuses_a_disk_past_the_budget_without_numpy():
+def test_fresh_process_refuses_a_disk_past_the_2_31_guard_without_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _REFUSAL_PROBE],
