@@ -8,14 +8,16 @@ multiplication by K(j) has a closed form on (sigma, h, eps), so the n
 left-multiplication tables over all (n+1)! ranks are built with array
 operations (``left_tables``). The catalog is the breadth-first closure of
 the identity under these tables, run one level at a time in the order a
-queue would visit, so an element found via parent p and generator j
-satisfies e = K(j) * p; reading the parent chain from the element up to the
-identity yields its word as a product taken left to right. The catalog keeps
-the search as arrays over BFS positions and decodes elements only on demand.
-Its JSON export (``catalog_chunks``) writes no element either: while n + 1 <= 9
-every entry of a record is one digit, so the records of a BFS level differ
-only in their digits, and each level is laid out from one byte template whose
-digit slots are written from the rank arrays.
+queue would visit (the first candidate of each new rank is found by one
+linear pass over a per-rank claim array, with no sort), so an element found
+via parent p and generator j satisfies e = K(j) * p; reading the parent
+chain from the element up to the identity yields its word as a product
+taken left to right. The catalog keeps the search as arrays over BFS
+positions and decodes elements only on demand. Its JSON export
+(``catalog_chunks``) writes no element either: while n + 1 <= 9 every entry
+of a record is one digit, so the records of a BFS level differ only in their
+digits, and each level is laid out from one byte template whose digit slots
+are written from the rank arrays, one chunk of text per run of records.
 
 The isomorphism psi, the permutation e applies to the star coordinates of
 ``aughts.orbits``, is read off (sigma, h, eps): psi(j+1) = sigma(j)+1 and
@@ -28,7 +30,8 @@ word length of a = K(j1)...K(jd) gives psi(a * b) = psi(a) then psi(b) for
 every pair, since the product is associative (it is the matrix product).
 That is n (n+1)! products instead of ((n+1)!)^2, checked as array
 comparisons on psi over all ranks (``psi_table``), which also gives the order
-spectrum and the image column of the JSON export.
+spectrum and the image column of the JSON export. The witness it returns
+decodes its element and permutation maps only when they are first read.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ class GroupCatalog:
     distance, the parent's position and the generator j with element =
     K(j) * parent (parent -1 and j 0 at the identity); ``position`` maps a
     rank back to its BFS position. ``elements`` decodes the ranks into
-    triples when first read."""
+    triples when first read; ``tables`` holds the left-multiplication
+    tables the search ran on (``left_tables``)."""
 
     n: int
     rank: np.ndarray
@@ -77,6 +81,10 @@ class GroupCatalog:
 
     def __len__(self) -> int:
         return len(self.rank)
+
+    @cached_property
+    def tables(self) -> np.ndarray:
+        return left_tables(self.n)
 
     @cached_property
     def elements(self) -> list[SignedPermElement]:
@@ -177,14 +185,19 @@ def _level_bfs(
     distance = np.zeros(size, dtype=np.int32)
     parent = np.full(size, -1, dtype=np.int32)
     via = np.zeros(size, dtype=np.int32)
+    claim = np.empty(size, dtype=np.intp)
     position[0] = 0
     start, count, level = 0, 1, 0
     while start < count:
         frontier = order[start:count]
         candidates = tables[:, frontier].T.ravel()
         fresh = np.flatnonzero(position[candidates] < 0)
-        _, first = np.unique(candidates[fresh], return_index=True)
-        picked = fresh[np.sort(first)]
+        # claim[r] ends as the least index at which the new rank r occurs, so
+        # the candidates that keep their claim are the first occurrences
+        new, steps = candidates[fresh], np.arange(len(fresh))
+        claim[new] = len(new)
+        np.minimum.at(claim, new, steps)
+        picked = fresh[claim[new] == steps]
         stop = count + len(picked)
         order[count:stop] = candidates[picked]
         position[order[count:stop]] = np.arange(count, stop, dtype=np.int32)
@@ -198,14 +211,16 @@ def _level_bfs(
 def enumerate_group(n: int) -> GroupCatalog:
     """Breadth-first closure under left multiplication by the generators."""
     _check_n(n)
-    cat = GroupCatalog(n, *_level_bfs(left_tables(n)))
+    tables = left_tables(n)
+    cat = GroupCatalog(n, *_level_bfs(tables))
     if len(cat) != factorial(n + 1):
         raise ConsistencyError(
             f"enumeration found {len(cat)} elements, expected {factorial(n + 1)}"
         )
     # ``catalog`` hands the same arrays to every caller
-    for array in (cat.rank, cat.distance, cat.parent, cat.via, cat.position):
+    for array in (tables, cat.rank, cat.distance, cat.parent, cat.via, cat.position):
         array.flags.writeable = False
+    cat.tables = tables
     return cat
 
 
@@ -258,11 +273,23 @@ def psi(e: SignedPermElement, n: int) -> Permutation:
 
 @dataclass(frozen=True)
 class IsoWitness:
-    """Verified bijective homomorphism onto the symmetric group."""
+    """Verified bijective homomorphism onto the symmetric group: ``size`` is
+    the count of distinct psi rows checked. The maps ``forward`` (element to
+    image) and ``backward`` are decoded from ``catalog(n)`` and
+    ``psi_table(n)`` when first read."""
 
     n: int
-    forward: dict[SignedPermElement, Permutation]
-    backward: dict[Permutation, SignedPermElement]
+    size: int
+
+    @cached_property
+    def forward(self) -> dict[SignedPermElement, Permutation]:
+        cat = catalog(self.n)
+        images = map(Permutation._trusted, zip(*psi_table(self.n)[cat.rank].T.tolist()))
+        return dict(zip(cat.elements, images))
+
+    @cached_property
+    def backward(self) -> dict[Permutation, SignedPermElement]:
+        return {p: e for e, p in self.forward.items()}
 
 
 def verify_isomorphism(n: int) -> IsoWitness:
@@ -274,7 +301,9 @@ def verify_isomorphism(n: int) -> IsoWitness:
     generator and element: the row of K(j) * e is the row of e with its
     first and (j+1)-th entries exchanged. Every element is a word
     K(j1)...K(jd), so by induction on d the last check gives
-    psi(a * b) = psi(a) then psi(b) for every pair.
+    psi(a * b) = psi(a) then psi(b) for every pair. The checks run on arrays
+    alone (the left tables are the catalog's); no element is decoded unless
+    one fails or the witness's maps are read.
     """
     cat = catalog(n)
     table = psi_table(n)
@@ -288,19 +317,17 @@ def verify_isomorphism(n: int) -> IsoWitness:
         if not np.array_equal(table[j], identity[swaps[j]]):
             raise ConsistencyError(f"psi(K({j})) is not (1, {j + 1})")
     keys = table.astype(np.int64) @ (n + 2) ** np.arange(n + 1, dtype=np.int64)
-    if len(np.unique(keys)) != factorial(n + 1):
+    size = len(np.unique(keys))
+    if size != factorial(n + 1):
         raise ConsistencyError("image map is not injective")
-    for j, products in enumerate(left_tables(n), start=1):
+    for j, products in enumerate(cat.tables, start=1):
         wrong = (table[products] != table[:, swaps[j]]).any(axis=1)[cat.rank]
         if wrong.any():
             e = cat.elements[int(np.argmax(wrong))]
             raise ConsistencyError(
                 f"homomorphism fails at {format_element(generator(n, j))} * {format_element(e)}"
             )
-    images = map(Permutation._trusted, zip(*table[cat.rank].T.tolist()))
-    forward = dict(zip(cat.elements, images))
-    backward = {p: e for e, p in forward.items()}
-    return IsoWitness(n, forward, backward)
+    return IsoWitness(n, size)
 
 
 def full_cycle_order_via_sym(n: int) -> int:
@@ -323,7 +350,8 @@ def full_cycle_order_via_sym(n: int) -> int:
 
 def catalog_chunks(cat: GroupCatalog) -> Iterator[str]:
     """``json.dumps(catalog_json(cat), indent=2)`` in chunks: the header, one
-    chunk per element record in BFS order, then the closing brackets.
+    chunk per run of at most ``_RUN`` element records in BFS order, then the
+    closing brackets.
 
     Every sigma, h, eps, word and psi entry is one digit (n + 1 <= 9), and
     the records of a BFS level share their distance and word length, so they
@@ -331,7 +359,7 @@ def catalog_chunks(cat: GroupCatalog) -> Iterator[str]:
     each digit slot. A level goes out in runs of at most ``_RUN`` records:
     the template is repeated as the rows of a uint8 matrix, the digit slots
     of each run are written from arrays, and the run is decoded once and
-    handed out one record's width at a time. Each word is the generator that
+    handed out as one chunk. Each word is the generator that
     reached the element followed by its parent's word, kept as a uint8
     matrix from the level before.
     """
@@ -367,13 +395,11 @@ def catalog_chunks(cat: GroupCatalog) -> Iterator[str]:
         )
         digits = np.column_stack((head[level], head[level], words, images[level]))
         rows = np.tile(template, (min(stop - start, _RUN), 1))
-        slots, width = np.flatnonzero(template == 0), len(template)
+        slots = np.flatnonzero(template == 0)
         for offset in range(0, stop - start, _RUN):
             run = digits[offset : offset + _RUN]
             rows[: len(run), slots] = run
-            block = str(rows[: len(run)], "ascii")
-            for i in range(0, len(block), width):
-                yield block[i : i + width]
+            yield str(rows[: len(run)], "ascii")
         first, start = start, stop
     yield "\n  ]\n}"
 

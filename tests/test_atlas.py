@@ -19,7 +19,7 @@ from brute_force import (
     random_word_element,
 )
 
-from aughts import atlas
+from aughts import atlas, verify
 from aughts.atlas import (
     ConsistencyError,
     catalog,
@@ -55,7 +55,7 @@ def test_enumeration_guard():
         enumerate_group(8)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_catalog_matches_bfs_oracle(n):
     cat = enumerate_group(n)
     elements, distance, parent = bfs_catalog(n)
@@ -336,8 +336,55 @@ def test_generator_products_are_matrix_products(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_verify_isomorphism(n):
     witness = verify_isomorphism(n)
+    assert witness.size == factorial(n + 1)
     assert len(witness.forward) == factorial(n + 1)
     assert len(witness.backward) == factorial(n + 1)
+
+
+def test_witness_is_hashable():
+    # its fields are n and size; the maps are decoded apart from them
+    witness = verify_isomorphism(2)
+    assert hash(witness) == hash(verify_isomorphism(2))
+    assert witness == verify_isomorphism(2) and witness != verify_isomorphism(3)
+    assert len({witness, verify_isomorphism(2)}) == 1
+
+
+def test_run_all_leaves_the_witnesses_undecoded(monkeypatch):
+    witnesses = []
+
+    def recorded(n):
+        witnesses.append(verify_isomorphism(n))
+        return witnesses[-1]
+
+    monkeypatch.setattr(atlas, "verify_isomorphism", recorded)
+    assert all(suite.passed for suite in verify.run_all(7))
+    assert [w.n for w in witnesses] == list(range(1, 8))
+    for w in witnesses:
+        assert "forward" not in vars(w) and "backward" not in vars(w)
+    # read later, the maps are the direct decode through the catalog
+    for w in witnesses:
+        cat = catalog(w.n)
+        direct = {e: psi(e, w.n) for e in cat.elements}
+        assert w.forward == direct and list(w.forward) == cat.elements
+        assert w.backward == {p: e for e, p in direct.items()}
+        assert len(w.backward) == w.size == factorial(w.n + 1)
+
+
+def test_left_tables_run_once_per_catalog(monkeypatch):
+    calls = []
+    true_tables = atlas.left_tables
+
+    def counted(n):
+        calls.append(n)
+        return true_tables(n)
+
+    monkeypatch.setattr(atlas, "left_tables", counted)
+    cat = enumerate_group(4)
+    assert calls == [4] and not cat.tables.flags.writeable
+    monkeypatch.setattr(atlas, "catalog", lambda n: cat)
+    verify_isomorphism(4)
+    assert calls == [4]
+    assert cat.tables.tolist() == true_tables(4).tolist()
 
 
 def test_isomorphism_preserves_orders_n3():
@@ -467,14 +514,34 @@ def test_catalog_export_entries_are_one_digit():
         next(atlas.catalog_chunks(wide))
 
 
+def _export_records(cat):
+    """The text inside the braces of each element record of the joined
+    export, split out at the boundaries between records."""
+    text = "".join(atlas.catalog_chunks(cat))
+    head, tail = '"elements": [\n    {', "\n    }\n  ]\n}"
+    assert text.endswith(tail)
+    return text[text.index(head) + len(head) : -len(tail)].split("\n    },\n    {")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_catalog_export_goes_out_one_chunk_per_run(n):
+    # the header, one chunk per run of at most 512 records of one BFS level,
+    # then the closing brackets
+    cat = catalog(n)
+    chunks = list(atlas.catalog_chunks(cat))
+    runs = sum(-(-size // atlas._RUN) for size in np.bincount(cat.distance).tolist())
+    assert len(chunks) == runs + 2
+    assert chunks[0].endswith('"elements": [\n') and chunks[-1] == "\n  ]\n}"
+
+
 def test_catalog_records_at_distance_10():
     # n = 7 is the one catalog whose diameter, 10, has two digits: each of
     # its records at distance 10 is laid out field by field from its own
     # element
     cat = catalog(7)
-    chunks = list(atlas.catalog_chunks(cat))[1:-1]
+    records = _export_records(cat)
     far = np.flatnonzero(cat.distance == 10).tolist()
-    assert len(chunks) == len(cat) and len(far) == 315
+    assert len(records) == len(cat) and len(far) == 315
     for i in far:
         e = cat.elements[i]
         record = {
@@ -486,16 +553,15 @@ def test_catalog_records_at_distance_10():
             "word": list(cat.word(e)),
             "psi": list(psi(e, 7).images),
         }
-        assert chunks[i] == f",\n    {{\n{json_fields(record, 2)}\n    }}"
+        assert records[i] == f"\n{json_fields(record, 2)}"
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_catalog_records_of_a_level_share_one_length(n):
     cat = catalog(n)
-    chunks = list(atlas.catalog_chunks(cat))[1:-1]
     lengths = {}
-    for distance, chunk in zip(cat.distance.tolist(), chunks, strict=True):
-        lengths.setdefault(distance, set()).add(len(chunk))
+    for distance, record in zip(cat.distance.tolist(), _export_records(cat), strict=True):
+        lengths.setdefault(distance, set()).add(len(record))
     assert list(lengths) == list(range(len(lengths)))
     assert all(len(sizes) == 1 for sizes in lengths.values())
 

@@ -348,10 +348,10 @@ def test_census_stdout_digests(capsys, digest, command):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_group_streams_the_whole_document(capsys, n):
-    # one chunk per record between the header and the closing brackets, each
-    # equal to the record laid out field by field from its dict
+    # joined, the chunks are the header, every record laid out field by
+    # field from its dict, and the closing brackets
     code, chunks = cmd_group(argparse.Namespace(dim=n))
-    assert code == 0 and list(chunks) == list(catalog_chunks(n))
+    assert code == 0 and "".join(chunks) == "".join(catalog_chunks(n))
     # one json.dumps of the whole catalog, built as dicts, is the oracle
     document = {**catalog_header(n), "elements": list(catalog_records(n))}
     code, out, _ = run_cli(capsys, "group", "--dim", str(n))
@@ -389,6 +389,16 @@ def test_group_dim_7_memory_is_bounded(tmp_path):
     assert max_rss < 100 * 1024  # kB
     # --out writes the stdout bytes
     digest = {command: d for d, command in CLI_DIGESTS}["aughts group --dim 7"]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_verify_dim_7_memory_is_bounded(tmp_path):
+    # Decoding the isomorphism witness of every n up front peaked near 62 MB.
+    target = tmp_path / "verify7.txt"
+    exit_code, max_rss = _fresh_cli_max_rss("verify", "--max-n", "7", "--out", str(target))
+    assert exit_code == 0
+    assert max_rss < 50 * 1024  # kB
+    digest = {command: d for d, command in CLI_DIGESTS}["aughts verify --max-n 7"]
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
