@@ -68,9 +68,9 @@ class GroupCatalog:
     """All (n+1)! group elements as arrays over BFS positions: the rank, the
     distance, the parent's position and the generator j with element =
     K(j) * parent (parent -1 and j 0 at the identity); ``position`` maps a
-    rank back to its BFS position. ``elements`` decodes the ranks into
-    triples when first read; ``tables`` holds the left-multiplication
-    tables the search ran on (``left_tables``)."""
+    rank back to its BFS position, and ``tables``, set at construction, are
+    the left-multiplication tables the search ran on (``left_tables``).
+    ``elements`` decodes the ranks into triples when first read."""
 
     n: int
     rank: np.ndarray
@@ -78,17 +78,14 @@ class GroupCatalog:
     parent: np.ndarray
     via: np.ndarray
     position: np.ndarray
+    tables: np.ndarray
 
     def __len__(self) -> int:
         return len(self.rank)
 
     @cached_property
-    def tables(self) -> np.ndarray:
-        return left_tables(self.n)
-
-    @cached_property
     def elements(self) -> list[SignedPermElement]:
-        sigmas = [Permutation._trusted(p) for p in permutations(range(1, self.n + 1))]
+        sigmas = [Permutation._trusted(tuple(p)) for p in _permutations(self.n).tolist()]
         lehmer, pivot = np.divmod(self.rank, self.n + 1)
         return [
             SignedPermElement._trusted(sigmas[s], h or 1, 1 if h else 0)
@@ -212,7 +209,7 @@ def enumerate_group(n: int) -> GroupCatalog:
     """Breadth-first closure under left multiplication by the generators."""
     _check_n(n)
     tables = left_tables(n)
-    cat = GroupCatalog(n, *_level_bfs(tables))
+    cat = GroupCatalog(n, *_level_bfs(tables), tables)
     if len(cat) != factorial(n + 1):
         raise ConsistencyError(
             f"enumeration found {len(cat)} elements, expected {factorial(n + 1)}"
@@ -220,7 +217,6 @@ def enumerate_group(n: int) -> GroupCatalog:
     # ``catalog`` hands the same arrays to every caller
     for array in (tables, cat.rank, cat.distance, cat.parent, cat.via, cat.position):
         array.flags.writeable = False
-    cat.tables = tables
     return cat
 
 

@@ -392,12 +392,11 @@ def diametral_report(region: Region) -> DiametralReport:
     bounding box: the hexagon's cut corners hold none, as a cone point of
     [-M,M]^2 has both coordinates of one sign and so |x - y| < M.  A disk,
     within the 2^31 guard, sums its columns under one octant of its arc in
-    Python ints by walking their lattice hull (``_disk_diametral``).
+    Python ints by walking their lattice hull (``_disk_octant``).
     """
     x0, x1, y0, y1 = region.bounds()
     if region.kind == "disk":
-        _check_coords(region)
-        total, hits = _disk_diametral(x1)
+        total, hits, _, _ = _disk_octant(region)
     elif x0 > x1 or y0 > y1:
         total = hits = 0
     else:
@@ -409,34 +408,46 @@ def diametral_report(region: Region) -> DiametralReport:
     return DiametralReport(region, total, hits)
 
 
-def _disk_octant(r: int) -> tuple[int, int, int, tuple, tuple]:
-    """(points, k, m, low, high) of the disk x^2 + y^2 <= r^2, r >= 1, with
-    k = isqrt(r^2 // 2), m = isqrt(r^2 // 5) and ``low`` and ``high`` the
-    hull walks over the arc's columns 1..m and m + 1..k, one octant (slopes
-    0 to 1), which both disk counts read.
+def _disk_octant(disk: Region) -> tuple[int, int, int, int]:
+    """(points, cone points, orbit length sum, largest orbit length) of the
+    disk x^2 + y^2 <= r^2, refused past the 2^31 guard, from the hull walks
+    over the arc's columns 1..m and m + 1..k, one octant (slopes 0 to 1),
+    with k = isqrt(r^2 // 2) and m = isqrt(r^2 // 5).
 
     With h(y) = isqrt(r^2 - y^2) and S(a, b) the sum of h over a..b, the
     axes hold 4r + 1 points, and the open quadrant 2 S(1, k) - k^2, as its
     points past column k are, mirrored in the diagonal, the points above
-    row k of the columns 1..k."""
-    n = r * r
-    k, m = math.isqrt(n // 2), math.isqrt(n // 5)
-    low, high = _arc_sum(n, 1, m), _arc_sum(n, m + 1, k)
-    return 4 * r + 1 + 4 * (2 * (low[0] + high[0]) - k * k), k, m, low, high
-
-
-def _disk_diametral(r: int) -> tuple[int, int]:
-    """(points, diametral points) of the disk of radius r >= 1, from the
-    column sums of ``_disk_octant``.
+    row k of the columns 1..k.
 
     The cone x/2 <= y <= 2x is symmetric in the diagonal, as the disk is,
     so it holds twice its half y <= x <= 2y less the k diagonal points.
     Row y of that half holds min(2y, h(y)) - y + 1 points while y <= k:
     y + 1 up to m, the last y with h(y) >= 2y, and h(y) - y + 1 after it, so
     the half holds m(m + 1) + S(m + 1, k) + k - k(k + 1)/2 and the cone
-    2 (m(m + 1) + S(m + 1, k)) - k^2, its negative as many."""
-    total, k, m, _, high = _disk_octant(r)
-    return total, 4 * (m * (m + 1) + high[0]) - 2 * k * k
+    2 (m(m + 1) + S(m + 1, k)) - k^2, its negative as many.
+
+    Every point has the orbit length 2L, L = |2x-y| + |x+y| + |2y-x|, and L
+    and the disk are both invariant under x <-> y and under negation, so L
+    sums over the disk to 4W + 10k(k + 1): the diagonals, where
+    L(t, t) = 4|t| and L(t, -t) = 6|t|, and four times the open wedge
+    |y| < x.  Its row 0 adds 2r(r + 1), and its rows y = v and y = -v, at
+    x = v+1..h(v), add 4h^2 + 4h - 3v^2 - 5v while h(v) >= 2v, that is
+    v <= m, and 3h^2 + 3h + 4vh - 7v^2 - 3v for m < v <= k.  In the wedge
+    L <= 4x + 2v, its value at (h(v), -v), so the largest length is
+    4 (2h(v) + v) at its peak over 0 <= v <= k.
+    """
+    _check_coords(disk)
+    (r,) = disk.params
+    n = r * r
+    k, m = math.isqrt(n // 2), math.isqrt(n // 5)
+    a1, a2, _, a_peak = _arc_sum(n, 1, m)
+    b1, b2, b3, b_peak = _arc_sum(n, m + 1, k)
+    _, v1, v2 = _power_sums(1, m)
+    _, w1, w2 = _power_sums(m + 1, k)
+    wedge = (2 * r * (r + 1) + 4 * (a2 + a1) - 3 * v2 - 5 * v1
+             + 3 * (b2 + b1) + 4 * b3 - 7 * w2 - 3 * w1)
+    return (4 * r + 1 + 4 * (2 * (a1 + b1) - k * k), 4 * (m * (m + 1) + b1) - 2 * k * k,
+            2 * (4 * wedge + 10 * k * (k + 1)), 4 * max(2 * r, a_peak, b_peak))
 
 
 def _arc_sum(n: int, a: int, b: int) -> tuple[int, int, int, int]:
@@ -594,26 +605,12 @@ def disk_length_stats(r: int) -> DiskLengthStats:
     """Point-weighted orbit length statistics over the disk of radius r.
 
     Every lattice point contributes the length of its own orbit, so orbits
-    are counted with multiplicity here, unlike the square averages.  The
-    length is 2L, L = |2x-y| + |x+y| + |2y-x|, and L and the disk are both
-    invariant under x <-> y and under negation, so L sums over the disk to
-    4W + 10k(k + 1): the diagonals, where L(t, t) = 4|t| and
-    L(t, -t) = 6|t|, and four times the open wedge |y| < x.  Its row 0 adds
-    2r(r + 1), and its rows y = v and y = -v, at x = v+1..h(v), add
-    4h^2 + 4h - 3v^2 - 5v while h(v) >= 2v, that is v <= m, and
-    3h^2 + 3h + 4vh - 7v^2 - 3v for m < v <= k, summed from the hull walks
-    of ``_disk_octant``.  In the wedge L <= 4x + 2v, its value at (h(v), -v),
-    so the largest length is 4 (2h(v) + v) at its peak over 0 <= v <= k.
+    are counted with multiplicity here, unlike the square averages; the
+    sums come from the hull walks of ``_disk_octant``.
     """
     r = operator.index(r)
-    _check_coords(Region.disk(r))
-    count, k, m, (a1, a2, _, a_peak), (b1, b2, b3, b_peak) = _disk_octant(r)
-    _, v1, v2 = _power_sums(1, m)
-    _, w1, w2 = _power_sums(m + 1, k)
-    wedge = (2 * r * (r + 1) + 4 * (a2 + a1) - 3 * v2 - 5 * v1
-             + 3 * (b2 + b1) + 4 * b3 - 7 * w2 - 3 * w1)
-    total = 2 * (4 * wedge + 10 * k * (k + 1))
-    return DiskLengthStats(r, count, total / count, 4 * max(2 * r, a_peak, b_peak))
+    count, _, total, maximum = _disk_octant(Region.disk(r))
+    return DiskLengthStats(r, count, total / count, maximum)
 
 
 # ---------------------------------------------------------------------------

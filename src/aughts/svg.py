@@ -275,7 +275,8 @@ def _svg_open(width: int | float, height: int | float) -> str:
 
 
 def used_fill_colors(svg_text: str) -> set[str]:
-    """Distinct fill colors of the rect cells (test/inspection helper)."""
+    """Distinct fill colors other than ``none``, of the rect cells and the
+    projection's circles alike (test/inspection helper)."""
     colors: set[str] = set()
     for chunk in svg_text.split('fill="')[1:]:
         color = chunk.split('"', 1)[0]

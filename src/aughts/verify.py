@@ -11,15 +11,17 @@ traceback.
 
 The matrix suites build their matrices once as int64 stacks of shape
 (k, n, n) and compute each whole family (all (j, l), all pairs of elements,
-all word prefixes) with one stacked product.  The involution, braid,
-closed-form and rank-one suites then check its results one at a time, in
-the nesting order of the loops they replace, so the check count and the
-first counterexample are those of the loops, a check that raises included;
+all word prefixes) with one stacked product.  The involution suite and the
+oracle suite compare each n's results in one stacked check
+(``SuiteResult.check_all``), whose C order is the nesting order of the
+loops it replaces; the oracle has 14,400 pairs at n = 4, and checking them
+one at a time costs about 8 ms, 10-15 % of the suite, and a symbolic
+product that raises still ends it after the pairs before it.  The braid,
+closed-form and rank-one suites check their results one at a time, in the
+nesting order of the loops they replace, a check that raises included;
 each makes at most about 1,200 checks, so this costs nothing measurable.
-The oracle suite alone compares its results in one stacked check
-(``SuiteResult.check_all``): it has 14,400 pairs at n = 4, and checking
-them one at a time costs about 8 ms, 10-15 % of the suite.  A symbolic
-product that raises still ends it after the pairs before it.
+Either way the check count and the first counterexample are those of the
+loops.
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ def involution_suite(n_max: int) -> SuiteResult:
     res = SuiteResult("involutions")
     for n in range(1, n_max + 1):
         ks = _generators(n)
-        for j, square in enumerate(_is_identity(intmat.stack_mul(ks, ks)), 1):
-            res.check(square, f"K({j})^2 != Id at n={n}")
+        squares = _is_identity(intmat.stack_mul(ks, ks))
+        res.check_all(squares, lambda k: f"K({k + 1})^2 != Id at n={n}")
     rng = random.Random(1105)
     for _ in range(50):
         n = rng.randint(1, 6)

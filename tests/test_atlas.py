@@ -509,7 +509,7 @@ def test_catalog_export_entries_are_one_digit():
     # digit, and each is at most n + 1: the cap may rise to 8, no further,
     # and a wider catalog is refused before any byte is written
     assert atlas.ENUMERATION_MAX_N + 1 <= 9
-    wide = atlas.GroupCatalog(9, *(np.zeros(0, dtype=np.int32) for _ in range(5)))
+    wide = atlas.GroupCatalog(9, *(np.zeros(0, dtype=np.int32) for _ in range(6)))
     with pytest.raises(ConsistencyError, match="n <= 8, got 9"):
         next(atlas.catalog_chunks(wide))
 

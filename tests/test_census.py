@@ -751,8 +751,8 @@ def test_arc_sums_of_empty_ranges():
     assert census._arc_sum(100, 7, 7) == (7, 49, 49, 21)
     assert census._arc_sum(100, 10, 9) == (0, 0, 0, 0)
     assert census._arc_sum(100, 10, 10) == (0, 0, 0, 10)
-    assert census._disk_diametral(1) == (5, 0)
-    assert census._disk_diametral(2) == (13, 2)
+    assert diametral_report(Region.disk(1)) == DiametralReport(Region.disk(1), 5, 0)
+    assert diametral_report(Region.disk(2)) == DiametralReport(Region.disk(2), 13, 2)
 
 
 def _row_diametral_counts(r):

@@ -1259,6 +1259,21 @@ def test_render_rejects_non_hex_palette(capsys, palette):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("refused", [["--palette", "#zz"], ["--scale", "0"]])
+@pytest.mark.parametrize(
+    "mode",
+    [["--mod", "3", "--square", "3"], ["--diametral", "--square", "3"],
+     ["--projection", "--square", "3"], ["--point", "1,2"]],
+)
+def test_render_checks_every_option_whatever_the_mode(capsys, mode, refused):
+    # a palette colors --mod alone and a scale does not size the projection,
+    # yet every mode refuses a bad one
+    code, out, err = run_cli(capsys, "render", *mode, *refused)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_command_exits_2(capsys):
     # argparse exits through SystemExit; main converts it to the return code
     assert main(["frobnicate"]) == 2
