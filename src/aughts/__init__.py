@@ -13,11 +13,10 @@ _EXPORTS = {
         "full_cycle_order_via_sym", "order_spectrum", "psi", "verify_isomorphism",
     ),
     "census": (
-        "CensusReport", "DiametralReport", "Region", "count_orbits_with_perimeter",
-        "cumulative_perimeter_stats", "diametral_census", "disk_length_stats",
-        "modular_census", "projection_histogram", "square_orbit_averages",
+        "CensusReport", "DiametralReport", "Region", "ResourceLimitError",
+        "count_orbits_with_perimeter", "cumulative_perimeter_stats", "diametral_census",
+        "disk_length_stats", "modular_census", "projection_histogram", "square_orbit_averages",
     ),
-    "errors": ("ResourceLimitError",),
     "intmat": (
         "SmallIntMatrix", "alternating_row", "full_cycle_matrix", "k_word_product", "make_k",
         "mat_mul", "matrix_order", "product_closed_form",

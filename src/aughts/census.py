@@ -37,7 +37,8 @@ Every census, average and length statistic is exact at every size >= 1,
 but the disk's two counts, like the histograms and renders, take the 2^31
 guard as their size bound.  Each scalar argument enters through
 ``operator.index``, as a ``Region``'s params do, so a numpy integer becomes
-an int and no Python-int formula wraps in int64.  Each ratio and average of a census record is rounded once, to 12
+an int and no Python-int formula wraps in int64.
+Each ratio and average of a census record is rounded once, to 12
 significant digits, from its exact ints, and the diameter average of
 ``square_orbit_averages`` once to a double, by ``_root_digits``.
 """
@@ -48,7 +49,10 @@ import math
 import operator
 from dataclasses import dataclass
 
-from aughts.errors import ResourceLimitError
+
+class ResourceLimitError(RuntimeError):
+    """A budget was exceeded: one of those below, or ``svg.PIXEL_BUDGET``."""
+
 
 # Rows plus crossed (row, ray) pairs an angular histogram may read, at most
 # ``rows._histogram_work``, checked before any row is read: the histogram's

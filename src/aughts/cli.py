@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: verify, group, orbit, trace, census, render.
-Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O, 4 resource.
-Every rejected argument, whether argparse, the CLI or the library refuses it,
-ends with exit 2 and one ``error:`` line on stderr. Each subparser carries its
-handler, which accepts only the options it reads and returns its exit code
-with its output, a str or an iterable of str chunks; ``main`` writes it, to
-stdout or to ``--out``, in one place and with the same bytes on both.
+Exit codes: 0 success, 1 verification failure, 2 usage (argparse, or a
+``ValueError`` or ``OverflowError``), 3 I/O (an ``OSError``), 4 resource (a
+``census.ResourceLimitError``).  Every rejected argument, whether argparse,
+the CLI or the library refuses it, ends with exit 2 and one ``error:`` line
+on stderr. Each subparser carries its handler, which accepts only the
+options it reads and returns its exit code with its output, a str or an
+iterable of str chunks; ``main`` writes it, to stdout or to ``--out``, in
+one place and with the same bytes on both.
 ``_REGIONS`` declares each sized region kind once, for its flag and its Region.
 ``build_parser`` builds the parser once per process and ``main`` reuses it: a
 parse makes a fresh namespace and leaves the parser as it was, so each call
@@ -28,13 +30,8 @@ import sys
 from collections.abc import Iterable, Iterator
 
 from aughts import census, orbits
-from aughts.errors import ResourceLimitError
 
 SCHEMA_VERSION = 1
-
-
-class UsageError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,24 +146,23 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
             values.append(int(entry))
         except ValueError:
             if not _INTEGER.fullmatch(entry):
-                raise UsageError(f"malformed {what}: {text!r}") from None
+                raise ValueError(f"malformed {what}: {text!r}") from None
             digits = sum(map(str.isdecimal, entry))
-            raise UsageError(
+            raise ValueError(
                 f"{what} entry starting {entry.strip()[:20]!r} has {digits} digits, which exceeds"
                 f" Python's limit of {sys.get_int_max_str_digits()} for an integer string"
             ) from None
     return tuple(values)
 
 
-def _region_from_args(args) -> census.Region:
-    """The region of the one region flag that argparse let through."""
+def _region_from_args(args) -> census.Region | None:
+    """The region of the one region flag that argparse let through, or None
+    if none was given."""
     for kind in _REGIONS:
         size = getattr(args, kind)
         if size is not None:
             return getattr(census.Region, kind)(size)
-    if args.rect is None:
-        raise UsageError("render needs a region flag unless --point is given")
-    return census.Region("rect", _parse_point(args.rect))
+    return None if args.rect is None else census.Region("rect", _parse_point(args.rect))
 
 
 def _emit(output: str | Iterable[str], out_path: str | None) -> None:
@@ -262,7 +258,7 @@ def _record(kind: str, fields: dict) -> tuple[int, str]:
 def cmd_orbit(args) -> tuple[int, str]:
     point = _parse_point(args.point)
     if len(point) < 2:
-        raise UsageError(f"orbit needs dimension >= 2, got {len(point)}")
+        raise ValueError(f"orbit needs dimension >= 2, got {len(point)}")
     if len(point) == 2:
         first = _FIRST_GENERATOR[args.seed_order]
         return _record("orbit", orbits.orbit_record(orbits.orbit2d(point, first)))
@@ -287,7 +283,7 @@ def cmd_census(args) -> tuple[int, str]:
         headline = f"diametral fraction: {record['diametral_fraction']}"
     else:
         if region.kind != "square_0M":
-            raise UsageError("modular census is defined over --square M")
+            raise ValueError("modular census is defined over --square M")
         record = census.modular_census(region.params[0], args.mod).to_json_dict()
         ratios = record["residue_ratio_of_size_sq"]
         counts = ", ".join(
@@ -305,13 +301,14 @@ def cmd_render(args) -> tuple[int, str]:
     palette = svg.DEFAULT_PALETTE
     if args.palette:
         palette = tuple(c.strip() for c in args.palette.split(","))
+    # the region flag is checked in every mode, and not drawn with --point
+    region = _region_from_args(args)
     if args.point is not None:
-        seed = _parse_point(args.point)
-        region = census.Region.rect(0, 0, 0, 0)  # unused by single_orbit
-        mode = "single_orbit"
+        seed, mode = _parse_point(args.point), "single_orbit"
+    elif region is None:
+        raise ValueError("render needs a region flag unless --point is given")
     else:
         seed = None
-        region = _region_from_args(args)
         mode = ("mod_color" if args.mod is not None
                 else "diametral" if args.diametral else "projection")
     spec = svg.RenderSpec(
@@ -338,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (ValueError, OverflowError) as exc:
         code, line = 2, f"error: {exc}"
-    except ResourceLimitError as exc:
+    except census.ResourceLimitError as exc:
         code, line = 4, f"resource limit: {exc}"
     except OSError as exc:
         code, line = 3, f"i/o error: {exc}"

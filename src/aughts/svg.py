@@ -38,8 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from aughts.census import Region
-from aughts.errors import ResourceLimitError
+from aughts.census import Region, ResourceLimitError
 from aughts.orbits import Point, _in_cone, _semi_perimeter, orbit2d
 from aughts.rows import _iter_blocks
 
@@ -60,7 +59,7 @@ RENDER_MODES = ("mod_color", "diametral", "projection", "single_orbit")
 
 @dataclass(frozen=True)
 class RenderSpec:
-    region: Region
+    region: Region | None  # None, or any region, for single_orbit: it is not read
     mode: str
     modulus: int | None = None
     palette: tuple[str, ...] = DEFAULT_PALETTE
@@ -76,6 +75,8 @@ class RenderSpec:
         object.__setattr__(self, "first_generator", operator.index(self.first_generator))
         if self.mode not in RENDER_MODES:
             raise ValueError(f"unknown render mode {self.mode!r}")
+        if self.region is None and self.mode != "single_orbit":
+            raise ValueError(f"{self.mode} requires a region")
         for color in self.palette:
             if not re.fullmatch(r"#([0-9a-fA-F]{3}){1,2}", color):
                 raise ValueError(f"palette entry {color!r} is not #RGB or #RRGGBB")

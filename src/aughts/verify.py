@@ -347,15 +347,9 @@ def orbit_suite() -> SuiteResult:
 
 
 def run_all(n_max: int) -> list[SuiteResult]:
-    if not 1 <= n_max <= atlas.ENUMERATION_MAX_N:
-        raise ValueError(f"n_max must be in 1..{atlas.ENUMERATION_MAX_N}, got {n_max}")
-    suites = [
-        involution_suite(max(n_max, 8)),
-        braid_suite(max(n_max, 8)),
-        closed_form_suite(max(n_max, 8)),
-        rank_one_suite(max(n_max, 8)),
-        oracle_suite(n_max),
-        group_suite(n_max),
-        orbit_suite(),
-    ]
-    return suites
+    """The catalog suites at n = 1..n_max, which ``atlas`` bounds as every
+    catalog, and the four matrix suites at n = 1..8 whatever ``n_max``."""
+    atlas._check_n(n_max)
+    matrix_suites = (involution_suite, braid_suite, closed_form_suite, rank_one_suite)
+    return [*(suite(8) for suite in matrix_suites),
+            oracle_suite(n_max), group_suite(n_max), orbit_suite()]

@@ -41,6 +41,7 @@ from aughts.census import (
     DiametralReport,
     PerimeterStats,
     Region,
+    ResourceLimitError,
     count_orbits_with_perimeter,
     cumulative_perimeter_stats,
     diametral_census,
@@ -51,7 +52,6 @@ from aughts.census import (
     square_orbit_averages,
     square_orbit_sums,
 )
-from aughts.errors import ResourceLimitError
 from aughts.orbits import _in_cone, _semi_perimeter, orbit2d, orbit_rep, semi_perimeter
 from aughts.svg import RenderSpec, render_svg
 

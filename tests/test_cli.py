@@ -1058,8 +1058,10 @@ def test_census_mod_beyond_modulus_limit_exits_4():
         ["group", "--dim", "99"],
         ["group", "--dim", "8"],
         ["census", "--square", "100", "--mod", "1"],
+        # the catalog's bound, checked by atlas alone, as for group --dim 8
+        ["verify", "--max-n", "8"],
     ],
-    ids=["render-2^62", "group-dim", "group-dim-8", "census-mod-1"],
+    ids=["render-2^62", "group-dim", "group-dim-8", "census-mod-1", "verify-max-n-8"],
 )
 def test_library_value_errors_exit_2(argv):
     proc = run_cli_process(*argv)
@@ -1067,6 +1069,8 @@ def test_library_value_errors_exit_2(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+    if argv[0] == "verify":
+        assert proc.stderr == run_cli_process("group", "--dim", "8").stderr
 
 
 def test_render_projection_at_2_31_corner(capsys):
@@ -1206,6 +1210,18 @@ def test_render_usage_errors(capsys):
     # --point ignores one region flag, but two are rejected as in every mode
     assert run_cli(capsys, "render", "--point", "1,2", "--square", "3")[0] == 0
     assert run_cli(capsys, "render", "--point", "1,2", "--square", "3", "--disk", "4")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "region", [["--rect", "x,y"], ["--rect", "1,,2,3"], ["--rect", "1,2,3"],
+               ["--disk", "0"], ["--hexagon", "-1"]],
+    ids=["rect-malformed", "rect-empty-entry", "rect-three-params", "disk-0", "hexagon--1"],
+)
+def test_render_point_checks_its_region_flag(capsys, region):
+    # the region flag is not drawn with --point, but it is checked as in every mode
+    code, out, err = run_cli(capsys, "render", "--point", "1,2", *region)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.skipif(

@@ -32,6 +32,16 @@ CASES = {
     "RenderSpec-single-orbit-no-seed": (
         lambda: RenderSpec(Region.square(3), "single_orbit"), "requires a seed point"
     ),
+    # a scanned mode reads its region; only single_orbit goes without one
+    "RenderSpec-mod-color-no-region": (
+        lambda: RenderSpec(None, "mod_color", modulus=3), "^mod_color requires a region$"
+    ),
+    "RenderSpec-diametral-no-region": (
+        lambda: RenderSpec(None, "diametral"), "^diametral requires a region$"
+    ),
+    "RenderSpec-projection-no-region": (
+        lambda: RenderSpec(None, "projection"), "^projection requires a region$"
+    ),
     # an empty rect holds no points, and its fraction is 0.0, not a division by 0
     "diametral_census-empty-rect": (lambda: diametral_census(Region.rect(1, 0, 0, 0)), 0.0),
 }
