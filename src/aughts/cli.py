@@ -12,9 +12,13 @@ one place and with the same bytes on both.
 ``_REGIONS`` declares each sized region kind once, for its flag and its Region.
 ``build_parser`` builds the parser once per process and ``main`` reuses it: a
 parse makes a fresh namespace and leaves the parser as it was, so each call
-gives the bytes and code of a fresh run.  The handlers are bound when the
-parser is built, so a test patches the library functions they call, not
-``cli.cmd_*``.
+gives the bytes and code of a fresh run.  When the first argument names a
+subcommand, ``main`` parses the rest with that subcommand's own parser, which
+is all the top-level parser would do with them; any other argv goes through
+the top-level parser.  Every JSON record is laid out by one writer,
+``_json_text``, with the bytes of ``json.dumps(record, indent=2)``.  The
+handlers are bound when the parser is built, so a test patches the library
+functions they call, not ``cli.cmd_*``.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
+import math
 import os
 import re
 import stat
 import sys
 from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
 
 from aughts import census, orbits
 
@@ -41,6 +46,8 @@ class _Parser(argparse.ArgumentParser):
     point ``-3,4``, is a value: argparse on Python 3.10 and 3.11 takes only
     a lone negative number for one and reads the list as an unknown option."""
 
+    subcommands: dict[str, _Parser]  # the top-level parser's: name -> subparser
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+(,[-+]?\d+)*$|^-\d*\.\d+$")
@@ -50,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="aughts",
         description=(
@@ -99,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--out", help="output path (default: stdout)")
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -250,9 +258,45 @@ def cmd_group(args) -> tuple[int, Iterator[str]]:
     return 0, atlas.catalog_chunks(atlas.catalog(args.dim))
 
 
+def _json_text(value) -> str:
+    """``value`` laid out as ``json.dumps(value, indent=2)`` lays it out:
+    dicts with str keys, lists, strs, ints, floats, bools and None, nested
+    in any way; any other type raises TypeError.  ``json.dumps`` falls back
+    to its pure-Python encoder whenever ``indent`` is given, which costs a
+    small record more than its arithmetic."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)  # a ValueError past the digit limit, as in json
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        # a key that is not a str is refused by encode_basestring_ascii
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_json_text(v) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    # each line break is the layout's: a string's own is escaped
+    body = ",\n".join(items).replace("\n", "\n  ")
+    return f"{brackets[0]}\n  {body}\n{brackets[1]}"
+
+
 def _record(kind: str, fields: dict) -> tuple[int, str]:
     """Exit 0 and the JSON record of ``kind``, under the schema header."""
-    return 0, json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **fields}, indent=2)
+    return 0, _json_text({"schema_version": SCHEMA_VERSION, "kind": kind, **fields})
 
 
 def cmd_orbit(args) -> tuple[int, str]:
@@ -291,7 +335,7 @@ def cmd_census(args) -> tuple[int, str]:
         )
         headline = f"orbits by length mod {args.mod}: {counts}"
     # the text first: a count too long for str() is then a one-line rejection
-    text = json.dumps(record, indent=2)
+    text = _json_text(record)
     _note(headline)
     return 0, text
 
@@ -325,8 +369,13 @@ def cmd_render(args) -> tuple[int, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a named subcommand's own parser reads the rest: the top-level parser
+    # would only hand it on, and it refuses an argument with the same line
+    sub = parser.subcommands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -12,9 +12,11 @@ built beside the document.  A block's list is gathered from a table of
 string pieces; no per-cell string is built.  The table holds the block's
 columns as one range, from its least to its greatest, at most the region's
 width, and its rows, first to last, with pixel offsets in Python ints, so
-any scale is exact.  A rect cell of a wide block, one with at least eight
-cells per (row, color) pair, is two pieces: its column, and its row with
-its color, one piece per pair.  A cell of any other block is three pieces,
+any scale is exact; a block over the columns of the block before it
+reuses that block's column pieces.  A rect cell of a wide block, one with
+at least eight cells per (row, color) pair, is two pieces: its column, and
+its row with its color, one piece per pair, each its row's piece followed
+by the color's.  A cell of any other block is three pieces,
 one per column, row and color: there, formatting a piece per pair would
 cost more than the third piece per cell it saves.  A one-column or one-row
 block has a row or column piece per cell, which would cost more while it
@@ -124,27 +126,33 @@ def _render_cells(spec: RenderSpec) -> Iterator[list[str]]:
     # only the colors a cell can take: a residue is below the modulus
     used = spec.palette[: spec.modulus] if mod else (OTHER_COLOR, DIAMETRAL_COLOR)
     colors = [f'{c}"/>\n' for c in used]
+    # the last block's column range and its pieces, which a block over the
+    # same columns reuses
+    last = (range(0), [])
 
     def block(x1: np.ndarray, x2: np.ndarray) -> tuple[list[str], bool]:
         """The block's pieces, and whether its table holds more than half
         as many pieces as it has cells: a row or column piece per cell."""
+        nonlocal last
         # the length residue, or whether the cell lies in the cone
         color = 2 * _semi_perimeter(x1, x2) % spec.modulus if mod else _in_cone(x1, x2)
         # the block's columns, least to greatest, and the pixel offsets of
         # its rows, first to last; Python ints, exact for any scale
         x0 = int(x1.min())
         cols = range(x0, int(x1.max()) + 1)
+        if cols != last[0]:
+            last = cols, [f'<rect x="{(x - xmin) * s}" y="' for x in cols]
         y0 = int(x2[0])
         rows = range((ymax - y0) * s, (ymax - int(x2[-1])) * s - s, -s)
-        pieces = [f'<rect x="{(x - xmin) * s}" y="' for x in cols]
         if 8 * len(rows) * len(colors) <= len(x1):
             # a wide block: each row's piece carries the color, one piece
             # per (row, color), so a cell is two pieces
-            pieces += [f"{py}{row_tail}{c}" for py in rows for c in colors]
+            heads = [str(py) + row_tail for py in rows]
+            pieces = last[1] + [head + c for head in heads for c in colors]
             seq = np.empty((len(x1), 2), dtype=np.int64)
             seq[:, 1] = (x2 - y0) * len(colors) + color + len(cols)
         else:
-            pieces += [str(py) + row_tail for py in rows]
+            pieces = last[1] + [str(py) + row_tail for py in rows]
             pieces += colors
             seq = np.empty((len(x1), 3), dtype=np.int64)
             seq[:, 1] = x2 - y0 + len(cols)

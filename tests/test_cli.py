@@ -30,12 +30,12 @@ from brute_force import (
     orbit_nodes,
     walk_length,
 )
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import aughts
 from aughts.census import Region, diametral_report
-from aughts.cli import build_parser, cmd_group, main
+from aughts.cli import _json_text, build_parser, cmd_group, main
 from aughts.svg import DEFAULT_PALETTE, used_fill_colors
 
 
@@ -250,6 +250,43 @@ REUSE_ARGVS = [
     ["orbit", "-3,4"],
     *({**BASE_ARGV, "census": GOLDEN_CENSUS}.values()),
 ]
+
+
+# argvs that main hands to a subcommand's own parser, and argvs that it
+# leaves to the top-level parser, valid or not
+DISPATCH_ARGVS = [
+    *BASE_ARGV.values(),
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["census", "-h"],
+    ["census", "--mod", "2"],
+    ["census", "--square", "5", "--disk", "5", "--diametral"],
+    ["census", "--square", "x", "--mod", "2"],
+    ["census", "--square", "3", "--mod", "2", "--extra"],
+    ["--", "census", "--square", "3", "--mod", "2"],
+    ["--out", "f", "census", "--square", "3", "--mod", "2"],
+    ["census", "--sq", "3", "--mod", "2"],
+    ["orbit", "-3,4"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_dispatch_gives_what_the_top_level_parser_gives(capsys, monkeypatch, argv):
+    dispatched = run_cli(capsys, *argv)
+    # with no subcommand to dispatch to, every argv takes the top-level route
+    monkeypatch.setattr(build_parser(), "subcommands", {})
+    assert run_cli(capsys, *argv) == dispatched
+
+
+def test_a_named_subcommand_skips_the_top_level_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    for argv in BASE_ARGV.values():
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_main_gives_the_same_result_on_every_call(capsys):
@@ -1507,3 +1544,35 @@ def test_main_fuzz(argv):
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
     if code == 0:
         _check_against_oracle(argv, out.getvalue())
+
+
+# any value json.loads can return: nested empty containers, strings with
+# non-ASCII and control characters, ints to +-10^50, the floats json writes
+# by name and by exponent
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**50), 10**50)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-7, 1e16])
+    | st.text(st.characters(codec=None, exclude_categories=())),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": {}, "b": [], "c": [{}, [[]], {"d": {}}]})
+@example(["caf\u00e9 \u2603 \U0001f600 \ud800", "\x00\x1f\t\n\r\"\\/\x7f"])
+@example([10**50, -(10**50), 0, -1, True, False, None])
+@example([float("nan"), float("inf"), float("-inf"), -0.0, 1e-7, 1e16, 0.1, 5e-324])
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [(1, 2), {1, 2}, {"a": [(0,)]}, [frozenset()], {1: 2}])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
