@@ -18,13 +18,16 @@ signed 64-bit range.  ``mat_mul`` multiplies two matrices and
 product per word position, and ``k_word_product`` is its one-word case.
 
 Indices on the public surface are 1-based (matching the usual notation for
-the generators); storage is 0-based internally.
+the generators); storage is 0-based internally.  The per-dimension
+constants, the identity's entries and the two alternating rows, are built
+once per dimension, on first use, by ``_unit_tables``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -61,10 +64,24 @@ def _check_index(n: int, j: int) -> tuple[int, int]:
     return n, j
 
 
+@lru_cache(maxsize=8)
+def _unit_tables(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The identity's n * n entries, row-major, and the alternating rows of
+    length n starting +1 and -1, so that row ``j & 1`` starts with (-1)^j.
+
+    Cached: every caller checks ``n`` first, so the key is always an int
+    (a float of the same value, which hashes alike, never reaches it).
+    """
+    identity = [0] * (n * n)
+    identity[:: n + 1] = [1] * n
+    plus = tuple(sign_pow(k) for k in range(n))
+    return tuple(identity), (plus, tuple(-v for v in plus))
+
+
 def alternating_row(n: int, j: int) -> tuple[int, ...]:
     """The +/-1 row of length ``n`` starting with (-1)^j at column 1."""
     n, j = _check_index(n, j)
-    return tuple(sign_pow(j + k) for k in range(n))
+    return _unit_tables(n)[1][j & 1]
 
 
 @dataclass(frozen=True)
@@ -120,7 +137,7 @@ class SmallIntMatrix:
         return max(max(self.entries), -min(self.entries))
 
     def is_identity(self) -> bool:
-        return self == identity_matrix(self.n)
+        return self.entries == _unit_tables(self.n)[0]
 
     def __str__(self) -> str:
         return "\n".join(" ".join(f"{v:3d}" for v in row) for row in self.rows())
@@ -128,9 +145,7 @@ class SmallIntMatrix:
 
 def identity_matrix(n: int) -> SmallIntMatrix:
     n = _check_dim(n)
-    return SmallIntMatrix(
-        n, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-    )
+    return SmallIntMatrix._of_ints(n, _unit_tables(n)[0])
 
 
 def pivot_outer(n: int, j: int) -> SmallIntMatrix:
@@ -144,8 +159,7 @@ def pivot_outer(n: int, j: int) -> SmallIntMatrix:
 def make_k(n: int, j: int) -> SmallIntMatrix:
     """Generator K(j): identity with row j replaced by the alternating row."""
     n, j = _check_index(n, j)
-    entries = [0] * (n * n)
-    entries[:: n + 1] = [1] * n
+    entries = list(_unit_tables(n)[0])
     entries[(j - 1) * n : j * n] = alternating_row(n, j)
     return SmallIntMatrix(n, tuple(entries))
 
@@ -294,14 +308,14 @@ def product_closed_form(n: int, js: Sequence[int]) -> SmallIntMatrix:
     if len(set(js)) != len(js):
         raise ValueError("indices must be distinct")
 
-    entries = [0] * (n * n)
-    entries[:: n + 1] = [1] * n
+    identity, rows = _unit_tables(n)
+    entries = list(identity)
     for j in js:
         entries[(j - 1) * (n + 1)] = 0
     for j, ell in zip(js, js[1:]):
         entries[(j - 1) * n + ell - 1] = -1 if (j + ell) & 1 else 1
     last = js[-1]
-    entries[(last - 1) * n : last * n] = ([1, -1] * (n // 2 + 1))[last & 1 : (last & 1) + n]
+    entries[(last - 1) * n : last * n] = rows[last & 1]
     return SmallIntMatrix._of_ints(n, tuple(entries))
 
 

@@ -261,12 +261,20 @@ def diametral_flags(o: Orbit2D) -> tuple[bool, ...]:
 
 def orbit_rep(x: Sequence[int]) -> Point:
     """The lexicographically largest node of x's orbit, one representative
-    per orbit, read off the six cycle points.
+    per orbit, read off the extremes of Phi(x) = (x2 - x1, x1, -x2):
+    (max Phi, -min Phi).
+
+    The nodes are the points (z_i, -z_j) for two distinct positions i, j of
+    Phi, so the first coordinate is at most max Phi and, with it, the second
+    at most -min Phi.  Both bounds are met at once: a position other than
+    max Phi's holds min Phi unless Phi is constant, and then Phi = (0, 0, 0)
+    and the one node is the origin.
 
     The representative always lands in the closed first-quadrant cone
     between the two fixed lines y = x/2 and y = 2x.
     """
-    return max(cycle_points(x))
+    x1, x2 = _check_dim2(x)
+    return (max(x2 - x1, x1, -x2), max(x1 - x2, -x1, x2))
 
 
 def orbit_distance(a: Sequence[int], b: Sequence[int]) -> int | None:

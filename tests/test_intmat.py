@@ -535,6 +535,11 @@ def test_a_non_integer_dimension_is_refused():
     # a float dimension once built a matrix that failed later in str(),
     # rows() and mat_mul, or failed as "can't multiply sequence by non-int"
     float_index = "'float' object cannot be interpreted as an integer"
+    # each builder is first called with the int of the same value: a cache
+    # keyed on the raw argument would answer 2.0 with the result for 2,
+    # since 2.0 == 2 and both hash alike
+    identity_matrix(2), make_k(3, 1), alternating_row(3, 1), pivot_outer(3, 1)
+    product_closed_form(3, (1, 2))
     for build in (
         lambda: SmallIntMatrix(2.0, (1, 0, 0, 1)),
         lambda: product_closed_form(3.0, (1, 2)),

@@ -377,11 +377,15 @@ def test_canonical_rep_is_orbit_invariant(x1, x2):
 def test_orbit_rep_and_node_order_match_the_cycle():
     # orbit_rep is the greatest cycle point, and orbit2d keeps the cycle's
     # points in their first-occurrence order, from either first operator;
-    # the pairs of ``near`` hold the axes and the origin at every size
+    # the pairs of ``near`` hold the axes and the origin at every size;
+    # on the lines b = 2a, a = 2b and a = -b two entries of Phi tie, here
+    # at sizes no fixed-width integer holds
     edge = (2**31, 2**31 - 1, 10**30, 10**30 + 1)
     near = edge + tuple(-v for v in edge) + (-1, 0, 1)
     points = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
     points += [(a, b) for a in near for b in near]
+    for k in (2**63, 10**100):
+        points += [p for a, b in ((k, 2 * k), (2 * k, k), (k, -k)) for p in ((a, b), (-a, -b))]
     for x in points:
         assert orbit_rep(x) == max(orbit2d(x).nodes) == max(orbit_nodes(x)), x
         for g in (1, 2):
